@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, verify
 from .models import ModelSpec
 from .sweeps import (Axis, SpectralCache, SweepRequest, SweepResult,
-                     ThresholdResult, available_pair_kinds, find_threshold,
+                     ThresholdResult, check_threshold, find_threshold,
                      resolve_pairs, run_sweep)
 
 COMMANDS = ("sweep-temp", "sweep-field", "sweep-j2", "grid", "threshold", "verify")
@@ -142,9 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="threshold search parameter")
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--jobs", type=int,
-                        help="worker threads for sweeps (default: serial; N > 1 opts into "
-                             "N threads, best with OPENBLAS_NUM_THREADS=1); "
-                             "does not affect output")
+                        help="accepted for compatibility only (N >= 1): sweeps always "
+                             "run serially")
     parser.add_argument("--max-n", dest="max_n", type=int,
                         help="largest ring size the verify battery runs (default 8)")
     return parser
@@ -200,41 +199,53 @@ def _axis_steps(config: RunConfig, expect_grid: bool) -> tuple[int, int]:
 def _pair_kinds(config: RunConfig) -> Optional[list[str]]:
     if config.pairs is None:
         return None
-    kinds = [k.strip() for k in config.pairs.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in available_pair_kinds(8):
-            raise ConfigError(f"pairs: unknown pair kind {kind!r}")
-    return kinds
+    return [k.strip() for k in config.pairs.split(",") if k.strip()] or None
 
 
 def _validate(config: RunConfig) -> None:
+    if config.jobs is not None and config.jobs < 1:
+        raise ConfigError("jobs: must be at least 1")
     if config.command == "verify":
         if not 2 <= config.max_n <= 8:
             raise ConfigError("max_n: must be between 2 and 8")
         return
-    if config.n < 2 or config.n > 8:
-        raise ConfigError("n: ring size must be between 2 and 8")
-    try:
-        ModelSpec(n_sites=config.n, j1=config.j1, j2=config.j2, field_b=config.b)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
     if config.command != "threshold" and config.out is None:
         raise ConfigError("out: missing output path")
+    if config.command == "threshold" and config.param is None:
+        raise ConfigError("param: threshold needs --param")
+    _request(config)
 
-    needs_j2_axis = config.command in ("sweep-j2", "grid")
-    if needs_j2_axis and (config.n % 2 or config.n < 4):
-        raise ConfigError("n: next-nearest sweeps require an even ring with n >= 4")
-    if config.command == "sweep-field" and config.n % 2:
-        raise ConfigError("n: field sweeps require an even ring")
 
-    if config.command in ("sweep-field", "sweep-j2"):
-        if config.temperature is None or config.temperature <= 0.0:
-            raise ConfigError("temperature: a positive fixed temperature is required")
-    if config.command == "threshold":
-        if config.param is None:
-            raise ConfigError("param: threshold needs --param")
-        if config.param != "temperature" and config.temperature is None:
-            raise ConfigError("temperature: required when thresholding a coupling or field")
+def _request(config: RunConfig):
+    """What a sweep or threshold command runs on, built alike for validation and run.
+
+    Sweeps get a SweepRequest; threshold gets (base spec, pair, search range).
+    The model, axis and pair rules live in the library objects built here;
+    their ValueError becomes the command line's one ConfigError.
+    """
+    try:
+        base = ModelSpec(n_sites=config.n, j1=config.j1, j2=config.j2, field_b=config.b)
+        pairs = resolve_pairs(config.n, _pair_kinds(config))
+        if config.command == "threshold":
+            search = _range_for(config, config.param)
+            check_threshold(base, config.param, search, config.temperature)
+            return base, pairs[0], search
+        if config.command == "grid":
+            steps1, steps2 = _axis_steps(config, expect_grid=True)
+            return SweepRequest(base=base,
+                                axis1=Axis("j2", *_range_for(config, "j2"), steps1),
+                                axis2=Axis("temperature", *_range_for(config, "temperature"),
+                                           steps2),
+                                pairs=pairs)
+        steps, _ = _axis_steps(config, expect_grid=False)
+        parameter = {"sweep-temp": "temperature", "sweep-field": "field_b",
+                     "sweep-j2": "j2"}[config.command]
+        axis = Axis(parameter, *_range_for(config, parameter), steps)
+        return SweepRequest(base=base, axis1=axis, pairs=pairs,
+                            temperature=config.temperature
+                            if parameter != "temperature" else None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _range_for(config: RunConfig, parameter: str) -> tuple[float, float]:
@@ -244,8 +255,6 @@ def _range_for(config: RunConfig, parameter: str) -> tuple[float, float]:
     names = {"temperature": "tmin/tmax", "field_b": "bmin/bmax", "j2": "j2min/j2max"}
     if pick[0] is None or pick[1] is None:
         raise ConfigError(f"{names[parameter]}: required for {parameter} range")
-    if not pick[0] < pick[1]:
-        raise ConfigError(f"{names[parameter]}: need min < max")
     return float(pick[0]), float(pick[1])
 
 
@@ -281,55 +290,23 @@ def _sweep_rows(result: SweepResult):
                result.internal_energy[i], result.log_z[i])
 
 
-def _resolve_pairs(config: RunConfig):
-    try:
-        return resolve_pairs(config.n, _pair_kinds(config))
-    except ValueError as exc:
-        raise ConfigError(f"pairs: {exc}") from exc
-
-
 def _run_sweep_command(config: RunConfig) -> int:
-    pairs = _resolve_pairs(config)
-    base = ModelSpec(n_sites=config.n, j1=config.j1, j2=config.j2, field_b=config.b)
-
-    if config.command == "grid":
-        steps1, steps2 = _axis_steps(config, expect_grid=True)
-        j2_range = _range_for(config, "j2")
-        t_range = _range_for(config, "temperature")
-        request = SweepRequest(base=base,
-                               axis1=Axis("j2", *j2_range, steps1),
-                               axis2=Axis("temperature", *t_range, steps2),
-                               pairs=pairs)
-    else:
-        steps, _ = _axis_steps(config, expect_grid=False)
-        parameter = {"sweep-temp": "temperature", "sweep-field": "field_b",
-                     "sweep-j2": "j2"}[config.command]
-        axis = Axis(parameter, *_range_for(config, parameter), steps)
-        request = SweepRequest(base=base, axis1=axis, pairs=pairs,
-                               temperature=config.temperature
-                               if parameter != "temperature" else None)
-
-    try:
-        result = run_sweep(request, jobs=config.jobs)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+    result = run_sweep(_request(config))
     emit_csv(config.out, config.echo_items(), result.columns, _sweep_rows(result))
     print(f"wrote {result.params.shape[0]} rows to {config.out}")
     return 0
 
 
 def _run_threshold_command(config: RunConfig) -> int:
-    pairs = _resolve_pairs(config)
-    base = ModelSpec(n_sites=config.n, j1=config.j1, j2=config.j2, field_b=config.b)
-    search = _range_for(config, config.param)
-    result = find_threshold(base, config.param, pairs[0], search,
+    base, pair, search = _request(config)
+    result = find_threshold(base, config.param, pair, search,
                             fixed_temperature=config.temperature,
                             cache=SpectralCache())
     if result.status == "found":
-        print(f"{config.param} threshold for {pairs[0].label}: {result.value:.10g} "
+        print(f"{config.param} threshold for {pair.label}: {result.value:.10g} "
               f"(bracket [{result.bracket[0]:.10g}, {result.bracket[1]:.10g}])")
     else:
-        print(f"{config.param} threshold for {pairs[0].label}: none in range "
+        print(f"{config.param} threshold for {pair.label}: none in range "
               f"[{search[0]:g}, {search[1]:g}]")
     if config.out:
         _emit_threshold_csv(config, result, search)

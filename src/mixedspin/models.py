@@ -28,6 +28,7 @@ class ModelSpec:
     """Full problem definition: site count, couplings, and field.
 
     Energies are in units of the nearest-neighbor coupling scale; k_B = 1.
+    Every model rule is checked here, so the builders take any spec as valid.
     """
 
     n_sites: int
@@ -36,12 +37,15 @@ class ModelSpec:
     field_b: float = 0.0
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("n_sites must be at least 2")
+        # Dense matrices: 8 sites is 1296 states, and each cell more is 6x.
+        if not 2 <= self.n_sites <= 8:
+            raise ValueError("n_sites must be between 2 and 8")
         if self.j2 < 0.0:
             raise ValueError("next-nearest coupling j2 must be >= 0")
         if self.j2 != 0.0 and (self.n_sites % 2 or self.n_sites < 4):
             raise ValueError("next-nearest coupling requires an even ring with n >= 4")
+        if self.j2 != 0.0 and self.j1 < 0.0:
+            raise ValueError("next-nearest model requires antiferromagnetic j1 >= 0")
         if self.field_b != 0.0 and self.j2 != 0.0:
             raise ValueError("field and next-nearest coupling are studied separately; set one to 0")
         if self.field_b != 0.0 and self.n_sites % 2:
@@ -61,8 +65,6 @@ class Hamiltonian:
 
 def ring_layout(n: int) -> SiteLayout:
     """Alternating layout: even n = (1/2,1)*n/2; odd n closes with an extra 1/2."""
-    if n < 2:
-        raise ValueError("ring needs at least 2 sites")
     if n % 2 == 0:
         spins = (HALF, ONE) * (n // 2)
     else:
@@ -123,36 +125,25 @@ def _total_sz(n: int) -> np.ndarray:
 
 def build_nn_ring(n: int, j1: float = 1.0) -> Hamiltonian:
     """Nearest-neighbor ring; even rings alternate (1/2,1), odd rings close half-half."""
-    spec = ModelSpec(n_sites=n, j1=j1)
-    return Hamiltonian(matrix=j1 * _nn_bond_sum(n), layout=ring_layout(n), spec=spec)
+    return build_model(ModelSpec(n_sites=n, j1=j1))
 
 
 def build_nn_field(n: int, j1: float = 1.0, b: float = 0.0) -> Hamiltonian:
     """Even nearest-neighbor ring plus a uniform z field b * sum_i S_iz."""
-    if n % 2:
-        raise ValueError("the field model is defined for even rings only")
-    spec = ModelSpec(n_sites=n, j1=j1, field_b=b)
-    h = j1 * _nn_bond_sum(n) + b * _total_sz(n)
-    return Hamiltonian(matrix=h, layout=ring_layout(n), spec=spec)
+    return build_model(ModelSpec(n_sites=n, j1=j1, field_b=b))
 
 
 def build_nnn_ring(n: int, j1: float = 1.0, j2: float = 0.0) -> Hamiltonian:
     """Even ring with nearest couplings j1 and next-nearest couplings j2."""
-    if n % 2 or n < 4:
-        raise ValueError("next-nearest model requires an even ring with n >= 4")
-    if j1 < 0.0 or j2 < 0.0:
-        raise ValueError("couplings must be antiferromagnetic (>= 0)")
-    spec = ModelSpec(n_sites=n, j1=j1, j2=j2)
-    h = j1 * _nn_bond_sum(n)
-    if j2 != 0.0:
-        h = h + j2 * _nnn_bond_sum(n)
-    return Hamiltonian(matrix=h, layout=ring_layout(n), spec=spec)
+    return build_model(ModelSpec(n_sites=n, j1=j1, j2=j2))
 
 
 def build_model(spec: ModelSpec) -> Hamiltonian:
-    """Dispatch on the spec: field model, next-nearest model, or plain ring."""
+    """The plain ring, plus the field term or the next-nearest term when set."""
+    n = spec.n_sites
+    h = spec.j1 * _nn_bond_sum(n)
     if spec.field_b != 0.0:
-        return build_nn_field(spec.n_sites, spec.j1, spec.field_b)
-    if spec.j2 != 0.0:
-        return build_nnn_ring(spec.n_sites, spec.j1, spec.j2)
-    return build_nn_ring(spec.n_sites, spec.j1)
+        h = h + spec.field_b * _total_sz(n)
+    elif spec.j2 != 0.0:
+        h = h + spec.j2 * _nnn_bond_sum(n)
+    return Hamiltonian(matrix=h, layout=ring_layout(n), spec=spec)

@@ -131,14 +131,6 @@ def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
     return out
 
 
-def pair_bond(dim_a: int, dim_b: int) -> np.ndarray:
-    """Two-site exchange matrix on a bare (dim_a x dim_b) product space."""
-    spin_a = HALF if dim_a == 2 else ONE
-    spin_b = HALF if dim_b == 2 else ONE
-    layout = SiteLayout((spin_a, spin_b))
-    return heisenberg_bond(0, 1, layout)
-
-
 def total_sz(layout: SiteLayout) -> np.ndarray:
     """Sum of all embedded z operators (diagonal in the product basis)."""
     out = np.zeros((layout.total_dimension,) * 2)

@@ -1,12 +1,9 @@
 """Parameter sweeps, threshold location, and boundary curves.
 
 Grid points that share couplings reuse one spectral decomposition (the
-dominant cost is the O(D^3) eigensolve). Coupling groups run serially by
-default, leaving the cores to the multithreaded BLAS inside each eigensolve;
-``jobs=N`` (N > 1) opts into N worker threads, best combined with
-``OPENBLAS_NUM_THREADS=1`` so the workers do not oversubscribe the CPU.
-Results are always assembled in axis1-major order, so output is
-deterministic regardless of the degree of concurrency.
+dominant cost is the O(D^3) eigensolve). Coupling groups run one after
+another, leaving the cores to the multithreaded BLAS inside each eigensolve,
+and results are assembled in axis1-major order.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
@@ -15,8 +12,6 @@ value jumps) are handled the same way as smooth zeros.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -116,11 +111,20 @@ class SweepRequest:
         if "temperature" not in axes:
             if self.temperature is None or self.temperature <= 0.0:
                 raise ValueError("a positive fixed temperature is required when no axis sweeps it")
-        # validate every coupling corner so errors surface before the run
         for ax in filter(None, (self.axis1, self.axis2)):
-            if ax.parameter != "temperature":
-                for v in (ax.lo, ax.hi):
-                    replace(self.base, **{ax.parameter: v})
+            _check_corners(self.base, ax.parameter, (ax.lo, ax.hi))
+
+
+def _check_corners(base: ModelSpec, parameter: str, bounds: Sequence[float]) -> None:
+    """Raise ValueError unless base is a valid model at both ends of a coupling range.
+
+    Each rule sees a coupling only through its sign or whether it is zero,
+    so the two ends stand for every point between them; errors surface
+    before any eigensolve.
+    """
+    if parameter != "temperature":
+        for v in bounds:
+            replace(base, **{parameter: float(v)})
 
 
 @dataclass(frozen=True)
@@ -142,25 +146,19 @@ class ThresholdResult:
 
 
 class SpectralCache:
-    """Thread-safe memo of spectral decompositions keyed by couplings."""
+    """Memo of spectral decompositions keyed by couplings."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._store: dict[tuple, SpectralDecomposition] = {}
 
     def get(self, spec: ModelSpec) -> SpectralDecomposition:
         key = spec.coupling_key
-        with self._lock:
-            hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        decomp = diagonalize(build_model(spec))
-        with self._lock:
-            return self._store.setdefault(key, decomp)
+        if key not in self._store:
+            self._store[key] = diagonalize(build_model(spec))
+        return self._store[key]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
 
 def evaluate_point(decomp: SpectralDecomposition, temperature: float,
@@ -197,15 +195,11 @@ def _point_spec(base: ModelSpec, entry: dict) -> ModelSpec:
     return replace(base, **overrides) if overrides else base
 
 
-def run_sweep(req: SweepRequest, jobs: Optional[int] = None,
-              cache: Optional[SpectralCache] = None) -> SweepResult:
+def run_sweep(req: SweepRequest, cache: Optional[SpectralCache] = None) -> SweepResult:
     """Evaluate the request on its full grid.
 
-    Points are grouped by coupling so each group diagonalizes once. Groups
-    run serially unless jobs > 1, which runs them on that many worker threads
-    (LAPACK releases the GIL); set OPENBLAS_NUM_THREADS=1 alongside, or the
-    workers' BLAS threads oversubscribe the CPU. Output rows are axis1-major
-    regardless of scheduling.
+    Points are grouped by coupling so each group diagonalizes once; the
+    groups run one after another. Output rows are axis1-major.
     """
     cache = cache if cache is not None else SpectralCache()
     points = _grid_points(req)
@@ -221,7 +215,7 @@ def run_sweep(req: SweepRequest, jobs: Optional[int] = None,
     energies = np.zeros(len(points))
     log_zs = np.zeros(len(points))
 
-    def run_group(indices: list[int]) -> None:
+    for indices in groups.values():
         decomp = cache.get(_point_spec(req.base, points[indices[0]]))
         for idx in indices:
             entry = points[idx]
@@ -234,14 +228,6 @@ def run_sweep(req: SweepRequest, jobs: Optional[int] = None,
             negativities[idx] = negs
             energies[idx] = u
             log_zs[idx] = lz
-
-    group_list = list(groups.values())
-    if jobs is None or jobs <= 1:
-        for g in group_list:
-            run_group(g)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_group, group_list))
 
     columns = ([req.axis1.parameter]
                + ([req.axis2.parameter] if req.axis2 else [])
@@ -266,6 +252,22 @@ def _negativity_at(base: ModelSpec, parameter: str, value: float, pair: PairSele
     return pair_negativity(state, (pair.site_a, pair.site_b))
 
 
+def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, float],
+                    fixed_temperature: Optional[float] = None) -> None:
+    """Raise ValueError unless find_threshold can search this range; no eigensolve."""
+    lo, hi = search_range
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"parameter must be one of {SWEEPABLE}")
+    if not lo < hi:
+        raise ValueError("search range requires lo < hi")
+    if parameter == "temperature":
+        if lo < 0.0:
+            raise ValueError("temperature search range must stay >= 0")
+    elif fixed_temperature is None or fixed_temperature < 0.0:
+        raise ValueError("coupling thresholds need a fixed temperature (>= 0)")
+    _check_corners(base, parameter, search_range)
+
+
 def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
                    search_range: tuple[float, float],
                    fixed_temperature: Optional[float] = None,
@@ -278,10 +280,7 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     rtol * max(1, threshold). Returns status "none-in-range" when the
     indicator never flips.
     """
-    if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}")
-    if parameter != "temperature" and (fixed_temperature is None or fixed_temperature < 0.0):
-        raise ValueError("coupling thresholds need a fixed temperature (>= 0)")
+    check_threshold(base, parameter, search_range, fixed_temperature)
     cache = cache if cache is not None else SpectralCache()
 
     def entangled(v: float) -> bool:

@@ -154,6 +154,38 @@ def test_exit_codes(tmp_path):
                  "--steps", "4", "--out", "/nonexistent_dir_73/x.csv"]) == 3
 
 
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("bad input reached an eigensolve")
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep-field", "--n", "4", "--j2", "0.3", "--bmin", "0", "--bmax", "1",
+     "--steps", "5", "--temperature", "0.1"],
+    ["threshold", "--n", "4", "--j1", "-1", "--j2", "0.3", "--param", "temperature",
+     "--tmin", "0.1", "--tmax", "1"],
+    ["threshold", "--n", "5", "--param", "j2", "--j2min", "0", "--j2max", "1",
+     "--temperature", "0.1"],
+    ["threshold", "--n", "3", "--param", "field_b", "--bmin", "0", "--bmax", "1",
+     "--temperature", "0.1"],
+    ["threshold", "--n", "2", "--param", "temperature", "--tmin", "-1", "--tmax", "1"],
+    ["threshold", "--n", "4", "--param", "j2", "--j2min", "0", "--j2max", "1",
+     "--temperature", "-0.5"],
+    ["sweep-j2", "--n", "4", "--j2min", "-1", "--j2max", "1", "--steps", "5",
+     "--temperature", "0.1"],
+    ["sweep-temp", "--n", "2", "--tmin", "0", "--tmax", "1", "--steps", "5"],
+    ["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "1"],
+    ["sweep-j2", "--n", "4", "--j1", "-1", "--j2min", "0", "--j2max", "1", "--steps", "5",
+     "--temperature", "0.1"],
+    ["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
+     "--jobs", "-5"],
+])
+def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
+    # rejected while parsing: no eigensolve runs and no traceback escapes
+    monkeypatch.setattr("mixedspin.sweeps.diagonalize", _no_eigensolve)
+    assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_command_small(capsys):
     code = main(["verify", "--max-n", "3"])
     printed = capsys.readouterr().out

@@ -35,6 +35,8 @@ def test_bond_lists():
     dict(n_sites=4, j2=0.5, field_b=1.0),
     dict(n_sites=5, field_b=1.0),
     dict(n_sites=4, j2=-0.1),
+    dict(n_sites=9),
+    dict(n_sites=4, j1=-1.0, j2=0.3),
 ])
 def test_model_spec_rejections(kwargs):
     with pytest.raises(ValueError):

@@ -67,36 +67,16 @@ def test_sweep_rows_are_axis1_major():
     assert np.allclose(res.params[:, 1], [0.1, 0.2, 0.1, 0.2, 0.1, 0.2])
 
 
-def test_sweep_deterministic_across_jobs():
+def test_sweep_deterministic():
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.8, 7),
                        axis2=Axis("temperature", 0.05, 1.0, 4),
                        pairs=resolve_pairs(4))
-    serial = run_sweep(req, jobs=1)
-    threaded = run_sweep(req, jobs=4)
-    again = run_sweep(req, jobs=4)
-    for a, b in ((serial, threaded), (threaded, again)):
-        assert np.array_equal(a.params, b.params)
-        assert np.array_equal(a.negativities, b.negativities)
-        assert np.array_equal(a.internal_energy, b.internal_energy)
-        assert np.array_equal(a.log_z, b.log_z)
-
-
-def test_sweep_default_is_serial(monkeypatch):
-    # A pooled default puts one multithreaded eigensolve per worker on the
-    # cores at once; the default must run without any thread pool.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("run_sweep opened a thread pool without jobs > 1")
-
-    monkeypatch.setattr("mixedspin.sweeps.ThreadPoolExecutor", no_pool)
-    req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.8, 5),
-                       axis2=Axis("temperature", 0.05, 1.0, 3),
-                       pairs=resolve_pairs(4))
-    default = run_sweep(req)
-    serial = run_sweep(req, jobs=1)
-    assert np.array_equal(default.params, serial.params)
-    assert np.array_equal(default.negativities, serial.negativities)
-    assert np.array_equal(default.internal_energy, serial.internal_energy)
-    assert np.array_equal(default.log_z, serial.log_z)
+    first = run_sweep(req, cache=SpectralCache())
+    again = run_sweep(req, cache=SpectralCache())
+    assert np.array_equal(first.params, again.params)
+    assert np.array_equal(first.negativities, again.negativities)
+    assert np.array_equal(first.internal_energy, again.internal_energy)
+    assert np.array_equal(first.log_z, again.log_z)
 
 
 def test_temperature_axis_reuses_decomposition():
