@@ -21,9 +21,8 @@ import numpy as np
 
 from . import __version__, verify
 from .models import ModelSpec
-from .sweeps import (Axis, SpectralCache, SweepRequest, SweepResult,
-                     ThresholdResult, check_threshold, find_threshold,
-                     resolve_pairs, run_sweep)
+from .sweeps import (Axis, SweepRequest, SweepResult, ThresholdResult,
+                     check_threshold, find_threshold, resolve_pairs, run_sweep)
 
 COMMANDS = ("sweep-temp", "sweep-field", "sweep-j2", "grid", "threshold", "verify")
 
@@ -205,11 +204,9 @@ def _pair_kinds(config: RunConfig) -> Optional[list[str]]:
 def _validate(config: RunConfig) -> None:
     if config.jobs is not None and config.jobs < 1:
         raise ConfigError("jobs: must be at least 1")
-    if config.command == "verify":
-        if not 2 <= config.max_n <= 8:
-            raise ConfigError("max_n: must be between 2 and 8")
-        return
-    if config.command != "threshold" and config.out is None:
+    if config.command == "verify" and not 2 <= config.max_n <= 8:
+        raise ConfigError("max_n: must be between 2 and 8")
+    if config.command not in ("threshold", "verify") and config.out is None:
         raise ConfigError("out: missing output path")
     if config.command == "threshold" and config.param is None:
         raise ConfigError("param: threshold needs --param")
@@ -217,16 +214,22 @@ def _validate(config: RunConfig) -> None:
 
 
 def _request(config: RunConfig):
-    """What a sweep or threshold command runs on, built alike for validation and run.
+    """What a command runs on, built alike for validation and run.
 
-    Sweeps get a SweepRequest; threshold gets (base spec, pair, search range).
-    The model, axis and pair rules live in the library objects built here;
-    their ValueError becomes the command line's one ConfigError.
+    Sweeps get a SweepRequest; threshold gets (base spec, pair, search range);
+    verify gets the base spec, which it only checks. The model, axis and pair
+    rules live in the library objects built here; their ValueError becomes
+    the command line's one ConfigError.
     """
     try:
         base = ModelSpec(n_sites=config.n, j1=config.j1, j2=config.j2, field_b=config.b)
-        pairs = resolve_pairs(config.n, _pair_kinds(config))
+        if config.command == "verify":
+            return base
+        kinds = _pair_kinds(config)
+        pairs = resolve_pairs(config.n, kinds)
         if config.command == "threshold":
+            if kinds is not None and len(kinds) > 1:
+                raise ValueError("pairs: threshold searches one pair")
             search = _range_for(config, config.param)
             check_threshold(base, config.param, search, config.temperature)
             return base, pairs[0], search
@@ -300,8 +303,7 @@ def _run_sweep_command(config: RunConfig) -> int:
 def _run_threshold_command(config: RunConfig) -> int:
     base, pair, search = _request(config)
     result = find_threshold(base, config.param, pair, search,
-                            fixed_temperature=config.temperature,
-                            cache=SpectralCache())
+                            fixed_temperature=config.temperature)
     if result.status == "found":
         print(f"{config.param} threshold for {pair.label}: {result.value:.10g} "
               f"(bracket [{result.bracket[0]:.10g}, {result.bracket[1]:.10g}])")

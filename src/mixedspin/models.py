@@ -51,10 +51,6 @@ class ModelSpec:
         if self.field_b != 0.0 and self.n_sites % 2:
             raise ValueError("the field model is defined for even rings only")
 
-    @property
-    def coupling_key(self) -> tuple:
-        return (self.n_sites, self.j1, self.j2, self.field_b)
-
 
 @dataclass(frozen=True)
 class Hamiltonian:
@@ -97,20 +93,11 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
 # a full Kronecker assembly (which dominates at 8 sites).
 
 @lru_cache(maxsize=None)
-def _nn_bond_sum(n: int) -> np.ndarray:
+def _bond_sum(n: int, bond_list) -> np.ndarray:
+    """Sum of unit Heisenberg bonds over bond_list(n) (nn_bond_list or nnn_bond_list)."""
     layout = ring_layout(n)
     h = np.zeros((layout.total_dimension,) * 2)
-    for a, b in nn_bond_list(n):
-        h += heisenberg_bond(a, b, layout)
-    h.setflags(write=False)
-    return h
-
-
-@lru_cache(maxsize=None)
-def _nnn_bond_sum(n: int) -> np.ndarray:
-    layout = ring_layout(n)
-    h = np.zeros((layout.total_dimension,) * 2)
-    for a, b in nnn_bond_list(n):
+    for a, b in bond_list(n):
         h += heisenberg_bond(a, b, layout)
     h.setflags(write=False)
     return h
@@ -141,9 +128,9 @@ def build_nnn_ring(n: int, j1: float = 1.0, j2: float = 0.0) -> Hamiltonian:
 def build_model(spec: ModelSpec) -> Hamiltonian:
     """The plain ring, plus the field term or the next-nearest term when set."""
     n = spec.n_sites
-    h = spec.j1 * _nn_bond_sum(n)
+    h = spec.j1 * _bond_sum(n, nn_bond_list)
     if spec.field_b != 0.0:
         h = h + spec.field_b * _total_sz(n)
     elif spec.j2 != 0.0:
-        h = h + spec.j2 * _nnn_bond_sum(n)
+        h = h + spec.j2 * _bond_sum(n, nnn_bond_list)
     return Hamiltonian(matrix=h, layout=ring_layout(n), spec=spec)

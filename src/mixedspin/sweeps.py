@@ -1,17 +1,24 @@
 """Parameter sweeps, threshold location, and boundary curves.
 
-Grid points that share couplings reuse one spectral decomposition (the
-dominant cost is the O(D^3) eigensolve). Coupling groups run one after
-another, leaving the cores to the multithreaded BLAS inside each eigensolve,
-and results are assembled in axis1-major order.
+Every grid point goes one way: `_point` splits it into the model it runs on
+and its temperature, and `pair_negativities` turns that model's spectral
+decomposition into pair negativities (the ground-manifold mixture at T = 0).
+
+A sweep groups its points by model and diagonalizes each model once (the
+dominant cost is the O(D^3) eigensolve). Groups run one after another,
+leaving the cores to the multithreaded BLAS inside each eigensolve, and each
+group's decomposition is dropped before the next eigensolve, so a sweep
+holds one at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
-value jumps) are handled the same way as smooth zeros.
+value jumps) are handled the same way as smooth zeros. Searches revisit
+models, so they memo decompositions in a SpectralCache.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -45,14 +52,7 @@ class PairSelector:
 
 def available_pair_kinds(n: int) -> tuple[str, ...]:
     """Pair kinds that exist on an n-site ring, in canonical column order."""
-    if n == 2:
-        return ("half_one",)
-    if n == 3 or n == 4:
-        kinds = ["half_one", "half_half"]
-        if n == 4:
-            kinds.append("one_one")
-        return tuple(kinds)
-    return ("half_one", "half_half", "one_one")
+    return tuple(kind for kind, (_, b) in PAIR_SITES.items() if b < n)
 
 
 def resolve_pairs(n: int, kinds: Optional[Sequence[str]] = None) -> tuple[PairSelector, ...]:
@@ -115,6 +115,14 @@ class SweepRequest:
             _check_corners(self.base, ax.parameter, (ax.lo, ax.hi))
 
 
+def _point(spec: ModelSpec, temperature: Optional[float], parameter: str,
+           value: float) -> tuple[ModelSpec, Optional[float]]:
+    """The (model, temperature) a point runs at once parameter takes value."""
+    if parameter == "temperature":
+        return spec, float(value)
+    return replace(spec, **{parameter: float(value)}), temperature
+
+
 def _check_corners(base: ModelSpec, parameter: str, bounds: Sequence[float]) -> None:
     """Raise ValueError unless base is a valid model at both ends of a coupling range.
 
@@ -122,9 +130,8 @@ def _check_corners(base: ModelSpec, parameter: str, bounds: Sequence[float]) -> 
     so the two ends stand for every point between them; errors surface
     before any eigensolve.
     """
-    if parameter != "temperature":
-        for v in bounds:
-            replace(base, **{parameter: float(v)})
+    for v in bounds:
+        _point(base, None, parameter, v)
 
 
 @dataclass(frozen=True)
@@ -146,110 +153,68 @@ class ThresholdResult:
 
 
 class SpectralCache:
-    """Memo of spectral decompositions keyed by couplings."""
+    """Memo of spectral decompositions keyed by model.
+
+    Threshold searches and boundary curves revisit models at many
+    temperatures; a sweep needs none, since it groups its points by model.
+    """
 
     def __init__(self):
-        self._store: dict[tuple, SpectralDecomposition] = {}
+        self._store: dict[ModelSpec, SpectralDecomposition] = {}
 
     def get(self, spec: ModelSpec) -> SpectralDecomposition:
-        key = spec.coupling_key
-        if key not in self._store:
-            self._store[key] = diagonalize(build_model(spec))
-        return self._store[key]
+        if spec not in self._store:
+            self._store[spec] = diagonalize(build_model(spec))
+        return self._store[spec]
 
     def __len__(self) -> int:
         return len(self._store)
 
 
-def evaluate_point(decomp: SpectralDecomposition, temperature: float,
-                   pairs: Iterable[PairSelector]):
-    """Negativities, internal energy, and log Z at one (couplings, T) point."""
-    state = thermal_state(decomp, temperature)
-    negs = [pair_negativity(state, (p.site_a, p.site_b)) for p in pairs]
-    beta = 1.0 / temperature
-    return (np.array(negs), internal_energy(decomp, beta),
-            log_partition(decomp.eigenvalues, beta))
-
-
-def ground_point(decomp: SpectralDecomposition, pairs: Iterable[PairSelector]) -> np.ndarray:
-    """Pair negativities of the ground-manifold mixture (T = 0)."""
-    state = ground_manifold(decomp)
+def pair_negativities(decomp: SpectralDecomposition, temperature: float,
+                      pairs: Iterable[PairSelector]) -> np.ndarray:
+    """Pair negativities of the Gibbs state, or of the ground-manifold mixture at T = 0."""
+    if temperature == 0.0:
+        state = ground_manifold(decomp)
+    else:
+        state = thermal_state(decomp, temperature)
     return np.array([pair_negativity(state, (p.site_a, p.site_b)) for p in pairs])
 
 
-def _grid_points(req: SweepRequest):
-    """Axis1-major list of (param dict, row index)."""
-    points = []
-    v2s = req.axis2.values if req.axis2 else [None]
-    for v1 in req.axis1.values:
-        for v2 in v2s:
-            entry = {req.axis1.parameter: float(v1)}
-            if req.axis2 is not None:
-                entry[req.axis2.parameter] = float(v2)
-            points.append(entry)
-    return points
-
-
-def _point_spec(base: ModelSpec, entry: dict) -> ModelSpec:
-    overrides = {k: v for k, v in entry.items() if k != "temperature"}
-    return replace(base, **overrides) if overrides else base
-
-
-def run_sweep(req: SweepRequest, cache: Optional[SpectralCache] = None) -> SweepResult:
+def run_sweep(req: SweepRequest) -> SweepResult:
     """Evaluate the request on its full grid.
 
-    Points are grouped by coupling so each group diagonalizes once; the
-    groups run one after another. Output rows are axis1-major.
+    Points are grouped by model so each group diagonalizes once; the groups
+    run one after another, and each decomposition is let go before the next
+    eigensolve. Output rows are axis1-major.
     """
-    cache = cache if cache is not None else SpectralCache()
-    points = _grid_points(req)
-    npairs = len(req.pairs)
-    naxes = 2 if req.axis2 else 1
+    axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
+    params = np.array(list(itertools.product(*(ax.values for ax in axes))))
+    temperatures = []
+    groups: dict[ModelSpec, list[int]] = {}
+    for idx, row in enumerate(params):
+        spec, temperature = req.base, req.temperature
+        for ax, value in zip(axes, row):
+            spec, temperature = _point(spec, temperature, ax.parameter, value)
+        temperatures.append(temperature)
+        groups.setdefault(spec, []).append(idx)
 
-    groups: dict[tuple, list[int]] = {}
-    for idx, entry in enumerate(points):
-        groups.setdefault(_point_spec(req.base, entry).coupling_key, []).append(idx)
-
-    params = np.zeros((len(points), naxes))
-    negativities = np.zeros((len(points), npairs))
-    energies = np.zeros(len(points))
-    log_zs = np.zeros(len(points))
-
-    for indices in groups.values():
-        decomp = cache.get(_point_spec(req.base, points[indices[0]]))
+    negativities = np.zeros((len(params), len(req.pairs)))
+    energies = np.zeros(len(params))
+    log_zs = np.zeros(len(params))
+    for spec, indices in groups.items():
+        decomp = diagonalize(build_model(spec))
         for idx in indices:
-            entry = points[idx]
-            temperature = entry.get("temperature", req.temperature)
-            negs, u, lz = evaluate_point(decomp, temperature, req.pairs)
-            row = [entry[req.axis1.parameter]]
-            if req.axis2 is not None:
-                row.append(entry[req.axis2.parameter])
-            params[idx] = row
-            negativities[idx] = negs
-            energies[idx] = u
-            log_zs[idx] = lz
+            beta = 1.0 / temperatures[idx]
+            negativities[idx] = pair_negativities(decomp, temperatures[idx], req.pairs)
+            energies[idx] = internal_energy(decomp, beta)
+            log_zs[idx] = log_partition(decomp.eigenvalues, beta)
+        del decomp
 
-    columns = ([req.axis1.parameter]
-               + ([req.axis2.parameter] if req.axis2 else [])
-               + [p.label for p in req.pairs] + ["U", "logZ"])
+    columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
     return SweepResult(request=req, columns=tuple(columns), params=params,
                        negativities=negativities, internal_energy=energies,
                        log_z=log_zs)
-
-
-def _negativity_at(base: ModelSpec, parameter: str, value: float, pair: PairSelector,
-                   fixed_temperature: Optional[float], cache: SpectralCache) -> float:
-    if parameter == "temperature":
-        spec = base
-        temperature = value
-    else:
-        spec = replace(base, **{parameter: float(value)})
-        temperature = fixed_temperature
-    decomp = cache.get(spec)
-    if temperature == 0.0:
-        return float(ground_point(decomp, [pair])[0])
-    state = thermal_state(decomp, temperature)
-    return pair_negativity(state, (pair.site_a, pair.site_b))
 
 
 def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, float],
@@ -284,7 +249,8 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     cache = cache if cache is not None else SpectralCache()
 
     def entangled(v: float) -> bool:
-        return _negativity_at(base, parameter, v, pair, fixed_temperature, cache) > EPS_NONZERO
+        spec, temperature = _point(base, fixed_temperature, parameter, v)
+        return pair_negativities(cache.get(spec), temperature, [pair])[0] > EPS_NONZERO
 
     grid = np.linspace(search_range[0], search_range[1], scan_points)
     flags = [entangled(v) for v in grid]
@@ -319,11 +285,7 @@ def threshold_curve(base: ModelSpec, pair: PairSelector,
     cache = cache if cache is not None else SpectralCache()
     out = []
     for v in curve_values:
-        if curve_parameter == "temperature":
-            point_base, point_temp = base, float(v)
-        else:
-            point_base = replace(base, **{curve_parameter: float(v)})
-            point_temp = fixed_temperature
+        point_base, point_temp = _point(base, fixed_temperature, curve_parameter, v)
         res = find_threshold(point_base, search_parameter, pair, search_range,
                              fixed_temperature=point_temp, scan_points=scan_points,
                              cache=cache)

@@ -21,7 +21,7 @@ from .negativity import (PairKind, negativity, pair_negativity, partial_trace,
                          partial_transpose, schmidt_negativity, su2_negativity,
                          su2_signed)
 from .sweeps import (EPS_NONZERO, Axis, SpectralCache, SweepRequest,
-                     find_threshold, ground_point, resolve_pairs, run_sweep,
+                     find_threshold, pair_negativities, resolve_pairs, run_sweep,
                      threshold_curve)
 from .thermal import (correlator, diagonalize, ground_manifold, internal_energy,
                       log_partition, thermal_state)
@@ -337,7 +337,7 @@ def check_large_rings(max_n: int = 8) -> list[CheckResult]:
         out.append(_check("six_site.half_pair_never_entangled",
                           float(res.negativities[:, 1].max()), EPS_NONZERO))
         big_j2 = diagonalize(build_nnn_ring(6, 1.0, 20.0))
-        limit = ground_point(big_j2, [pairs[2]])[0]
+        limit = pair_negativities(big_j2, 0.0, [pairs[2]])[0]
         out.append(_check("six_site.one_pair_large_j2_limit", abs(limit - 1.0 / 3.0), 0.02,
                           detail=f"decoupled-triangle value {limit:.4f}"))
 

@@ -178,6 +178,9 @@ def _no_eigensolve(*args, **kwargs):
      "--temperature", "0.1"],
     ["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
      "--jobs", "-5"],
+    ["threshold", "--n", "4", "--param", "temperature", "--tmin", "0.1", "--tmax", "2",
+     "--pairs", "half_half,one_one"],
+    ["verify", "--max-n", "2", "--n", "7", "--j2", "5"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes

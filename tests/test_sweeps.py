@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from mixedspin import sweeps
 from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SpectralCache, SweepRequest,
                        find_threshold, resolve_pairs, run_sweep, threshold_curve)
 from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
@@ -71,26 +74,47 @@ def test_sweep_deterministic():
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.8, 7),
                        axis2=Axis("temperature", 0.05, 1.0, 4),
                        pairs=resolve_pairs(4))
-    first = run_sweep(req, cache=SpectralCache())
-    again = run_sweep(req, cache=SpectralCache())
+    first = run_sweep(req)
+    again = run_sweep(req)
     assert np.array_equal(first.params, again.params)
     assert np.array_equal(first.negativities, again.negativities)
     assert np.array_equal(first.internal_energy, again.internal_energy)
     assert np.array_equal(first.log_z, again.log_z)
 
 
-def test_temperature_axis_reuses_decomposition():
-    cache = SpectralCache()
+def test_temperature_axis_reuses_decomposition(monkeypatch):
+    calls = []
+    real = sweeps.diagonalize
+    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
     req = SweepRequest(base=ModelSpec(3), axis1=Axis("temperature", 0.1, 2.0, 25),
                        pairs=resolve_pairs(3))
-    run_sweep(req, cache=cache)
-    assert len(cache) == 1
+    run_sweep(req)
+    assert len(calls) == 1
     req2 = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 5),
                         axis2=Axis("temperature", 0.1, 1.0, 6),
                         pairs=resolve_pairs(4))
-    cache2 = SpectralCache()
-    run_sweep(req2, cache=cache2)
-    assert len(cache2) == 5
+    calls.clear()
+    run_sweep(req2)
+    assert len(calls) == 5
+
+
+def test_sweep_lets_each_decomposition_go(monkeypatch):
+    # a sweep holds one decomposition at a time: when the next group's
+    # eigensolve starts, no earlier group's decomposition is still alive
+    alive = []
+    real = sweeps.diagonalize
+
+    def tracked(h):
+        assert [ref for ref in alive if ref() is not None] == []
+        decomp = real(h)
+        alive.append(weakref.ref(decomp))
+        return decomp
+
+    monkeypatch.setattr(sweeps, "diagonalize", tracked)
+    req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.6, 4),
+                       pairs=resolve_pairs(4), temperature=0.2)
+    run_sweep(req)
+    assert len(alive) == 4
 
 
 def test_find_threshold_two_site_temperature():

@@ -3,7 +3,7 @@ import numpy as np
 from mixedspin import (Hamiltonian, ModelSpec, diagonalize, log_partition,
                        ring_layout)
 from mixedspin.analytic import four_spin_log_partition
-from mixedspin.models import _nn_bond_sum, _nnn_bond_sum
+from mixedspin.models import _bond_sum, nn_bond_list, nnn_bond_list
 from mixedspin import verify
 
 
@@ -34,7 +34,7 @@ def test_fault_injection_halved_coupling_is_caught():
     # a wrong next-nearest convention (coefficient halved) must trip the
     # partition-function comparison by a wide margin, not slip under it
     j1, j2, beta = 1.0, 0.4, 2.0
-    broken = j1 * _nn_bond_sum(4) + 0.5 * j2 * _nnn_bond_sum(4)
+    broken = j1 * _bond_sum(4, nn_bond_list) + 0.5 * j2 * _bond_sum(4, nnn_bond_list)
     decomp = diagonalize(Hamiltonian(matrix=broken, layout=ring_layout(4),
                                      spec=ModelSpec(4, j1=j1, j2=j2)))
     numeric = log_partition(decomp.eigenvalues, beta)
