@@ -8,7 +8,7 @@ from .negativity import (NegativityResult, PairKind, PairReducedState,
                          negativity, pair_negativity, partial_trace,
                          partial_transpose, schmidt_negativity, su2_negativity,
                          su2_signed)
-from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, embed_one,
+from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, embed,
                        heisenberg_bond, spin_matrices, total_sz)
 from .sweeps import (EPS_NONZERO, Axis, PairSelector, SpectralCache,
                      SweepRequest, SweepResult, ThresholdResult, find_threshold,
@@ -19,7 +19,7 @@ from .thermal import (GroundManifoldState, SpectralDecomposition, ThermalState,
 
 __all__ = [
     "__version__",
-    "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices", "embed_one",
+    "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices", "embed",
     "heisenberg_bond", "total_sz",
     "ModelSpec", "Hamiltonian", "ring_layout", "build_nn_ring", "build_nn_field",
     "build_nnn_ring", "build_model",

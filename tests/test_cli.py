@@ -129,6 +129,17 @@ def test_round_trip_config_through_csv(tmp_path):
     assert original_rows == rerun_rows
 
 
+def test_verify_comment_block_is_a_config(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--max-n", "2", "--out", str(out)]) == 0
+    echoed = tmp_path / "echo.cfg"
+    echoed.write_text("\n".join(l for l in out.read_text().splitlines()
+                                if l.startswith("#")), encoding="utf-8")
+    config = parse_config(["--config", str(echoed)])
+    assert config.command == "verify"
+    assert config.max_n == 2
+
+
 def test_threshold_command(tmp_path, capsys):
     out = tmp_path / "th.csv"
     code = main(["threshold", "--n", "2", "--param", "temperature",

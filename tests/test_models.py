@@ -119,13 +119,13 @@ def test_hamiltonians_conserve_total_sz(spec):
 ])
 def test_field_free_hamiltonians_conserve_total_spin(spec):
     # S^2 = Sz^2 + (S+S- + S-S+)/2 with total ladder operators stays real
-    from mixedspin import embed_one, spin_matrices
+    from mixedspin import embed, spin_matrices
     h = build_model(spec)
     layout = h.layout
     dim = layout.total_dimension
     splus = np.zeros((dim, dim))
     for site, s in enumerate(layout.spins):
-        splus += embed_one(spin_matrices(s).splus, site, layout)
+        splus += embed(spin_matrices(s).splus, (site,), layout)
     sz = total_sz(layout)
     s_squared = sz @ sz + 0.5 * (splus @ splus.T + splus.T @ splus)
     assert np.abs(s_squared @ h.matrix - h.matrix @ s_squared).max() <= 1e-12

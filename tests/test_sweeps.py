@@ -117,6 +117,31 @@ def test_sweep_lets_each_decomposition_go(monkeypatch):
     assert len(alive) == 4
 
 
+def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
+    # a coupling search never revisits a model, so when the next eigensolve
+    # starts no earlier decomposition is still alive; a temperature search
+    # diagonalizes its one model once
+    alive = []
+    real = sweeps.diagonalize
+
+    def tracked(h):
+        assert [ref for ref in alive if ref() is not None] == []
+        decomp = real(h)
+        alive.append(weakref.ref(decomp))
+        return decomp
+
+    monkeypatch.setattr(sweeps, "diagonalize", tracked)
+    pair = resolve_pairs(4)[0]
+    res = find_threshold(ModelSpec(4), "j2", pair, (0.0, 1.0),
+                         fixed_temperature=0.02, scan_points=8)
+    assert res.status == "found"
+    assert len(alive) > 8
+    calls = []
+    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
+    find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5), scan_points=8)
+    assert len(calls) == 1
+
+
 def test_find_threshold_two_site_temperature():
     res = find_threshold(ModelSpec(2), "temperature", resolve_pairs(2)[0], (0.5, 2.0))
     assert res.status == "found"
