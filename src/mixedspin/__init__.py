@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .models import Hamiltonian, ModelSpec, build_model, build_nn_field, \
-    build_nn_ring, build_nnn_ring, ring_layout
+from .models import Hamiltonian, ModelSpec, build_model, ring_layout
 from .negativity import (NegativityResult, PairKind, PairReducedState,
                          negativity, pair_negativity, partial_trace,
                          partial_transpose, schmidt_negativity, su2_negativity,
@@ -21,8 +20,7 @@ __all__ = [
     "__version__",
     "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices", "embed",
     "heisenberg_bond", "total_sz",
-    "ModelSpec", "Hamiltonian", "ring_layout", "build_nn_ring", "build_nn_field",
-    "build_nnn_ring", "build_model",
+    "ModelSpec", "Hamiltonian", "ring_layout", "build_model",
     "SpectralDecomposition", "ThermalState", "GroundManifoldState", "diagonalize",
     "thermal_state", "internal_energy", "ground_manifold", "correlator",
     "log_partition",

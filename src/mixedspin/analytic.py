@@ -85,9 +85,7 @@ def block_negativity(el: TwoSpinElements) -> float:
 
 def two_spin_negativity(beta: float) -> float:
     """(1/3) max[0, (e^b - 4e^{-b/2}) / (e^b + 2e^{-b/2})]."""
-    ratio = exp_poly_ratio([1.0, -4.0], [beta, -0.5 * beta],
-                           [1.0, 2.0], [beta, -0.5 * beta])
-    return max(0.0, ratio) / 3.0
+    return max(0.0, two_spin_negativity_signed(beta))
 
 
 def two_spin_negativity_signed(beta: float) -> float:
@@ -157,7 +155,7 @@ def three_spin_elements(beta: float) -> ThreeSpinElements:
 
 def three_spin_negativity_12(beta: float) -> float:
     """Negativity of the mixed pair: max[0, -10/3 x1 - x2 + 1/3 x3] / Z."""
-    return max(0.0, _three_ratio([-10.0 / 3.0, -1.0, 1.0 / 3.0], beta))
+    return max(0.0, three_spin_negativity_12_signed(beta))
 
 
 def three_spin_negativity_12_signed(beta: float) -> float:

@@ -53,16 +53,14 @@ class RunConfig:
     pairs: Optional[str] = None
     param: Optional[str] = None
     out: Optional[str] = None
-    jobs: Optional[int] = None
     max_n: int = 8
 
     def echo_items(self) -> list[tuple[str, str]]:
-        """Config lines written into CSV comments; jobs and out are omitted
-        so identical physics gives identical bytes."""
-        skip = {"jobs", "out"}
+        """Config lines written into CSV comments; out is omitted so
+        identical physics gives identical bytes."""
         items = [("version", __version__)]
         for f in fields(self):
-            if f.name in skip:
+            if f.name == "out":
                 continue
             value = getattr(self, f.name)
             if value is None:
@@ -74,7 +72,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _FLOAT_KEYS = {"j1", "j2", "b", "temperature", "tmin", "tmax", "bmin", "bmax",
                "j2min", "j2max"}
-_INT_KEYS = {"n", "jobs", "max_n"}
+_INT_KEYS = {"n", "max_n"}
 
 
 def _coerce(key: str, raw: str):
@@ -140,9 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--param", choices=["temperature", "field_b", "j2"],
                         help="threshold search parameter")
     parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--jobs", type=int,
-                        help="accepted for compatibility only (N >= 1): sweeps always "
-                             "run serially")
     parser.add_argument("--max-n", dest="max_n", type=int,
                         help="largest ring size the verify battery runs (default 8)")
     return parser
@@ -202,8 +197,6 @@ def _pair_kinds(config: RunConfig) -> Optional[list[str]]:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.jobs is not None and config.jobs < 1:
-        raise ConfigError("jobs: must be at least 1")
     if config.command == "verify" and not 2 <= config.max_n <= 8:
         raise ConfigError("max_n: must be between 2 and 8")
     if config.command not in ("threshold", "verify") and config.out is None:

@@ -101,21 +101,6 @@ def _bond_sum(n: int, bond_list) -> np.ndarray:
     return h
 
 
-def build_nn_ring(n: int, j1: float = 1.0) -> Hamiltonian:
-    """Nearest-neighbor ring; even rings alternate (1/2,1), odd rings close half-half."""
-    return build_model(ModelSpec(n_sites=n, j1=j1))
-
-
-def build_nn_field(n: int, j1: float = 1.0, b: float = 0.0) -> Hamiltonian:
-    """Even nearest-neighbor ring plus a uniform z field b * sum_i S_iz."""
-    return build_model(ModelSpec(n_sites=n, j1=j1, field_b=b))
-
-
-def build_nnn_ring(n: int, j1: float = 1.0, j2: float = 0.0) -> Hamiltonian:
-    """Even ring with nearest couplings j1 and next-nearest couplings j2."""
-    return build_model(ModelSpec(n_sites=n, j1=j1, j2=j2))
-
-
 def build_model(spec: ModelSpec) -> Hamiltonian:
     """The plain ring, plus the field term or the next-nearest term when set."""
     n = spec.n_sites

@@ -112,6 +112,8 @@ def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
     Assembled as sz sz + (s+ s- + s- s+)/2, which equals the vector dot
     product and is exactly real symmetric.
     """
+    layout.check_site(site_a)
+    layout.check_site(site_b)
     a = spin_matrices(layout.spins[site_a])
     b = spin_matrices(layout.spins[site_b])
     bond = np.kron(a.sz, b.sz) + 0.5 * np.kron(a.splus, b.sminus) \

@@ -137,7 +137,6 @@ def _check_corners(base: ModelSpec, parameter: str, bounds: Sequence[float]) -> 
 
 @dataclass(frozen=True)
 class SweepResult:
-    request: SweepRequest
     columns: tuple[str, ...]
     params: np.ndarray          # (npoints, naxes)
     negativities: np.ndarray    # (npoints, npairs)
@@ -210,7 +209,7 @@ def run_sweep(req: SweepRequest) -> SweepResult:
         del decomp
 
     columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
-    return SweepResult(request=req, columns=tuple(columns), params=params,
+    return SweepResult(columns=tuple(columns), params=params,
                        negativities=negativities, internal_energy=energies,
                        log_z=log_zs)
 

@@ -116,14 +116,6 @@ def correlator(state: ThermalState | GroundManifoldState, site_a: int, site_b: i
     return float(np.sum(state.matrix * bond))
 
 
-def internal_energy_from_log_z(eigenvalues: np.ndarray, beta: float,
-                               step: float = 1e-5) -> float:
-    """Central finite difference -d(log Z)/d(beta); cross-check for internal_energy."""
-    up = log_partition(eigenvalues, beta + step)
-    down = log_partition(eigenvalues, beta - step)
-    return -(up - down) / (2.0 * step)
-
-
 def spectral_residuals(h: Hamiltonian, spec: SpectralDecomposition) -> tuple[float, float]:
     """Max relative eigenpair residual and orthonormality defect.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .models import ModelSpec, build_model, build_nn_field, build_nn_ring, build_nnn_ring
+from .models import ModelSpec, build_model
 from .negativity import (PairKind, negativity, pair_negativity, partial_trace,
                          partial_transpose, schmidt_negativity, su2_negativity,
                          su2_signed)
@@ -74,7 +74,7 @@ def _reorder_to_blocks(matrix: np.ndarray) -> np.ndarray:
 
 def check_two_site() -> list[CheckResult]:
     out = []
-    decomp = diagonalize(build_nn_ring(2))
+    decomp = diagonalize(build_model(ModelSpec(2)))
 
     temps = np.linspace(0.05, 2.0, 200)
     worst = 0.0
@@ -138,7 +138,7 @@ def check_two_site() -> list[CheckResult]:
 
 def check_three_site() -> list[CheckResult]:
     out = []
-    decomp = diagonalize(build_nn_ring(3))
+    decomp = diagonalize(build_model(ModelSpec(3)))
 
     worst12 = worst13 = worstneg = 0.0
     for t in (0.2, 0.5, 1.0, 3.0):
@@ -209,7 +209,7 @@ def check_even_rings(max_n: int = 8) -> list[CheckResult]:
     for n in (4, 6, 8):
         if n > max_n:
             continue
-        decomp = diagonalize(build_nn_ring(n))
+        decomp = diagonalize(build_model(ModelSpec(n)))
         worst = 0.0
         for t in np.linspace(0.1, 2.0, 20):
             state = thermal_state(decomp, t)
@@ -225,7 +225,7 @@ def check_even_rings(max_n: int = 8) -> list[CheckResult]:
                     for a, b in [(i, (i + 1) % n) for i in range(n)])
         out.append(_check(f"even_ring.uniform_bond_correlator_n{n}", worst, 1e-10))
 
-    decomp4 = diagonalize(build_nn_ring(4))
+    decomp4 = diagonalize(build_model(ModelSpec(4)))
     manifold = ground_manifold(decomp4)
     out.append(_check("even_ring.n4_ground_energy_per_site",
                       abs(manifold.energy / 4.0 + 0.75), 1e-10))
@@ -242,7 +242,7 @@ def check_four_site_nnn() -> list[CheckResult]:
     out = []
     worst_spec = 0.0
     for j2 in (0.1, 0.3, 0.7):
-        decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         ladder = analytic.four_spin_levels(1.0, j2).eigenvalue_multiset()
         worst_spec = max(worst_spec, float(np.abs(decomp.eigenvalues - ladder).max()))
     out.append(_check("four_site.level_ladder", worst_spec, 1e-10))
@@ -250,7 +250,7 @@ def check_four_site_nnn() -> list[CheckResult]:
     worst_z = worst_c = 0.0
     for beta in (0.5, 2.0, 10.0):
         for j2 in (0.1, 0.3, 0.7):
-            decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+            decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             worst_z = max(worst_z, abs(log_partition(decomp.eigenvalues, beta)
                                        - analytic.four_spin_log_partition(beta, 1.0, j2)))
             state = thermal_state(decomp, 1.0 / beta)
@@ -259,13 +259,13 @@ def check_four_site_nnn() -> list[CheckResult]:
     out.append(_check("four_site.log_partition", worst_z, 1e-10))
     out.append(_check("four_site.nearest_correlator", worst_c, 1e-10))
 
-    worst = max(abs(diagonalize(build_nnn_ring(4, 1.0, j2)).eigenvalues[0]
+    worst = max(abs(diagonalize(build_model(ModelSpec(4, 1.0, j2))).eigenvalues[0]
                     - analytic.four_spin_ground_energy(1.0, j2))
                 for j2 in (0.0, 0.1, 0.24, 0.3, 0.45, 0.7, 1.0))
     out.append(_check("four_site.piecewise_ground_energy", worst, 1e-10))
 
     for j2, expected in ((0.1, 3), (0.3, 1), (0.7, 1)):
-        manifold = ground_manifold(diagonalize(build_nnn_ring(4, 1.0, j2)))
+        manifold = ground_manifold(diagonalize(build_model(ModelSpec(4, 1.0, j2))))
         out.append(_check(f"four_site.ground_degeneracy_j2_{j2}",
                           abs(manifold.degeneracy - expected), 0))
     return out
@@ -279,7 +279,7 @@ def check_field_model() -> list[CheckResult]:
     out = []
     worst = 0.0
     for t, b in ((0.5, 0.8), (0.05, 1.0), (0.05, 2.0), (1.0, 0.3)):
-        decomp = diagonalize(build_nn_field(2, 1.0, b))
+        decomp = diagonalize(build_model(ModelSpec(2, 1.0, field_b=b)))
         el = analytic.field_elements(1.0 / t, b)
         numeric = _reorder_to_blocks(thermal_state(decomp, t).matrix)
         worst = max(worst, float(np.abs(numeric - _pair_matrix_from_elements(el)).max()))
@@ -336,7 +336,7 @@ def check_large_rings(max_n: int = 8) -> list[CheckResult]:
                           detail=f"largest drop at j2 = {jump_at:.4f}"))
         out.append(_check("six_site.half_pair_never_entangled",
                           float(res.negativities[:, 1].max()), EPS_NONZERO))
-        big_j2 = diagonalize(build_nnn_ring(6, 1.0, 20.0))
+        big_j2 = diagonalize(build_model(ModelSpec(6, 1.0, 20.0)))
         limit = pair_negativities(big_j2, 0.0, [pairs[2]])[0]
         out.append(_check("six_site.one_pair_large_j2_limit", abs(limit - 1.0 / 3.0), 0.02,
                           detail=f"decoupled-triangle value {limit:.4f}"))
@@ -378,7 +378,7 @@ def check_threshold_trends(max_n: int = 8) -> list[CheckResult]:
                       0.0 if all(a < b for a, b in zip(odd, odd[1:])) else 1.0, 0.0,
                       detail=" < ".join(f"{v:.4f}" for v in odd)))
 
-    decomp = diagonalize(build_nn_ring(4))
+    decomp = diagonalize(build_model(ModelSpec(4)))
     values = [pair_negativity(thermal_state(decomp, t), (0, 1))
               for t in np.linspace(0.05, 1.5, 80)]
     worst_rise = max(max(b - a for a, b in zip(values, values[1:])), 0.0)
@@ -477,7 +477,7 @@ def check_property_suite(seed: int = 7) -> list[CheckResult]:
     out.append(_check("properties.su2_shortcut", worst_su2, 1e-8))
 
     # local rotation invariance on a representative pair state
-    decomp = diagonalize(build_nnn_ring(4, 1.0, 0.15))
+    decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.15)))
     reduced = partial_trace(thermal_state(decomp, 0.3), (0, 1))
     base_value = negativity(reduced).value
     worst = 0.0

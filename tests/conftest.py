@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from mixedspin import (Axis, ModelSpec, SweepRequest, build_nn_ring, diagonalize,
+from mixedspin import (Axis, ModelSpec, SweepRequest, build_model, diagonalize,
                        resolve_pairs, run_sweep)
 
 # Kronecker-order rows of the block-sorted two-site basis used by the closed
@@ -25,7 +25,7 @@ def timed(fn, *args, **kwargs):
 @pytest.fixture(scope="session")
 def decomp_nn():
     """Nearest-neighbor ring decompositions keyed by site count."""
-    return {n: diagonalize(build_nn_ring(n)) for n in range(2, 9)}
+    return {n: diagonalize(build_model(ModelSpec(n))) for n in range(2, 9)}
 
 
 @pytest.fixture(scope="session")

@@ -18,11 +18,10 @@ import pytest
 
 from conftest import timed
 from mixedspin import (EPS_NONZERO, ModelSpec, PairKind, SpectralCache,
-                       build_nn_ring, build_nnn_ring, correlator,
-                       diagonalize, find_threshold, ground_manifold,
-                       internal_energy, log_partition, pair_negativity,
-                       resolve_pairs, su2_signed, thermal_state,
-                       threshold_curve)
+                       build_model, correlator, diagonalize, find_threshold,
+                       ground_manifold, internal_energy, log_partition,
+                       pair_negativity, resolve_pairs, su2_signed,
+                       thermal_state, threshold_curve)
 from mixedspin import analytic, verify
 
 SQRT2_3 = math.sqrt(2.0) / 3.0
@@ -37,7 +36,7 @@ def check(label, ok, detail=""):
 
 def test_c01_two_site_oracle_and_runtime():
     start = time.monotonic()
-    decomp = diagonalize(build_nn_ring(2))
+    decomp = diagonalize(build_model(ModelSpec(2)))
     temps = np.linspace(0.05, 2.0, 200)
     worst = max(abs(pair_negativity(thermal_state(decomp, t), (0, 1))
                     - analytic.two_spin_negativity(1.0 / t)) for t in temps)
@@ -96,13 +95,13 @@ def test_c03d_signed_energy_relation(decomp_nn):
 
 def test_c04_even_rings_energy_relation():
     start = time.monotonic()
-    decomp4 = diagonalize(build_nn_ring(4))
+    decomp4 = diagonalize(build_model(ModelSpec(4)))
     value = pair_negativity(ground_manifold(decomp4), (0, 1))
     check("c04 four-site ground mixed-pair negativity",
           abs(value - 1.0 / 6.0) <= 1e-9, f"{value:.12f}")
     worst = 0.0
     for n in (4, 6, 8):
-        decomp = diagonalize(build_nn_ring(n))
+        decomp = diagonalize(build_model(ModelSpec(n)))
         for t in np.linspace(0.1, 2.0, 20):
             u = internal_energy(decomp, 1.0 / t) / n
             numeric = pair_negativity(thermal_state(decomp, t), (0, 1))
@@ -119,7 +118,7 @@ def test_c04_even_rings_energy_relation():
 def test_c05_four_site_ladder_partition_correlator():
     worst_ladder = 0.0
     for j2 in (0.1, 0.3, 0.7):
-        decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         ladder = analytic.four_spin_levels(1.0, j2)
         assert ladder.total_multiplicity == 36
         worst_ladder = max(worst_ladder, float(np.abs(
@@ -130,7 +129,7 @@ def test_c05_four_site_ladder_partition_correlator():
     worst_z = worst_c = 0.0
     for beta in (0.5, 2.0, 10.0):
         for j2 in (0.1, 0.3, 0.7):
-            decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+            decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             worst_z = max(worst_z, abs(log_partition(decomp.eigenvalues, beta)
                                        - analytic.four_spin_log_partition(beta, 1.0, j2)))
             worst_c = max(worst_c, abs(correlator(thermal_state(decomp, 1.0 / beta), 0, 1)
@@ -358,7 +357,7 @@ def test_c09b_half_pair_zero_everywhere(fig9_sweep):
 
 
 def test_c09c_one_one_large_coupling_value():
-    decomp = diagonalize(build_nnn_ring(6, 1.0, 20.0))
+    decomp = diagonalize(build_model(ModelSpec(6, 1.0, 20.0)))
     value = pair_negativity(thermal_state(decomp, 0.02), (1, 3))
     check("c09c one-one negativity approaches 0.33 at large coupling",
           abs(value - 0.33) <= 0.02,
@@ -426,7 +425,7 @@ def test_c11_threshold_trends():
 
     worst_rise = 0.0
     for n in (2, 3, 4, 5, 6):
-        decomp = diagonalize(build_nn_ring(n))
+        decomp = diagonalize(build_model(ModelSpec(n)))
         values = [pair_negativity(thermal_state(decomp, t), (0, 1))
                   for t in np.linspace(0.05, 1.5, 60)]
         worst_rise = max(worst_rise, max(b - a for a, b in zip(values, values[1:])))

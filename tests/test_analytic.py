@@ -3,10 +3,9 @@ import math
 import numpy as np
 
 from conftest import reorder_to_blocks
-from mixedspin import (build_nn_field, build_nnn_ring, correlator,
-                       diagonalize, internal_energy, log_partition,
-                       pair_negativity, partial_trace, partial_transpose,
-                       thermal_state)
+from mixedspin import (ModelSpec, build_model, correlator, diagonalize,
+                       internal_energy, log_partition, pair_negativity,
+                       partial_trace, partial_transpose, thermal_state)
 from mixedspin import analytic
 
 SQRT2 = math.sqrt(2.0)
@@ -187,7 +186,7 @@ def test_four_spin_levels_structure():
 
 def test_four_spin_levels_match_numeric():
     for j2 in (0.1, 0.3, 0.7):
-        decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         ladder = analytic.four_spin_levels(1.0, j2).eigenvalue_multiset()
         assert np.abs(decomp.eigenvalues - ladder).max() <= 1e-10
 
@@ -208,7 +207,7 @@ def test_four_spin_ground_energy_branches():
 def test_four_spin_partition_matches_numeric():
     for beta in (0.5, 2.0, 10.0):
         for j2 in (0.1, 0.3, 0.7):
-            decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+            decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             numeric = log_partition(decomp.eigenvalues, beta)
             closed = analytic.four_spin_log_partition(beta, 1.0, j2)
             assert abs(numeric - closed) <= 1e-10
@@ -221,7 +220,7 @@ def test_four_spin_partition_overflow_safe():
 def test_four_spin_correlator_matches_numeric():
     for beta in (0.5, 2.0, 10.0):
         for j2 in (0.0, 0.3, 0.7):
-            decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+            decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             state = thermal_state(decomp, 1.0 / beta)
             assert abs(correlator(state, 0, 1)
                        - analytic.four_spin_correlator(beta, 1.0, j2)) <= 1e-10
@@ -235,7 +234,7 @@ def test_four_spin_correlator_ground_limit():
 
 def test_four_spin_negativity_vs_pipeline():
     for j2 in (0.1, 0.35):
-        decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         for t in (0.1, 0.5, 1.2):
             numeric = pair_negativity(thermal_state(decomp, t), (0, 1))
             closed = analytic.four_spin_negativity_half_one(1.0 / t, 1.0, j2)
@@ -256,7 +255,7 @@ def test_field_elements_reduce_to_plain_ring():
 
 def test_field_elements_match_pipeline():
     for t, b in ((0.5, 0.8), (0.05, 1.0), (0.05, 2.0), (1.0, 0.3), (0.2, 1.6)):
-        decomp = diagonalize(build_nn_field(2, 1.0, b))
+        decomp = diagonalize(build_model(ModelSpec(2, 1.0, field_b=b)))
         el = analytic.field_elements(1.0 / t, b)
         assert abs(el.diagonal_sum - 1.0) <= 1e-12
         numeric = reorder_to_blocks(thermal_state(decomp, t).matrix)
@@ -266,7 +265,7 @@ def test_field_elements_match_pipeline():
 
 def test_field_negativity_matches_pipeline():
     for t, b in ((0.5, 0.8), (0.05, 1.0), (0.05, 1.45), (0.05, 2.0), (0.3, 1.2)):
-        decomp = diagonalize(build_nn_field(2, 1.0, b))
+        decomp = diagonalize(build_model(ModelSpec(2, 1.0, field_b=b)))
         numeric = pair_negativity(thermal_state(decomp, t), (0, 1))
         assert abs(numeric - analytic.field_negativity(1.0 / t, b)) <= 1e-10
 

@@ -103,8 +103,8 @@ def test_sweep_output_bytes_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "9",
             "--temperature", "0.1"]
-    assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--jobs", "4"]) == 0
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -187,8 +187,6 @@ def _no_eigensolve(*args, **kwargs):
     ["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "1"],
     ["sweep-j2", "--n", "4", "--j1", "-1", "--j2min", "0", "--j2max", "1", "--steps", "5",
      "--temperature", "0.1"],
-    ["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
-     "--jobs", "-5"],
     ["threshold", "--n", "4", "--param", "temperature", "--tmin", "0.1", "--tmax", "2",
      "--pairs", "half_half,one_one"],
     ["verify", "--max-n", "2", "--n", "7", "--j2", "5"],
@@ -211,9 +209,8 @@ def test_verify_command_small(capsys):
 
 def test_run_config_echo_omits_execution_details():
     config = RunConfig(command="sweep-temp", n=2, tmin=0.1, tmax=1.0,
-                       out="x.csv", jobs=8)
+                       out="x.csv")
     keys = [k for k, _ in config.echo_items()]
-    assert "jobs" not in keys
     assert "out" not in keys
     assert "command" in keys
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mixedspin import (HALF, ONE, ModelSpec, build_model, build_nn_field,
-                       build_nn_ring, build_nnn_ring, ring_layout, total_sz)
+from mixedspin import (HALF, ONE, ModelSpec, build_model, ring_layout,
+                       total_sz)
 from mixedspin.analytic import four_spin_ground_energy, four_spin_levels
 from mixedspin.models import nn_bond_list, nnn_bond_list
 
@@ -44,43 +44,43 @@ def test_model_spec_rejections(kwargs):
 
 
 def test_two_site_spectrum():
-    eigs = np.linalg.eigvalsh(build_nn_ring(2).matrix)
+    eigs = np.linalg.eigvalsh(build_model(ModelSpec(2)).matrix)
     assert np.allclose(np.sort(eigs), [-1, -1, 0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_three_site_ground_energy():
-    eigs = np.linalg.eigvalsh(build_nn_ring(3).matrix)
+    eigs = np.linalg.eigvalsh(build_model(ModelSpec(3)).matrix)
     assert abs(eigs.min() + 1.75) < 1e-12
 
 
 def test_four_site_ground_energy_per_site():
-    eigs = np.linalg.eigvalsh(build_nn_ring(4).matrix)
+    eigs = np.linalg.eigvalsh(build_model(ModelSpec(4)).matrix)
     assert abs(eigs.min() / 4.0 + 0.75) < 1e-12
 
 
 def test_field_zero_matches_plain_ring():
-    plain = build_nn_ring(4).matrix
-    with_field = build_nn_field(4, 1.0, 0.0).matrix
+    plain = build_model(ModelSpec(4)).matrix
+    with_field = build_model(ModelSpec(4, 1.0, field_b=0.0)).matrix
     assert np.array_equal(plain, with_field)
 
 
 def test_field_rejects_odd_ring():
     with pytest.raises(ValueError, match="even"):
-        build_nn_field(3, 1.0, 0.5)
+        build_model(ModelSpec(3, 1.0, field_b=0.5))
 
 
 def test_two_site_field_level_crossing():
     # the two lowest levels become degenerate exactly at b = 3/2
-    eigs = np.linalg.eigvalsh(build_nn_field(2, 1.0, 1.5).matrix)
+    eigs = np.linalg.eigvalsh(build_model(ModelSpec(2, 1.0, field_b=1.5)).matrix)
     assert abs(eigs[1] - eigs[0]) < 1e-12
-    below = np.linalg.eigvalsh(build_nn_field(2, 1.0, 1.4).matrix)
-    above = np.linalg.eigvalsh(build_nn_field(2, 1.0, 1.6).matrix)
+    below = np.linalg.eigvalsh(build_model(ModelSpec(2, 1.0, field_b=1.4)).matrix)
+    above = np.linalg.eigvalsh(build_model(ModelSpec(2, 1.0, field_b=1.6)).matrix)
     assert below[1] - below[0] > 1e-3
     assert above[1] - above[0] > 1e-3
 
 
 def test_two_site_strong_field_product_ground_state():
-    eigs, vecs = np.linalg.eigh(build_nn_field(2, 1.0, 2.0).matrix)
+    eigs, vecs = np.linalg.eigh(build_model(ModelSpec(2, 1.0, field_b=2.0)).matrix)
     assert abs(eigs[0] - (0.5 - 3.0)) < 1e-12
     assert eigs[1] - eigs[0] > 1e-3
     # the ground vector is a single product basis state
@@ -91,17 +91,17 @@ def test_two_site_strong_field_product_ground_state():
     (0.0, -3.0), (0.1, -2.75), (0.3, -2.45), (1.0, -5.5),
 ])
 def test_four_site_nnn_ground_energies(j2, expected):
-    eigs = np.linalg.eigvalsh(build_nnn_ring(4, 1.0, j2).matrix)
+    eigs = np.linalg.eigvalsh(build_model(ModelSpec(4, 1.0, j2)).matrix)
     assert abs(eigs.min() - expected) < 1e-12
 
 
 def test_nnn_rejections():
     with pytest.raises(ValueError):
-        build_nnn_ring(3, 1.0, 0.5)
+        build_model(ModelSpec(3, 1.0, 0.5))
     with pytest.raises(ValueError):
-        build_nnn_ring(2, 1.0, 0.5)
+        build_model(ModelSpec(2, 1.0, 0.5))
     with pytest.raises(ValueError):
-        build_nnn_ring(4, 1.0, -0.5)
+        build_model(ModelSpec(4, 1.0, -0.5))
 
 
 @pytest.mark.parametrize("spec", [
@@ -146,7 +146,7 @@ def test_four_site_exchange_symmetry():
 
 def test_four_site_spectrum_matches_level_ladder():
     for j2 in (0.0, 0.2, 0.45, 0.9):
-        eigs = np.linalg.eigvalsh(build_nnn_ring(4, 1.0, j2).matrix)
+        eigs = np.linalg.eigvalsh(build_model(ModelSpec(4, 1.0, j2)).matrix)
         ladder = four_spin_levels(1.0, j2).eigenvalue_multiset()
         assert ladder.size == 36
         assert np.abs(np.sort(eigs) - ladder).max() <= 1e-10
@@ -154,7 +154,7 @@ def test_four_site_spectrum_matches_level_ladder():
 
 def test_ground_energy_piecewise_linear_with_kinks():
     j2s = np.linspace(0.0, 1.0, 401)
-    grounds = np.array([np.linalg.eigvalsh(build_nnn_ring(4, 1.0, j).matrix).min()
+    grounds = np.array([np.linalg.eigvalsh(build_model(ModelSpec(4, 1.0, j)).matrix).min()
                         for j in j2s])
     expected = np.array([four_spin_ground_energy(1.0, j) for j in j2s])
     assert np.abs(grounds - expected).max() <= 1e-10
@@ -168,6 +168,6 @@ def test_ground_energy_piecewise_linear_with_kinks():
 def test_build_model_dispatch():
     assert build_model(ModelSpec(2)).matrix.shape == (6, 6)
     assert np.array_equal(build_model(ModelSpec(4, j2=0.3)).matrix,
-                          build_nnn_ring(4, 1.0, 0.3).matrix)
+                          build_model(ModelSpec(4, 1.0, 0.3)).matrix)
     assert np.array_equal(build_model(ModelSpec(4, field_b=0.7)).matrix,
-                          build_nn_field(4, 1.0, 0.7).matrix)
+                          build_model(ModelSpec(4, 1.0, field_b=0.7)).matrix)

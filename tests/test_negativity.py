@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
-                       build_model, build_nn_ring, build_nnn_ring, correlator,
-                       diagonalize, ground_manifold, negativity, pair_negativity,
-                       partial_trace, partial_transpose, resolve_pairs,
-                       schmidt_negativity, su2_negativity, su2_signed,
-                       thermal_state)
+                       build_model, correlator, diagonalize, ground_manifold,
+                       negativity, pair_negativity, partial_trace,
+                       partial_transpose, resolve_pairs, schmidt_negativity,
+                       su2_negativity, su2_signed, thermal_state)
 from mixedspin.negativity import PairReducedState
 
 
@@ -33,7 +32,7 @@ def test_partial_trace_of_maximally_mixed():
 
 
 def test_partial_trace_keeps_unit_trace():
-    decomp = diagonalize(build_nn_ring(5))
+    decomp = diagonalize(build_model(ModelSpec(5)))
     state = thermal_state(decomp, 0.4)
     for keep in [(0, 1), (0, 2), (1, 3), (2, 4)]:
         pair = partial_trace(state, keep)
@@ -42,7 +41,7 @@ def test_partial_trace_keeps_unit_trace():
 
 
 def test_partial_trace_site_order_normalized():
-    decomp = diagonalize(build_nn_ring(4))
+    decomp = diagonalize(build_model(ModelSpec(4)))
     state = thermal_state(decomp, 0.5)
     a = partial_trace(state, (0, 3))
     b = partial_trace(state, (3, 0))
@@ -51,14 +50,14 @@ def test_partial_trace_site_order_normalized():
 
 
 def test_partial_trace_whole_system_is_identity_operation():
-    decomp = diagonalize(build_nn_ring(2))
+    decomp = diagonalize(build_model(ModelSpec(2)))
     state = thermal_state(decomp, 0.7)
     pair = partial_trace(state, (0, 1))
     assert np.abs(pair.matrix - state.matrix).max() <= 1e-14
 
 
 def test_partial_trace_rejects_bad_sites():
-    decomp = diagonalize(build_nn_ring(3))
+    decomp = diagonalize(build_model(ModelSpec(3)))
     state = thermal_state(decomp, 1.0)
     with pytest.raises(ValueError):
         partial_trace(state, (0, 0))
@@ -73,7 +72,7 @@ def test_partial_transpose_diagonal_unchanged():
 
 
 def test_partial_transpose_is_involution_and_trace_preserving():
-    decomp = diagonalize(build_nn_ring(3))
+    decomp = diagonalize(build_model(ModelSpec(3)))
     pair = partial_trace(thermal_state(decomp, 0.3), (0, 1))
     pt = partial_transpose(pair)
     assert abs(np.trace(pt) - 1.0) <= 1e-12
@@ -86,7 +85,7 @@ def test_partial_transpose_is_involution_and_trace_preserving():
 
 
 def test_partial_transpose_subsystem_spectra_agree():
-    decomp = diagonalize(build_nnn_ring(4, 1.0, 0.35))
+    decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.35)))
     state = thermal_state(decomp, 0.2)
     for keep in [(0, 1), (0, 2), (1, 3)]:
         pair = partial_trace(state, keep)
@@ -193,7 +192,7 @@ def test_su2_shortcut_matches_pipeline_on_field_free_models(decomp_nn):
 
 def test_local_rotation_invariance():
     rng = np.random.default_rng(11)
-    decomp = diagonalize(build_nnn_ring(4, 1.0, 0.15))
+    decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.15)))
     pair = partial_trace(thermal_state(decomp, 0.25), (0, 1))
     base = negativity(pair).value
     assert base > 0.01
@@ -218,7 +217,7 @@ def test_degenerate_manifold_mixture_vs_components(decomp_nn):
     up = np.zeros(6)
     up[1], up[3] = -math.sqrt(1 / 3), math.sqrt(2 / 3)       # |1/2,0>, |-1/2,1>
     for vec in (down, up):
-        h = build_nn_ring(2)
+        h = build_model(ModelSpec(2))
         assert np.abs(h.matrix @ vec - (-1.0) * vec).max() <= 1e-12
         component = ThermalState(matrix=np.outer(vec, vec), beta=float("inf"),
                                  log_z=0.0, layout=decomp.layout)

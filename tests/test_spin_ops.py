@@ -96,6 +96,13 @@ def test_bond_is_symmetric_and_order_free():
     assert abs(np.trace(b01)) < 1e-14
 
 
+def test_bond_rejects_out_of_range_sites():
+    layout = SiteLayout((HALF, ONE))
+    for sites in [(0, 5), (5, 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            heisenberg_bond(*sites, layout)
+
+
 def test_bond_conserves_total_sz():
     layout = SiteLayout((HALF, ONE, HALF, ONE))
     sz = total_sz(layout)

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mixedspin import (Hamiltonian, ModelSpec, build_nn_ring, build_nnn_ring,
-                       correlator, diagonalize, ground_manifold, internal_energy,
+from mixedspin import (Hamiltonian, ModelSpec, build_model, correlator,
+                       diagonalize, ground_manifold, internal_energy,
                        log_partition, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
-from mixedspin.thermal import (boltzmann_weights, internal_energy_from_log_z,
-                               spectral_residuals)
+from mixedspin.thermal import boltzmann_weights, spectral_residuals
 
 
 def test_diagonalize_residuals(decomp_nn):
     for n in (2, 4, 6):
-        h = build_nn_ring(n)
+        h = build_model(ModelSpec(n))
         resid, ortho = spectral_residuals(h, decomp_nn[n])
         assert resid <= 1e-9
         assert ortho <= 1e-9
@@ -21,14 +20,14 @@ def test_diagonalize_residuals(decomp_nn):
 
 
 def test_diagonalize_scaled_identity():
-    layout = build_nn_ring(2).layout
+    layout = build_model(ModelSpec(2)).layout
     h = Hamiltonian(matrix=3.5 * np.eye(6), layout=layout, spec=ModelSpec(2))
     decomp = diagonalize(h)
     assert np.allclose(decomp.eigenvalues, 3.5, atol=1e-14)
 
 
 def test_diagonalize_rejects_non_finite():
-    layout = build_nn_ring(2).layout
+    layout = build_model(ModelSpec(2)).layout
     bad = np.eye(6)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -47,7 +46,7 @@ def test_two_site_log_partition(decomp_nn):
 
 def test_four_site_nnn_partition_matches_closed_form():
     for j2 in (0.1, 0.7):
-        decomp = diagonalize(build_nnn_ring(4, 1.0, j2))
+        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         for beta in (0.5, 2.0, 10.0, 500.0):
             numeric = log_partition(decomp.eigenvalues, beta)
             assert abs(numeric - four_spin_log_partition(beta, 1.0, j2)) <= 1e-10
@@ -89,6 +88,14 @@ def test_internal_energy_limits(decomp_nn):
     assert abs(internal_energy(decomp_nn[3], 1e-9)) <= 1e-7
 
 
+def internal_energy_from_log_z(eigenvalues: np.ndarray, beta: float,
+                               step: float = 1e-5) -> float:
+    """Central finite difference -d(log Z)/d(beta); cross-check for internal_energy."""
+    up = log_partition(eigenvalues, beta + step)
+    down = log_partition(eigenvalues, beta - step)
+    return -(up - down) / (2.0 * step)
+
+
 def test_internal_energy_is_log_z_derivative(decomp_nn):
     for n in (2, 4):
         for beta in (0.5, 2.0):
@@ -98,7 +105,7 @@ def test_internal_energy_is_log_z_derivative(decomp_nn):
 
 
 def test_energy_shift_invariance(decomp_nn):
-    h = build_nn_ring(3)
+    h = build_model(ModelSpec(3))
     shift = 2.7
     shifted = diagonalize(Hamiltonian(matrix=h.matrix + shift * np.eye(12),
                                       layout=h.layout, spec=h.spec))
@@ -121,8 +128,8 @@ def test_ground_manifold_degeneracies(decomp_nn):
     assert ground_manifold(decomp_nn[3]).degeneracy == 1
     # the four-site ground is a spin-1 level below the first crossing,
     # a singlet between the crossings
-    assert ground_manifold(diagonalize(build_nnn_ring(4, 1.0, 0.1))).degeneracy == 3
-    assert ground_manifold(diagonalize(build_nnn_ring(4, 1.0, 0.3))).degeneracy == 1
+    assert ground_manifold(diagonalize(build_model(ModelSpec(4, 1.0, 0.1)))).degeneracy == 3
+    assert ground_manifold(diagonalize(build_model(ModelSpec(4, 1.0, 0.3)))).degeneracy == 1
 
 
 def test_ground_manifold_state_shape(decomp_nn):
@@ -133,7 +140,7 @@ def test_ground_manifold_state_shape(decomp_nn):
 
 
 def test_ground_correlator_below_first_crossing():
-    manifold = ground_manifold(diagonalize(build_nnn_ring(4, 1.0, 0.1)))
+    manifold = ground_manifold(diagonalize(build_model(ModelSpec(4, 1.0, 0.1))))
     assert abs(correlator(manifold, 0, 1) + 0.75) <= 1e-10
 
 

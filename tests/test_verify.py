@@ -41,17 +41,17 @@ def test_fault_injection_halved_coupling_is_caught():
     closed = four_spin_log_partition(beta, j1, j2)
     assert abs(numeric - closed) > 1e-2        # fails the 1e-10 check loudly
     # and the correct construction passes the same comparison
-    from mixedspin import build_nnn_ring
-    good = diagonalize(build_nnn_ring(4, j1, j2))
+    from mixedspin import build_model
+    good = diagonalize(build_model(ModelSpec(4, j1, j2)))
     assert abs(log_partition(good.eigenvalues, beta) - closed) <= 1e-10
 
 
 def test_fault_injection_wrong_ladder_multiplicity():
     # the level-ladder multiset comparison distinguishes the correct 2S+1
     # multiplicities from a flat assignment
-    from mixedspin import build_nnn_ring
+    from mixedspin import build_model
     from mixedspin.analytic import four_spin_levels
-    decomp = diagonalize(build_nnn_ring(4, 1.0, 0.3))
+    decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.3)))
     ladder = four_spin_levels(1.0, 0.3)
     flat = np.sort(np.repeat([e for e, _ in ladder.levels], 36 // 10 + 1)[:36])
     correct = ladder.eigenvalue_multiset()
