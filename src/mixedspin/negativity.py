@@ -1,5 +1,8 @@
 """Two-site reduction, partial transpose, and negativity.
 
+`reduce_pair` takes a pair state straight from a decomposition's pair blocks
+and eigenvector weights; `partial_trace` of a dense state is its oracle.
+
 Negativity is the sum of the absolute values of the negative eigenvalues of
 the partially transposed pair state, equivalently (||rho^T_A||_1 - 1)/2; both
 routes are computed and must agree. For (1/2,1) and (1/2,1/2) pairs a
@@ -15,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .thermal import GroundManifoldState, ThermalState
+from .thermal import GroundManifoldState, SpectralDecomposition, ThermalState
 
 # Partial-transpose eigenvalues above -EPS_NEGATIVE are eigensolver noise,
 # not entanglement.
@@ -59,27 +62,38 @@ class NegativityResult:
     pair_kind: PairKind
 
 
+def _pair_state(reduced: np.ndarray, dims: tuple[int, ...], site_a: int,
+                site_b: int) -> PairReducedState:
+    return PairReducedState(matrix=0.5 * (reduced + reduced.T), dim_a=dims[site_a],
+                            dim_b=dims[site_b], site_a=site_a, site_b=site_b)
+
+
 def partial_trace(state: State, keep: tuple[int, int]) -> PairReducedState:
     """Trace out every site except the two in `keep` (given in any order)."""
-    site_a, site_b = keep
-    layout = state.layout
-    layout.check_site(site_a)
-    layout.check_site(site_b)
-    if site_a == site_b:
-        raise ValueError("keep sites must be distinct")
-    if site_a > site_b:
-        site_a, site_b = site_b, site_a
-    dims = layout.dims
+    order = state.layout.pair_order(keep)
+    dims = state.layout.dims
     n = len(dims)
-    rest = [i for i in range(n) if i not in (site_a, site_b)]
-    perm = [site_a, site_b, *rest, n + site_a, n + site_b, *(n + i for i in rest)]
-    d_keep = dims[site_a] * dims[site_b]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    perm = [*order, *(n + i for i in order)]
+    d_keep = dims[order[0]] * dims[order[1]]
+    d_rest = state.matrix.shape[0] // d_keep
     tensor = state.matrix.reshape(dims + dims).transpose(perm)
     reduced = np.einsum("arbr->ab", tensor.reshape(d_keep, d_rest, d_keep, d_rest))
-    reduced = 0.5 * (reduced + reduced.T)
-    return PairReducedState(matrix=reduced, dim_a=dims[site_a], dim_b=dims[site_b],
-                            site_a=site_a, site_b=site_b)
+    return _pair_state(reduced, dims, order[0], order[1])
+
+
+def reduce_pair(decomp: SpectralDecomposition, weights: np.ndarray,
+                keep: tuple[int, int]) -> PairReducedState:
+    """Pair state of the mixture sum_i weights[i] |v_i><v_i|, from the pair blocks.
+
+    One mat-vec over the decomposition's pair blocks; with state_weights it
+    equals partial_trace of the Gibbs state (T > 0) or of the ground
+    manifold (T = 0).
+    """
+    blocks = decomp.pair_blocks(keep)
+    site_a, site_b = sorted(keep)
+    d_keep = decomp.layout.dims[site_a] * decomp.layout.dims[site_b]
+    reduced = (weights @ blocks).reshape(d_keep, d_keep)
+    return _pair_state(reduced, decomp.layout.dims, site_a, site_b)
 
 
 def partial_transpose(pair: PairReducedState, subsystem: str = "a") -> np.ndarray:

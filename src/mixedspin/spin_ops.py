@@ -63,6 +63,15 @@ class SiteLayout:
         if not 0 <= site < len(self.spins):
             raise ValueError(f"site index {site} out of range for {len(self.spins)} sites")
 
+    def pair_order(self, keep: tuple[int, int]) -> tuple[int, ...]:
+        """Every site, the two kept ones first in ascending order, then the rest."""
+        for site in keep:
+            self.check_site(site)
+        site_a, site_b = sorted(keep)
+        if site_a == site_b:
+            raise ValueError("keep sites must be distinct")
+        return (site_a, site_b, *(i for i in range(len(self.spins)) if i not in keep))
+
 
 class SpinOperators(NamedTuple):
     sz: np.ndarray

@@ -1,8 +1,12 @@
 """Parameter sweeps, threshold location, and boundary curves.
 
 Every grid point goes one way: `_point` splits it into the model it runs on
-and its temperature, and `pair_negativities` turns that model's spectral
-decomposition into pair negativities (the ground-manifold mixture at T = 0).
+and its temperature, `state_weights` turns the temperature into eigenvector
+weights (Boltzmann weights, or an equal mixture of the ground manifold at
+T = 0), and `pair_negativities` reduces each pair from the decomposition's
+pair blocks with those weights. The blocks are built once per model and
+pair, so a further temperature costs one small mat-vec per pair; no D x D
+state is ever formed.
 
 A sweep groups its points by model and diagonalizes each model once (the
 dominant cost is the O(D^3) eigensolve). Groups run one after another,
@@ -13,8 +17,10 @@ holds one at a time. Rows come out axis1-major.
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
 value jumps) are handled the same way as smooth zeros. A temperature search
-and a boundary curve revisit models, so they memo decompositions in a
-SpectralCache; a coupling search holds one decomposition at a time.
+and a boundary curve revisit models, so they memo decompositions (with their
+pair blocks) in a SpectralCache. A coupling search holds one decomposition
+at a time and puts only its scan points into a caller's cache: a boundary
+curve meets those again at its next value, but never a bisection midpoint.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .models import ModelSpec, build_model
-from .negativity import pair_negativity
-from .thermal import (SpectralDecomposition, diagonalize, ground_manifold,
-                      internal_energy, log_partition, thermal_state)
+from .negativity import negativity, reduce_pair
+from .thermal import (SpectralDecomposition, diagonalize, log_partition,
+                      state_weights)
 
 # Negativity above this counts as "nonzero" when locating thresholds: far
 # above eigensolver noise (~1e-12), far below physical values (~1e-2).
@@ -153,7 +159,7 @@ class ThresholdResult:
 
 
 class SpectralCache:
-    """Memo of spectral decompositions keyed by model.
+    """Memo of spectral decompositions, and so of their pair blocks, keyed by model.
 
     Temperature searches and boundary curves revisit models at many
     temperatures; a sweep needs none, since it groups its points by model.
@@ -168,14 +174,16 @@ class SpectralCache:
         return self._store[spec]
 
 
-def pair_negativities(decomp: SpectralDecomposition, temperature: float,
+def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
                       pairs: Iterable[PairSelector]) -> np.ndarray:
-    """Pair negativities of the Gibbs state, or of the ground-manifold mixture at T = 0."""
-    if temperature == 0.0:
-        state = ground_manifold(decomp)
-    else:
-        state = thermal_state(decomp, temperature)
-    return np.array([pair_negativity(state, (p.site_a, p.site_b)) for p in pairs])
+    """Pair negativities of the mixture sum_i weights[i] |v_i><v_i|.
+
+    Pass state_weights(decomp.eigenvalues, T) for the Gibbs state at T > 0
+    or the ground-manifold mixture at T = 0. Each pair state comes from the
+    decomposition's pair blocks (reduce_pair) and is checked by negativity.
+    """
+    return np.array([negativity(reduce_pair(decomp, weights, (p.site_a, p.site_b))).value
+                     for p in pairs])
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
@@ -202,10 +210,10 @@ def run_sweep(req: SweepRequest) -> SweepResult:
     for spec, indices in groups.items():
         decomp = diagonalize(build_model(spec))
         for idx in indices:
-            beta = 1.0 / temperatures[idx]
-            negativities[idx] = pair_negativities(decomp, temperatures[idx], req.pairs)
-            energies[idx] = internal_energy(decomp, beta)
-            log_zs[idx] = log_partition(decomp.eigenvalues, beta)
+            weights = state_weights(decomp.eigenvalues, temperatures[idx])
+            negativities[idx] = pair_negativities(decomp, weights, req.pairs)
+            energies[idx] = float(np.dot(decomp.eigenvalues, weights))
+            log_zs[idx] = log_partition(decomp.eigenvalues, 1.0 / temperatures[idx])
         del decomp
 
     columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
@@ -240,21 +248,25 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     A coarse scan finds the first flip of the indicator inside search_range,
     then bisection narrows the bracket until its width is below
     rtol * max(1, threshold). Returns status "none-in-range" when the
-    indicator never flips.
+    indicator never flips. A coupling search stores only its scan points in
+    `cache`; its midpoints are diagonalized and dropped.
     """
     check_threshold(base, parameter, search_range, fixed_temperature)
     # A coupling search never revisits a model (scan points are distinct and
-    # each midpoint is new), so only a temperature search needs a memo.
+    # each midpoint is new), so only a temperature search needs a memo; a
+    # caller's cache gets the scan points, which a boundary curve meets again.
     if cache is None and parameter == "temperature":
         cache = SpectralCache()
+    midpoint_cache = cache if parameter == "temperature" else None
 
-    def entangled(v: float) -> bool:
+    def entangled(v: float, memo: Optional[SpectralCache]) -> bool:
         spec, temperature = _point(base, fixed_temperature, parameter, v)
-        decomp = cache.get(spec) if cache is not None else diagonalize(build_model(spec))
-        return pair_negativities(decomp, temperature, [pair])[0] > EPS_NONZERO
+        decomp = memo.get(spec) if memo is not None else diagonalize(build_model(spec))
+        weights = state_weights(decomp.eigenvalues, temperature)
+        return pair_negativities(decomp, weights, [pair])[0] > EPS_NONZERO
 
     grid = np.linspace(search_range[0], search_range[1], scan_points)
-    flags = [entangled(v) for v in grid]
+    flags = [entangled(v, cache) for v in grid]
     flip = next((i for i in range(1, len(grid)) if flags[i] != flags[i - 1]), None)
     if flip is None:
         return ThresholdResult(parameter=parameter, value=None, bracket=None,
@@ -263,7 +275,7 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     lo_flag = flags[flip - 1]
     while hi - lo > rtol * max(1.0, 0.5 * abs(lo + hi)):
         mid = 0.5 * (lo + hi)
-        if entangled(mid) == lo_flag:
+        if entangled(mid, midpoint_cache) == lo_flag:
             lo = mid
         else:
             hi = mid

@@ -2,13 +2,17 @@
 
 One diagonalization serves every temperature for fixed couplings; all
 Boltzmann weights are computed relative to the ground energy so that
-inverse temperatures up to ~1e3 never overflow.
+inverse temperatures up to ~1e3 never overflow. A state at temperature T is
+a weight vector over the eigenvectors (`state_weights`), and its pair states
+come from the decomposition's pair blocks without forming a D x D matrix.
+The dense `thermal_state` and `ground_manifold` matrices are the oracle for
+that route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +23,10 @@ from .spin_ops import SiteLayout, heisenberg_bond
 # part of the ground manifold (eigensolver accuracy budget).
 GROUND_DEGENERACY_RTOL = 1e-9
 
+# Eigenvectors per matmul when building pair blocks: the temporaries stay a
+# few MB instead of D x D.
+PAIR_BLOCK_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -27,10 +35,33 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     layout: SiteLayout
+    _pair_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
+
+    def pair_blocks(self, keep: tuple[int, int]) -> np.ndarray:
+        """Row i is Tr_rest |v_i><v_i| on the two kept sites, flattened.
+
+        The kept sites come first in ascending order, as in partial_trace.
+        Built once per pair and kept on this decomposition, so the blocks
+        live exactly as long as it does.
+        """
+        order = self.layout.pair_order(keep)
+        key = order[:2]
+        if key not in self._pair_blocks:
+            dims = self.layout.dims
+            d_keep = dims[key[0]] * dims[key[1]]
+            blocks = np.empty((self.dimension, d_keep * d_keep))
+            axes = (0, *(1 + i for i in order))
+            for start in range(0, self.dimension, PAIR_BLOCK_CHUNK):
+                vecs = self.eigenvectors[:, start:start + PAIR_BLOCK_CHUNK].T
+                k = vecs.shape[0]
+                m = vecs.reshape(k, *dims).transpose(axes).reshape(k, d_keep, -1)
+                blocks[start:start + k] = (m @ m.transpose(0, 2, 1)).reshape(k, -1)
+            self._pair_blocks[key] = blocks
+        return self._pair_blocks[key]
 
 
 @dataclass(frozen=True)
@@ -68,6 +99,23 @@ def boltzmann_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+def ground_degeneracy(eigenvalues: np.ndarray) -> int:
+    """Number of ascending eigenvalues within GROUND_DEGENERACY_RTOL of the lowest."""
+    e_min = float(eigenvalues[0])
+    tol = GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
+    return int(np.sum(eigenvalues <= e_min + tol))
+
+
+def state_weights(eigenvalues: np.ndarray, temperature: float) -> np.ndarray:
+    """Eigenvector weights of the Gibbs state, or of the ground-manifold mixture at T = 0."""
+    if temperature == 0.0:
+        weights = np.zeros(eigenvalues.shape[0])
+        degeneracy = ground_degeneracy(eigenvalues)
+        weights[:degeneracy] = 1.0 / degeneracy
+        return weights
+    return boltzmann_weights(eigenvalues, 1.0 / temperature)
+
+
 def log_partition(eigenvalues: np.ndarray, beta: float) -> float:
     """log Z computed with the ground-energy shift."""
     e_min = eigenvalues.min()
@@ -100,14 +148,12 @@ def internal_energy(spec: SpectralDecomposition, beta: float) -> float:
 
 def ground_manifold(spec: SpectralDecomposition) -> GroundManifoldState:
     """Projector mixture over all eigenvectors within tolerance of E_min."""
-    e_min = float(spec.eigenvalues[0])
-    tol = GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
-    degeneracy = int(np.sum(spec.eigenvalues <= e_min + tol))
+    degeneracy = ground_degeneracy(spec.eigenvalues)
     v = spec.eigenvectors[:, :degeneracy]
     rho = (v @ v.T) / degeneracy
     rho = 0.5 * (rho + rho.T)
-    return GroundManifoldState(matrix=rho, degeneracy=degeneracy, energy=e_min,
-                               layout=spec.layout)
+    return GroundManifoldState(matrix=rho, degeneracy=degeneracy,
+                               energy=float(spec.eigenvalues[0]), layout=spec.layout)
 
 
 def correlator(state: ThermalState | GroundManifoldState, site_a: int, site_b: int) -> float:

@@ -24,7 +24,7 @@ from .sweeps import (EPS_NONZERO, Axis, SpectralCache, SweepRequest,
                      find_threshold, pair_negativities, resolve_pairs, run_sweep,
                      threshold_curve)
 from .thermal import (correlator, diagonalize, ground_manifold, internal_energy,
-                      log_partition, thermal_state)
+                      log_partition, state_weights, thermal_state)
 
 # Kronecker-order indices of the block-sorted two-site basis used by the
 # closed forms: positions (a1..a6) map to these rows of the (1/2,1) product
@@ -337,7 +337,8 @@ def check_large_rings(max_n: int = 8) -> list[CheckResult]:
         out.append(_check("six_site.half_pair_never_entangled",
                           float(res.negativities[:, 1].max()), EPS_NONZERO))
         big_j2 = diagonalize(build_model(ModelSpec(6, 1.0, 20.0)))
-        limit = pair_negativities(big_j2, 0.0, [pairs[2]])[0]
+        limit = pair_negativities(big_j2, state_weights(big_j2.eigenvalues, 0.0),
+                                  [pairs[2]])[0]
         out.append(_check("six_site.one_pair_large_j2_limit", abs(limit - 1.0 / 3.0), 0.02,
                           detail=f"decoupled-triangle value {limit:.4f}"))
 

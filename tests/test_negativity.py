@@ -8,7 +8,8 @@ from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
                        negativity, pair_negativity, partial_trace,
                        partial_transpose, resolve_pairs, schmidt_negativity,
                        su2_negativity, su2_signed, thermal_state)
-from mixedspin.negativity import PairReducedState
+from mixedspin.negativity import PairReducedState, reduce_pair
+from mixedspin.thermal import state_weights
 
 
 def _pure_pair(vector, dim_a, dim_b, sites=(0, 1)):
@@ -224,3 +225,52 @@ def test_degenerate_manifold_mixture_vs_components(decomp_nn):
         value = pair_negativity(component, (0, 1))
         assert abs(value - math.sqrt(2) / 3) <= 1e-12
         assert abs(value - schmidt_negativity([math.sqrt(2 / 3), math.sqrt(1 / 3)])) <= 1e-12
+
+
+def _oracle_cases():
+    for n in range(2, 9):
+        yield ModelSpec(n)
+    for n in (2, 4, 6, 8):
+        for b in (0.7, 1.5):
+            yield ModelSpec(n, field_b=b)
+    for n in (4, 6, 8):
+        for j2 in (0.3, 1.0):
+            yield ModelSpec(n, j2=j2)
+
+
+@pytest.mark.parametrize("spec", list(_oracle_cases()),
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_pair_states_from_blocks_match_dense_oracle(spec):
+    # the eigenvector route (pair blocks weighted by state_weights) against the
+    # dense Gibbs or ground-manifold matrix reduced by partial_trace
+    decomp = diagonalize(build_model(spec))
+    for temperature in (0.0, 0.02, 0.5, 3.0):
+        dense = ground_manifold(decomp) if temperature == 0.0 else thermal_state(decomp, temperature)
+        weights = state_weights(decomp.eigenvalues, temperature)
+        for pair in resolve_pairs(spec.n_sites):
+            keep = (pair.site_a, pair.site_b)
+            fast = reduce_pair(decomp, weights, keep)
+            oracle = partial_trace(dense, keep)
+            assert (fast.dim_a, fast.dim_b, fast.site_a, fast.site_b) == \
+                (oracle.dim_a, oracle.dim_b, oracle.site_a, oracle.site_b)
+            assert np.abs(fast.matrix - oracle.matrix).max() <= 1e-12
+
+
+def test_pair_blocks_cover_every_site_pair_in_either_order():
+    decomp = diagonalize(build_model(ModelSpec(5)))
+    weights = state_weights(decomp.eigenvalues, 0.4)
+    dense = thermal_state(decomp, 0.4)
+    for a in range(5):
+        for b in range(5):
+            if a == b:
+                continue
+            fast = reduce_pair(decomp, weights, (a, b))
+            oracle = partial_trace(dense, (a, b))
+            assert (fast.site_a, fast.site_b) == (min(a, b), max(a, b))
+            assert np.abs(fast.matrix - oracle.matrix).max() <= 1e-12
+    # built once per pair, whichever order the sites come in
+    assert decomp.pair_blocks((3, 1)) is decomp.pair_blocks((1, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        decomp.pair_blocks((2, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        decomp.pair_blocks((0, 5))

@@ -1,3 +1,4 @@
+import importlib
 import weakref
 
 import numpy as np
@@ -140,6 +141,44 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
     monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
     find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5), scan_points=8)
     assert len(calls) == 1
+
+
+def test_coupling_threshold_stores_only_scan_points():
+    # a caller's cache keeps the scan-grid models, which a boundary curve
+    # meets again, but not the bisection midpoints, which it never does
+    cache = SpectralCache()
+    res = find_threshold(ModelSpec(4), "j2", resolve_pairs(4)[0], (0.0, 1.0),
+                         fixed_temperature=0.02, scan_points=8, cache=cache)
+    assert res.status == "found"
+    assert set(cache._store) == {ModelSpec(4, j2=float(v)) for v in np.linspace(0.0, 1.0, 8)}
+
+
+def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
+    # thermal_state, ground_manifold and partial_trace are the oracle only:
+    # sweeps.py imports none of them, and every search and sweep finishes
+    # with all three raising
+    # the package re-exports a function named `negativity`, so the submodule
+    # has to come from the import system
+    thermal = importlib.import_module("mixedspin.thermal")
+    negmod = importlib.import_module("mixedspin.negativity")
+    for name in ("thermal_state", "ground_manifold", "partial_trace"):
+        assert not hasattr(sweeps, name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense oracle called on the fast path")
+
+    monkeypatch.setattr(thermal, "thermal_state", forbidden)
+    monkeypatch.setattr(thermal, "ground_manifold", forbidden)
+    monkeypatch.setattr(negmod, "partial_trace", forbidden)
+    req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.6, 3),
+                       axis2=Axis("temperature", 0.1, 1.0, 3), pairs=resolve_pairs(4))
+    assert run_sweep(req).negativities.shape == (9, 3)
+    pair = resolve_pairs(4)[0]
+    assert find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5)).status == "found"
+    assert find_threshold(ModelSpec(4), "j2", pair, (0.0, 1.0), fixed_temperature=0.0,
+                          scan_points=8).status == "found"
+    assert find_threshold(ModelSpec(2), "field_b", resolve_pairs(2)[0], (0.5, 2.5),
+                          fixed_temperature=0.0).status == "found"
 
 
 def test_find_threshold_two_site_temperature():

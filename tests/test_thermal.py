@@ -7,7 +7,10 @@ from mixedspin import (Hamiltonian, ModelSpec, build_model, correlator,
                        diagonalize, ground_manifold, internal_energy,
                        log_partition, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
-from mixedspin.thermal import boltzmann_weights, spectral_residuals
+from mixedspin.negativity import partial_trace, reduce_pair
+from mixedspin.spin_ops import total_sz
+from mixedspin.thermal import (boltzmann_weights, ground_degeneracy, spectral_residuals,
+                               state_weights)
 
 
 def test_diagonalize_residuals(decomp_nn):
@@ -162,3 +165,27 @@ def test_energy_per_site_equals_bond_correlator(decomp_nn):
             state = thermal_state(decomp_nn[n], t)
             u_per_site = internal_energy(decomp_nn[n], 1.0 / t) / n
             assert abs(correlator(state, 0, 1) - u_per_site) <= 1e-10
+
+
+def test_ground_degeneracy_at_field_level_crossing():
+    # at b = 3/2 the two-site doublet level M = -1/2 meets the quartet level
+    # M = -3/2, so the ground set spans two Sz sectors; the T = 0 weights and
+    # ground_manifold count it through the same rule
+    decomp = diagonalize(build_model(ModelSpec(2, field_b=1.5)))
+    assert ground_degeneracy(decomp.eigenvalues) == 2
+    manifold = ground_manifold(decomp)
+    assert manifold.degeneracy == 2
+    weights = state_weights(decomp.eigenvalues, 0.0)
+    assert np.array_equal(weights, [0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
+    sz = np.diag(total_sz(decomp.layout))
+    ground = decomp.eigenvectors[:, :2]
+    magnetizations = sorted(float(v @ (sz * v)) for v in ground.T)
+    assert np.allclose(magnetizations, [-1.5, -0.5], atol=1e-12)
+    dense = partial_trace(manifold, (0, 1)).matrix
+    fast = reduce_pair(decomp, weights, (0, 1)).matrix
+    assert np.abs(fast - dense).max() <= 1e-12
+    # just off the crossing one level is lowest on either side
+    for b in (1.49, 1.51):
+        decomp = diagonalize(build_model(ModelSpec(2, field_b=b)))
+        assert ground_degeneracy(decomp.eigenvalues) == 1
+        assert ground_manifold(decomp).degeneracy == 1
