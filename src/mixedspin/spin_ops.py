@@ -130,9 +130,14 @@ def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
     return embed(bond, (site_a, site_b), layout)
 
 
-def total_sz(layout: SiteLayout) -> np.ndarray:
-    """Sum of all embedded z operators: diagonal, each product state's total m."""
+def basis_magnetization(layout: SiteLayout) -> np.ndarray:
+    """Total m of each product basis state, in basis order (exact half-integers)."""
     m = np.zeros(1)
     for s in layout.spins:
         m = np.add.outer(m, np.diag(spin_matrices(s).sz)).ravel()
-    return np.diag(m)
+    return m
+
+
+def total_sz(layout: SiteLayout) -> np.ndarray:
+    """Sum of all embedded z operators: the diagonal of basis_magnetization."""
+    return np.diag(basis_magnetization(layout))

@@ -1,26 +1,31 @@
 """Parameter sweeps, threshold location, and boundary curves.
 
 Every grid point goes one way: `_point` splits it into the model it runs on
-and its temperature, `state_weights` turns the temperature into eigenvector
-weights (Boltzmann weights, or an equal mixture of the ground manifold at
-T = 0), and `pair_negativities` reduces each pair from the decomposition's
-pair blocks with those weights. The blocks are built once per model and
-pair, so a further temperature costs one small mat-vec per pair; no D x D
-state is ever formed.
+and its temperature, the model's zero-field decomposition gives its energies
+at the model's field (`SpectralDecomposition.energies`), `state_weights`
+turns the temperature into eigenvector weights (Boltzmann weights, or an
+equal mixture of the ground manifold at T = 0), and `pair_negativities`
+reduces each pair from the decomposition's pair blocks with those weights.
+The blocks are built once per decomposition and pair, so a further
+temperature or field costs one small mat-vec per pair; no D x D state is
+ever formed.
 
-A sweep groups its points by model and diagonalizes each model once (the
-dominant cost is the O(D^3) eigensolve). Groups run one after another,
-leaving the cores to the multithreaded BLAS inside each eigensolve, and each
-group's decomposition is dropped before the next eigensolve, so a sweep
-holds one at a time. Rows come out axis1-major.
+A sweep groups its points by exchange couplings (`_couplings`: the model
+without its field, since the field term commutes with H), so a group costs
+one eigensolve, sector by sector of total Sz, plus the pair blocks of its
+decomposition. Groups run one after another, leaving the cores to the
+multithreaded BLAS inside each eigensolve, and each group's decomposition is
+dropped before the next eigensolve, so a sweep holds one at a time. Rows
+come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
-value jumps) are handled the same way as smooth zeros. A temperature search
-and a boundary curve revisit models, so they memo decompositions (with their
-pair blocks) in a SpectralCache. A coupling search holds one decomposition
-at a time and puts only its scan points into a caller's cache: a boundary
-curve meets those again at its next value, but never a bisection midpoint.
+value jumps) are handled the same way as smooth zeros. A temperature or
+field search and a boundary curve revisit couplings, so they memo
+decompositions (with their pair blocks) in a SpectralCache; a temperature or
+field search diagonalizes once. A j2 search holds one decomposition at a
+time and puts only its scan points into a caller's cache: a boundary curve
+meets those again at its next value, but never a bisection midpoint.
 """
 
 from __future__ import annotations
@@ -130,6 +135,16 @@ def _point(spec: ModelSpec, temperature: Optional[float], parameter: str,
     return replace(spec, **{parameter: float(value)}), temperature
 
 
+def _couplings(spec: ModelSpec) -> ModelSpec:
+    """The model without its field: every field shares its eigenvectors."""
+    return replace(spec, field_b=0.0)
+
+
+def _decompose(spec: ModelSpec) -> SpectralDecomposition:
+    """Decomposition of spec's couplings; energies(spec.field_b) gives its spectrum."""
+    return diagonalize(build_model(_couplings(spec)))
+
+
 def _check_corners(base: ModelSpec, parameter: str, bounds: Sequence[float]) -> None:
     """Raise ValueError unless base is a valid model at both ends of a coupling range.
 
@@ -159,26 +174,29 @@ class ThresholdResult:
 
 
 class SpectralCache:
-    """Memo of spectral decompositions, and so of their pair blocks, keyed by model.
+    """Memo of spectral decompositions, and so of their pair blocks, keyed by couplings.
 
-    Temperature searches and boundary curves revisit models at many
-    temperatures; a sweep needs none, since it groups its points by model.
+    Temperature and field searches and boundary curves revisit couplings at
+    many temperatures and fields; a sweep needs none, since it groups its
+    points by couplings.
     """
 
     def __init__(self):
         self._store: dict[ModelSpec, SpectralDecomposition] = {}
 
     def get(self, spec: ModelSpec) -> SpectralDecomposition:
-        if spec not in self._store:
-            self._store[spec] = diagonalize(build_model(spec))
-        return self._store[spec]
+        """Zero-field decomposition of spec; apply spec.field_b through energies()."""
+        key = _couplings(spec)
+        if key not in self._store:
+            self._store[key] = _decompose(spec)
+        return self._store[key]
 
 
 def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
                       pairs: Iterable[PairSelector]) -> np.ndarray:
     """Pair negativities of the mixture sum_i weights[i] |v_i><v_i|.
 
-    Pass state_weights(decomp.eigenvalues, T) for the Gibbs state at T > 0
+    Pass state_weights(decomp.energies(b), T) for the Gibbs state at T > 0
     or the ground-manifold mixture at T = 0. Each pair state comes from the
     decomposition's pair blocks (reduce_pair) and is checked by negativity.
     """
@@ -189,31 +207,34 @@ def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
 def run_sweep(req: SweepRequest) -> SweepResult:
     """Evaluate the request on its full grid.
 
-    Points are grouped by model so each group diagonalizes once; the groups
-    run one after another, and each decomposition is let go before the next
-    eigensolve. Output rows are axis1-major.
+    Points are grouped by couplings so each group diagonalizes once, whatever
+    its fields and temperatures; the groups run one after another, and each
+    decomposition is let go before the next eigensolve. Output rows are
+    axis1-major.
     """
     axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
     params = np.array(list(itertools.product(*(ax.values for ax in axes))))
-    temperatures = []
+    points = []
     groups: dict[ModelSpec, list[int]] = {}
     for idx, row in enumerate(params):
         spec, temperature = req.base, req.temperature
         for ax, value in zip(axes, row):
             spec, temperature = _point(spec, temperature, ax.parameter, value)
-        temperatures.append(temperature)
-        groups.setdefault(spec, []).append(idx)
+        points.append((spec.field_b, temperature))
+        groups.setdefault(_couplings(spec), []).append(idx)
 
     negativities = np.zeros((len(params), len(req.pairs)))
     energies = np.zeros(len(params))
     log_zs = np.zeros(len(params))
     for spec, indices in groups.items():
-        decomp = diagonalize(build_model(spec))
+        decomp = _decompose(spec)
         for idx in indices:
-            weights = state_weights(decomp.eigenvalues, temperatures[idx])
+            field_b, temperature = points[idx]
+            spectrum = decomp.energies(field_b)
+            weights = state_weights(spectrum, temperature)
             negativities[idx] = pair_negativities(decomp, weights, req.pairs)
-            energies[idx] = float(np.dot(decomp.eigenvalues, weights))
-            log_zs[idx] = log_partition(decomp.eigenvalues, 1.0 / temperatures[idx])
+            energies[idx] = float(np.dot(spectrum, weights))
+            log_zs[idx] = log_partition(spectrum, 1.0 / temperature)
         del decomp
 
     columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
@@ -248,21 +269,24 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     A coarse scan finds the first flip of the indicator inside search_range,
     then bisection narrows the bracket until its width is below
     rtol * max(1, threshold). Returns status "none-in-range" when the
-    indicator never flips. A coupling search stores only its scan points in
-    `cache`; its midpoints are diagonalized and dropped.
+    indicator never flips. A temperature or field search diagonalizes once;
+    a j2 search stores only its scan points in `cache`, and its midpoints
+    are diagonalized and dropped.
     """
     check_threshold(base, parameter, search_range, fixed_temperature)
-    # A coupling search never revisits a model (scan points are distinct and
-    # each midpoint is new), so only a temperature search needs a memo; a
-    # caller's cache gets the scan points, which a boundary curve meets again.
-    if cache is None and parameter == "temperature":
+    # A temperature or field search stays on one set of couplings, so a memo
+    # makes it one eigensolve. A j2 search never revisits couplings (scan
+    # points are distinct and each midpoint is new); a caller's cache gets
+    # its scan points, which a boundary curve meets again.
+    reuses = parameter in ("temperature", "field_b")
+    if cache is None and reuses:
         cache = SpectralCache()
-    midpoint_cache = cache if parameter == "temperature" else None
+    midpoint_cache = cache if reuses else None
 
     def entangled(v: float, memo: Optional[SpectralCache]) -> bool:
         spec, temperature = _point(base, fixed_temperature, parameter, v)
-        decomp = memo.get(spec) if memo is not None else diagonalize(build_model(spec))
-        weights = state_weights(decomp.eigenvalues, temperature)
+        decomp = memo.get(spec) if memo is not None else _decompose(spec)
+        weights = state_weights(decomp.energies(spec.field_b), temperature)
         return pair_negativities(decomp, weights, [pair])[0] > EPS_NONZERO
 
     grid = np.linspace(search_range[0], search_range[1], scan_points)

@@ -1,12 +1,16 @@
 """Spectral decomposition, Gibbs states, and thermal observables.
 
-One diagonalization serves every temperature for fixed couplings; all
-Boltzmann weights are computed relative to the ground energy so that
-inverse temperatures up to ~1e3 never overflow. A state at temperature T is
-a weight vector over the eigenvectors (`state_weights`), and its pair states
-come from the decomposition's pair blocks without forming a D x D matrix.
-The dense `thermal_state` and `ground_manifold` matrices are the oracle for
-that route.
+Every ring Hamiltonian conserves total Sz, so `diagonalize` solves it one
+magnetization sector at a time and records each eigenvector's M. The field
+term b*Sz is constant on a sector, so at field b the energies are E_i + b*M_i
+on the same eigenvectors: one diagonalization serves every temperature and
+every field for fixed exchange couplings. Boltzmann weights are computed
+relative to the lowest energy so that inverse temperatures up to ~1e3 never
+overflow, and nothing assumes the energies are sorted. A state at
+temperature T is a weight vector over the eigenvectors (`state_weights`), and
+its pair states come from the decomposition's pair blocks without forming a
+D x D matrix. The dense `thermal_state` and `ground_manifold` matrices are the
+oracle for that route.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import Hamiltonian
-from .spin_ops import SiteLayout, heisenberg_bond
+from .spin_ops import SiteLayout, basis_magnetization, heisenberg_bond
 
 # Eigenvectors within this relative distance of the minimum energy count as
 # part of the ground manifold (eigensolver accuracy budget).
@@ -30,16 +34,21 @@ PAIR_BLOCK_CHUNK = 128
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns)."""
+    """Ascending eigenvalues, orthonormal eigenvectors (columns) and their total Sz."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    magnetizations: np.ndarray
     layout: SiteLayout
     _pair_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
+
+    def energies(self, field_b: float) -> np.ndarray:
+        """Eigenvalues once field_b * Sz is added: same eigenvectors, not sorted."""
+        return self.eigenvalues + field_b * self.magnetizations
 
     def pair_blocks(self, keep: tuple[int, int]) -> np.ndarray:
         """Row i is Tr_rest |v_i><v_i| on the two kept sites, flattened.
@@ -85,12 +94,34 @@ class GroundManifoldState:
 
 
 def diagonalize(h: Hamiltonian) -> SpectralDecomposition:
-    """Dense symmetric eigensolve; raises LinAlgError if LAPACK fails to converge."""
+    """Symmetric eigensolve one total-Sz sector at a time.
+
+    Each sector's block is sliced out of the dense matrix by index and solved
+    on its own; its eigenvectors go back into the full basis on the sector's
+    rows, in the columns that put all eigenvalues in ascending order. Raises
+    ValueError if the matrix couples two sectors, LinAlgError if LAPACK fails
+    to converge.
+    """
     if not np.isfinite(h.matrix).all():
         raise ValueError("Hamiltonian contains non-finite entries")
-    eigenvalues, eigenvectors = np.linalg.eigh(h.matrix)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-                                 layout=h.layout)
+    m = basis_magnetization(h.layout)
+    sectors = [np.flatnonzero(m == value) for value in sorted(set(m.tolist()))]
+    blocks = [h.matrix[np.ix_(rows, rows)] for rows in sectors]
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h.matrix):
+        raise ValueError("Hamiltonian does not conserve total Sz")
+    solved = [np.linalg.eigh(b) for b in blocks]
+    eigenvalues = np.concatenate([e for e, _ in solved])
+    order = np.argsort(eigenvalues, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(order.shape[0])
+    eigenvectors = np.zeros_like(h.matrix)
+    start = 0
+    for rows, (_, vecs) in zip(sectors, solved):
+        eigenvectors[np.ix_(rows, column[start:start + rows.shape[0]])] = vecs
+        start += rows.shape[0]
+    magnetizations = np.concatenate([m[rows] for rows in sectors])
+    return SpectralDecomposition(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors,
+                                 magnetizations=magnetizations[order], layout=h.layout)
 
 
 def boltzmann_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
@@ -99,20 +130,22 @@ def boltzmann_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+def _ground_mask(eigenvalues: np.ndarray) -> np.ndarray:
+    """Which eigenvalues, in any order, lie within GROUND_DEGENERACY_RTOL of the lowest."""
+    e_min = float(eigenvalues.min())
+    return eigenvalues <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
+
+
 def ground_degeneracy(eigenvalues: np.ndarray) -> int:
-    """Number of ascending eigenvalues within GROUND_DEGENERACY_RTOL of the lowest."""
-    e_min = float(eigenvalues[0])
-    tol = GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
-    return int(np.sum(eigenvalues <= e_min + tol))
+    """Number of eigenvalues within GROUND_DEGENERACY_RTOL of the lowest."""
+    return int(np.count_nonzero(_ground_mask(eigenvalues)))
 
 
 def state_weights(eigenvalues: np.ndarray, temperature: float) -> np.ndarray:
     """Eigenvector weights of the Gibbs state, or of the ground-manifold mixture at T = 0."""
     if temperature == 0.0:
-        weights = np.zeros(eigenvalues.shape[0])
-        degeneracy = ground_degeneracy(eigenvalues)
-        weights[:degeneracy] = 1.0 / degeneracy
-        return weights
+        ground = _ground_mask(eigenvalues)
+        return ground / np.count_nonzero(ground)
     return boltzmann_weights(eigenvalues, 1.0 / temperature)
 
 
@@ -148,12 +181,12 @@ def internal_energy(spec: SpectralDecomposition, beta: float) -> float:
 
 def ground_manifold(spec: SpectralDecomposition) -> GroundManifoldState:
     """Projector mixture over all eigenvectors within tolerance of E_min."""
-    degeneracy = ground_degeneracy(spec.eigenvalues)
-    v = spec.eigenvectors[:, :degeneracy]
+    v = spec.eigenvectors[:, _ground_mask(spec.eigenvalues)]
+    degeneracy = v.shape[1]
     rho = (v @ v.T) / degeneracy
     rho = 0.5 * (rho + rho.T)
     return GroundManifoldState(matrix=rho, degeneracy=degeneracy,
-                               energy=float(spec.eigenvalues[0]), layout=spec.layout)
+                               energy=float(spec.eigenvalues.min()), layout=spec.layout)
 
 
 def correlator(state: ThermalState | GroundManifoldState, site_a: int, site_b: int) -> float:

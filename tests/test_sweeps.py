@@ -6,9 +6,11 @@ import pytest
 
 from mixedspin import sweeps
 from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SpectralCache, SweepRequest,
-                       find_threshold, resolve_pairs, run_sweep, threshold_curve)
+                       build_model, diagonalize, find_threshold, log_partition,
+                       resolve_pairs, run_sweep, threshold_curve)
 from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
-from mixedspin.sweeps import available_pair_kinds
+from mixedspin.sweeps import available_pair_kinds, pair_negativities
+from mixedspin.thermal import GROUND_DEGENERACY_RTOL, ground_degeneracy, state_weights
 
 
 def test_available_pair_kinds():
@@ -249,3 +251,73 @@ def test_threshold_curve_value_cross_check():
         else:
             hi = mid
     assert abs(res.value - 0.5 * (lo + hi)) <= 1e-6
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    real = sweeps.diagonalize
+    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
+    return calls
+
+
+def test_field_axis_and_field_search_diagonalize_once(monkeypatch):
+    # H(b) = H(0) + b*Sz commutes with Sz, so one zero-field decomposition
+    # serves every field; a j2 axis still needs one eigensolve per coupling
+    calls = _count_eigensolves(monkeypatch)
+    run_sweep(SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", 0.0, 3.0, 20),
+                           pairs=resolve_pairs(4), temperature=0.1))
+    assert calls == [ModelSpec(4)]
+    calls.clear()
+    run_sweep(SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", -1.0, 2.0, 5),
+                           axis2=Axis("temperature", 0.1, 1.0, 4), pairs=resolve_pairs(4)))
+    assert calls == [ModelSpec(4)]
+    calls.clear()
+    run_sweep(SweepRequest(base=ModelSpec(6), axis1=Axis("j2", 0.0, 1.0, 6),
+                           pairs=resolve_pairs(6), temperature=0.02))
+    assert calls == [ModelSpec(6, j2=float(v)) for v in np.linspace(0.0, 1.0, 6)]
+    calls.clear()
+    res = find_threshold(ModelSpec(4), "field_b", resolve_pairs(4)[0], (0.0, 6.0),
+                         fixed_temperature=0.0)
+    assert res.status == "found"
+    assert calls == [ModelSpec(4)]
+    calls.clear()
+    find_threshold(ModelSpec(4, field_b=0.5), "temperature", resolve_pairs(4)[0], (0.05, 1.5))
+    assert calls == [ModelSpec(4)]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_field_reuse_matches_per_field_eigensolve(n):
+    pairs = resolve_pairs(n)
+    for temperature in (0.02, 0.5):
+        req = SweepRequest(base=ModelSpec(n), axis1=Axis("field_b", -2.0, 3.0, 11),
+                           pairs=pairs, temperature=temperature)
+        res = run_sweep(req)
+        for row, b in enumerate(res.params[:, 0]):
+            decomp = diagonalize(build_model(ModelSpec(n, field_b=float(b))))
+            weights = state_weights(decomp.eigenvalues, temperature)
+            expected = pair_negativities(decomp, weights, pairs)
+            assert np.abs(res.negativities[row] - expected).max() <= 1e-12
+            u = float(np.dot(decomp.eigenvalues, weights))
+            log_z = log_partition(decomp.eigenvalues, 1.0 / temperature)
+            assert abs(res.internal_energy[row] - u) <= 1e-12 * max(1.0, abs(u))
+            assert abs(res.log_z[row] - log_z) <= 1e-12 * max(1.0, abs(log_z))
+
+
+def test_field_reuse_ground_manifold_spans_sectors_at_crossing():
+    # at b = 3/2 the two-site M = -1/2 doublet level meets the M = -3/2
+    # quartet level: the ground set taken from E + b*M on the zero-field
+    # eigenvectors must count both, as the dense spectrum does
+    zero_field = diagonalize(build_model(ModelSpec(2)))
+    for b, expected in ((1.5, 2), (1.49, 1), (1.51, 1)):
+        energies = zero_field.energies(b)
+        dense = np.linalg.eigvalsh(build_model(ModelSpec(2, field_b=b)).matrix)
+        e0 = dense[0]
+        dense_count = int(np.sum(dense <= e0 + GROUND_DEGENERACY_RTOL * max(1.0, abs(e0))))
+        assert ground_degeneracy(energies) == dense_count == expected
+    ground = zero_field.magnetizations[state_weights(zero_field.energies(1.5), 0.0) > 0]
+    assert sorted(ground) == [-1.5, -0.5]
+    direct = diagonalize(build_model(ModelSpec(2, field_b=1.5)))
+    reused = pair_negativities(zero_field, state_weights(zero_field.energies(1.5), 0.0),
+                               resolve_pairs(2))
+    fresh = pair_negativities(direct, state_weights(direct.eigenvalues, 0.0), resolve_pairs(2))
+    assert np.abs(reused - fresh).max() <= 1e-12

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mixedspin import (Hamiltonian, ModelSpec, build_model, correlator,
-                       diagonalize, ground_manifold, internal_energy,
-                       log_partition, thermal_state)
+from mixedspin import (GroundManifoldState, Hamiltonian, ModelSpec, ThermalState,
+                       build_model, correlator, diagonalize, ground_manifold,
+                       internal_energy, log_partition, resolve_pairs, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
 from mixedspin.negativity import partial_trace, reduce_pair
 from mixedspin.spin_ops import total_sz
-from mixedspin.thermal import (boltzmann_weights, ground_degeneracy, spectral_residuals,
+from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition,
+                               boltzmann_weights, ground_degeneracy, spectral_residuals,
                                state_weights)
 
 
@@ -189,3 +190,88 @@ def test_ground_degeneracy_at_field_level_crossing():
         decomp = diagonalize(build_model(ModelSpec(2, field_b=b)))
         assert ground_degeneracy(decomp.eigenvalues) == 1
         assert ground_manifold(decomp).degeneracy == 1
+
+
+def test_diagonalize_rejects_coupling_between_sectors():
+    h = build_model(ModelSpec(2))
+    leaky = h.matrix.copy()
+    leaky[0, 1] = leaky[1, 0] = 1e-3       # |+1/2,+1> and |+1/2,0> differ in M
+    with pytest.raises(ValueError, match="conserve total Sz"):
+        diagonalize(Hamiltonian(matrix=leaky, layout=h.layout, spec=h.spec))
+
+
+def test_weights_and_ground_manifold_take_energies_in_any_order():
+    # E + b*M on zero-field eigenvectors is not ascending; the T = 0 weights,
+    # the degeneracy and the ground manifold must follow the values, not
+    # the positions
+    decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.1)))    # 3-fold ground
+    perm = np.random.default_rng(5).permutation(decomp.dimension)
+    shuffled = SpectralDecomposition(eigenvalues=decomp.eigenvalues[perm],
+                                     eigenvectors=decomp.eigenvectors[:, perm],
+                                     magnetizations=decomp.magnetizations[perm],
+                                     layout=decomp.layout)
+    assert shuffled.eigenvalues[0] > shuffled.eigenvalues.min()
+    assert ground_degeneracy(shuffled.eigenvalues) == 3
+    assert np.array_equal(state_weights(shuffled.eigenvalues, 0.0),
+                          state_weights(decomp.eigenvalues, 0.0)[perm])
+    for t in (0.05, 0.7):
+        assert np.abs(state_weights(shuffled.eigenvalues, t)
+                      - state_weights(decomp.eigenvalues, t)[perm]).max() <= 1e-15
+    ordered, mixed = ground_manifold(decomp), ground_manifold(shuffled)
+    assert mixed.degeneracy == ordered.degeneracy == 3
+    assert mixed.energy == ordered.energy
+    assert np.abs(mixed.matrix - ordered.matrix).max() <= 1e-14
+    for t in (0.0, 0.3):
+        fast = reduce_pair(shuffled, state_weights(shuffled.eigenvalues, t), (0, 1))
+        reference = reduce_pair(decomp, state_weights(decomp.eigenvalues, t), (0, 1))
+        assert np.abs(fast.matrix - reference.matrix).max() <= 1e-14
+
+
+def _sector_cases():
+    for n in range(2, 9):
+        yield ModelSpec(n)
+    for n in (2, 4, 6, 8):
+        yield ModelSpec(n, field_b=0.7)
+    for n in (4, 6, 8):
+        yield ModelSpec(n, j2=0.3)
+
+
+def _dense_pair_oracle(values, vectors, layout, temperature, keep):
+    """partial_trace of the Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs."""
+    e_min = values.min()
+    if temperature == 0.0:
+        ground = vectors[:, values <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))]
+        rho = ground @ ground.T / ground.shape[1]
+        state = GroundManifoldState(matrix=rho, degeneracy=ground.shape[1],
+                                    energy=float(e_min), layout=layout)
+    else:
+        w = np.exp(-(values - e_min) / temperature)
+        rho = (vectors * (w / w.sum())) @ vectors.T
+        state = ThermalState(matrix=rho, beta=1.0 / temperature, log_z=0.0, layout=layout)
+    return partial_trace(state, keep).matrix
+
+
+@pytest.mark.parametrize("spec", list(_sector_cases()),
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_sector_diagonalize_matches_dense_eigh(spec):
+    # the dense eigensolve of the full matrix, called here and nowhere in the
+    # package, is the oracle for the sector split
+    h = build_model(spec)
+    dense_values, dense_vectors = np.linalg.eigh(h.matrix)
+    decomp = diagonalize(h)
+    assert np.abs(decomp.eigenvalues - dense_values).max() <= 1e-10
+    resid, ortho = spectral_residuals(h, decomp)
+    assert resid <= 1e-12
+    assert ortho <= 1e-12
+    sz = np.diag(total_sz(h.layout))
+    expectation = np.einsum("ij,i,ij->j", decomp.eigenvectors, sz, decomp.eigenvectors)
+    assert np.abs(decomp.magnetizations - expectation).max() <= 1e-12
+    assert ground_degeneracy(decomp.eigenvalues) == ground_degeneracy(dense_values)
+    for temperature in (0.0, 0.02, 0.5):
+        weights = state_weights(decomp.eigenvalues, temperature)
+        for pair in resolve_pairs(spec.n_sites):
+            keep = (pair.site_a, pair.site_b)
+            oracle = _dense_pair_oracle(dense_values, dense_vectors, h.layout,
+                                        temperature, keep)
+            fast = reduce_pair(decomp, weights, keep).matrix
+            assert np.abs(fast - oracle).max() <= 1e-12
