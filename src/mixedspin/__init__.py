@@ -9,9 +9,9 @@ from .negativity import (NegativityResult, PairKind, PairReducedState,
                          su2_signed)
 from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, embed,
                        heisenberg_bond, spin_matrices, total_sz)
-from .sweeps import (EPS_NONZERO, Axis, PairSelector, SpectralCache,
-                     SweepRequest, SweepResult, ThresholdResult, find_threshold,
-                     resolve_pairs, run_sweep, threshold_curve)
+from .sweeps import (EPS_NONZERO, Axis, PairSelector, SweepRequest, SweepResult,
+                     ThresholdResult, find_threshold, resolve_pairs, run_sweep,
+                     threshold_curve)
 from .thermal import (GroundManifoldState, SpectralDecomposition, ThermalState,
                       correlator, diagonalize, ground_manifold, internal_energy,
                       log_partition, thermal_state)
@@ -28,6 +28,6 @@ __all__ = [
     "partial_transpose", "negativity", "pair_negativity", "schmidt_negativity",
     "su2_negativity", "su2_signed",
     "Axis", "SweepRequest", "SweepResult", "ThresholdResult", "PairSelector",
-    "SpectralCache", "EPS_NONZERO", "run_sweep", "find_threshold",
-    "threshold_curve", "resolve_pairs",
+    "EPS_NONZERO", "run_sweep", "find_threshold", "threshold_curve",
+    "resolve_pairs",
 ]

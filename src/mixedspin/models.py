@@ -15,6 +15,7 @@ tests. For N >= 6 every pair appears exactly once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,8 @@ class ModelSpec:
         # Dense matrices: 8 sites is 1296 states, and each cell more is 6x.
         if not 2 <= self.n_sites <= 8:
             raise ValueError("n_sites must be between 2 and 8")
+        if not all(map(math.isfinite, (self.j1, self.j2, self.field_b))):
+            raise ValueError("couplings and field must be finite")
         if self.j2 < 0.0:
             raise ValueError("next-nearest coupling j2 must be >= 0")
         if self.j2 != 0.0 and (self.n_sites % 2 or self.n_sites < 4):

@@ -58,7 +58,6 @@ class PairReducedState:
 @dataclass(frozen=True)
 class NegativityResult:
     value: float
-    negative_eigenvalues: tuple[float, ...]
     pair_kind: PairKind
 
 
@@ -132,15 +131,12 @@ def negativity(pair: PairReducedState) -> NegativityResult:
     """
     _validate_pair(pair)
     eigs = np.linalg.eigvalsh(partial_transpose(pair))
-    negative = eigs[eigs < -EPS_NEGATIVE]
-    value = float(-negative.sum()) + 0.0    # avoid -0.0 for empty sums
+    value = float(-eigs[eigs < -EPS_NEGATIVE].sum()) + 0.0    # avoid -0.0 for empty sums
     trace_norm_value = 0.5 * (float(np.abs(eigs).sum()) - 1.0)
     if abs(value - trace_norm_value) > 1e-10:
         raise RuntimeError(
             f"negativity routes disagree: {value} vs {trace_norm_value}")
-    return NegativityResult(value=value,
-                            negative_eigenvalues=tuple(float(x) for x in negative),
-                            pair_kind=pair.kind)
+    return NegativityResult(value=value, pair_kind=pair.kind)
 
 
 def pair_negativity(state: State, keep: tuple[int, int]) -> float:

@@ -20,17 +20,18 @@ come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
-value jumps) are handled the same way as smooth zeros. A temperature or
-field search and a boundary curve revisit couplings, so they memo
-decompositions (with their pair blocks) in a SpectralCache; a temperature or
-field search diagonalizes once. A j2 search holds one decomposition at a
-time and puts only its scan points into a caller's cache: a boundary curve
-meets those again at its next value, but never a bisection midpoint.
+value jumps) are handled the same way as smooth zeros. Which decompositions
+a search keeps is decided here, not by callers: a temperature or field
+search memoizes its one model, so it diagonalizes once; a j2 search holds
+one decomposition at a time; a boundary curve shares one memo across its
+points, which keeps the scan-grid models its next value meets again but
+never a bisection midpoint.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -44,6 +45,9 @@ from .thermal import (SpectralDecomposition, diagonalize, log_partition,
 # Negativity above this counts as "nonzero" when locating thresholds: far
 # above eigensolver noise (~1e-12), far below physical values (~1e-2).
 EPS_NONZERO = 1e-9
+
+# Bisection stops at a bracket this narrow, relative to max(1, threshold).
+THRESHOLD_RTOL = 1e-6
 
 SWEEPABLE = ("temperature", "field_b", "j2")
 
@@ -94,8 +98,8 @@ class Axis:
             raise ValueError(f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
         if self.steps < 2:
             raise ValueError("axis needs at least 2 steps")
-        if not self.lo < self.hi:
-            raise ValueError("axis requires lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError("axis requires finite lo < hi")
         if self.parameter == "temperature" and self.lo <= 0.0:
             raise ValueError("temperature axis must stay positive")
 
@@ -121,8 +125,8 @@ class SweepRequest:
         if len(set(axes)) != len(axes):
             raise ValueError("axes must sweep distinct parameters")
         if "temperature" not in axes:
-            if self.temperature is None or self.temperature <= 0.0:
-                raise ValueError("a positive fixed temperature is required when no axis sweeps it")
+            if self.temperature is None or not 0.0 < self.temperature < math.inf:
+                raise ValueError("fixed temperature must be finite and > 0 when no axis sweeps it")
         for ax in filter(None, (self.axis1, self.axis2)):
             _check_corners(self.base, ax.parameter, (ax.lo, ax.hi))
 
@@ -176,9 +180,9 @@ class ThresholdResult:
 class SpectralCache:
     """Memo of spectral decompositions, and so of their pair blocks, keyed by couplings.
 
-    Temperature and field searches and boundary curves revisit couplings at
-    many temperatures and fields; a sweep needs none, since it groups its
-    points by couplings.
+    Private to the threshold searches: a temperature or field search and a
+    boundary curve revisit couplings at many temperatures and fields. A
+    sweep needs none, since it groups its points by couplings.
     """
 
     def __init__(self):
@@ -249,57 +253,55 @@ def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, 
     lo, hi = search_range
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {SWEEPABLE}")
-    if not lo < hi:
-        raise ValueError("search range requires lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("search range requires finite lo < hi")
     if parameter == "temperature":
         if lo < 0.0:
             raise ValueError("temperature search range must stay >= 0")
-    elif fixed_temperature is None or fixed_temperature < 0.0:
-        raise ValueError("coupling thresholds need a fixed temperature (>= 0)")
+    elif fixed_temperature is None or not 0.0 <= fixed_temperature < math.inf:
+        raise ValueError("coupling thresholds need a finite fixed temperature (>= 0)")
     _check_corners(base, parameter, search_range)
 
 
 def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
                    search_range: tuple[float, float],
                    fixed_temperature: Optional[float] = None,
-                   scan_points: int = 64, rtol: float = 1e-6,
-                   cache: Optional[SpectralCache] = None) -> ThresholdResult:
+                   scan_points: int = 64) -> ThresholdResult:
     """Locate the boundary where the pair negativity stops exceeding EPS_NONZERO.
 
     A coarse scan finds the first flip of the indicator inside search_range,
     then bisection narrows the bracket until its width is below
-    rtol * max(1, threshold). Returns status "none-in-range" when the
-    indicator never flips. A temperature or field search diagonalizes once;
-    a j2 search stores only its scan points in `cache`, and its midpoints
-    are diagonalized and dropped.
+    THRESHOLD_RTOL * max(1, threshold). Returns status "none-in-range" when
+    the indicator never flips. A temperature or field search diagonalizes
+    once; a j2 search holds one decomposition at a time.
     """
     check_threshold(base, parameter, search_range, fixed_temperature)
-    # A temperature or field search stays on one set of couplings, so a memo
-    # makes it one eigensolve. A j2 search never revisits couplings (scan
-    # points are distinct and each midpoint is new); a caller's cache gets
-    # its scan points, which a boundary curve meets again.
-    reuses = parameter in ("temperature", "field_b")
-    if cache is None and reuses:
-        cache = SpectralCache()
-    midpoint_cache = cache if reuses else None
+    # a j2 search never revisits couplings; the others stay on one model
+    return _search(base, parameter, pair, search_range, fixed_temperature, scan_points,
+                   None if parameter == "j2" else SpectralCache())
 
-    def entangled(v: float, memo: Optional[SpectralCache]) -> bool:
+
+def _search(base: ModelSpec, parameter: str, pair: PairSelector,
+            search_range: tuple[float, float], fixed_temperature: Optional[float],
+            scan_points: int, memo: Optional[SpectralCache]) -> ThresholdResult:
+    """find_threshold on a checked range; a j2 search's midpoints bypass memo."""
+    def entangled(v: float, store: Optional[SpectralCache]) -> bool:
         spec, temperature = _point(base, fixed_temperature, parameter, v)
-        decomp = memo.get(spec) if memo is not None else _decompose(spec)
+        decomp = store.get(spec) if store is not None else _decompose(spec)
         weights = state_weights(decomp.energies(spec.field_b), temperature)
         return pair_negativities(decomp, weights, [pair])[0] > EPS_NONZERO
 
     grid = np.linspace(search_range[0], search_range[1], scan_points)
-    flags = [entangled(v, cache) for v in grid]
+    flags = [entangled(v, memo) for v in grid]
     flip = next((i for i in range(1, len(grid)) if flags[i] != flags[i - 1]), None)
     if flip is None:
         return ThresholdResult(parameter=parameter, value=None, bracket=None,
                                status="none-in-range")
     lo, hi = float(grid[flip - 1]), float(grid[flip])
     lo_flag = flags[flip - 1]
-    while hi - lo > rtol * max(1.0, 0.5 * abs(lo + hi)):
+    while hi - lo > THRESHOLD_RTOL * max(1.0, 0.5 * abs(lo + hi)):
         mid = 0.5 * (lo + hi)
-        if entangled(mid, midpoint_cache) == lo_flag:
+        if entangled(mid, None if parameter == "j2" else memo) == lo_flag:
             lo = mid
         else:
             hi = mid
@@ -310,21 +312,21 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
 def threshold_curve(base: ModelSpec, pair: PairSelector,
                     curve_parameter: str, curve_values: Sequence[float],
                     search_parameter: str, search_range: tuple[float, float],
-                    fixed_temperature: Optional[float] = None,
-                    scan_points: int = 64,
-                    cache: Optional[SpectralCache] = None) -> list[tuple[float, Optional[float]]]:
+                    scan_points: int = 64) -> list[tuple[float, Optional[float]]]:
     """Threshold of search_parameter at each value of curve_parameter.
 
     With curve_parameter="j2" and search_parameter="temperature" this yields
     the zero-negativity boundary T_th(J2); swapping the roles gives the
-    transposed view J2_th(T).
+    transposed view J2_th(T). The points share one memo of decompositions:
+    a T_th(J2) curve diagonalizes once per curve value, and a J2_th(T) curve
+    once per scan-grid model plus the bisection midpoints.
     """
-    cache = cache if cache is not None else SpectralCache()
+    memo = SpectralCache()
     out = []
     for v in curve_values:
-        point_base, point_temp = _point(base, fixed_temperature, curve_parameter, v)
-        res = find_threshold(point_base, search_parameter, pair, search_range,
-                             fixed_temperature=point_temp, scan_points=scan_points,
-                             cache=cache)
+        point_base, point_temp = _point(base, None, curve_parameter, v)
+        check_threshold(point_base, search_parameter, search_range, point_temp)
+        res = _search(point_base, search_parameter, pair, search_range, point_temp,
+                      scan_points, memo)
         out.append((float(v), res.value))
     return out

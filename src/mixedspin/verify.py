@@ -20,9 +20,8 @@ from .models import ModelSpec, build_model
 from .negativity import (PairKind, negativity, pair_negativity, partial_trace,
                          partial_transpose, schmidt_negativity, su2_negativity,
                          su2_signed)
-from .sweeps import (EPS_NONZERO, Axis, SpectralCache, SweepRequest,
-                     find_threshold, pair_negativities, resolve_pairs, run_sweep,
-                     threshold_curve)
+from .sweeps import (EPS_NONZERO, Axis, SweepRequest, find_threshold,
+                     pair_negativities, resolve_pairs, run_sweep, threshold_curve)
 from .thermal import (correlator, diagonalize, ground_manifold, internal_energy,
                       log_partition, state_weights, thermal_state)
 
@@ -399,36 +398,33 @@ def recomputed_constants(max_n: int = 8) -> list[CheckResult]:
     quoted points, and the four-site boundary extrema differ from the prose.
     """
     out = []
-    cache = SpectralCache()
-
     if max_n >= 4:
         pair4 = resolve_pairs(4)[0]
         curve = threshold_curve(ModelSpec(4), pair4, "temperature",
-                                np.linspace(0.01, 1.04, 104), "j2", (0.0, 1.0),
-                                cache=cache)
+                                np.linspace(0.01, 1.04, 104), "j2", (0.0, 1.0))
         points = [(t, j) for t, j in curve if j is not None]
         t_peak, j_peak = max(points, key=lambda p: p[1])
         out.append(_info("four_site.j2_boundary_peak_temperature", t_peak, 0.178))
         out.append(_info("four_site.j2_boundary_maximum", j_peak, 0.3758))
 
-        res = find_threshold(ModelSpec(4), "temperature", pair4, (0.5, 2.0), cache=cache)
+        res = find_threshold(ModelSpec(4), "temperature", pair4, (0.5, 2.0))
         out.append(_info("four_site.vanishing_temperature", res.value, 1.082,
                          detail="the quoted value is the two-site threshold"))
 
     res = find_threshold(ModelSpec(2), "field_b", resolve_pairs(2)[0], (1.0, 2.5),
-                         fixed_temperature=0.05, cache=cache)
+                         fixed_temperature=0.05)
     out.append(_info("two_site.field_indicator_threshold_T0.05", res.value, 1.5,
                      detail="exact at T -> 0; the thermal tail moves the cutoff"))
 
     if max_n >= 6:
         pair6 = resolve_pairs(6)[0]
         curve = threshold_curve(ModelSpec(6), pair6, "j2", np.linspace(0.0, 0.45, 46),
-                                "temperature", (0.02, 1.5), cache=cache)
+                                "temperature", (0.02, 1.5))
         tmax = max(t for _, t in curve if t is not None)
         out.append(_info("six_site.region_temperature_bound", tmax, 0.925))
         curve = threshold_curve(ModelSpec(6), pair6, "temperature",
                                 np.linspace(0.02, 0.8, 40), "j2", (0.0, 0.6),
-                                scan_points=48, cache=cache)
+                                scan_points=48)
         jmax = max(j for _, j in curve if j is not None)
         out.append(_info("six_site.region_j2_bound", jmax, 0.418))
     return out
@@ -443,8 +439,8 @@ def _random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def check_property_suite(seed: int = 7) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def check_property_suite() -> list[CheckResult]:
+    rng = np.random.default_rng(7)
     out = []
     specs = [ModelSpec(2), ModelSpec(3), ModelSpec(4, j2=0.3), ModelSpec(5),
              ModelSpec(4, field_b=0.8), ModelSpec(6, j2=0.45)]
@@ -493,7 +489,7 @@ def check_property_suite(seed: int = 7) -> list[CheckResult]:
     return out
 
 
-def run_all(max_n: int = 8, seed: int = 7) -> list[CheckResult]:
+def run_all(max_n: int = 8) -> list[CheckResult]:
     """Full battery; max_n trims the most expensive ring sizes."""
     results = []
     results += check_two_site()
@@ -501,7 +497,7 @@ def run_all(max_n: int = 8, seed: int = 7) -> list[CheckResult]:
     results += check_even_rings(max_n)
     results += check_four_site_nnn()
     results += check_field_model()
-    results += check_property_suite(seed)
+    results += check_property_suite()
     results += check_large_rings(max_n)
     results += check_threshold_trends(max_n)
     results += recomputed_constants(max_n)

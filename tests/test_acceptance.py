@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import timed
-from mixedspin import (EPS_NONZERO, ModelSpec, PairKind, SpectralCache,
-                       build_model, correlator, diagonalize, find_threshold,
+from mixedspin import (EPS_NONZERO, ModelSpec, PairKind, build_model,
+                       correlator, diagonalize, find_threshold,
                        ground_manifold, internal_energy, log_partition,
                        pair_negativity, resolve_pairs, su2_signed,
                        thermal_state, threshold_curve)
@@ -255,16 +255,15 @@ def test_c07_recomputed_crossing_and_plateau(fig4_sweep):
 
 @pytest.fixture(scope="module")
 def boundary_curve():
-    cache = SpectralCache()
     pair = resolve_pairs(4)[0]
     temps = np.linspace(0.01, 1.2, 80)
     curve, elapsed = timed(threshold_curve, ModelSpec(4), pair, "temperature",
-                           temps, "j2", (0.0, 1.0), scan_points=80, cache=cache)
-    return curve, cache, elapsed
+                           temps, "j2", (0.0, 1.0), scan_points=80)
+    return curve, elapsed
 
 
 def test_c08a_boundary_peak_temperature(boundary_curve):
-    curve, _, _ = boundary_curve
+    curve, _ = boundary_curve
     points = [(t, j) for t, j in curve if j is not None]
     t_peak, j_peak = max(points, key=lambda p: p[1])
     check("c08a temperature of maximal coupling threshold = 0.178",
@@ -272,11 +271,10 @@ def test_c08a_boundary_peak_temperature(boundary_curve):
           f"peak at T = {t_peak:.4f} (boundary maximum {j_peak:.5f})")
 
 
-def test_c08b_global_vanishing_temperature(boundary_curve):
-    _, cache, _ = boundary_curve
+def test_c08b_global_vanishing_temperature():
     pair = resolve_pairs(4)[0]
     curve = threshold_curve(ModelSpec(4), pair, "j2", np.linspace(0.0, 0.3, 31),
-                            "temperature", (0.3, 2.0), cache=cache)
+                            "temperature", (0.3, 2.0))
     t_max = max(t for _, t in curve if t is not None)
     check("c08b global vanishing temperature = 1.082",
           abs(t_max - 1.082) <= 0.005,
@@ -285,7 +283,7 @@ def test_c08b_global_vanishing_temperature(boundary_curve):
 
 
 def test_c08c_max_coupling_threshold(boundary_curve):
-    curve, _, elapsed = boundary_curve
+    curve, elapsed = boundary_curve
     j_max = max(j for _, j in curve if j is not None)
     check("c08c maximal coupling threshold = 0.376", abs(j_max - 0.376) <= 0.005,
           f"max j2 threshold {j_max:.5f}")
@@ -295,7 +293,7 @@ def test_c08c_max_coupling_threshold(boundary_curve):
 def test_c08_recomputed_boundary_extrema(boundary_curve):
     # pin the recomputed boundary by two routes: the sweep-engine curve and
     # direct bisection on the closed-form negativity
-    curve, _, _ = boundary_curve
+    curve, _ = boundary_curve
     points = [(t, j) for t, j in curve if j is not None]
     t_peak, j_peak = max(points, key=lambda p: p[1])
 
@@ -365,16 +363,15 @@ def test_c09c_one_one_large_coupling_value():
 
 
 def test_c09d_region_bounds():
-    cache = SpectralCache()
     pair = resolve_pairs(6)[0]
     curve = threshold_curve(ModelSpec(6), pair, "j2", np.linspace(0.0, 0.4, 21),
-                            "temperature", (0.02, 1.5), cache=cache)
+                            "temperature", (0.02, 1.5))
     t_bound = max(t for _, t in curve if t is not None)
     check("c09d region temperature bound 0.925", abs(t_bound - 0.925) <= 0.01,
           f"max threshold temperature {t_bound:.4f}")
     curve = threshold_curve(ModelSpec(6), pair, "temperature",
                             np.linspace(0.06, 0.6, 28), "j2", (0.0, 0.6),
-                            scan_points=48, cache=cache)
+                            scan_points=48)
     j_bound = max(j for _, j in curve if j is not None)
     check("c09d region coupling bound 0.418", abs(j_bound - 0.418) <= 0.01,
           f"max coupling threshold {j_bound:.4f}")
@@ -436,7 +433,7 @@ def test_c11_threshold_trends():
 # --- criterion 12: structural property battery --------------------------------
 
 def test_c12_property_suite():
-    results = verify.check_property_suite(seed=7)
+    results = verify.check_property_suite()
     for res in results:
         check(f"c12 {res.name}", res.ok, f"deviation {res.measured:.2e} "
                                          f"(budget {res.budget:.0e})")

@@ -190,6 +190,16 @@ def _no_eigensolve(*args, **kwargs):
     ["threshold", "--n", "4", "--param", "temperature", "--tmin", "0.1", "--tmax", "2",
      "--pairs", "half_half,one_one"],
     ["verify", "--max-n", "2", "--n", "7", "--j2", "5"],
+    ["sweep-temp", "--n", "4", "--j2", "nan", "--tmin", "0.1", "--tmax", "1", "--steps", "5"],
+    ["sweep-temp", "--n", "2", "--j1", "inf", "--tmin", "0.1", "--tmax", "1", "--steps", "5"],
+    ["sweep-temp", "--n", "2", "--b", "nan", "--tmin", "0.1", "--tmax", "1", "--steps", "5"],
+    ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "5",
+     "--temperature", "nan"],
+    ["threshold", "--n", "4", "--param", "j2", "--j2min", "0", "--j2max", "1",
+     "--temperature", "nan"],
+    ["threshold", "--n", "2", "--param", "temperature", "--tmin", "0", "--tmax", "inf"],
+    ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "5",
+     "--temperature", "inf"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes

@@ -37,6 +37,12 @@ def test_bond_lists():
     dict(n_sites=4, j2=-0.1),
     dict(n_sites=9),
     dict(n_sites=4, j1=-1.0, j2=0.3),
+    dict(n_sites=4, j2=float("nan")),
+    dict(n_sites=4, j2=float("inf")),
+    dict(n_sites=2, j1=float("inf")),
+    dict(n_sites=2, j1=float("nan")),
+    dict(n_sites=2, field_b=float("nan")),
+    dict(n_sites=2, field_b=float("-inf")),
 ])
 def test_model_spec_rejections(kwargs):
     with pytest.raises(ValueError):

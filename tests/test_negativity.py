@@ -100,7 +100,7 @@ def test_negativity_of_two_qubit_singlet():
     res = negativity(singlet)
     assert abs(res.value - 0.5) <= 1e-12
     assert res.pair_kind == PairKind.HALF_HALF
-    assert len(res.negative_eigenvalues) == 1
+    assert (np.linalg.eigvalsh(partial_transpose(singlet)) < 0.0).sum() == 1
 
 
 def test_negativity_of_spin_one_singlet():
@@ -128,7 +128,6 @@ def test_negativity_zero_for_separable_mixture():
     pair = PairReducedState(matrix=rho, dim_a=2, dim_b=3, site_a=0, site_b=1)
     res = negativity(pair)
     assert res.value == 0.0
-    assert res.negative_eigenvalues == ()
 
 
 def test_negativity_rejects_broken_states():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mixedspin import sweeps
-from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SpectralCache, SweepRequest,
-                       build_model, diagonalize, find_threshold, log_partition,
+from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SweepRequest, build_model,
+                       diagonalize, find_threshold, log_partition,
                        resolve_pairs, run_sweep, threshold_curve)
 from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
 from mixedspin.sweeps import available_pair_kinds, pair_negativities
@@ -35,6 +35,8 @@ def test_axis_validation():
         Axis("temperature", 0.1, 1.0, 1)
     with pytest.raises(ValueError, match="lo < hi"):
         Axis("j2", 1.0, 0.5, 10)
+    with pytest.raises(ValueError, match="finite"):
+        Axis("temperature", 0.1, float("inf"), 10)
     with pytest.raises(ValueError, match="positive"):
         Axis("temperature", 0.0, 1.0, 10)
     with pytest.raises(ValueError, match="parameter"):
@@ -145,14 +147,23 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
     assert len(calls) == 1
 
 
-def test_coupling_threshold_stores_only_scan_points():
-    # a caller's cache keeps the scan-grid models, which a boundary curve
-    # meets again, but not the bisection midpoints, which it never does
-    cache = SpectralCache()
-    res = find_threshold(ModelSpec(4), "j2", resolve_pairs(4)[0], (0.0, 1.0),
-                         fixed_temperature=0.02, scan_points=8, cache=cache)
-    assert res.status == "found"
-    assert set(cache._store) == {ModelSpec(4, j2=float(v)) for v in np.linspace(0.0, 1.0, 8)}
+def test_coupling_curve_diagonalizes_each_scan_point_once(monkeypatch):
+    # a J2_th(T) curve meets its scan-grid models again at every temperature
+    # and diagonalizes each of them once
+    calls = _count_eigensolves(monkeypatch)
+    curve = threshold_curve(ModelSpec(4), resolve_pairs(4)[0], "temperature",
+                            [0.05, 0.15, 0.3], "j2", (0.0, 1.0), scan_points=8)
+    assert all(j is not None for _, j in curve)
+    for v in np.linspace(0.0, 1.0, 8):
+        assert calls.count(ModelSpec(4, j2=float(v))) == 1
+
+
+def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    curve = threshold_curve(ModelSpec(4), resolve_pairs(4)[0], "j2", [0.0, 0.1, 0.2],
+                            "temperature", (0.05, 1.5), scan_points=8)
+    assert all(t is not None for _, t in curve)
+    assert calls == [ModelSpec(4, j2=v) for v in (0.0, 0.1, 0.2)]
 
 
 def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
@@ -192,13 +203,6 @@ def test_find_threshold_two_site_temperature():
     assert lo <= res.value <= hi
 
 
-def test_find_threshold_refinement_is_stable():
-    pair = resolve_pairs(2)[0]
-    coarse = find_threshold(ModelSpec(2), "temperature", pair, (0.5, 2.0), rtol=1e-6)
-    fine = find_threshold(ModelSpec(2), "temperature", pair, (0.5, 2.0), rtol=5e-7)
-    assert abs(fine.value - coarse.value) <= coarse.bracket[1] - coarse.bracket[0]
-
-
 def test_find_threshold_none_in_range():
     res = find_threshold(ModelSpec(2), "temperature", resolve_pairs(2)[0], (1.5, 2.0))
     assert res.status == "none-in-range"
@@ -219,18 +223,17 @@ def test_find_threshold_requires_temperature_for_couplings():
 
 
 def test_threshold_curve_both_orientations():
-    cache = SpectralCache()
     pair = resolve_pairs(4)[0]
     # temperature thresholds along a short coupling axis
     curve = threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.2], "temperature",
-                            (0.05, 1.5), cache=cache)
+                            (0.05, 1.5))
     assert len(curve) == 2
     (j0, t0), (j1, t1) = curve
     assert (j0, j1) == (0.0, 0.2)
     assert t0 > t1 > 0.0          # stronger frustration lowers the threshold
     # transposed view: coupling threshold at fixed temperatures
     curve = threshold_curve(ModelSpec(4), pair, "temperature", [0.05, t0 + 0.2],
-                            "j2", (0.0, 1.0), cache=cache)
+                            "j2", (0.0, 1.0))
     assert curve[0][1] is not None
     assert curve[1][1] is None    # above the zero-coupling threshold: no boundary
 
