@@ -126,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--j2", type=float, help="next-nearest coupling (even n >= 4 only)")
     parser.add_argument("--b", type=float, help="z magnetic field (even n only)")
     parser.add_argument("--temperature", type=float,
-                        help="fixed temperature for coupling/field sweeps and thresholds")
+                        help="fixed temperature for coupling/field sweeps and thresholds "
+                             "(rejected where temperature is swept or searched)")
     parser.add_argument("--tmin", type=float, help="temperature axis start")
     parser.add_argument("--tmax", type=float, help="temperature axis end")
     parser.add_argument("--bmin", type=float, help="field axis start")
@@ -232,14 +233,13 @@ def _request(config: RunConfig):
                                 axis1=Axis("j2", *_range_for(config, "j2"), steps1),
                                 axis2=Axis("temperature", *_range_for(config, "temperature"),
                                            steps2),
-                                pairs=pairs)
+                                pairs=pairs, temperature=config.temperature)
         steps, _ = _axis_steps(config, expect_grid=False)
         parameter = {"sweep-temp": "temperature", "sweep-field": "field_b",
                      "sweep-j2": "j2"}[config.command]
         axis = Axis(parameter, *_range_for(config, parameter), steps)
         return SweepRequest(base=base, axis1=axis, pairs=pairs,
-                            temperature=config.temperature
-                            if parameter != "temperature" else None)
+                            temperature=config.temperature)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -1,18 +1,23 @@
 """Two-site reduction, partial transpose, and negativity.
 
-`reduce_pair` takes a pair state straight from a decomposition's pair blocks
-and eigenvector weights; `partial_trace` of a dense state is its oracle.
+`reduce_pair` takes pair states straight from a decomposition's pair blocks
+and eigenvector weights: one weight vector gives one pair state, a (k, D)
+stack of weight rows gives a (k, d, d) stack of them. `partial_trace` of a
+dense state is its oracle.
 
 Negativity is the sum of the absolute values of the negative eigenvalues of
-the partially transposed pair state, equivalently (||rho^T_A||_1 - 1)/2; both
-routes are computed and must agree. For (1/2,1) and (1/2,1/2) pairs a
-positive partial transpose is also sufficient for separability, so a zero
-value decides; for (1,1) pairs zero is inconclusive.
+the partially transposed pair state, equivalently (||rho^T_A||_1 - 1)/2.
+`negativities` is the one kernel: it checks every matrix of a stack (unit
+trace, symmetry, positive semidefiniteness), computes both routes for each
+and demands that they agree; `negativity` hands it a stack of one. For
+(1/2,1) and (1/2,1/2) pairs a positive partial transpose is also sufficient
+for separability, so a zero value decides; for (1,1) pairs zero is
+inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
@@ -42,7 +47,10 @@ class PairKind(Enum):
 
 @dataclass(frozen=True)
 class PairReducedState:
-    """Reduced state of two retained sites; basis is a-index major."""
+    """Reduced state of two retained sites; basis is a-index major.
+
+    matrix is one d x d state or a stack of them along leading axes.
+    """
 
     matrix: np.ndarray
     dim_a: int
@@ -61,12 +69,6 @@ class NegativityResult:
     pair_kind: PairKind
 
 
-def _pair_state(reduced: np.ndarray, dims: tuple[int, ...], site_a: int,
-                site_b: int) -> PairReducedState:
-    return PairReducedState(matrix=0.5 * (reduced + reduced.T), dim_a=dims[site_a],
-                            dim_b=dims[site_b], site_a=site_a, site_b=site_b)
-
-
 def partial_trace(state: State, keep: tuple[int, int]) -> PairReducedState:
     """Trace out every site except the two in `keep` (given in any order)."""
     order = state.layout.pair_order(keep)
@@ -77,66 +79,86 @@ def partial_trace(state: State, keep: tuple[int, int]) -> PairReducedState:
     d_rest = state.matrix.shape[0] // d_keep
     tensor = state.matrix.reshape(dims + dims).transpose(perm)
     reduced = np.einsum("arbr->ab", tensor.reshape(d_keep, d_rest, d_keep, d_rest))
-    return _pair_state(reduced, dims, order[0], order[1])
+    return PairReducedState(matrix=0.5 * (reduced + reduced.T), dim_a=dims[order[0]],
+                            dim_b=dims[order[1]], site_a=order[0], site_b=order[1])
 
 
 def reduce_pair(decomp: SpectralDecomposition, weights: np.ndarray,
                 keep: tuple[int, int]) -> PairReducedState:
     """Pair state of the mixture sum_i weights[i] |v_i><v_i|, from the pair blocks.
 
-    One mat-vec over the decomposition's pair blocks; with state_weights it
-    equals partial_trace of the Gibbs state (T > 0) or of the ground
-    manifold (T = 0).
+    A (k, D) stack of weight rows gives the k pair states as one stack. Each
+    row is one vector-matrix product over the decomposition's pair blocks,
+    the same product, bit for bit, whether the row comes alone or in a
+    stack; with state_weights it equals partial_trace of the Gibbs state
+    (T > 0) or of the ground manifold (T = 0).
     """
     blocks = decomp.pair_blocks(keep)
     site_a, site_b = sorted(keep)
-    d_keep = decomp.layout.dims[site_a] * decomp.layout.dims[site_b]
-    reduced = (weights @ blocks).reshape(d_keep, d_keep)
-    return _pair_state(reduced, decomp.layout.dims, site_a, site_b)
+    dims = decomp.layout.dims
+    d_keep = dims[site_a] * dims[site_b]
+    reduced = np.matmul(weights[..., None, :], blocks).reshape(*weights.shape[:-1],
+                                                               d_keep, d_keep)
+    return PairReducedState(matrix=0.5 * (reduced + reduced.swapaxes(-1, -2)),
+                            dim_a=dims[site_a], dim_b=dims[site_b],
+                            site_a=site_a, site_b=site_b)
 
 
 def partial_transpose(pair: PairReducedState, subsystem: str = "a") -> np.ndarray:
-    """Transpose the indices of one subsystem only.
+    """Transpose the indices of one subsystem only, of every state in a stack.
 
     Defaults to the lower-indexed site; the resulting spectrum is the same
     either way for a symmetric input.
     """
     da, db = pair.dim_a, pair.dim_b
-    blocks = pair.matrix.reshape(da, db, da, db)
+    lead = pair.matrix.shape[:-2]
+    blocks = pair.matrix.reshape(*lead, da, db, da, db)
     if subsystem == "a":
-        swapped = blocks.transpose(2, 1, 0, 3)
+        swapped = blocks.swapaxes(-4, -2)
     elif subsystem == "b":
-        swapped = blocks.transpose(0, 3, 2, 1)
+        swapped = blocks.swapaxes(-3, -1)
     else:
         raise ValueError("subsystem must be 'a' or 'b'")
-    return swapped.reshape(da * db, da * db)
+    return swapped.reshape(*lead, da * db, da * db)
 
 
-def _validate_pair(pair: PairReducedState) -> None:
-    m = pair.matrix
-    if abs(np.trace(m) - 1.0) > 1e-10:
-        raise ValueError(f"pair state trace {np.trace(m)} is not 1")
-    if np.abs(m - m.T).max() > 1e-10:
+def negativities(pairs: PairReducedState) -> np.ndarray:
+    """Sum of |negative eigenvalues| of the partial transpose, for each state of a stack.
+
+    Every matrix must have unit trace and be symmetric and positive
+    semidefinite (ValueError names the first that is not). Each value is
+    also evaluated in the trace-norm form (||rho^T||_1 - 1)/2, and the two
+    must agree to 1e-10; a mismatch signals an upstream bug (RuntimeError).
+    Returns an array shaped like the stack's leading axes.
+    """
+    d = pairs.dim_a * pairs.dim_b
+    m = pairs.matrix.reshape(-1, d, d)
+    traces = np.trace(m, axis1=1, axis2=2)
+    bad = np.abs(traces - 1.0) > 1e-10
+    if bad.any():
+        raise ValueError(f"pair state trace {traces[bad][0]} is not 1")
+    if np.abs(m - m.swapaxes(1, 2)).max() > 1e-10:
         raise ValueError("pair state is not symmetric")
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -1e-12:
-        raise ValueError(f"pair state not positive semidefinite (min eigenvalue {min_eig})")
+    min_eigs = np.linalg.eigvalsh(m)[:, 0]
+    if (min_eigs < -1e-12).any():
+        raise ValueError("pair state not positive semidefinite "
+                         f"(min eigenvalue {min_eigs[min_eigs < -1e-12][0]})")
+    eigs = np.linalg.eigvalsh(partial_transpose(replace(pairs, matrix=m)))
+    # eigenvalues ascend, so the negative ones lead each row and a running sum
+    # adds them one by one, as a sum of the selection alone does; a row sum
+    # pairs up the terms of a 9-entry (1,1) row and changes the last bits
+    values = -np.cumsum(np.where(eigs < -EPS_NEGATIVE, eigs, 0.0), axis=1)[:, -1] + 0.0
+    trace_norm_values = 0.5 * (np.abs(eigs).sum(axis=1) - 1.0)
+    gap = np.abs(values - trace_norm_values) > 1e-10
+    if gap.any():
+        raise RuntimeError("negativity routes disagree: "
+                           f"{values[gap][0]} vs {trace_norm_values[gap][0]}")
+    return values.reshape(pairs.matrix.shape[:-2])
 
 
 def negativity(pair: PairReducedState) -> NegativityResult:
-    """Sum of |negative eigenvalues| of the partial transpose.
-
-    Also evaluates the trace-norm form (||rho^T||_1 - 1)/2 and demands
-    agreement to 1e-10; a mismatch signals an upstream bug.
-    """
-    _validate_pair(pair)
-    eigs = np.linalg.eigvalsh(partial_transpose(pair))
-    value = float(-eigs[eigs < -EPS_NEGATIVE].sum()) + 0.0    # avoid -0.0 for empty sums
-    trace_norm_value = 0.5 * (float(np.abs(eigs).sum()) - 1.0)
-    if abs(value - trace_norm_value) > 1e-10:
-        raise RuntimeError(
-            f"negativity routes disagree: {value} vs {trace_norm_value}")
-    return NegativityResult(value=value, pair_kind=pair.kind)
+    """Negativity of one pair state: the kernel negativities on a stack of one."""
+    return NegativityResult(value=float(negativities(pair)), pair_kind=pair.kind)
 
 
 def pair_negativity(state: State, keep: tuple[int, int]) -> float:

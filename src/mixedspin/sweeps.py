@@ -1,31 +1,28 @@
 """Parameter sweeps, threshold location, and boundary curves.
 
-Every grid point goes one way: `_point` splits it into the model it runs on
-and its temperature, the model's zero-field decomposition gives its energies
-at the model's field (`SpectralDecomposition.energies`), `state_weights`
-turns the temperature into eigenvector weights (Boltzmann weights, or an
-equal mixture of the ground manifold at T = 0), and `pair_negativities`
-reduces each pair from the decomposition's pair blocks with those weights.
-The blocks are built once per decomposition and pair, so a further
-temperature or field costs one small mat-vec per pair; no D x D state is
-ever formed.
-
-A sweep groups its points by exchange couplings (`_couplings`: the model
-without its field, since the field term commutes with H), so a group costs
-one eigensolve, sector by sector of total Sz, plus the pair blocks of its
-decomposition. Groups run one after another, leaving the cores to the
-multithreaded BLAS inside each eigensolve, and each group's decomposition is
-dropped before the next eigensolve, so a sweep holds one at a time. Rows
-come out axis1-major.
+A sweep groups its points by exchange couplings, which only a j2 axis
+changes: every field shares the zero-field decomposition (the field term
+commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
+temperature only changes the weights. A group builds its coupling
+`ModelSpec` once and costs one eigensolve, sector by sector of total Sz,
+plus the pair blocks of its decomposition. Its points then go through in
+stacks of about STACK_ENTRIES weights: their spectra form a (k, D) matrix,
+`state_weights` turns it into a weight matrix W (Boltzmann weights, or an
+equal mixture of the ground manifold at T = 0), U and log Z follow in array
+operations, `reduce_pair` forms each pair's states as W @ pair blocks, and
+the `negativities` kernel checks and evaluates the whole stack. No D x D
+state is formed and no Python runs per point. Groups run one after another,
+leaving the cores to the multithreaded BLAS inside each eigensolve, and a
+sweep holds one decomposition at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
 value jumps) are handled the same way as smooth zeros. Which decompositions
 a search keeps is decided here, not by callers: a temperature or field
-search memoizes its one model, so it diagonalizes once; a j2 search holds
-one decomposition at a time; a boundary curve shares one memo across its
-points, which keeps the scan-grid models its next value meets again but
-never a bisection midpoint.
+search memoizes its one model, so it diagonalizes once, and scans as one
+stack; a j2 search holds one decomposition at a time; a boundary curve
+shares one memo across its points, which keeps the scan-grid models its
+next value meets again but never a bisection midpoint.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .models import ModelSpec, build_model
-from .negativity import negativity, reduce_pair
+from .negativity import negativities, reduce_pair
 from .thermal import (SpectralDecomposition, diagonalize, log_partition,
                       state_weights)
 
@@ -48,6 +45,11 @@ EPS_NONZERO = 1e-9
 
 # Bisection stops at a bracket this narrow, relative to max(1, threshold).
 THRESHOLD_RTOL = 1e-6
+
+# Weights per stack: a sweep evaluates max(1, STACK_ENTRIES // D) points at
+# once, so each (points x D) temporary stays near 256 kB however long its axes
+# are. Larger stacks of 8-site spectra measurably raise peak RSS.
+STACK_ENTRIES = 1 << 15
 
 SWEEPABLE = ("temperature", "field_b", "j2")
 
@@ -116,7 +118,7 @@ class SweepRequest:
     axis1: Axis
     axis2: Optional[Axis] = None
     pairs: tuple[PairSelector, ...] = ()
-    temperature: Optional[float] = None    # fixed T when no axis sweeps it
+    temperature: Optional[float] = None    # fixed T, required exactly when no axis sweeps it
 
     def __post_init__(self):
         if not self.pairs:
@@ -124,9 +126,12 @@ class SweepRequest:
         axes = [self.axis1.parameter] + ([self.axis2.parameter] if self.axis2 else [])
         if len(set(axes)) != len(axes):
             raise ValueError("axes must sweep distinct parameters")
-        if "temperature" not in axes:
-            if self.temperature is None or not 0.0 < self.temperature < math.inf:
-                raise ValueError("fixed temperature must be finite and > 0 when no axis sweeps it")
+        if "temperature" in axes:
+            if self.temperature is not None:
+                raise ValueError("temperature: an axis sweeps temperature, "
+                                 "so a fixed temperature would be ignored")
+        elif self.temperature is None or not 0.0 < self.temperature < math.inf:
+            raise ValueError("fixed temperature must be finite and > 0 when no axis sweeps it")
         for ax in filter(None, (self.axis1, self.axis2)):
             _check_corners(self.base, ax.parameter, (ax.lo, ax.hi))
 
@@ -201,44 +206,50 @@ def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
     """Pair negativities of the mixture sum_i weights[i] |v_i><v_i|.
 
     Pass state_weights(decomp.energies(b), T) for the Gibbs state at T > 0
-    or the ground-manifold mixture at T = 0. Each pair state comes from the
-    decomposition's pair blocks (reduce_pair) and is checked by negativity.
+    or the ground-manifold mixture at T = 0. A (k, D) stack of weight rows
+    gives a (k, npairs) array: each pair's k states come from the
+    decomposition's pair blocks in one reduce_pair and go through the
+    negativities kernel as one stack.
     """
-    return np.array([negativity(reduce_pair(decomp, weights, (p.site_a, p.site_b))).value
-                     for p in pairs])
+    return np.stack([negativities(reduce_pair(decomp, weights, (p.site_a, p.site_b)))
+                     for p in pairs], axis=-1)
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
     """Evaluate the request on its full grid.
 
     Points are grouped by couplings so each group diagonalizes once, whatever
-    its fields and temperatures; the groups run one after another, and each
+    its fields and temperatures, and is evaluated in stacks of about
+    STACK_ENTRIES weights; the groups run one after another, and each
     decomposition is let go before the next eigensolve. Output rows are
     axis1-major.
     """
     axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
     params = np.array(list(itertools.product(*(ax.values for ax in axes))))
-    points = []
-    groups: dict[ModelSpec, list[int]] = {}
-    for idx, row in enumerate(params):
-        spec, temperature = req.base, req.temperature
-        for ax, value in zip(axes, row):
-            spec, temperature = _point(spec, temperature, ax.parameter, value)
-        points.append((spec.field_b, temperature))
-        groups.setdefault(_couplings(spec), []).append(idx)
+
+    # each parameter at every point: its axis column, or its fixed value
+    point = {"field_b": req.base.field_b, "temperature": req.temperature, "j2": req.base.j2}
+    point.update((ax.parameter, params[:, i]) for i, ax in enumerate(axes))
+    fields, temperatures, j2s = (np.broadcast_to(point[p], len(params))
+                                 for p in ("field_b", "temperature", "j2"))
+    groups: dict[float, list[int]] = {}
+    for idx, j2 in enumerate(j2s.tolist()):
+        groups.setdefault(j2, []).append(idx)
 
     negativities = np.zeros((len(params), len(req.pairs)))
     energies = np.zeros(len(params))
     log_zs = np.zeros(len(params))
-    for spec, indices in groups.items():
-        decomp = _decompose(spec)
-        for idx in indices:
-            field_b, temperature = points[idx]
-            spectrum = decomp.energies(field_b)
-            weights = state_weights(spectrum, temperature)
-            negativities[idx] = pair_negativities(decomp, weights, req.pairs)
-            energies[idx] = float(np.dot(spectrum, weights))
-            log_zs[idx] = log_partition(spectrum, 1.0 / temperature)
+    for j2, indices in groups.items():
+        decomp = diagonalize(build_model(replace(req.base, j2=j2, field_b=0.0)))
+        chunk = max(1, STACK_ENTRIES // decomp.dimension)
+        for start in range(0, len(indices), chunk):
+            rows = indices[start:start + chunk]
+            spectra = decomp.energies(fields[rows, None])
+            weights = state_weights(spectra, temperatures[rows])
+            negativities[rows] = pair_negativities(decomp, weights, req.pairs)
+            # a batch of dot products: each row's sum runs as np.dot's would
+            energies[rows] = np.matmul(spectra[:, None, :], weights[:, :, None])[:, 0, 0]
+            log_zs[rows] = log_partition(spectra, 1.0 / temperatures[rows, None])
         del decomp
 
     columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
@@ -258,6 +269,8 @@ def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, 
     if parameter == "temperature":
         if lo < 0.0:
             raise ValueError("temperature search range must stay >= 0")
+        if fixed_temperature is not None:
+            raise ValueError("temperature: a temperature search takes no fixed temperature")
     elif fixed_temperature is None or not 0.0 <= fixed_temperature < math.inf:
         raise ValueError("coupling thresholds need a finite fixed temperature (>= 0)")
     _check_corners(base, parameter, search_range)
@@ -284,15 +297,30 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
 def _search(base: ModelSpec, parameter: str, pair: PairSelector,
             search_range: tuple[float, float], fixed_temperature: Optional[float],
             scan_points: int, memo: Optional[SpectralCache]) -> ThresholdResult:
-    """find_threshold on a checked range; a j2 search's midpoints bypass memo."""
-    def entangled(v: float, store: Optional[SpectralCache]) -> bool:
-        spec, temperature = _point(base, fixed_temperature, parameter, v)
+    """find_threshold on a checked range; a j2 search's midpoints bypass memo.
+
+    A temperature or field search evaluates its scan as one stack on its one
+    decomposition and each bisection midpoint as a stack of one.
+    """
+    def negativity_at(spec: ModelSpec, field_b: float | np.ndarray,
+                      temperature: float | np.ndarray,
+                      store: Optional[SpectralCache]) -> np.ndarray:
         decomp = store.get(spec) if store is not None else _decompose(spec)
-        weights = state_weights(decomp.energies(spec.field_b), temperature)
-        return pair_negativities(decomp, weights, [pair])[0] > EPS_NONZERO
+        weights = state_weights(decomp.energies(field_b), temperature)
+        return pair_negativities(decomp, weights, [pair])[..., 0]
+
+    def entangled(values: np.ndarray, store: Optional[SpectralCache]) -> np.ndarray:
+        if parameter == "j2":
+            found = np.array([negativity_at(replace(base, j2=float(v)), base.field_b,
+                                            fixed_temperature, store) for v in values])
+        elif parameter == "field_b":
+            found = negativity_at(base, values[:, None], fixed_temperature, store)
+        else:
+            found = negativity_at(base, base.field_b, values, store)
+        return found > EPS_NONZERO
 
     grid = np.linspace(search_range[0], search_range[1], scan_points)
-    flags = [entangled(v, memo) for v in grid]
+    flags = entangled(grid, memo)
     flip = next((i for i in range(1, len(grid)) if flags[i] != flags[i - 1]), None)
     if flip is None:
         return ThresholdResult(parameter=parameter, value=None, bracket=None,
@@ -301,7 +329,7 @@ def _search(base: ModelSpec, parameter: str, pair: PairSelector,
     lo_flag = flags[flip - 1]
     while hi - lo > THRESHOLD_RTOL * max(1.0, 0.5 * abs(lo + hi)):
         mid = 0.5 * (lo + hi)
-        if entangled(mid, None if parameter == "j2" else memo) == lo_flag:
+        if entangled(np.array([mid]), None if parameter == "j2" else memo)[0] == lo_flag:
             lo = mid
         else:
             hi = mid

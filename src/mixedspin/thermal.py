@@ -9,8 +9,11 @@ relative to the lowest energy so that inverse temperatures up to ~1e3 never
 overflow, and nothing assumes the energies are sorted. A state at
 temperature T is a weight vector over the eigenvectors (`state_weights`), and
 its pair states come from the decomposition's pair blocks without forming a
-D x D matrix. The dense `thermal_state` and `ground_manifold` matrices are the
-oracle for that route.
+D x D matrix. Many points on one decomposition are one stack: `energies`,
+`state_weights` and `log_partition` take a (k, D) stack of spectra, one row
+per point, and give each row what a single spectrum would get, bit for bit.
+The dense `thermal_state` and `ground_manifold` matrices are the oracle for
+that route.
 """
 
 from __future__ import annotations
@@ -46,8 +49,11 @@ class SpectralDecomposition:
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def energies(self, field_b: float) -> np.ndarray:
-        """Eigenvalues once field_b * Sz is added: same eigenvectors, not sorted."""
+    def energies(self, field_b: float | np.ndarray) -> np.ndarray:
+        """Eigenvalues once field_b * Sz is added: same eigenvectors, not sorted.
+
+        A (k, 1) array of fields gives a (k, D) stack, one spectrum per row.
+        """
         return self.eigenvalues + field_b * self.magnetizations
 
     def pair_blocks(self, keep: tuple[int, int]) -> np.ndarray:
@@ -124,16 +130,22 @@ def diagonalize(h: Hamiltonian) -> SpectralDecomposition:
                                  magnetizations=magnetizations[order], layout=h.layout)
 
 
-def boltzmann_weights(eigenvalues: np.ndarray, beta: float) -> np.ndarray:
-    """Normalized weights exp(-beta(E - E_min)) / sum, safe for large beta."""
-    shifted = np.exp(-beta * (eigenvalues - eigenvalues.min()))
-    return shifted / shifted.sum()
+def boltzmann_weights(eigenvalues: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
+    """Normalized weights exp(-beta(E - E_min)) / sum, safe for large beta.
+
+    For a (k, D) stack each row is shifted and normalized on its own; beta is
+    a number or a (k, 1) column.
+    """
+    weights = -beta * (eigenvalues - eigenvalues.min(axis=-1, keepdims=True))
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def _ground_mask(eigenvalues: np.ndarray) -> np.ndarray:
-    """Which eigenvalues, in any order, lie within GROUND_DEGENERACY_RTOL of the lowest."""
-    e_min = float(eigenvalues.min())
-    return eigenvalues <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
+    """Which eigenvalues, in any order, lie within GROUND_DEGENERACY_RTOL of their row's lowest."""
+    e_min = eigenvalues.min(axis=-1, keepdims=True)
+    return eigenvalues <= e_min + GROUND_DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
 
 
 def ground_degeneracy(eigenvalues: np.ndarray) -> int:
@@ -141,18 +153,33 @@ def ground_degeneracy(eigenvalues: np.ndarray) -> int:
     return int(np.count_nonzero(_ground_mask(eigenvalues)))
 
 
-def state_weights(eigenvalues: np.ndarray, temperature: float) -> np.ndarray:
-    """Eigenvector weights of the Gibbs state, or of the ground-manifold mixture at T = 0."""
-    if temperature == 0.0:
+def state_weights(eigenvalues: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:
+    """Eigenvector weights of the Gibbs state, or of the ground-manifold mixture at T = 0.
+
+    Takes one spectrum and a temperature, or a (k, D) stack of spectra and
+    one temperature per row; rows at T = 0 and T > 0 may share a stack.
+    """
+    t = np.asarray(temperature, dtype=float)[..., None]
+    zero = t == 0.0
+    weights = boltzmann_weights(eigenvalues, 1.0 / np.where(zero, 1.0, t))
+    if zero.any():
         ground = _ground_mask(eigenvalues)
-        return ground / np.count_nonzero(ground)
-    return boltzmann_weights(eigenvalues, 1.0 / temperature)
+        weights = np.where(zero, ground / np.count_nonzero(ground, axis=-1, keepdims=True),
+                           weights)
+    return weights
 
 
-def log_partition(eigenvalues: np.ndarray, beta: float) -> float:
-    """log Z computed with the ground-energy shift."""
-    e_min = eigenvalues.min()
-    return float(np.log(np.sum(np.exp(-beta * (eigenvalues - e_min)))) - beta * e_min)
+def log_partition(eigenvalues: np.ndarray, beta: float | np.ndarray) -> float | np.ndarray:
+    """log Z computed with the ground-energy shift.
+
+    A float for one spectrum; for a (k, D) stack and a (k, 1) column of
+    beta, one value per row.
+    """
+    e_min = eigenvalues.min(axis=-1, keepdims=True)
+    terms = -beta * (eigenvalues - e_min)
+    z = np.sum(np.exp(terms, out=terms), axis=-1, keepdims=True)
+    log_z = (np.log(z) - beta * e_min)[..., 0]
+    return float(log_z) if log_z.ndim == 0 else log_z
 
 
 def thermal_state(spec: SpectralDecomposition, temperature: float) -> ThermalState:

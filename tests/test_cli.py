@@ -200,6 +200,12 @@ def _no_eigensolve(*args, **kwargs):
     ["threshold", "--n", "2", "--param", "temperature", "--tmin", "0", "--tmax", "inf"],
     ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "5",
      "--temperature", "inf"],
+    ["sweep-temp", "--n", "2", "--tmin", "0.5", "--tmax", "2", "--steps", "3",
+     "--temperature", "-4"],
+    ["grid", "--n", "4", "--j2min", "0", "--j2max", "1", "--tmin", "0.1", "--tmax", "1",
+     "--steps", "3x3", "--temperature", "-1"],
+    ["threshold", "--n", "2", "--param", "temperature", "--tmin", "0.5", "--tmax", "2",
+     "--temperature", "nan"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes

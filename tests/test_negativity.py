@@ -1,4 +1,6 @@
+import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
                        negativity, pair_negativity, partial_trace,
                        partial_transpose, resolve_pairs, schmidt_negativity,
                        su2_negativity, su2_signed, thermal_state)
-from mixedspin.negativity import PairReducedState, reduce_pair
+from mixedspin.negativity import PairReducedState, negativities, reduce_pair
 from mixedspin.thermal import state_weights
 
 
@@ -273,3 +275,61 @@ def test_pair_blocks_cover_every_site_pair_in_either_order():
         decomp.pair_blocks((2, 2))
     with pytest.raises(ValueError, match="out of range"):
         decomp.pair_blocks((0, 5))
+
+
+# temperatures of one stack: ground-manifold rows at T = 0 among Gibbs rows
+STACK_TEMPERATURES = np.array([0.0, 0.02, 0.5, 0.0, 3.0])
+
+
+@pytest.mark.parametrize("spec", list(_oracle_cases()),
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_negativity_stack_matches_per_state_and_dense_oracle(spec):
+    # one stack of weight rows through reduce_pair and the negativities kernel
+    # against each row on its own and against the dense state's partial trace
+    decomp = diagonalize(build_model(spec))
+    spectra = np.tile(decomp.eigenvalues, (len(STACK_TEMPERATURES), 1))
+    weights = state_weights(spectra, STACK_TEMPERATURES)
+    dense = [ground_manifold(decomp) if t == 0.0 else thermal_state(decomp, t)
+             for t in STACK_TEMPERATURES]
+    for pair in resolve_pairs(spec.n_sites):
+        keep = (pair.site_a, pair.site_b)
+        stack = reduce_pair(decomp, weights, keep)
+        assert stack.matrix.shape[0] == len(STACK_TEMPERATURES)
+        values = negativities(stack)
+        per_state = [negativity(reduce_pair(decomp, w, keep)).value for w in weights]
+        oracle = [negativity(partial_trace(state, keep)).value for state in dense]
+        assert values.shape == (len(STACK_TEMPERATURES),)
+        assert np.abs(values - per_state).max() <= 1e-12
+        assert np.abs(values - oracle).max() <= 1e-12
+
+
+def test_negativity_stack_checks_every_matrix(monkeypatch):
+    # one bad matrix in the middle of an otherwise valid stack still raises
+    decomp = diagonalize(build_model(ModelSpec(2)))
+    temperatures = np.array([2.0, 2.5, 0.05, 3.0, 4.0])    # only 0.05 is entangled
+    good = reduce_pair(decomp, state_weights(np.tile(decomp.eigenvalues, (5, 1)),
+                                             temperatures), (0, 1))
+    values = negativities(good)
+    assert values[2] > 0.3 and not values[[0, 1, 3, 4]].any()
+
+    def middle(matrix):
+        stack = good.matrix.copy()
+        stack[2] = matrix
+        return replace(good, matrix=stack)
+
+    with pytest.raises(ValueError, match="trace"):
+        negativities(middle(1.5 * good.matrix[2]))
+    asymmetric = good.matrix[2].copy()
+    asymmetric[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        negativities(middle(asymmetric))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        negativities(middle(np.diag([0.6, 0.6, 0.1, 0.1, 0.1, -0.5])))
+    # the routes can only part through a bug in one of them: a cut-off that
+    # drops the entangled state's negative eigenvalues from the eigenvalue
+    # sum but not from the trace norm must be caught on that state alone
+    negmod = importlib.import_module("mixedspin.negativity")
+    monkeypatch.setattr(negmod, "EPS_NEGATIVE", 0.5)
+    assert negativities(replace(good, matrix=good.matrix[[0, 1, 3, 4]])).max() == 0.0
+    with pytest.raises(RuntimeError, match="disagree"):
+        negativities(good)

@@ -9,7 +9,7 @@ from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SweepRequest, build_model,
                        diagonalize, find_threshold, log_partition,
                        resolve_pairs, run_sweep, threshold_curve)
 from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
-from mixedspin.sweeps import available_pair_kinds, pair_negativities
+from mixedspin.sweeps import available_pair_kinds, check_threshold, pair_negativities
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, ground_degeneracy, state_weights
 
 
@@ -53,6 +53,12 @@ def test_request_validation():
     with pytest.raises(ValueError, match="even"):
         SweepRequest(base=ModelSpec(5), axis1=Axis("j2", 0.0, 1.0, 5),
                      temperature=1.0)
+    # a fixed temperature next to a temperature axis or search would be ignored
+    with pytest.raises(ValueError, match="temperature"):
+        SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 5),
+                     axis2=Axis("temperature", 0.1, 1.0, 5), temperature=0.5)
+    with pytest.raises(ValueError, match="temperature"):
+        check_threshold(ModelSpec(2), "temperature", (0.5, 2.0), fixed_temperature=0.5)
 
 
 def test_temperature_sweep_matches_closed_form():
@@ -324,3 +330,67 @@ def test_field_reuse_ground_manifold_spans_sectors_at_crossing():
                                resolve_pairs(2))
     fresh = pair_negativities(direct, state_weights(direct.eigenvalues, 0.0), resolve_pairs(2))
     assert np.abs(reused - fresh).max() <= 1e-12
+
+
+def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
+    # a field x temperature grid is one group of 115 points, a j2 x temperature
+    # grid five groups of 23: at four sites (D = 36) both span several stacks
+    # of 7 points
+    requests = [
+        SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", 0.0, 2.0, 5),
+                     axis2=Axis("temperature", 0.02, 1.0, 23), pairs=resolve_pairs(4)),
+        SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 5),
+                     axis2=Axis("temperature", 0.02, 1.0, 23), pairs=resolve_pairs(4)),
+    ]
+    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 1000 * 36)
+    whole = [run_sweep(req) for req in requests]
+    stacks = []
+    real = sweeps.log_partition
+    monkeypatch.setattr(sweeps, "log_partition",
+                        lambda e, beta: stacks.append(e.shape[0]) or real(e, beta))
+    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * 36)
+    chunked = [run_sweep(req) for req in requests]
+    assert stacks == [7] * 16 + [3] + ([7, 7, 7, 2] * 5)
+    for a, b in zip(whole, chunked):
+        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a.negativities, b.negativities)
+        assert np.array_equal(a.internal_energy, b.internal_energy)
+        assert np.array_equal(a.log_z, b.log_z)
+
+
+def test_grid_rows_match_the_single_point_path():
+    # every row of a 20 x 40 grid against one weight vector, one pair state
+    # and one negativity at a time
+    j2_axis, t_axis = Axis("j2", 0.0, 1.0, 20), Axis("temperature", 0.01, 1.2, 40)
+    pairs = resolve_pairs(4)
+    res = run_sweep(SweepRequest(base=ModelSpec(4), axis1=j2_axis, axis2=t_axis,
+                                 pairs=pairs))
+    row = 0
+    for j2 in j2_axis.values:
+        decomp = diagonalize(build_model(ModelSpec(4, j2=float(j2))))
+        for temperature in t_axis.values:
+            weights = state_weights(decomp.eigenvalues, temperature)
+            assert weights.shape == (decomp.dimension,)
+            expected = pair_negativities(decomp, weights, pairs)
+            u = float(np.dot(decomp.eigenvalues, weights))
+            log_z = log_partition(decomp.eigenvalues, 1.0 / temperature)
+            assert np.array_equal(res.params[row], [j2, temperature])
+            assert np.abs(res.negativities[row] - expected).max() <= 1e-12
+            assert abs(res.internal_energy[row] - u) <= 1e-12 * abs(u)
+            assert abs(res.log_z[row] - log_z) <= 1e-12 * abs(log_z)
+            row += 1
+    assert row == res.params.shape[0] == 800
+
+
+def test_temperature_and_field_searches_scan_as_one_stack(monkeypatch):
+    sizes = []
+    real = sweeps.negativities
+    monkeypatch.setattr(sweeps, "negativities",
+                        lambda states: sizes.append(states.matrix.shape[:-2]) or real(states))
+    pair = resolve_pairs(4)[0]
+    assert find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5)).status == "found"
+    assert sizes[0] == (64,) and set(sizes[1:]) == {(1,)}
+    sizes.clear()
+    assert find_threshold(ModelSpec(4), "field_b", pair, (0.0, 6.0),
+                          fixed_temperature=0.0).status == "found"
+    assert sizes[0] == (64,) and set(sizes[1:]) == {(1,)}
