@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, verify
 from .models import ModelSpec
-from .sweeps import (Axis, SweepRequest, SweepResult, ThresholdResult,
-                     check_threshold, find_threshold, resolve_pairs, run_sweep)
+from .sweeps import (Axis, SweepRequest, ThresholdResult, check_threshold,
+                     find_threshold, resolve_pairs, run_sweep)
 
 COMMANDS = ("sweep-temp", "sweep-field", "sweep-j2", "grid", "threshold", "verify")
 
@@ -254,41 +254,40 @@ def _range_for(config: RunConfig, parameter: str) -> tuple[float, float]:
     return float(pick[0]), float(pick[1])
 
 
-def _format_value(x: float) -> str:
-    if not np.isfinite(x):
-        raise NumericalCheckError(f"non-finite value {x!r} in output")
-    return f"{x:.12g}"
-
-
 def emit_csv(path: str, comments: Sequence[tuple[str, str]], header: Sequence[str],
              rows) -> None:
-    """Write comment lines, header, and rows atomically with LF newlines."""
-    lines = [f"# {key}={value}" for key, value in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_value(float(x)) for x in row))
-    text = "\n".join(lines) + "\n"
+    """Write comment lines, header, and rows atomically with LF newlines.
+
+    rows is a 2-D array or a sequence of equal-length rows, one value per
+    header column; every value must be finite.
+    """
+    values = np.asarray(rows, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericalCheckError(f"non-finite value {float(values[~finite][0])!r} in output")
+    row_format = ",".join(["%.12g"] * len(header)) + "\n"
+    lines = [f"# {key}={value}\n" for key, value in comments]
+    lines.append(",".join(header) + "\n")
+    # one row's Python floats at a time and no joined copy of the text, so
+    # the table costs no more memory than the lines it becomes
+    lines += [row_format % tuple(row.tolist()) for row in values]
     directory = os.path.dirname(os.path.abspath(path))
     try:
         handle = tempfile.NamedTemporaryFile("w", dir=directory, newline="\n",
                                              encoding="utf-8", delete=False,
                                              suffix=".tmp")
         with handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(handle.name, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _sweep_rows(result: SweepResult):
-    for i in range(result.params.shape[0]):
-        yield (*result.params[i], *result.negativities[i],
-               result.internal_energy[i], result.log_z[i])
-
-
 def _run_sweep_command(config: RunConfig) -> int:
     result = run_sweep(_request(config))
-    emit_csv(config.out, config.echo_items(), result.columns, _sweep_rows(result))
+    rows = np.column_stack((result.params, result.negativities,
+                            result.internal_energy, result.log_z))
+    emit_csv(config.out, config.echo_items(), result.columns, rows)
     print(f"wrote {result.params.shape[0]} rows to {config.out}")
     return 0
 

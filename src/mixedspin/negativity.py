@@ -2,8 +2,11 @@
 
 `reduce_pair` takes pair states straight from a decomposition's pair blocks
 and eigenvector weights: one weight vector gives one pair state, a (k, D)
-stack of weight rows gives a (k, d, d) stack of them. `partial_trace` of a
-dense state is its oracle.
+stack of weight rows gives a (k, d, d) stack of them. It is the only
+reduction that sweeps, thresholds and `verify` run. `partial_trace` of a
+dense D x D state stays because `perfbench/oracles.py` reduces its dense
+Gibbs matrices with it, an independent route against which the benchmark
+checks sampled rows; the tests use it as the oracle of `reduce_pair`.
 
 Negativity is the sum of the absolute values of the negative eigenvalues of
 the partially transposed pair state, equivalently (||rho^T_A||_1 - 1)/2.
@@ -12,24 +15,25 @@ trace, symmetry, positive semidefiniteness), computes both routes for each
 and demands that they agree; `negativity` hands it a stack of one. For
 (1/2,1) and (1/2,1/2) pairs a positive partial transpose is also sufficient
 for separability, so a zero value decides; for (1,1) pairs zero is
-inconclusive.
+inconclusive. At zero field the pair state is SU(2)-invariant and its
+negativity also follows from the exchange correlator alone (`correlator`,
+`su2_signed`; J. Schliemann, PRA 68, 012309 (2003)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .thermal import GroundManifoldState, SpectralDecomposition, ThermalState
+from .spin_ops import SiteLayout, SpinMagnitude, heisenberg_bond
+from .thermal import SpectralDecomposition, ThermalState
 
 # Partial-transpose eigenvalues above -EPS_NEGATIVE are eigensolver noise,
 # not entanglement.
 EPS_NEGATIVE = 1e-12
-
-State = Union[ThermalState, GroundManifoldState]
 
 
 class PairKind(Enum):
@@ -69,7 +73,7 @@ class NegativityResult:
     pair_kind: PairKind
 
 
-def partial_trace(state: State, keep: tuple[int, int]) -> PairReducedState:
+def partial_trace(state: ThermalState, keep: tuple[int, int]) -> PairReducedState:
     """Trace out every site except the two in `keep` (given in any order)."""
     order = state.layout.pair_order(keep)
     dims = state.layout.dims
@@ -161,11 +165,6 @@ def negativity(pair: PairReducedState) -> NegativityResult:
     return NegativityResult(value=float(negativities(pair)), pair_kind=pair.kind)
 
 
-def pair_negativity(state: State, keep: tuple[int, int]) -> float:
-    """Convenience: reduce to a pair and return the negativity value."""
-    return negativity(partial_trace(state, keep)).value
-
-
 def schmidt_negativity(coefficients: Sequence[float]) -> float:
     """Negativity of a bipartite pure state from its Schmidt coefficients."""
     c = np.asarray(coefficients, dtype=float)
@@ -175,6 +174,12 @@ def schmidt_negativity(coefficients: Sequence[float]) -> float:
         raise ValueError("Schmidt coefficients must be normalized")
     total = float(np.sum(c))
     return (total * total - 1.0) / 2.0
+
+
+def correlator(pair: PairReducedState) -> float:
+    """Exchange correlator Tr(rho_pair s_a . s_b) of one pair state."""
+    spins = SiteLayout(tuple(SpinMagnitude((d - 1) / 2) for d in (pair.dim_a, pair.dim_b)))
+    return float(np.sum(pair.matrix * heisenberg_bond(0, 1, spins)))
 
 
 def su2_signed(corr: float, kind: PairKind) -> float:

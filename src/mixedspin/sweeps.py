@@ -240,7 +240,7 @@ def run_sweep(req: SweepRequest) -> SweepResult:
     energies = np.zeros(len(params))
     log_zs = np.zeros(len(params))
     for j2, indices in groups.items():
-        decomp = diagonalize(build_model(replace(req.base, j2=j2, field_b=0.0)))
+        decomp = _decompose(replace(req.base, j2=j2))
         chunk = max(1, STACK_ENTRIES // decomp.dimension)
         for start in range(0, len(indices), chunk):
             rows = indices[start:start + chunk]

@@ -6,24 +6,30 @@ pinned tolerance. A handful of figure-derived constants from the source
 prose cannot be reproduced by the source's own closed forms; those are
 reported as informational lines (status "info") with the recomputed value,
 and do not fail the battery.
+
+The numeric side is the pipeline the sweeps run: a decomposition taken at
+zero field, eigenvector weights from `state_weights` (the ground-manifold
+mixture at T = 0), pair states from `reduce_pair`, log Z from
+`log_partition` and U as the weighted sum of the energies. No check forms a
+D x D state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytic
 from .models import ModelSpec, build_model
-from .negativity import (PairKind, negativity, pair_negativity, partial_trace,
-                         partial_transpose, schmidt_negativity, su2_negativity,
-                         su2_signed)
+from .negativity import (PairKind, PairReducedState, correlator, negativities,
+                         negativity, partial_transpose, reduce_pair,
+                         schmidt_negativity, su2_negativity, su2_signed)
 from .sweeps import (EPS_NONZERO, Axis, SweepRequest, find_threshold,
                      pair_negativities, resolve_pairs, run_sweep, threshold_curve)
-from .thermal import (correlator, diagonalize, ground_manifold, internal_energy,
-                      log_partition, state_weights, thermal_state)
+from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy,
+                      log_partition, state_weights)
 
 # Kronecker-order indices of the block-sorted two-site basis used by the
 # closed forms: positions (a1..a6) map to these rows of the (1/2,1) product
@@ -67,6 +73,20 @@ def _reorder_to_blocks(matrix: np.ndarray) -> np.ndarray:
     return matrix[idx]
 
 
+def _pair(decomp: SpectralDecomposition, temperature: float | np.ndarray,
+          keep: tuple[int, int], field_b: float = 0.0) -> PairReducedState:
+    """Pair state at temperature (T = 0: the ground manifold), as a sweep forms it.
+
+    An array of temperatures gives the stack of their pair states.
+    """
+    return reduce_pair(decomp, state_weights(decomp.energies(field_b), temperature), keep)
+
+
+def _energy(decomp: SpectralDecomposition, temperature: float) -> float:
+    """Internal energy U = sum_i E_i w_i at temperature, as a sweep computes it."""
+    return float(np.dot(decomp.eigenvalues, state_weights(decomp.eigenvalues, temperature)))
+
+
 # ---------------------------------------------------------------------------
 # Two-site checks
 # ---------------------------------------------------------------------------
@@ -76,20 +96,18 @@ def check_two_site() -> list[CheckResult]:
     decomp = diagonalize(build_model(ModelSpec(2)))
 
     temps = np.linspace(0.05, 2.0, 200)
-    worst = 0.0
-    for t in temps:
-        state = thermal_state(decomp, t)
-        numeric = pair_negativity(state, (0, 1))
-        worst = max(worst, abs(numeric - analytic.two_spin_negativity(1.0 / t)))
+    numeric = negativities(_pair(decomp, temps, (0, 1)))
+    worst = max(abs(value - analytic.two_spin_negativity(1.0 / t))
+                for t, value in zip(temps, numeric))
     out.append(_check("two_site.negativity_closed_form_200pts", worst, 1e-10))
 
-    state = thermal_state(decomp, 1.0)
     out.append(_check("two_site.log_partition_T1",
-                      abs(state.log_z - math.log(2.0 * math.e + 4.0 * math.exp(-0.5))),
+                      abs(log_partition(decomp.eigenvalues, 1.0)
+                          - math.log(2.0 * math.e + 4.0 * math.exp(-0.5))),
                       1e-12))
 
     betas = [0.3, 1.0, 4.0, 40.0]
-    worst = max(abs(internal_energy(decomp, b) - analytic.two_spin_internal_energy(b))
+    worst = max(abs(_energy(decomp, 1.0 / b) - analytic.two_spin_internal_energy(b))
                 for b in betas)
     out.append(_check("two_site.internal_energy_closed_form", worst, 1e-10))
 
@@ -102,7 +120,7 @@ def check_two_site() -> list[CheckResult]:
     for t in (0.2, 0.7, 1.5):
         el = analytic.two_spin_elements(1.0 / t)
         reference = _pair_matrix_from_elements(el)
-        numeric = _reorder_to_blocks(thermal_state(decomp, t).matrix)
+        numeric = _reorder_to_blocks(_pair(decomp, t, (0, 1)).matrix)
         worst = max(worst, float(np.abs(numeric - reference).max()))
     out.append(_check("two_site.thermal_elements", worst, 1e-10))
 
@@ -115,7 +133,7 @@ def check_two_site() -> list[CheckResult]:
             mean, radius = 0.5 * (da + db), 0.5 * math.hypot(da - db, 2.0 * off)
             blocks += [mean - radius, mean + radius]
         reference = np.sort(np.array(blocks + [el.a3, el.a4]))
-        pt = partial_transpose(partial_trace(thermal_state(decomp, t), (0, 1)))
+        pt = partial_transpose(_pair(decomp, t, (0, 1)))
         worst = max(worst, float(np.abs(np.sort(np.linalg.eigvalsh(pt)) - reference).max()))
     out.append(_check("two_site.partial_transpose_block_spectrum", worst, 1e-10))
 
@@ -124,10 +142,10 @@ def check_two_site() -> list[CheckResult]:
                       abs(res.value - analytic.TWO_SPIN_T_THRESHOLD), 1e-4,
                       detail=f"found {res.value:.6f}"))
 
-    manifold = ground_manifold(decomp)
-    out.append(_check("two_site.ground_degeneracy", abs(manifold.degeneracy - 2), 0))
+    out.append(_check("two_site.ground_degeneracy",
+                      abs(ground_degeneracy(decomp.eigenvalues) - 2), 0))
     out.append(_check("two_site.ground_negativity",
-                      abs(pair_negativity(manifold, (0, 1)) - 1.0 / 3.0), 1e-9))
+                      abs(negativity(_pair(decomp, 0.0, (0, 1))).value - 1.0 / 3.0), 1e-9))
     return out
 
 
@@ -143,16 +161,14 @@ def check_three_site() -> list[CheckResult]:
     for t in (0.2, 0.5, 1.0, 3.0):
         beta = 1.0 / t
         el = analytic.three_spin_elements(beta)
-        state = thermal_state(decomp, t)
-
-        pair12 = partial_trace(state, (0, 1))
+        pair12 = _pair(decomp, t, (0, 1))
         reference = _pair_matrix_from_elements(analytic.TwoSpinElements(
             a1=el.a1, a2=el.a2, a3=el.a3, a4=el.a3, a5=el.a2, a6=el.a1,
             b1=el.b1, b2=el.b1, log_z=el.log_z))
         worst12 = max(worst12, float(np.abs(
             _reorder_to_blocks(pair12.matrix) - reference).max()))
 
-        pair13 = partial_trace(state, (0, 2))
+        pair13 = _pair(decomp, t, (0, 2))
         ref13 = np.diag([el.aa1, el.aa2, el.aa2, el.aa1]).astype(float)
         ref13[1, 2] = ref13[2, 1] = el.bb
         worst13 = max(worst13, float(np.abs(pair13.matrix - ref13).max()))
@@ -165,14 +181,13 @@ def check_three_site() -> list[CheckResult]:
 
     worst = 0.0
     for t in (0.2, 0.6, 2.0):
-        pt = partial_transpose(partial_trace(thermal_state(decomp, t), (0, 2)))
+        pt = partial_transpose(_pair(decomp, t, (0, 2)))
         numeric = np.sort(np.linalg.eigvalsh(pt))
         reference = np.sort(analytic.three_spin_rho13_spectrum(1.0 / t))
         worst = max(worst, float(np.abs(numeric - reference).max()))
     out.append(_check("three_site.half_pair_transposed_spectrum", worst, 1e-10))
 
-    worst = max(pair_negativity(thermal_state(decomp, t), (0, 2))
-                for t in np.linspace(0.05, 5.0, 60))
+    worst = float(negativities(_pair(decomp, np.linspace(0.05, 5.0, 60), (0, 2))).max())
     out.append(_check("three_site.half_pair_never_entangled", worst, EPS_NONZERO))
 
     res = find_threshold(ModelSpec(3), "temperature", resolve_pairs(3)[0], (0.3, 2.0))
@@ -183,18 +198,16 @@ def check_three_site() -> list[CheckResult]:
 
     worst = 0.0
     for t in (0.2, 0.5, 1.0):
-        state = thermal_state(decomp, t)
-        n12 = su2_signed(correlator(state, 0, 1), PairKind.HALF_ONE)
-        n13 = su2_signed(correlator(state, 0, 2), PairKind.HALF_HALF)
-        u = internal_energy(decomp, 1.0 / t)
+        n12 = su2_signed(correlator(_pair(decomp, t, (0, 1))), PairKind.HALF_ONE)
+        n13 = su2_signed(correlator(_pair(decomp, t, (0, 2))), PairKind.HALF_HALF)
+        u = _energy(decomp, t)
         worst = max(worst, abs(u - analytic.three_spin_energy_relation(n12, n13)))
     out.append(_check("three_site.energy_negativity_relation", worst, 1e-8))
 
-    manifold = ground_manifold(decomp)
-    out.append(_check("three_site.ground_energy", abs(manifold.energy + 1.75), 1e-10))
+    out.append(_check("three_site.ground_energy", abs(decomp.eigenvalues[0] + 1.75), 1e-10))
     out.append(_check("three_site.ground_negativity_mixed_pair",
-                      abs(pair_negativity(manifold, (0, 1)) - 1.0 / 3.0), 1e-9))
-    n13_signed = su2_signed(correlator(manifold, 0, 2), PairKind.HALF_HALF)
+                      abs(negativity(_pair(decomp, 0.0, (0, 1))).value - 1.0 / 3.0), 1e-9))
+    n13_signed = su2_signed(correlator(_pair(decomp, 0.0, (0, 2))), PairKind.HALF_HALF)
     out.append(_check("three_site.ground_signed_half_pair", abs(n13_signed + 0.5), 1e-9))
     return out
 
@@ -209,27 +222,23 @@ def check_even_rings(max_n: int = 8) -> list[CheckResult]:
         if n > max_n:
             continue
         decomp = diagonalize(build_model(ModelSpec(n)))
-        worst = 0.0
-        for t in np.linspace(0.1, 2.0, 20):
-            state = thermal_state(decomp, t)
-            u_per_site = internal_energy(decomp, 1.0 / t) / n
-            numeric = pair_negativity(state, (0, 1))
-            worst = max(worst, abs(numeric
-                                   - analytic.even_ring_negativity_from_energy(u_per_site)))
+        temps = np.linspace(0.1, 2.0, 20)
+        numeric = negativities(_pair(decomp, temps, (0, 1)))
+        relation = analytic.even_ring_negativity_from_energy
+        worst = max(abs(value - relation(_energy(decomp, t) / n))
+                    for t, value in zip(temps, numeric))
         out.append(_check(f"even_ring.energy_relation_n{n}", worst, 1e-8))
 
-        state = thermal_state(decomp, 0.7)
-        u_per_site = internal_energy(decomp, 1.0 / 0.7) / n
-        worst = max(abs(correlator(state, a, b) - u_per_site)
-                    for a, b in [(i, (i + 1) % n) for i in range(n)])
+        u_per_site = _energy(decomp, 0.7) / n
+        worst = max(abs(correlator(_pair(decomp, 0.7, (i, (i + 1) % n))) - u_per_site)
+                    for i in range(n))
         out.append(_check(f"even_ring.uniform_bond_correlator_n{n}", worst, 1e-10))
 
     decomp4 = diagonalize(build_model(ModelSpec(4)))
-    manifold = ground_manifold(decomp4)
     out.append(_check("even_ring.n4_ground_energy_per_site",
-                      abs(manifold.energy / 4.0 + 0.75), 1e-10))
+                      abs(decomp4.eigenvalues[0] / 4.0 + 0.75), 1e-10))
     out.append(_check("even_ring.n4_ground_negativity",
-                      abs(pair_negativity(manifold, (0, 1)) - 1.0 / 6.0), 1e-9))
+                      abs(negativity(_pair(decomp4, 0.0, (0, 1))).value - 1.0 / 6.0), 1e-9))
     return out
 
 
@@ -252,8 +261,7 @@ def check_four_site_nnn() -> list[CheckResult]:
             decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             worst_z = max(worst_z, abs(log_partition(decomp.eigenvalues, beta)
                                        - analytic.four_spin_log_partition(beta, 1.0, j2)))
-            state = thermal_state(decomp, 1.0 / beta)
-            worst_c = max(worst_c, abs(correlator(state, 0, 1)
+            worst_c = max(worst_c, abs(correlator(_pair(decomp, 1.0 / beta, (0, 1)))
                                        - analytic.four_spin_correlator(beta, 1.0, j2)))
     out.append(_check("four_site.log_partition", worst_z, 1e-10))
     out.append(_check("four_site.nearest_correlator", worst_c, 1e-10))
@@ -264,9 +272,9 @@ def check_four_site_nnn() -> list[CheckResult]:
     out.append(_check("four_site.piecewise_ground_energy", worst, 1e-10))
 
     for j2, expected in ((0.1, 3), (0.3, 1), (0.7, 1)):
-        manifold = ground_manifold(diagonalize(build_model(ModelSpec(4, 1.0, j2))))
+        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         out.append(_check(f"four_site.ground_degeneracy_j2_{j2}",
-                          abs(manifold.degeneracy - expected), 0))
+                          abs(ground_degeneracy(decomp.eigenvalues) - expected), 0))
     return out
 
 
@@ -277,13 +285,14 @@ def check_four_site_nnn() -> list[CheckResult]:
 def check_field_model() -> list[CheckResult]:
     out = []
     worst = 0.0
+    # one zero-field decomposition serves every field, as in a field sweep
+    decomp = diagonalize(build_model(ModelSpec(2)))
     for t, b in ((0.5, 0.8), (0.05, 1.0), (0.05, 2.0), (1.0, 0.3)):
-        decomp = diagonalize(build_model(ModelSpec(2, 1.0, field_b=b)))
         el = analytic.field_elements(1.0 / t, b)
-        numeric = _reorder_to_blocks(thermal_state(decomp, t).matrix)
+        pair = _pair(decomp, t, (0, 1), field_b=b)
+        numeric = _reorder_to_blocks(pair.matrix)
         worst = max(worst, float(np.abs(numeric - _pair_matrix_from_elements(el)).max()))
-        worst = max(worst, abs(pair_negativity(thermal_state(decomp, t), (0, 1))
-                               - analytic.field_negativity(1.0 / t, b)))
+        worst = max(worst, abs(negativity(pair).value - analytic.field_negativity(1.0 / t, b)))
     out.append(_check("field.thermal_elements_and_negativity", worst, 1e-10))
 
     worst = 0.0
@@ -379,9 +388,8 @@ def check_threshold_trends(max_n: int = 8) -> list[CheckResult]:
                       detail=" < ".join(f"{v:.4f}" for v in odd)))
 
     decomp = diagonalize(build_model(ModelSpec(4)))
-    values = [pair_negativity(thermal_state(decomp, t), (0, 1))
-              for t in np.linspace(0.05, 1.5, 80)]
-    worst_rise = max(max(b - a for a, b in zip(values, values[1:])), 0.0)
+    values = negativities(_pair(decomp, np.linspace(0.05, 1.5, 80), (0, 1)))
+    worst_rise = max(float(np.diff(values).max()), 0.0)
     out.append(_check("trends.negativity_monotone_in_temperature", worst_rise, 1e-9))
     return out
 
@@ -448,15 +456,15 @@ def check_property_suite() -> list[CheckResult]:
     worst_trace = worst_sym = worst_psd = 0.0
     worst_pt = worst_routes = worst_su2 = 0.0
     for spec in specs:
-        decomp = diagonalize(build_model(spec))
+        decomp = diagonalize(build_model(replace(spec, field_b=0.0)))
         for t in (0.15, 0.8):
-            state = thermal_state(decomp, t)
-            worst_trace = max(worst_trace, abs(float(np.trace(state.matrix)) - 1.0))
-            worst_sym = max(worst_sym, float(np.abs(state.matrix - state.matrix.T).max()))
-            worst_psd = max(worst_psd, -float(np.linalg.eigvalsh(state.matrix)[0]))
             for pair in resolve_pairs(spec.n_sites):
                 sites = (pair.site_a, pair.site_b)
-                reduced = partial_trace(state, sites)
+                reduced = _pair(decomp, t, sites, field_b=spec.field_b)
+                m = reduced.matrix
+                worst_trace = max(worst_trace, abs(float(np.trace(m)) - 1.0))
+                worst_sym = max(worst_sym, float(np.abs(m - m.T).max()))
+                worst_psd = max(worst_psd, -float(np.linalg.eigvalsh(m)[0]))
                 spec_a = np.sort(np.linalg.eigvalsh(partial_transpose(reduced, "a")))
                 spec_b = np.sort(np.linalg.eigvalsh(partial_transpose(reduced, "b")))
                 worst_pt = max(worst_pt, float(np.abs(spec_a - spec_b).max()))
@@ -464,7 +472,7 @@ def check_property_suite() -> list[CheckResult]:
                 trace_norm = 0.5 * (float(np.abs(spec_a).sum()) - 1.0)
                 worst_routes = max(worst_routes, abs(res.value - max(0.0, trace_norm)))
                 if spec.field_b == 0.0 and res.pair_kind != PairKind.ONE_ONE:
-                    shortcut = su2_negativity(correlator(state, *sites), res.pair_kind)
+                    shortcut = su2_negativity(correlator(reduced), res.pair_kind)
                     worst_su2 = max(worst_su2, abs(res.value - shortcut))
     out.append(_check("properties.thermal_trace", worst_trace, 1e-10))
     out.append(_check("properties.thermal_symmetry", worst_sym, 1e-12))
@@ -475,7 +483,7 @@ def check_property_suite() -> list[CheckResult]:
 
     # local rotation invariance on a representative pair state
     decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.15)))
-    reduced = partial_trace(thermal_state(decomp, 0.3), (0, 1))
+    reduced = _pair(decomp, 0.3, (0, 1))
     base_value = negativity(reduced).value
     worst = 0.0
     for _ in range(20):

@@ -19,10 +19,10 @@ import pytest
 from conftest import timed
 from mixedspin import (EPS_NONZERO, ModelSpec, PairKind, build_model,
                        correlator, diagonalize, find_threshold,
-                       ground_manifold, internal_energy, log_partition,
-                       pair_negativity, resolve_pairs, su2_signed,
-                       thermal_state, threshold_curve)
+                       internal_energy, log_partition, partial_trace,
+                       resolve_pairs, su2_signed, thermal_state, threshold_curve)
 from mixedspin import analytic, verify
+from oracle import ground_manifold, pair_negativity
 
 SQRT2_3 = math.sqrt(2.0) / 3.0
 
@@ -83,8 +83,8 @@ def test_c03d_signed_energy_relation(decomp_nn):
     worst = 0.0
     for t in (0.2, 0.5, 1.0):
         state = thermal_state(decomp_nn[3], t)
-        n12 = su2_signed(correlator(state, 0, 1), PairKind.HALF_ONE)
-        n13 = su2_signed(correlator(state, 0, 2), PairKind.HALF_HALF)
+        n12 = su2_signed(correlator(partial_trace(state, (0, 1))), PairKind.HALF_ONE)
+        n13 = su2_signed(correlator(partial_trace(state, (0, 2))), PairKind.HALF_HALF)
         u = internal_energy(decomp_nn[3], 1.0 / t)
         worst = max(worst, abs(u - analytic.three_spin_energy_relation(n12, n13)))
     check("c03d three-site signed energy relation", worst <= 1e-8,
@@ -132,7 +132,8 @@ def test_c05_four_site_ladder_partition_correlator():
             decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             worst_z = max(worst_z, abs(log_partition(decomp.eigenvalues, beta)
                                        - analytic.four_spin_log_partition(beta, 1.0, j2)))
-            worst_c = max(worst_c, abs(correlator(thermal_state(decomp, 1.0 / beta), 0, 1)
+            pair = partial_trace(thermal_state(decomp, 1.0 / beta), (0, 1))
+            worst_c = max(worst_c, abs(correlator(pair)
                                        - analytic.four_spin_correlator(beta, 1.0, j2)))
     check("c05 log partition function", worst_z <= 1e-10, f"max |diff| = {worst_z:.2e}")
     check("c05 nearest-pair correlator", worst_c <= 1e-10, f"max |diff| = {worst_c:.2e}")

@@ -4,9 +4,10 @@ import numpy as np
 
 from conftest import reorder_to_blocks
 from mixedspin import (ModelSpec, build_model, correlator, diagonalize,
-                       internal_energy, log_partition, pair_negativity,
-                       partial_trace, partial_transpose, thermal_state)
+                       internal_energy, log_partition, partial_trace,
+                       partial_transpose, thermal_state)
 from mixedspin import analytic
+from oracle import pair_negativity
 
 SQRT2 = math.sqrt(2.0)
 
@@ -149,8 +150,8 @@ def test_three_spin_energy_relation_at_finite_temperature(decomp_nn):
     from mixedspin import PairKind, su2_signed
     for t in (0.2, 0.5, 1.0):
         state = thermal_state(decomp_nn[3], t)
-        n12 = su2_signed(correlator(state, 0, 1), PairKind.HALF_ONE)
-        n13 = su2_signed(correlator(state, 0, 2), PairKind.HALF_HALF)
+        n12 = su2_signed(correlator(partial_trace(state, (0, 1))), PairKind.HALF_ONE)
+        n13 = su2_signed(correlator(partial_trace(state, (0, 2))), PairKind.HALF_HALF)
         u = internal_energy(decomp_nn[3], 1.0 / t)
         assert abs(u - analytic.three_spin_energy_relation(n12, n13)) <= 1e-8
 
@@ -222,7 +223,7 @@ def test_four_spin_correlator_matches_numeric():
         for j2 in (0.0, 0.3, 0.7):
             decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
             state = thermal_state(decomp, 1.0 / beta)
-            assert abs(correlator(state, 0, 1)
+            assert abs(correlator(partial_trace(state, (0, 1)))
                        - analytic.four_spin_correlator(beta, 1.0, j2)) <= 1e-10
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
-                       build_model, correlator, diagonalize, ground_manifold,
-                       negativity, pair_negativity, partial_trace,
-                       partial_transpose, resolve_pairs, schmidt_negativity,
-                       su2_negativity, su2_signed, thermal_state)
+                       build_model, correlator, diagonalize, heisenberg_bond,
+                       negativity, partial_trace, partial_transpose, resolve_pairs,
+                       schmidt_negativity, su2_negativity, su2_signed,
+                       thermal_state)
 from mixedspin.negativity import PairReducedState, negativities, reduce_pair
 from mixedspin.thermal import state_weights
+from oracle import ground_manifold, pair_negativity
 
 
 def _pure_pair(vector, dim_a, dim_b, sites=(0, 1)):
@@ -188,8 +189,39 @@ def test_su2_shortcut_matches_pipeline_on_field_free_models(decomp_nn):
                 pair = partial_trace(state, sites)
                 if pair.kind == PairKind.ONE_ONE:
                     continue
-                shortcut = su2_negativity(correlator(state, *sites), pair.kind)
+                shortcut = su2_negativity(correlator(partial_trace(state, sites)), pair.kind)
                 assert abs(negativity(pair).value - shortcut) <= 1e-8
+
+
+def _correlator_cases():
+    for n in range(2, 9):
+        yield ModelSpec(n)
+    for n in (2, 4, 6, 8):
+        yield ModelSpec(n, field_b=0.7)
+    for n in (4, 6, 8):
+        yield ModelSpec(n, j2=0.3)
+
+
+@pytest.mark.parametrize("spec", list(_correlator_cases()),
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_pair_correlator_matches_dense_bond(spec):
+    # Tr(rho_pair s_a.s_b) on the pair state of the zero-field decomposition
+    # against the bond embedded in the full space, traced with the dense
+    # Gibbs or ground-manifold state of the Hamiltonian with its field
+    n = spec.n_sites
+    decomp = diagonalize(build_model(replace(spec, field_b=0.0)))
+    full = diagonalize(build_model(spec))
+    temperatures = (0.15, 0.8, 0.0)
+    weights = [state_weights(decomp.energies(spec.field_b), t) for t in temperatures]
+    dense = [ground_manifold(full) if t == 0.0 else thermal_state(full, t)
+             for t in temperatures]
+    bonds = {(p.site_a, p.site_b) for p in resolve_pairs(n)} | {(0, n - 1)}
+    for a, b in sorted(bonds):
+        for keep in ((a, b), (b, a)):
+            bond = heisenberg_bond(*keep, full.layout)
+            for w, state in zip(weights, dense):
+                fast = correlator(reduce_pair(decomp, w, keep))
+                assert abs(fast - float(np.sum(state.matrix * bond))) <= 1e-12
 
 
 def test_local_rotation_invariance():

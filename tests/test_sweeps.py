@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mixedspin import sweeps
+from mixedspin import sweeps, verify
 from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SweepRequest, build_model,
                        diagonalize, find_threshold, log_partition,
                        resolve_pairs, run_sweep, threshold_curve)
@@ -173,9 +173,9 @@ def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
 
 
 def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
-    # thermal_state, ground_manifold and partial_trace are the oracle only:
-    # sweeps.py imports none of them, and every search and sweep finishes
-    # with all three raising
+    # thermal_state and partial_trace are the oracle only, and ground_manifold
+    # lives in the tests: sweeps.py binds none of them, and every search and
+    # sweep finishes with both package functions raising
     # the package re-exports a function named `negativity`, so the submodule
     # has to come from the import system
     thermal = importlib.import_module("mixedspin.thermal")
@@ -187,7 +187,6 @@ def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
         raise AssertionError("dense oracle called on the fast path")
 
     monkeypatch.setattr(thermal, "thermal_state", forbidden)
-    monkeypatch.setattr(thermal, "ground_manifold", forbidden)
     monkeypatch.setattr(negmod, "partial_trace", forbidden)
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.6, 3),
                        axis2=Axis("temperature", 0.1, 1.0, 3), pairs=resolve_pairs(4))
@@ -198,6 +197,26 @@ def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
                           scan_points=8).status == "found"
     assert find_threshold(ModelSpec(2), "field_b", resolve_pairs(2)[0], (0.5, 2.5),
                           fixed_temperature=0.0).status == "found"
+
+
+def test_verify_never_forms_a_dense_state(monkeypatch):
+    # the battery checks the pipeline the sweeps run: verify.py binds no dense
+    # state or dense reduction, and every check runs, in the same order and
+    # without a failure, with thermal_state and partial_trace raising
+    thermal = importlib.import_module("mixedspin.thermal")
+    negmod = importlib.import_module("mixedspin.negativity")
+    for name in ("thermal_state", "ground_manifold", "partial_trace", "pair_negativity"):
+        assert not hasattr(verify, name)
+    names = [r.name for r in verify.run_all(max_n=4)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense oracle called by verify")
+
+    monkeypatch.setattr(thermal, "thermal_state", forbidden)
+    monkeypatch.setattr(negmod, "partial_trace", forbidden)
+    results = verify.run_all(max_n=4)
+    assert [r for r in results if r.status == "fail"] == []
+    assert [r.name for r in results] == names
 
 
 def test_find_threshold_two_site_temperature():
