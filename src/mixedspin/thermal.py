@@ -1,19 +1,23 @@
 """Spectral decomposition, Gibbs states, and thermal observables.
 
 Every ring Hamiltonian conserves total Sz, so `diagonalize` solves it one
-magnetization sector at a time and records each eigenvector's M. The field
-term b*Sz is constant on a sector, so at field b the energies are E_i + b*M_i
-on the same eigenvectors: one diagonalization serves every temperature and
-every field for fixed exchange couplings. Boltzmann weights are computed
-relative to the lowest energy so that inverse temperatures up to ~1e3 never
-overflow, and nothing assumes the energies are sorted. A state at
-temperature T is a weight vector over the eigenvectors (`state_weights`), and
-its pair states come from the decomposition's pair blocks without forming a
-D x D matrix. Many points on one decomposition are one stack: `energies`,
-`state_weights` and `log_partition` take a (k, D) stack of spectra, one row
-per point, and give each row what a single spectrum would get, bit for bit.
+magnetization sector at a time, keeps the eigenvectors by sector and records
+each one's M. At zero field H is invariant under the flip m -> -m on every
+site, so sector -M takes sector M's eigenpairs, rows reversed (spin
+inversion). The field term b*Sz is constant on a sector, so at field b the
+energies are E_i + b*M_i on the same eigenvectors: one diagonalization serves
+every temperature and every field for fixed exchange couplings. Boltzmann
+weights are computed relative to the lowest energy so that inverse
+temperatures up to ~1e3 never overflow, and nothing assumes the energies are
+sorted. A state at temperature T is a weight vector over the eigenvectors
+(`state_weights`), and its pair states come from the decomposition's pair
+blocks, built from the sectors. Many points on one decomposition are one
+stack: `energies`, `state_weights` and `log_partition` take a (k, D) stack
+of spectra, one row per point, and give each row what a single spectrum
+would get, bit for bit.
 
-The dense Gibbs matrix (`ThermalState`, `thermal_state`) and
+The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
+demand), the dense Gibbs matrix (`ThermalState`, `thermal_state`) and
 `internal_energy` run in no sweep, threshold or `verify` check. They stay
 because `perfbench/oracles.py` recomputes sampled benchmark rows through
 that independent D x D route, and the tests use it as the oracle of the
@@ -23,34 +27,53 @@ weights route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .models import Hamiltonian
-from .spin_ops import SiteLayout, basis_magnetization
+from .spin_ops import SiteLayout, basis_magnetization, spin_matrices
 
 # Eigenvectors within this relative distance of the minimum energy count as
 # part of the ground manifold (eigensolver accuracy budget).
 GROUND_DEGENERACY_RTOL = 1e-9
 
-# Eigenvectors per matmul when building pair blocks: the temporaries stay a
-# few MB instead of D x D.
-PAIR_BLOCK_CHUNK = 128
+
+class Sector(NamedTuple):
+    """A total-Sz sector's eigenvectors (columns over its basis rows) and their places.
+
+    `columns` places them in the ascending spectrum. If `mirror_of` is set,
+    the vectors are that sector's with the rows reversed (spin inversion).
+    """
+
+    rows: np.ndarray
+    vectors: np.ndarray
+    columns: np.ndarray
+    mirror_of: int | None = None
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues, orthonormal eigenvectors (columns) and their total Sz."""
+    """Ascending eigenvalues and their total Sz, with the eigenvectors kept by sector."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     magnetizations: np.ndarray
+    sectors: tuple[Sector, ...]
     layout: SiteLayout
     _pair_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors as dense D x D columns, assembled on every access."""
+        vectors = np.zeros((self.dimension, self.dimension))
+        for sector in self.sectors:
+            vectors[np.ix_(sector.rows, sector.columns)] = sector.vectors
+        return vectors
 
     def energies(self, field_b: float | np.ndarray) -> np.ndarray:
         """Eigenvalues once field_b * Sz is added: same eigenvectors, not sorted.
@@ -63,22 +86,26 @@ class SpectralDecomposition:
         """Row i is Tr_rest |v_i><v_i| on the two kept sites, flattened.
 
         The kept sites come first in ascending order, as in partial_trace.
-        Built once per pair and kept on this decomposition, so the blocks
-        live exactly as long as it does.
+        Each pair magnetization of a sector is one batched g @ g.T over a
+        grid of pair x rest states, and a mirrored sector's blocks are its
+        source's, reversed. Built once per pair and kept on this
+        decomposition, so the blocks live exactly as long as it does.
         """
-        order = self.layout.pair_order(keep)
-        key = order[:2]
+        key = self.layout.pair_order(keep)[:2]
         if key not in self._pair_blocks:
-            dims = self.layout.dims
-            d_keep = dims[key[0]] * dims[key[1]]
-            blocks = np.empty((self.dimension, d_keep * d_keep))
-            axes = (0, *(1 + i for i in order))
-            for start in range(0, self.dimension, PAIR_BLOCK_CHUNK):
-                vecs = self.eigenvectors[:, start:start + PAIR_BLOCK_CHUNK].T
-                k = vecs.shape[0]
-                m = vecs.reshape(k, *dims).transpose(axes).reshape(k, d_keep, -1)
-                blocks[start:start + k] = (m @ m.transpose(0, 2, 1)).reshape(k, -1)
-            self._pair_blocks[key] = blocks
+            back, plans = _pair_plan(self.layout, key)
+            d_keep = back.shape[0]
+            blocks = np.zeros((self.dimension, d_keep, d_keep))
+            for sector, (order, groups) in reversed(tuple(zip(self.sectors, plans))):
+                if sector.mirror_of is not None:      # its source, M > 0, came first
+                    source = self.sectors[sector.mirror_of].columns
+                    blocks[sector.columns] = blocks[source, ::-1, ::-1]
+                    continue
+                vecs = sector.vectors[order].T
+                for rows, pairs in groups:
+                    g = vecs[:, rows].reshape(vecs.shape[0], pairs.stop - pairs.start, -1)
+                    blocks[sector.columns, pairs, pairs] = g @ g.transpose(0, 2, 1)
+            self._pair_blocks[key] = blocks[:, back[:, None], back].reshape(self.dimension, -1)
         return self._pair_blocks[key]
 
 
@@ -92,35 +119,78 @@ class ThermalState:
     layout: SiteLayout
 
 
+# Like the bond sums in models.py, these depend only on the layout (and the
+# pair), so every decomposition of one ring size shares them.
+
+@lru_cache(maxsize=None)
+def _sector_rows(layout: SiteLayout) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Basis indices of each total-Sz sector in ascending M, and each row's M in that order.
+
+    The flip m -> -m maps basis index i to D - 1 - i: sectors k and S - 1 - k mirror.
+    """
+    m = basis_magnetization(layout)
+    rows = tuple(np.flatnonzero(m == value) for value in sorted(set(m.tolist())))
+    for shared in rows:
+        shared.setflags(write=False)
+    return rows, m[np.concatenate(rows)]
+
+
+@lru_cache(maxsize=None)
+def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
+    """Per sector, a row order and (rows, pair ranks) slices for pair_blocks.
+
+    Pair states are ranked by (pair magnetization, index); `back` maps each
+    to its rank. A stable sort of a sector's rows by pair rank turns each
+    pair magnetization into one run of P pair states x R rest states.
+    """
+    site_a, site_b = keep
+    dims = layout.dims
+    m_a, m_b = (np.diag(spin_matrices(layout.spins[site]).sz) for site in keep)
+    pair_m = np.add.outer(m_a, m_b).ravel()
+    back = np.argsort(np.argsort(pair_m, kind="stable"))
+    edges = np.flatnonzero(np.diff(np.sort(pair_m), prepend=-np.inf, append=np.inf))
+    digits = np.unravel_index(np.arange(layout.total_dimension), dims)
+    rank = back[digits[site_a] * dims[site_b] + digits[site_b]]
+    plans = []
+    for rows in _sector_rows(layout)[0]:
+        order = np.argsort(rank[rows], kind="stable")
+        runs = np.searchsorted(rank[rows][order], edges)
+        plans.append((order, tuple((slice(runs[j], runs[j + 1]), slice(edges[j], edges[j + 1]))
+                                   for j in range(edges.shape[0] - 1) if runs[j + 1] > runs[j])))
+    return back, tuple(plans)
+
+
 def diagonalize(h: Hamiltonian) -> SpectralDecomposition:
     """Symmetric eigensolve one total-Sz sector at a time.
 
     Each sector's block is sliced out of the dense matrix by index and solved
-    on its own; its eigenvectors go back into the full basis on the sector's
-    rows, in the columns that put all eigenvalues in ascending order. Raises
-    ValueError if the matrix couples two sectors, LinAlgError if LAPACK fails
-    to converge.
+    on its own, except a sector -M whose block is exactly sector M's block
+    reversed (the flip m -> -m on every site; exact at zero field, broken by
+    a field): its eigenvectors are sector M's with the rows reversed, on the
+    same eigenvalues. Raises ValueError if the matrix couples two sectors,
+    LinAlgError if LAPACK fails to converge.
     """
     if not np.isfinite(h.matrix).all():
         raise ValueError("Hamiltonian contains non-finite entries")
-    m = basis_magnetization(h.layout)
-    sectors = [np.flatnonzero(m == value) for value in sorted(set(m.tolist()))]
-    blocks = [h.matrix[np.ix_(rows, rows)] for rows in sectors]
+    sector_rows, sector_m = _sector_rows(h.layout)
+    blocks = [h.matrix[np.ix_(rows, rows)] for rows in sector_rows]
     if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h.matrix):
         raise ValueError("Hamiltonian does not conserve total Sz")
-    solved = [np.linalg.eigh(b) for b in blocks]
-    eigenvalues = np.concatenate([e for e, _ in solved])
+    last = len(blocks) - 1
+    solved = [None] * len(blocks)
+    for k in reversed(range(len(blocks))):      # each M > 0 before its -M
+        if k < last - k and np.array_equal(blocks[k], blocks[last - k][::-1, ::-1]):
+            values, vectors, _ = solved[last - k]
+            solved[k] = (values, vectors[::-1], last - k)
+        else:
+            solved[k] = (*np.linalg.eigh(blocks[k]), None)
+    eigenvalues = np.concatenate([values for values, _, _ in solved])
     order = np.argsort(eigenvalues, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(order.shape[0])
-    eigenvectors = np.zeros_like(h.matrix)
-    start = 0
-    for rows, (_, vecs) in zip(sectors, solved):
-        eigenvectors[np.ix_(rows, column[start:start + rows.shape[0]])] = vecs
-        start += rows.shape[0]
-    magnetizations = np.concatenate([m[rows] for rows in sectors])
-    return SpectralDecomposition(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors,
-                                 magnetizations=magnetizations[order], layout=h.layout)
+    columns = np.split(np.argsort(order), np.cumsum([len(rows) for rows in sector_rows[:-1]]))
+    sectors = tuple(Sector(rows, vectors, place, mirror) for rows, (_, vectors, mirror), place
+                    in zip(sector_rows, solved, columns))
+    return SpectralDecomposition(eigenvalues=eigenvalues[order], magnetizations=sector_m[order],
+                                 sectors=sectors, layout=h.layout)
 
 
 def boltzmann_weights(eigenvalues: np.ndarray, beta: float | np.ndarray) -> np.ndarray:

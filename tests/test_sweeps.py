@@ -172,25 +172,38 @@ def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
     assert calls == [ModelSpec(4, j2=v) for v in (0.0, 0.1, 0.2)]
 
 
-def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
-    # thermal_state and partial_trace are the oracle only, and ground_manifold
-    # lives in the tests: sweeps.py binds none of them, and every search and
-    # sweep finishes with both package functions raising
+def _forbid_dense(monkeypatch, message):
+    """Make thermal_state, partial_trace and the dense eigenvector matrix raise."""
     # the package re-exports a function named `negativity`, so the submodule
     # has to come from the import system
     thermal = importlib.import_module("mixedspin.thermal")
     negmod = importlib.import_module("mixedspin.negativity")
-    for name in ("thermal_state", "ground_manifold", "partial_trace"):
-        assert not hasattr(sweeps, name)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense oracle called on the fast path")
+        raise AssertionError(message)
 
     monkeypatch.setattr(thermal, "thermal_state", forbidden)
     monkeypatch.setattr(negmod, "partial_trace", forbidden)
+    monkeypatch.setattr(thermal.SpectralDecomposition, "eigenvectors", property(forbidden))
+
+
+def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
+    # thermal_state and partial_trace are the oracle only, and ground_manifold
+    # lives in the tests: sweeps.py binds none of them, and every search and
+    # sweep of the three families finishes with both package functions and
+    # the D x D eigenvector assembly raising
+    for name in ("thermal_state", "ground_manifold", "partial_trace"):
+        assert not hasattr(sweeps, name)
+    _forbid_dense(monkeypatch, "dense oracle called on the fast path")
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.6, 3),
                        axis2=Axis("temperature", 0.1, 1.0, 3), pairs=resolve_pairs(4))
     assert run_sweep(req).negativities.shape == (9, 3)
+    req = SweepRequest(base=ModelSpec(6), axis1=Axis("field_b", 0.0, 2.0, 3),
+                       pairs=resolve_pairs(6), temperature=0.1)
+    assert run_sweep(req).negativities.shape == (3, 3)
+    req = SweepRequest(base=ModelSpec(5), axis1=Axis("temperature", 0.1, 1.0, 3),
+                       pairs=resolve_pairs(5))
+    assert run_sweep(req).negativities.shape == (3, 3)
     pair = resolve_pairs(4)[0]
     assert find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5)).status == "found"
     assert find_threshold(ModelSpec(4), "j2", pair, (0.0, 1.0), fixed_temperature=0.0,
@@ -202,18 +215,12 @@ def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
 def test_verify_never_forms_a_dense_state(monkeypatch):
     # the battery checks the pipeline the sweeps run: verify.py binds no dense
     # state or dense reduction, and every check runs, in the same order and
-    # without a failure, with thermal_state and partial_trace raising
-    thermal = importlib.import_module("mixedspin.thermal")
-    negmod = importlib.import_module("mixedspin.negativity")
+    # without a failure, with thermal_state, partial_trace and the D x D
+    # eigenvector assembly raising
     for name in ("thermal_state", "ground_manifold", "partial_trace", "pair_negativity"):
         assert not hasattr(verify, name)
     names = [r.name for r in verify.run_all(max_n=4)]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense oracle called by verify")
-
-    monkeypatch.setattr(thermal, "thermal_state", forbidden)
-    monkeypatch.setattr(negmod, "partial_trace", forbidden)
+    _forbid_dense(monkeypatch, "dense oracle called by verify")
     results = verify.run_all(max_n=4)
     assert [r for r in results if r.status == "fail"] == []
     assert [r.name for r in results] == names

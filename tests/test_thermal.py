@@ -206,10 +206,13 @@ def test_weights_and_ground_manifold_take_energies_in_any_order():
     # the positions
     decomp = diagonalize(build_model(ModelSpec(4, 1.0, 0.1)))    # 3-fold ground
     perm = np.random.default_rng(5).permutation(decomp.dimension)
+    place = np.argsort(perm)        # the shuffled position of each eigenvector
     shuffled = SpectralDecomposition(eigenvalues=decomp.eigenvalues[perm],
-                                     eigenvectors=decomp.eigenvectors[:, perm],
                                      magnetizations=decomp.magnetizations[perm],
+                                     sectors=tuple(s._replace(columns=place[s.columns])
+                                                   for s in decomp.sectors),
                                      layout=decomp.layout)
+    assert np.array_equal(shuffled.eigenvectors, decomp.eigenvectors[:, perm])
     assert shuffled.eigenvalues[0] > shuffled.eigenvalues.min()
     assert ground_degeneracy(shuffled.eigenvalues) == 3
     assert np.array_equal(state_weights(shuffled.eigenvalues, 0.0),
@@ -275,3 +278,36 @@ def test_sector_diagonalize_matches_dense_eigh(spec):
                                         temperature, keep)
             fast = reduce_pair(decomp, weights, keep).matrix
             assert np.abs(fast - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", list(_sector_cases()),
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_mirror_sectors_share_spectra_and_flip_pair_blocks(spec):
+    # flipping m -> -m on every site maps sector M onto -M: at b = 0 that is
+    # an exact symmetry, so sector -M takes sector M's eigenpairs and its
+    # spectrum is the same numbers; the field's b*Sz breaks it, so sector -M
+    # is solved on its own and lies 2bM below sector M
+    h = build_model(spec)
+    decomp = diagonalize(h)
+    b, m, energies = spec.field_b, decomp.magnetizations, decomp.eigenvalues
+    for sector in decomp.sectors:
+        assert (sector.mirror_of is not None) == (b == 0.0 and m[sector.columns[0]] < 0)
+    for value in set(m[m > 0].tolist()):
+        if b == 0.0:
+            assert np.array_equal(energies[m == -value], energies[m == value])
+        else:
+            shifted = energies[m == value] - 2.0 * b * value
+            assert np.abs(energies[m == -value] - shifted).max() <= 1e-12
+    # the pair blocks of the -M eigenvectors against the dense partial trace
+    # of a random mixture of them
+    negative = np.flatnonzero(m < 0)
+    weights = np.zeros(decomp.dimension)
+    weights[negative] = np.random.default_rng(spec.n_sites).random(negative.shape[0])
+    weights /= weights.sum()
+    vectors = decomp.eigenvectors[:, negative]
+    rho = (vectors * weights[negative]) @ vectors.T
+    state = ThermalState(matrix=rho, beta=1.0, log_z=0.0, layout=h.layout)
+    for pair in resolve_pairs(spec.n_sites):
+        keep = (pair.site_a, pair.site_b)
+        fast = reduce_pair(decomp, weights, keep).matrix
+        assert np.abs(fast - partial_trace(state, keep).matrix).max() <= 1e-12
