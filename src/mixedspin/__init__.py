@@ -8,7 +8,7 @@ from .negativity import (NegativityResult, PairKind, PairReducedState,
                          reduce_pair, schmidt_negativity, su2_negativity,
                          su2_signed)
 from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, embed,
-                       heisenberg_bond, spin_matrices, total_sz)
+                       heisenberg_bond, spin_matrices)
 from .sweeps import (EPS_NONZERO, Axis, PairSelector, SweepRequest, SweepResult,
                      ThresholdResult, find_threshold, resolve_pairs, run_sweep,
                      threshold_curve)
@@ -18,7 +18,7 @@ from .thermal import (SpectralDecomposition, ThermalState, diagonalize,
 __all__ = [
     "__version__",
     "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices", "embed",
-    "heisenberg_bond", "total_sz",
+    "heisenberg_bond",
     "ModelSpec", "Hamiltonian", "ring_layout", "build_model",
     "SpectralDecomposition", "ThermalState", "diagonalize", "state_weights",
     "thermal_state", "internal_energy", "log_partition",

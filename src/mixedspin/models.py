@@ -11,6 +11,11 @@ cell i+1 (mod N/2) on each sublattice. On the four-site ring that sum visits
 every sublattice pair twice, so each pair effectively carries 2*J2; this is
 deliberate and is pinned down by the four-site level ladder checked in the
 tests. For N >= 6 every pair appears exactly once.
+
+Every term conserves total Sz, so a Hamiltonian is built and kept as its
+sector blocks, straight from the bond action on each sector's product
+states; no full-space matrix is formed. `Hamiltonian.matrix` assembles the
+D x D matrix on demand for the dense oracles of the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import HALF, ONE, SiteLayout, heisenberg_bond, total_sz
+from .spin_ops import (HALF, ONE, SiteLayout, basis_magnetization, sector_rows,
+                       spin_matrices)
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,8 @@ class ModelSpec:
     field_b: float = 0.0
 
     def __post_init__(self):
-        # Dense matrices: 8 sites is 1296 states, and each cell more is 6x.
+        # 8 sites is 1296 states, the largest ring the tests can check
+        # against the full Kronecker-built matrix; each cell more is 6x.
         if not 2 <= self.n_sites <= 8:
             raise ValueError("n_sites must be between 2 and 8")
         if not all(map(math.isfinite, (self.j1, self.j2, self.field_b))):
@@ -57,9 +64,19 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    matrix: np.ndarray
+    """H as its total-Sz sector blocks, one per sector of sector_rows(layout), in ascending M."""
+
+    blocks: tuple[np.ndarray, ...]
     layout: SiteLayout
     spec: ModelSpec
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """H as a dense D x D matrix, assembled on every access (for the dense oracles only)."""
+        h = np.zeros((self.layout.total_dimension,) * 2)
+        for rows, block in zip(sector_rows(self.layout)[0], self.blocks):
+            h[np.ix_(rows, rows)] = block
+        return h
 
 
 def ring_layout(n: int) -> SiteLayout:
@@ -92,14 +109,56 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
 
 
 # The bond sums depend only on the ring size, not the couplings; caching them
-# makes coupling sweeps cost one matrix combination per grid point instead of
-# embedding every bond again (about 0.15 s per sum at 8 sites).
+# makes coupling sweeps cost one combination of two arrays per grid point.
+# Every bond conserves total Sz, so each sum is kept as its sector blocks
+# (sector_rows order), raveled end to end in one flat array: 243,782 entries
+# at 8 sites against 1296^2 for the full matrix.
+
+@lru_cache(maxsize=None)
+def _sector_grid(layout: SiteLayout) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Places in the flat sector blocks: entry (i, j) of one sector is at row_start[i] + place[j].
+
+    Also each block's slice of the flat array and its side.
+    """
+    row_start = np.empty(layout.total_dimension, dtype=np.intp)
+    place = np.empty_like(row_start)
+    blocks, start = [], 0
+    for rows in sector_rows(layout)[0]:
+        k = rows.shape[0]
+        place[rows] = np.arange(k)
+        row_start[rows] = start + k * place[rows]
+        blocks.append((slice(start, start + k * k), k))
+        start += k * k
+    row_start.setflags(write=False)
+    place.setflags(write=False)
+    return row_start, place, tuple(blocks)
+
 
 @lru_cache(maxsize=None)
 def _bond_sum(n: int, bond_list) -> np.ndarray:
-    """Sum of unit Heisenberg bonds over bond_list(n) (nn_bond_list or nnn_bond_list)."""
+    """Sector blocks of the sum of unit Heisenberg bonds over bond_list(n), flattened.
+
+    A bond s_a . s_b adds m_a m_b to each product state's diagonal entry and
+    (s+_a s-_b + s-_a s+_b)/2 between two states one flip apart, which share
+    a sector. The bonds are added in bond_list order, so every entry is the
+    same float as in the sum of the embedded bonds.
+    """
     layout = ring_layout(n)
-    h = sum(heisenberg_bond(a, b, layout) for a, b in bond_list(n))
+    row_start, place, blocks = _sector_grid(layout)
+    digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
+    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
+    h = np.zeros(blocks[-1][0].stop)
+    diagonal = row_start + place
+    for a, b in bond_list(n):
+        ops_a, ops_b = spin_matrices(layout.spins[a]), spin_matrices(layout.spins[b])
+        h[diagonal] += np.diag(ops_a.sz)[digits[a]] * np.diag(ops_b.sz)[digits[b]]
+        # states where s+_a s-_b acts: site a below its top m, site b above its bottom
+        state = np.flatnonzero((digits[a] > 0) & (digits[b] < layout.dims[b] - 1))
+        flipped = state - strides[a] + strides[b]
+        da, db = digits[a][state], digits[b][state]
+        value = 0.5 * (ops_a.splus[da - 1, da] * ops_b.sminus[db + 1, db])
+        h[row_start[flipped] + place[state]] += value
+        h[row_start[state] + place[flipped]] += value
     h.setflags(write=False)
     return h
 
@@ -107,9 +166,12 @@ def _bond_sum(n: int, bond_list) -> np.ndarray:
 def build_model(spec: ModelSpec) -> Hamiltonian:
     """The plain ring, plus the field term or the next-nearest term when set."""
     n = spec.n_sites
+    layout = ring_layout(n)
+    row_start, place, blocks = _sector_grid(layout)
     h = spec.j1 * _bond_sum(n, nn_bond_list)
     if spec.field_b != 0.0:
-        h = h + spec.field_b * total_sz(ring_layout(n))
+        h[row_start + place] += spec.field_b * basis_magnetization(layout)
     elif spec.j2 != 0.0:
         h = h + spec.j2 * _bond_sum(n, nnn_bond_list)
-    return Hamiltonian(matrix=h, layout=ring_layout(n), spec=spec)
+    return Hamiltonian(blocks=tuple(h[span].reshape(k, k) for span, k in blocks),
+                       layout=layout, spec=spec)

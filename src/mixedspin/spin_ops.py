@@ -1,4 +1,4 @@
-"""Local spin operators and their embedding into a ring's product space.
+"""Local spin operators, their embedding into a ring's product space, and its Sz sectors.
 
 Everything here is real arithmetic: exchange couplings are assembled in the
 ladder form sz*sz + (s+ s- + s- s+)/2 instead of using sy, so Hamiltonians
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +139,14 @@ def basis_magnetization(layout: SiteLayout) -> np.ndarray:
     return m
 
 
-def total_sz(layout: SiteLayout) -> np.ndarray:
-    """Sum of all embedded z operators: the diagonal of basis_magnetization."""
-    return np.diag(basis_magnetization(layout))
+@lru_cache(maxsize=None)
+def sector_rows(layout: SiteLayout) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Basis indices of each total-Sz sector in ascending M, and each row's M in that order.
+
+    The flip m -> -m maps basis index i to D - 1 - i: sectors k and S - 1 - k mirror.
+    """
+    m = basis_magnetization(layout)
+    rows = tuple(np.flatnonzero(m == value) for value in sorted(set(m.tolist())))
+    for shared in rows:
+        shared.setflags(write=False)
+    return rows, m[np.concatenate(rows)]

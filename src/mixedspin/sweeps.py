@@ -4,18 +4,19 @@ A sweep groups its points by exchange couplings, which only a j2 axis
 changes: every field shares the zero-field decomposition (the field term
 commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
 temperature only changes the weights. A group builds its coupling
-`ModelSpec` once and costs one eigensolve, sector by sector of total Sz
-(being at zero field, only the sectors M >= 0: spin inversion gives the
-rest), plus the pair blocks of its decomposition, gathered from the sector
-eigenvectors. Its points then go through in stacks of about STACK_ENTRIES
-weights: their spectra form a (k, D) matrix, `state_weights` turns it into a
-weight matrix W (Boltzmann weights, or an equal mixture of the ground
-manifold at T = 0), U and log Z follow in array operations, `reduce_pair`
-forms each pair's states as W @ pair blocks, and the `negativities` kernel
-checks and evaluates the whole stack. No D x D state or eigenvector matrix
-is formed and no Python runs per point. Groups run one after another,
-leaving the cores to the multithreaded BLAS inside each eigensolve, and a
-sweep holds one decomposition at a time. Rows come out axis1-major.
+`ModelSpec` once, as the Hamiltonian's total-Sz sector blocks, and costs
+one eigensolve, sector by sector (being at zero field, only the sectors
+M >= 0: spin inversion gives the rest), plus the pair blocks of its
+decomposition, gathered from the sector eigenvectors. Its points then go
+through in stacks of about STACK_ENTRIES weights: their spectra form a
+(k, D) matrix, `state_weights` turns it into a weight matrix W (Boltzmann
+weights, or an equal mixture of the ground manifold at T = 0), U and log Z
+follow in array operations, `reduce_pair` forms each pair's states as
+W @ pair blocks, and the `negativities` kernel checks and evaluates the
+whole stack. No D x D Hamiltonian, state or eigenvector matrix is formed
+and no Python runs per point. Groups run one after another, leaving the
+cores to the multithreaded BLAS inside each eigensolve, and a sweep holds
+one decomposition at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the

@@ -1,27 +1,28 @@
 """Spectral decomposition, Gibbs states, and thermal observables.
 
-Every ring Hamiltonian conserves total Sz, so `diagonalize` solves it one
-magnetization sector at a time, keeps the eigenvectors by sector and records
-each one's M. At zero field H is invariant under the flip m -> -m on every
-site, so sector -M takes sector M's eigenpairs, rows reversed (spin
-inversion). The field term b*Sz is constant on a sector, so at field b the
-energies are E_i + b*M_i on the same eigenvectors: one diagonalization serves
-every temperature and every field for fixed exchange couplings. Boltzmann
-weights are computed relative to the lowest energy so that inverse
-temperatures up to ~1e3 never overflow, and nothing assumes the energies are
-sorted. A state at temperature T is a weight vector over the eigenvectors
-(`state_weights`), and its pair states come from the decomposition's pair
-blocks, built from the sectors. Many points on one decomposition are one
-stack: `energies`, `state_weights` and `log_partition` take a (k, D) stack
-of spectra, one row per point, and give each row what a single spectrum
-would get, bit for bit.
+Every ring Hamiltonian conserves total Sz and comes as its sector blocks,
+so `diagonalize` solves it one magnetization sector at a time, keeps the
+eigenvectors by sector and records each one's M. At zero field H is
+invariant under the flip m -> -m on every site, so sector -M takes sector
+M's eigenpairs, rows reversed (spin inversion). The field term b*Sz is
+constant on a sector, so at field b the energies are E_i + b*M_i on the
+same eigenvectors: one diagonalization serves every temperature and every
+field for fixed exchange couplings. Boltzmann weights are computed relative
+to the lowest energy so that inverse temperatures up to ~1e3 never
+overflow, and nothing assumes the energies are sorted. A state at
+temperature T is a weight vector over the eigenvectors (`state_weights`),
+and its pair states come from the decomposition's pair blocks, built from
+the sectors. Many points on one decomposition are one stack: `energies`,
+`state_weights` and `log_partition` take a (k, D) stack of spectra, one
+row per point, and give each row what a single spectrum would get, bit for
+bit.
 
 The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
-demand), the dense Gibbs matrix (`ThermalState`, `thermal_state`) and
-`internal_energy` run in no sweep, threshold or `verify` check. They stay
-because `perfbench/oracles.py` recomputes sampled benchmark rows through
-that independent D x D route, and the tests use it as the oracle of the
-weights route.
+demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
+`thermal_state`) and `internal_energy` run in no sweep, threshold or
+`verify` check. They stay because `perfbench/oracles.py` recomputes sampled
+benchmark rows through that independent D x D route, and the tests use it
+as the oracle of the weights route.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import Hamiltonian
-from .spin_ops import SiteLayout, basis_magnetization, spin_matrices
+from .spin_ops import SiteLayout, sector_rows, spin_matrices
 
 # Eigenvectors within this relative distance of the minimum energy count as
 # part of the ground manifold (eigensolver accuracy budget).
@@ -119,21 +120,8 @@ class ThermalState:
     layout: SiteLayout
 
 
-# Like the bond sums in models.py, these depend only on the layout (and the
-# pair), so every decomposition of one ring size shares them.
-
-@lru_cache(maxsize=None)
-def _sector_rows(layout: SiteLayout) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Basis indices of each total-Sz sector in ascending M, and each row's M in that order.
-
-    The flip m -> -m maps basis index i to D - 1 - i: sectors k and S - 1 - k mirror.
-    """
-    m = basis_magnetization(layout)
-    rows = tuple(np.flatnonzero(m == value) for value in sorted(set(m.tolist())))
-    for shared in rows:
-        shared.setflags(write=False)
-    return rows, m[np.concatenate(rows)]
-
+# Like the bond sums in models.py, this depends only on the layout and the
+# pair, so every decomposition of one ring size shares it.
 
 @lru_cache(maxsize=None)
 def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
@@ -152,7 +140,7 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     digits = np.unravel_index(np.arange(layout.total_dimension), dims)
     rank = back[digits[site_a] * dims[site_b] + digits[site_b]]
     plans = []
-    for rows in _sector_rows(layout)[0]:
+    for rows in sector_rows(layout)[0]:
         order = np.argsort(rank[rows], kind="stable")
         runs = np.searchsorted(rank[rows][order], edges)
         plans.append((order, tuple((slice(runs[j], runs[j + 1]), slice(edges[j], edges[j + 1]))
@@ -163,19 +151,17 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
 def diagonalize(h: Hamiltonian) -> SpectralDecomposition:
     """Symmetric eigensolve one total-Sz sector at a time.
 
-    Each sector's block is sliced out of the dense matrix by index and solved
-    on its own, except a sector -M whose block is exactly sector M's block
-    reversed (the flip m -> -m on every site; exact at zero field, broken by
-    a field): its eigenvectors are sector M's with the rows reversed, on the
-    same eigenvalues. Raises ValueError if the matrix couples two sectors,
+    Each of the Hamiltonian's sector blocks is solved on its own, except a
+    sector -M whose block is exactly sector M's block reversed (the flip
+    m -> -m on every site; exact at zero field, broken by a field): its
+    eigenvectors are sector M's with the rows reversed, on the same
+    eigenvalues. Raises ValueError if a block has a non-finite entry,
     LinAlgError if LAPACK fails to converge.
     """
-    if not np.isfinite(h.matrix).all():
+    blocks = h.blocks
+    if not all(np.isfinite(block).all() for block in blocks):
         raise ValueError("Hamiltonian contains non-finite entries")
-    sector_rows, sector_m = _sector_rows(h.layout)
-    blocks = [h.matrix[np.ix_(rows, rows)] for rows in sector_rows]
-    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(h.matrix):
-        raise ValueError("Hamiltonian does not conserve total Sz")
+    rows_by_sector, sector_m = sector_rows(h.layout)
     last = len(blocks) - 1
     solved = [None] * len(blocks)
     for k in reversed(range(len(blocks))):      # each M > 0 before its -M
@@ -186,9 +172,9 @@ def diagonalize(h: Hamiltonian) -> SpectralDecomposition:
             solved[k] = (*np.linalg.eigh(blocks[k]), None)
     eigenvalues = np.concatenate([values for values, _, _ in solved])
     order = np.argsort(eigenvalues, kind="stable")
-    columns = np.split(np.argsort(order), np.cumsum([len(rows) for rows in sector_rows[:-1]]))
+    columns = np.split(np.argsort(order), np.cumsum([len(rows) for rows in rows_by_sector[:-1]]))
     sectors = tuple(Sector(rows, vectors, place, mirror) for rows, (_, vectors, mirror), place
-                    in zip(sector_rows, solved, columns))
+                    in zip(rows_by_sector, solved, columns))
     return SpectralDecomposition(eigenvalues=eigenvalues[order], magnetizations=sector_m[order],
                                  sectors=sectors, layout=h.layout)
 

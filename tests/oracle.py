@@ -1,23 +1,67 @@
 """Dense full-matrix oracles for the tests.
 
-The package computes pair states one way: eigenvector weights
-(`state_weights`) times pair blocks (`reduce_pair`). The helpers here
-reach the same quantities through D x D matrices instead, for the tests to
-compare against: the ground-manifold projector mixture, the negativity of a
-reduced dense state, and the eigenpair residuals of a decomposition. The
-dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the package,
-where the benchmark's own oracle uses them.
+The package builds Hamiltonians one way, as total-Sz sector blocks from the
+bond action on product states, and computes pair states one way:
+eigenvector weights (`state_weights`) times pair blocks (`reduce_pair`).
+The helpers here reach the same quantities through D x D matrices instead,
+for the tests to compare against: the Hamiltonian as a sum of bonds embedded
+by Kronecker products, the ground-manifold projector mixture, the negativity
+of a reduced dense state, and the eigenpair residuals of a decomposition.
+`sector_hamiltonian` turns any dense matrix into the package's Hamiltonian.
+The dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the
+package, where the benchmark's own oracle uses them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from mixedspin import Hamiltonian, SiteLayout, negativity, partial_trace
+from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, heisenberg_bond, negativity,
+                       partial_trace, ring_layout)
+from mixedspin.models import nn_bond_list, nnn_bond_list
+from mixedspin.spin_ops import basis_magnetization, sector_rows
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, SpectralDecomposition
+
+
+def total_sz(layout: SiteLayout) -> np.ndarray:
+    """Sum of all embedded z operators: the diagonal of basis_magnetization."""
+    return np.diag(basis_magnetization(layout))
+
+
+@lru_cache(maxsize=None)
+def dense_bond_sum(n: int, bond_list) -> np.ndarray:
+    """Sum of the embedded unit Heisenberg bonds over bond_list(n), as a D x D matrix."""
+    layout = ring_layout(n)
+    h = sum(heisenberg_bond(a, b, layout) for a, b in bond_list(n))
+    h.setflags(write=False)
+    return h
+
+
+def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
+    """The model's D x D matrix from the embedded bonds and the embedded total Sz."""
+    n = spec.n_sites
+    h = spec.j1 * dense_bond_sum(n, nn_bond_list)
+    if spec.field_b != 0.0:
+        h = h + spec.field_b * total_sz(ring_layout(n))
+    elif spec.j2 != 0.0:
+        h = h + spec.j2 * dense_bond_sum(n, nnn_bond_list)
+    return h
+
+
+def sector_hamiltonian(matrix: np.ndarray, layout: SiteLayout, spec: ModelSpec) -> Hamiltonian:
+    """A dense matrix as a Hamiltonian of sector blocks.
+
+    Raises ValueError if any entry couples two total-Sz sectors, which the
+    blocks cannot hold.
+    """
+    blocks = tuple(matrix[np.ix_(rows, rows)] for rows in sector_rows(layout)[0])
+    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(matrix):
+        raise ValueError("Hamiltonian does not conserve total Sz")
+    return Hamiltonian(blocks=blocks, layout=layout, spec=spec)
 
 
 @dataclass(frozen=True)

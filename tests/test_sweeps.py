@@ -173,11 +173,12 @@ def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
 
 
 def _forbid_dense(monkeypatch, message):
-    """Make thermal_state, partial_trace and the dense eigenvector matrix raise."""
+    """Make thermal_state, partial_trace and the dense eigenvector and Hamiltonian matrices raise."""
     # the package re-exports a function named `negativity`, so the submodule
     # has to come from the import system
     thermal = importlib.import_module("mixedspin.thermal")
     negmod = importlib.import_module("mixedspin.negativity")
+    models = importlib.import_module("mixedspin.models")
 
     def forbidden(*args, **kwargs):
         raise AssertionError(message)
@@ -185,13 +186,14 @@ def _forbid_dense(monkeypatch, message):
     monkeypatch.setattr(thermal, "thermal_state", forbidden)
     monkeypatch.setattr(negmod, "partial_trace", forbidden)
     monkeypatch.setattr(thermal.SpectralDecomposition, "eigenvectors", property(forbidden))
+    monkeypatch.setattr(models.Hamiltonian, "matrix", property(forbidden))
 
 
 def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
     # thermal_state and partial_trace are the oracle only, and ground_manifold
     # lives in the tests: sweeps.py binds none of them, and every search and
     # sweep of the three families finishes with both package functions and
-    # the D x D eigenvector assembly raising
+    # the D x D eigenvector and Hamiltonian assemblies raising
     for name in ("thermal_state", "ground_manifold", "partial_trace"):
         assert not hasattr(sweeps, name)
     _forbid_dense(monkeypatch, "dense oracle called on the fast path")
@@ -216,7 +218,7 @@ def test_verify_never_forms_a_dense_state(monkeypatch):
     # the battery checks the pipeline the sweeps run: verify.py binds no dense
     # state or dense reduction, and every check runs, in the same order and
     # without a failure, with thermal_state, partial_trace and the D x D
-    # eigenvector assembly raising
+    # eigenvector and Hamiltonian assemblies raising
     for name in ("thermal_state", "ground_manifold", "partial_trace", "pair_negativity"):
         assert not hasattr(verify, name)
     names = [r.name for r in verify.run_all(max_n=4)]

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mixedspin import (Hamiltonian, ModelSpec, ThermalState, build_model, correlator,
+from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
                        diagonalize, internal_energy, log_partition, resolve_pairs,
                        thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
 from mixedspin.negativity import partial_trace, reduce_pair
-from mixedspin.spin_ops import total_sz
+from mixedspin.spin_ops import sector_rows
 from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition,
                                boltzmann_weights, ground_degeneracy, state_weights)
-from oracle import GroundManifoldState, ground_manifold, spectral_residuals
+from oracle import (GroundManifoldState, dense_hamiltonian, ground_manifold, sector_hamiltonian,
+                    spectral_residuals, total_sz)
 
 
 def test_diagonalize_residuals(decomp_nn):
@@ -25,7 +26,7 @@ def test_diagonalize_residuals(decomp_nn):
 
 def test_diagonalize_scaled_identity():
     layout = build_model(ModelSpec(2)).layout
-    h = Hamiltonian(matrix=3.5 * np.eye(6), layout=layout, spec=ModelSpec(2))
+    h = sector_hamiltonian(3.5 * np.eye(6), layout, ModelSpec(2))
     decomp = diagonalize(h)
     assert np.allclose(decomp.eigenvalues, 3.5, atol=1e-14)
 
@@ -35,7 +36,7 @@ def test_diagonalize_rejects_non_finite():
     bad = np.eye(6)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        diagonalize(Hamiltonian(matrix=bad, layout=layout, spec=ModelSpec(2)))
+        diagonalize(sector_hamiltonian(bad, layout, ModelSpec(2)))
 
 
 def test_infinite_temperature_limit(decomp_nn):
@@ -111,8 +112,7 @@ def test_internal_energy_is_log_z_derivative(decomp_nn):
 def test_energy_shift_invariance(decomp_nn):
     h = build_model(ModelSpec(3))
     shift = 2.7
-    shifted = diagonalize(Hamiltonian(matrix=h.matrix + shift * np.eye(12),
-                                      layout=h.layout, spec=h.spec))
+    shifted = diagonalize(sector_hamiltonian(h.matrix + shift * np.eye(12), h.layout, h.spec))
     for t in (0.2, 1.0):
         a = thermal_state(decomp_nn[3], t)
         b = thermal_state(shifted, t)
@@ -193,11 +193,13 @@ def test_ground_degeneracy_at_field_level_crossing():
 
 
 def test_diagonalize_rejects_coupling_between_sectors():
+    # a Hamiltonian of sector blocks cannot hold such an entry, so the
+    # dense matrix is refused on its way into one
     h = build_model(ModelSpec(2))
     leaky = h.matrix.copy()
     leaky[0, 1] = leaky[1, 0] = 1e-3       # |+1/2,+1> and |+1/2,0> differ in M
     with pytest.raises(ValueError, match="conserve total Sz"):
-        diagonalize(Hamiltonian(matrix=leaky, layout=h.layout, spec=h.spec))
+        diagonalize(sector_hamiltonian(leaky, h.layout, h.spec))
 
 
 def test_weights_and_ground_manifold_take_energies_in_any_order():
@@ -237,6 +239,23 @@ def _sector_cases():
         yield ModelSpec(n, field_b=0.7)
     for n in (4, 6, 8):
         yield ModelSpec(n, j2=0.3)
+
+
+@pytest.mark.parametrize("spec", list(_sector_cases()),
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_sector_blocks_are_slices_of_the_dense_hamiltonian(spec):
+    # the blocks built from the bond action on each sector's product states
+    # are the same floats, bit for bit, as the sector slices of the sum of
+    # Kronecker-embedded bonds, which has no entry between two sectors
+    h = build_model(spec)
+    dense = dense_hamiltonian(spec)
+    rows_by_sector = sector_rows(h.layout)[0]
+    assert len(h.blocks) == len(rows_by_sector)
+    for rows, block in zip(rows_by_sector, h.blocks):
+        assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+    assert sum(np.count_nonzero(dense[np.ix_(rows, rows)]) for rows in rows_by_sector) \
+        == np.count_nonzero(dense)
+    assert h.matrix.tobytes() == dense.tobytes()
 
 
 def _dense_pair_oracle(values, vectors, layout, temperature, keep):

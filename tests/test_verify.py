@@ -1,10 +1,10 @@
 import numpy as np
 
-from mixedspin import (Hamiltonian, ModelSpec, diagonalize, log_partition,
-                       ring_layout)
+from mixedspin import ModelSpec, diagonalize, log_partition, ring_layout
 from mixedspin.analytic import four_spin_log_partition
-from mixedspin.models import _bond_sum, nn_bond_list, nnn_bond_list
+from mixedspin.models import nn_bond_list, nnn_bond_list
 from mixedspin import verify
+from oracle import dense_bond_sum, sector_hamiltonian
 
 
 def test_run_all_small_battery_passes():
@@ -34,9 +34,8 @@ def test_fault_injection_halved_coupling_is_caught():
     # a wrong next-nearest convention (coefficient halved) must trip the
     # partition-function comparison by a wide margin, not slip under it
     j1, j2, beta = 1.0, 0.4, 2.0
-    broken = j1 * _bond_sum(4, nn_bond_list) + 0.5 * j2 * _bond_sum(4, nnn_bond_list)
-    decomp = diagonalize(Hamiltonian(matrix=broken, layout=ring_layout(4),
-                                     spec=ModelSpec(4, j1=j1, j2=j2)))
+    broken = j1 * dense_bond_sum(4, nn_bond_list) + 0.5 * j2 * dense_bond_sum(4, nnn_bond_list)
+    decomp = diagonalize(sector_hamiltonian(broken, ring_layout(4), ModelSpec(4, j1=j1, j2=j2)))
     numeric = log_partition(decomp.eigenvalues, beta)
     closed = four_spin_log_partition(beta, j1, j2)
     assert abs(numeric - closed) > 1e-2        # fails the 1e-10 check loudly
