@@ -7,8 +7,7 @@ from .negativity import (NegativityResult, PairKind, PairReducedState,
                          correlator, negativity, partial_trace, partial_transpose,
                          reduce_pair, schmidt_negativity, su2_negativity,
                          su2_signed)
-from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, embed,
-                       heisenberg_bond, spin_matrices)
+from .spin_ops import HALF, ONE, SiteLayout, SpinMagnitude, spin_matrices
 from .sweeps import (EPS_NONZERO, Axis, PairSelector, SweepRequest, SweepResult,
                      ThresholdResult, find_threshold, resolve_pairs, run_sweep,
                      threshold_curve)
@@ -17,8 +16,7 @@ from .thermal import (SpectralDecomposition, ThermalState, diagonalize,
 
 __all__ = [
     "__version__",
-    "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices", "embed",
-    "heisenberg_bond",
+    "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices",
     "ModelSpec", "Hamiltonian", "ring_layout", "build_model",
     "SpectralDecomposition", "ThermalState", "diagonalize", "state_weights",
     "thermal_state", "internal_energy", "log_partition",

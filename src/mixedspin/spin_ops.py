@@ -1,4 +1,4 @@
-"""Local spin operators, their embedding into a ring's product space, and its Sz sectors.
+"""Local spin operators, the basis of a ring's product space, and its Sz sectors.
 
 Everything here is real arithmetic: exchange couplings are assembled in the
 ladder form sz*sz + (s+ s- + s- s+)/2 instead of using sy, so Hamiltonians
@@ -91,44 +91,6 @@ def spin_matrices(s: SpinMagnitude) -> SpinOperators:
     ladder = np.sqrt(sval * (sval + 1.0) - m[1:] * (m[1:] + 1.0))
     splus = np.diag(ladder, 1)
     return SpinOperators(sz=np.diag(m), splus=splus, sminus=splus.T)
-
-
-def embed(op: np.ndarray, sites: tuple[int, ...], layout: SiteLayout) -> np.ndarray:
-    """Embed an operator on the ordered sites (a product or not) in the full space.
-
-    op acts on the Kronecker product of the sites in the order given, so
-    embed(kron(a, b), (i, j)) and embed(kron(b, a), (j, i)) are the same.
-    """
-    for site in sites:
-        layout.check_site(site)
-    if len(set(sites)) != len(sites):
-        raise ValueError(f"sites must be distinct, got {sites}")
-    dims = layout.dims
-    d_op = int(np.prod([dims[s] for s in sites]))
-    if op.shape != (d_op, d_op):
-        raise ValueError(f"operator is {op.shape} but sites {sites} have dimension {d_op}")
-    # kron(op, I) orders the factors sites + rest; one transpose puts them back.
-    order = list(sites) + [i for i in range(len(dims)) if i not in sites]
-    back = list(np.argsort(order))
-    shape = [dims[i] for i in order] * 2
-    full = np.kron(op, np.eye(layout.total_dimension // d_op)).reshape(shape)
-    full = full.transpose(back + [len(dims) + i for i in back])
-    return full.reshape(layout.total_dimension, layout.total_dimension)
-
-
-def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
-    """Isotropic exchange s_a . s_b embedded in the full space.
-
-    Assembled as sz sz + (s+ s- + s- s+)/2, which equals the vector dot
-    product and is exactly real symmetric.
-    """
-    layout.check_site(site_a)
-    layout.check_site(site_b)
-    a = spin_matrices(layout.spins[site_a])
-    b = spin_matrices(layout.spins[site_b])
-    bond = np.kron(a.sz, b.sz) + 0.5 * np.kron(a.splus, b.sminus) \
-        + 0.5 * np.kron(a.sminus, b.splus)
-    return embed(bond, (site_a, site_b), layout)
 
 
 def basis_magnetization(layout: SiteLayout) -> np.ndarray:

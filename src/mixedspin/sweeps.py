@@ -262,9 +262,12 @@ def run_sweep(req: SweepRequest) -> SweepResult:
 
 
 def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, float],
-                    fixed_temperature: Optional[float] = None) -> None:
+                    fixed_temperature: Optional[float] = None,
+                    scan_points: int = 64) -> None:
     """Raise ValueError unless find_threshold can search this range; no eigensolve."""
     lo, hi = search_range
+    if scan_points < 2:
+        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
     if parameter not in SWEEPABLE:
         raise ValueError(f"parameter must be one of {SWEEPABLE}")
     if not -math.inf < lo < hi < math.inf:
@@ -291,7 +294,7 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     the indicator never flips. A temperature or field search diagonalizes
     once; a j2 search holds one decomposition at a time.
     """
-    check_threshold(base, parameter, search_range, fixed_temperature)
+    check_threshold(base, parameter, search_range, fixed_temperature, scan_points)
     # a j2 search never revisits couplings; the others stay on one model
     return _search(base, parameter, pair, search_range, fixed_temperature, scan_points,
                    None if parameter == "j2" else SpectralCache())
@@ -356,7 +359,7 @@ def threshold_curve(base: ModelSpec, pair: PairSelector,
     out = []
     for v in curve_values:
         point_base, point_temp = _point(base, None, curve_parameter, v)
-        check_threshold(point_base, search_parameter, search_range, point_temp)
+        check_threshold(point_base, search_parameter, search_range, point_temp, scan_points)
         res = _search(point_base, search_parameter, pair, search_range, point_temp,
                       scan_points, memo)
         out.append((float(v), res.value))

@@ -4,8 +4,9 @@ The package builds Hamiltonians one way, as total-Sz sector blocks from the
 bond action on product states, and computes pair states one way:
 eigenvector weights (`state_weights`) times pair blocks (`reduce_pair`).
 The helpers here reach the same quantities through D x D matrices instead,
-for the tests to compare against: the Hamiltonian as a sum of bonds embedded
-by Kronecker products, the ground-manifold projector mixture, the negativity
+for the tests to compare against: any local operator embedded in the full
+space by a Kronecker product (`embed`), the Hamiltonian as a sum of such
+embedded bonds, the ground-manifold projector mixture, the negativity
 of a reduced dense state, and the eigenpair residuals of a decomposition.
 `sector_hamiltonian` turns any dense matrix into the package's Hamiltonian.
 The dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the
@@ -20,11 +21,49 @@ from functools import lru_cache
 
 import numpy as np
 
-from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, heisenberg_bond, negativity,
-                       partial_trace, ring_layout)
+from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, negativity, partial_trace,
+                       ring_layout, spin_matrices)
 from mixedspin.models import nn_bond_list, nnn_bond_list
 from mixedspin.spin_ops import basis_magnetization, sector_rows
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, SpectralDecomposition
+
+
+def embed(op: np.ndarray, sites: tuple[int, ...], layout: SiteLayout) -> np.ndarray:
+    """Embed an operator on the ordered sites (a product or not) in the full space.
+
+    op acts on the Kronecker product of the sites in the order given, so
+    embed(kron(a, b), (i, j)) and embed(kron(b, a), (j, i)) are the same.
+    """
+    for site in sites:
+        layout.check_site(site)
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"sites must be distinct, got {sites}")
+    dims = layout.dims
+    d_op = int(np.prod([dims[s] for s in sites]))
+    if op.shape != (d_op, d_op):
+        raise ValueError(f"operator is {op.shape} but sites {sites} have dimension {d_op}")
+    # kron(op, I) orders the factors sites + rest; one transpose puts them back.
+    order = list(sites) + [i for i in range(len(dims)) if i not in sites]
+    back = list(np.argsort(order))
+    shape = [dims[i] for i in order] * 2
+    full = np.kron(op, np.eye(layout.total_dimension // d_op)).reshape(shape)
+    full = full.transpose(back + [len(dims) + i for i in back])
+    return full.reshape(layout.total_dimension, layout.total_dimension)
+
+
+def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
+    """Isotropic exchange s_a . s_b embedded in the full space.
+
+    Assembled as sz sz + (s+ s- + s- s+)/2, which equals the vector dot
+    product and is exactly real symmetric.
+    """
+    layout.check_site(site_a)
+    layout.check_site(site_b)
+    a = spin_matrices(layout.spins[site_a])
+    b = spin_matrices(layout.spins[site_b])
+    bond = np.kron(a.sz, b.sz) + 0.5 * np.kron(a.splus, b.sminus) \
+        + 0.5 * np.kron(a.sminus, b.splus)
+    return embed(bond, (site_a, site_b), layout)
 
 
 def total_sz(layout: SiteLayout) -> np.ndarray:

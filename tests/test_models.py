@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mixedspin import HALF, ONE, ModelSpec, build_model, ring_layout
+from mixedspin import HALF, ONE, ModelSpec, build_model, ring_layout, spin_matrices
 from mixedspin.analytic import four_spin_ground_energy, four_spin_levels
 from mixedspin.models import nn_bond_list, nnn_bond_list
-from oracle import total_sz
+from oracle import embed, total_sz
 
 
 def test_ring_layout_even_alternates():
@@ -125,7 +125,6 @@ def test_hamiltonians_conserve_total_sz(spec):
 ])
 def test_field_free_hamiltonians_conserve_total_spin(spec):
     # S^2 = Sz^2 + (S+S- + S-S+)/2 with total ladder operators stays real
-    from mixedspin import embed, spin_matrices
     h = build_model(spec)
     layout = h.layout
     dim = layout.total_dimension

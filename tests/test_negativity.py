@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
-                       build_model, correlator, diagonalize, heisenberg_bond,
+                       build_model, correlator, diagonalize,
                        negativity, partial_trace, partial_transpose, resolve_pairs,
                        schmidt_negativity, su2_negativity, su2_signed,
                        thermal_state)
 from mixedspin.negativity import PairReducedState, negativities, reduce_pair
 from mixedspin.thermal import state_weights
-from oracle import ground_manifold, pair_negativity
+from oracle import ground_manifold, heisenberg_bond, pair_negativity
 
 
 def _pure_pair(vector, dim_a, dim_b, sites=(0, 1)):
@@ -142,6 +142,13 @@ def test_negativity_rejects_broken_states():
     pair = PairReducedState(matrix=flipped, dim_a=2, dim_b=3, site_a=0, site_b=1)
     with pytest.raises(ValueError, match="positive semidefinite"):
         negativity(pair)
+    # NaN fails the checks, inside a block or between two blocks
+    with pytest.raises(ValueError, match="trace nan"):
+        negativity(replace(pair, matrix=np.diag([np.nan, 0.5, 0.5, 0, 0, 0])))
+    between = np.diag([0.5, 0.5, 0, 0, 0, 0])
+    between[0, 5] = between[5, 0] = np.nan
+    with pytest.raises(ValueError, match="symmetric"):
+        negativity(replace(pair, matrix=between))
 
 
 def test_ground_state_negativities(decomp_nn):
@@ -365,3 +372,106 @@ def test_negativity_stack_checks_every_matrix(monkeypatch):
     assert negativities(replace(good, matrix=good.matrix[[0, 1, 3, 4]])).max() == 0.0
     with pytest.raises(RuntimeError, match="disagree"):
         negativities(good)
+
+
+# the block kernel against np.linalg.eigvalsh of each full matrix
+
+PAIR_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def _sz_conserving_states(rng, dim_a, dim_b, count):
+    """Random PSD unit-trace states with no entry between two values of m_a + m_b."""
+    a, b = np.divmod(np.arange(dim_a * dim_b), dim_b)
+    states = np.zeros((count, dim_a * dim_b, dim_a * dim_b))
+    for total in range(dim_a + dim_b - 1):
+        rows = np.flatnonzero(a + b == total)
+        x = rng.standard_normal((count, len(rows), len(rows)))
+        states[:, rows[:, None], rows] = x @ x.swapaxes(1, 2)
+    return states / np.trace(states, axis1=1, axis2=2)[:, None, None]
+
+
+def _locally_rotated(rng, states, dim_a, dim_b):
+    out = []
+    for rho in states:
+        qa = np.linalg.qr(rng.standard_normal((dim_a, dim_a)))[0]
+        qb = np.linalg.qr(rng.standard_normal((dim_b, dim_b)))[0]
+        u = np.kron(qa, qb)
+        rotated = u @ rho @ u.T
+        out.append(0.5 * (rotated + rotated.T))
+    return np.array(out)
+
+
+def _check_against_full_eigvalsh(states, dim_a, dim_b):
+    """Block eigenvalues and negativities against eigvalsh of every full matrix."""
+    negmod = importlib.import_module("mixedspin.negativity")
+    pairs = PairReducedState(matrix=states, dim_a=dim_a, dim_b=dim_b, site_a=0, site_b=1)
+    transposed = partial_transpose(pairs)
+    full_state, full_transpose = np.linalg.eigvalsh(states), np.linalg.eigvalsh(transposed)
+    plan, _, between = negmod._magnetization_blocks(dim_a, dim_b)
+    if not states.reshape(len(states), -1)[:, between].any():
+        both = negmod._block_eigvalsh(states, plan)
+        assert both.shape == (len(states), 2, dim_a * dim_b)
+        assert np.abs(both[:, 0] - full_state).max() <= 1e-14
+        assert np.abs(both[:, 1] - full_transpose).max() <= 1e-14
+    expected = -np.where(full_transpose < -negmod.EPS_NEGATIVE, full_transpose, 0.0).sum(axis=1)
+    values = negativities(pairs)
+    assert values.shape == (len(states),)
+    assert np.abs(values - expected).max() <= 1e-14
+    return values
+
+
+@pytest.mark.parametrize("dim_a, dim_b", PAIR_DIMS)
+@pytest.mark.parametrize("count", [1, 50])
+def test_block_kernel_matches_full_eigvalsh(dim_a, dim_b, count):
+    rng = np.random.default_rng(100 * dim_a + 10 * dim_b + count)
+    states = _sz_conserving_states(rng, dim_a, dim_b, count)
+    values = _check_against_full_eigvalsh(states, dim_a, dim_b)
+    if count > 1:
+        assert (values > 1e-3).any()      # the random states include entangled ones
+
+
+@pytest.mark.parametrize("dim_a, dim_b", PAIR_DIMS)
+def test_block_kernel_whole_matrix_fallback(dim_a, dim_b):
+    # locally rotated states have entries between blocks and go through one
+    # whole-matrix eigvalsh each, alone or mixed into a stack of block states;
+    # that is the full-matrix call itself, so the values agree bit for bit
+    rng = np.random.default_rng(7 * dim_a + dim_b)
+    states = _sz_conserving_states(rng, dim_a, dim_b, 20)
+    rotated = _locally_rotated(rng, states[:10], dim_a, dim_b)
+    mixed = np.concatenate([states[10:15], rotated[:5], states[15:]])
+    for stack in (rotated, mixed):
+        values = _check_against_full_eigvalsh(stack, dim_a, dim_b)
+        transposed = partial_transpose(PairReducedState(stack, dim_a, dim_b, 0, 1))
+        eigs = np.linalg.eigvalsh(transposed)
+        assert np.array_equal(
+            values, -np.cumsum(np.where(eigs < -1e-12, eigs, 0.0), axis=1)[:, -1] + 0.0)
+    # a local rotation keeps the negativity of each state
+    assert np.abs(negativities(PairReducedState(rotated, dim_a, dim_b, 0, 1))
+                  - negativities(PairReducedState(states[:10], dim_a, dim_b, 0, 1))).max() <= 1e-12
+
+
+def test_block_kernel_degenerate_blocks_and_exact_zeros():
+    singlet_half = _pure_pair([0.0, 1.0, -1.0, 0.0], 2, 2).matrix
+    vec = np.zeros(9)
+    vec[2], vec[4], vec[6] = 1.0, -1.0, 1.0
+    singlet_one = _pure_pair(vec, 3, 3).matrix
+    separable = 0.5 * np.diag([1.0, 0, 0, 0, 0, 1.0])
+    for states, dims in [(np.array([singlet_half, np.eye(4) / 4]), (2, 2)),
+                         (np.array([separable, np.eye(6) / 6]), (2, 3)),
+                         (np.array([singlet_one, np.eye(9) / 9]), (3, 3))]:
+        _check_against_full_eigvalsh(states, *dims)
+    negmod = importlib.import_module("mixedspin.negativity")
+    # maximally mixed: every 2 x 2 block degenerate with a zero off-diagonal,
+    # in the state and in its partial transpose
+    for d_a, d_b in PAIR_DIMS:
+        mixed = np.eye(d_a * d_b)[None] / (d_a * d_b)
+        plan = negmod._magnetization_blocks(d_a, d_b)[0]
+        assert np.array_equal(negmod._block_eigvalsh(mixed, plan),
+                              np.full((1, 2, d_a * d_b), 1.0 / (d_a * d_b)))
+    # a singlet's zero eigenvalues and a separable diagonal state come out exact
+    eigs = negmod._block_eigvalsh(singlet_half[None], negmod._magnetization_blocks(2, 2)[0])
+    assert np.array_equal(eigs[0, 0, :3], [0.0, 0.0, 0.0]) and abs(eigs[0, 0, 3] - 1.0) <= 1e-15
+    assert np.abs(eigs[0, 1] - [-0.5, 0.5, 0.5, 0.5]).max() <= 1e-15
+    eigs = negmod._block_eigvalsh(separable[None], negmod._magnetization_blocks(2, 3)[0])
+    assert np.array_equal(eigs, [[[0.0, 0.0, 0.0, 0.0, 0.5, 0.5]] * 2])
+    assert abs(negativities(PairReducedState(singlet_half, 2, 2, 0, 1)) - 0.5) <= 1e-15

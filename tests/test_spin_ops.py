@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mixedspin import HALF, ONE, SiteLayout, embed, heisenberg_bond, spin_matrices
+from mixedspin import HALF, ONE, SiteLayout, spin_matrices
 from mixedspin.models import nn_bond_list, nnn_bond_list, ring_layout
-from oracle import total_sz
+from oracle import embed, heisenberg_bond, total_sz
 
 
 def test_spin_half_matrices():

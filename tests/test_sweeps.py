@@ -172,6 +172,26 @@ def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
     assert calls == [ModelSpec(4, j2=v) for v in (0.0, 0.1, 0.2)]
 
 
+@pytest.mark.parametrize("scan_points", [0, 1])
+def test_threshold_rejects_scan_below_two_points(monkeypatch, scan_points):
+    # one point cannot bracket a flip and zero points have no indicator at
+    # all; both entry points refuse before any eigensolve
+    calls = _count_eigensolves(monkeypatch)
+    pair = resolve_pairs(4)[0]
+    with pytest.raises(ValueError, match="scan_points must be at least 2"):
+        find_threshold(ModelSpec(4), "temperature", pair, (0.05, 2.0),
+                       scan_points=scan_points)
+    with pytest.raises(ValueError, match="scan_points must be at least 2"):
+        threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.1], "temperature",
+                        (0.05, 2.0), scan_points=scan_points)
+    with pytest.raises(ValueError, match="scan_points must be at least 2"):
+        check_threshold(ModelSpec(4), "temperature", (0.05, 2.0), scan_points=scan_points)
+    assert calls == []
+    # the smallest valid scan brackets the threshold that 64 points find
+    two = find_threshold(ModelSpec(4), "temperature", pair, (0.05, 2.0), scan_points=2)
+    assert two.status == "found" and abs(two.value - 1.0327) <= 1e-4
+
+
 def _forbid_dense(monkeypatch, message):
     """Make thermal_state, partial_trace and the dense eigenvector and Hamiltonian matrices raise."""
     # the package re-exports a function named `negativity`, so the submodule
