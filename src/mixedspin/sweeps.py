@@ -4,19 +4,24 @@ A sweep groups its points by exchange couplings, which only a j2 axis
 changes: every field shares the zero-field decomposition (the field term
 commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
 temperature only changes the weights. A group builds its coupling
-`ModelSpec` once, as the Hamiltonian's total-Sz sector blocks, and costs
+`ModelSpec` once, as the Hamiltonian's total-Sz sector blocks, and needs
 one eigensolve, sector by sector (being at zero field, only the sectors
 M >= 0: spin inversion gives the rest), plus the pair blocks of its
-decomposition, gathered from the sector eigenvectors. Its points then go
-through in stacks of about STACK_ENTRIES weights: their spectra form a
-(k, D) matrix, `state_weights` turns it into a weight matrix W (Boltzmann
-weights, or an equal mixture of the ground manifold at T = 0), U and log Z
-follow in array operations, `reduce_pair` forms each pair's states as
-W @ pair blocks, and the `negativities` kernel checks and evaluates the
-whole stack. No D x D Hamiltonian, state or eigenvector matrix is formed
-and no Python runs per point. Groups run one after another, leaving the
-cores to the multithreaded BLAS inside each eigensolve, and a sweep holds
-one decomposition at a time. Rows come out axis1-major.
+decomposition, gathered from the sector eigenvectors. Groups go through in
+batches of G whose pair blocks and weights fit in about STACK_ENTRIES
+entries (7 groups of 80 temperatures at four sites, 1 group from six sites
+on): one stacked eigensolve per sector and one product per pair
+magnetization for all G, so small rings pay the call overhead once per
+batch. Its points go through in stacks of about STACK_ENTRIES entries of
+weights and pair states: their spectra form a (k, G, D) array,
+`state_weights` turns it into weights W (Boltzmann weights, or an equal
+mixture of the ground manifold at T = 0), U and log Z follow in array
+operations, `reduce_pair` forms each pair's states as W @ pair blocks, and
+the `negativities` kernel checks and evaluates the whole stack. No D x D
+Hamiltonian, state or eigenvector matrix is formed and no Python runs per
+point. Batches run one after another, leaving the cores to the
+multithreaded BLAS inside each eigensolve, and a sweep holds one batch of
+decompositions at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
@@ -30,14 +35,13 @@ next value meets again but never a bisection midpoint.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .models import ModelSpec, build_model
+from .models import ModelSpec, build_model, ring_layout
 from .negativity import negativities, reduce_pair
 from .thermal import (SpectralDecomposition, diagonalize, log_partition,
                       state_weights)
@@ -49,9 +53,12 @@ EPS_NONZERO = 1e-9
 # Bisection stops at a bracket this narrow, relative to max(1, threshold).
 THRESHOLD_RTOL = 1e-6
 
-# Weights per stack: a sweep evaluates max(1, STACK_ENTRIES // D) points at
-# once, so each (points x D) temporary stays near 256 kB however long its axes
-# are. Larger stacks of 8-site spectra measurably raise peak RSS.
+# Entries per stack: a sweep evaluates max(1, STACK_ENTRIES // (D + P)) points
+# at once, P being a point's pair-state entries, so each temporary stays near
+# 256 kB however long its axes are. Larger stacks of 8-site spectra, or of
+# 4-site pair states (D = 36, P = 133), measurably raise peak RSS. The same
+# budget sizes a batch of coupling groups: pair blocks (about D x D each)
+# and weights.
 STACK_ENTRIES = 1 << 15
 
 SWEEPABLE = ("temperature", "field_b", "j2")
@@ -210,7 +217,8 @@ def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
 
     Pass state_weights(decomp.energies(b), T) for the Gibbs state at T > 0
     or the ground-manifold mixture at T = 0. A (k, D) stack of weight rows
-    gives a (k, npairs) array: each pair's k states come from the
+    gives a (k, npairs) array, and a (k, G, D) stack on a batch of G
+    decompositions a (k, G, npairs) one: each pair's states come from the
     decomposition's pair blocks in one reduce_pair and go through the
     negativities kernel as one stack.
     """
@@ -222,36 +230,47 @@ def run_sweep(req: SweepRequest) -> SweepResult:
     """Evaluate the request on its full grid.
 
     Points are grouped by couplings so each group diagonalizes once, whatever
-    its fields and temperatures, and is evaluated in stacks of about
-    STACK_ENTRIES weights; the groups run one after another, and each
-    decomposition is let go before the next eigensolve. Output rows are
+    its fields and temperatures. Groups are solved and evaluated in batches
+    of G = max(1, STACK_ENTRIES // (D * (points per group + D))), each batch
+    in stacks of about STACK_ENTRIES weights; the batches run one after
+    another, and each is let go before the next eigensolve. Output rows are
     axis1-major.
     """
     axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
-    params = np.array(list(itertools.product(*(ax.values for ax in axes))))
+    params = np.stack(np.meshgrid(*(ax.values for ax in axes), indexing="ij"),
+                      axis=-1).reshape(-1, len(axes))
 
     # each parameter at every point: its axis column, or its fixed value
     point = {"field_b": req.base.field_b, "temperature": req.temperature, "j2": req.base.j2}
     point.update((ax.parameter, params[:, i]) for i, ax in enumerate(axes))
     fields, temperatures, j2s = (np.broadcast_to(point[p], len(params))
                                  for p in ("field_b", "temperature", "j2"))
-    groups: dict[float, list[int]] = {}
-    for idx, j2 in enumerate(j2s.tolist()):
-        groups.setdefault(j2, []).append(idx)
+    # one row of point indices per coupling group: each j2 axis value, or all
+    groups = np.arange(len(params)).reshape([ax.steps for ax in axes])
+    names = [ax.parameter for ax in axes]
+    groups = np.moveaxis(groups, names.index("j2"), 0) if "j2" in names else groups[None]
+    groups = groups.reshape(len(groups), -1)
 
+    layout = ring_layout(req.base.n_sites)
+    dim = layout.total_dimension
+    batch = min(len(groups), max(1, STACK_ENTRIES // (dim * (groups.shape[1] + dim))))
+    # a stack's entries per point: its weights and its pair states
+    width = dim + sum((layout.dims[p.site_a] * layout.dims[p.site_b]) ** 2 for p in req.pairs)
+    chunk = max(1, STACK_ENTRIES // (width * batch))
     negativities = np.zeros((len(params), len(req.pairs)))
     energies = np.zeros(len(params))
     log_zs = np.zeros(len(params))
-    for j2, indices in groups.items():
-        decomp = _decompose(replace(req.base, j2=j2))
-        chunk = max(1, STACK_ENTRIES // decomp.dimension)
-        for start in range(0, len(indices), chunk):
-            rows = indices[start:start + chunk]
+    for first in range(0, len(groups), batch):
+        points = groups[first:first + batch].T          # (points, G)
+        decomp = diagonalize([build_model(_couplings(replace(req.base, j2=j2)))
+                              for j2 in j2s[points[0]].tolist()])
+        for start in range(0, len(points), chunk):
+            rows = points[start:start + chunk]
             spectra = decomp.energies(fields[rows, None])
             weights = state_weights(spectra, temperatures[rows])
             negativities[rows] = pair_negativities(decomp, weights, req.pairs)
             # a batch of dot products: each row's sum runs as np.dot's would
-            energies[rows] = np.matmul(spectra[:, None, :], weights[:, :, None])[:, 0, 0]
+            energies[rows] = np.matmul(spectra[..., None, :], weights[..., None])[..., 0, 0]
             log_zs[rows] = log_partition(spectra, 1.0 / temperatures[rows, None])
         del decomp
 

@@ -17,6 +17,12 @@ the sectors. Many points on one decomposition are one stack: `energies`,
 row per point, and give each row what a single spectrum would get, bit for
 bit.
 
+G Hamiltonians on one layout are one batch: one eigh per sector on their
+stacked blocks, and every array of the decomposition (spectrum, sector
+vectors and places, pair blocks) gains a leading axis of G whose rows hold,
+bit for bit, what G lone decompositions hold. A (k, G, D) stack of spectra
+covers k points on each of them.
+
 The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
 demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
 `thermal_state`) and `internal_energy` run in no sweep, threshold or
@@ -27,9 +33,10 @@ as the oracle of the weights route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +53,7 @@ class Sector(NamedTuple):
 
     `columns` places them in the ascending spectrum. If `mirror_of` is set,
     the vectors are that sector's with the rows reversed (spin inversion).
+    In a batch, `vectors` and `columns` carry the batch's leading axis.
     """
 
     rows: np.ndarray
@@ -56,7 +64,10 @@ class Sector(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and their total Sz, with the eigenvectors kept by sector."""
+    """Ascending eigenvalues and their total Sz, with the eigenvectors kept by sector.
+
+    A batch of G has (G, D) eigenvalues and magnetizations, each row sorted.
+    """
 
     eigenvalues: np.ndarray
     magnetizations: np.ndarray
@@ -66,11 +77,11 @@ class SpectralDecomposition:
 
     @property
     def dimension(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """Orthonormal eigenvectors as dense D x D columns, assembled on every access."""
+        """One decomposition's orthonormal eigenvectors as D x D columns, on every access."""
         vectors = np.zeros((self.dimension, self.dimension))
         for sector in self.sectors:
             vectors[np.ix_(sector.rows, sector.columns)] = sector.vectors
@@ -79,7 +90,8 @@ class SpectralDecomposition:
     def energies(self, field_b: float | np.ndarray) -> np.ndarray:
         """Eigenvalues once field_b * Sz is added: same eigenvectors, not sorted.
 
-        A (k, 1) array of fields gives a (k, D) stack, one spectrum per row.
+        A (k, 1) array of fields gives a (k, D) stack, one spectrum per row;
+        on a batch of G, a (k, G, 1) array gives a (k, G, D) stack.
         """
         return self.eigenvalues + field_b * self.magnetizations
 
@@ -88,25 +100,29 @@ class SpectralDecomposition:
 
         The kept sites come first in ascending order, as in partial_trace.
         Each pair magnetization of a sector is one batched g @ g.T over a
-        grid of pair x rest states, and a mirrored sector's blocks are its
-        source's, reversed. Built once per pair and kept on this
+        grid of pair x rest states, for every decomposition of a batch at
+        once, and a mirrored sector's blocks are its source's, reversed. A
+        batch of G gives (G, D, d^2). Built once per pair and kept on this
         decomposition, so the blocks live exactly as long as it does.
         """
         key = self.layout.pair_order(keep)[:2]
         if key not in self._pair_blocks:
             back, plans = _pair_plan(self.layout, key)
-            d_keep = back.shape[0]
-            blocks = np.zeros((self.dimension, d_keep, d_keep))
+            d_keep, lead, dim = back.shape[0], self.eigenvalues.shape[:-1], self.dimension
+            # the blocks of a batch's row r start at r * D
+            start = dim * np.arange(math.prod(lead)).reshape(*lead, 1)
+            blocks = np.zeros((start.size * dim, d_keep, d_keep))
             for sector, (order, groups) in reversed(tuple(zip(self.sectors, plans))):
+                places = start + sector.columns
                 if sector.mirror_of is not None:      # its source, M > 0, came first
-                    source = self.sectors[sector.mirror_of].columns
-                    blocks[sector.columns] = blocks[source, ::-1, ::-1]
+                    source = start + self.sectors[sector.mirror_of].columns
+                    blocks[places] = blocks[source, ::-1, ::-1]
                     continue
-                vecs = sector.vectors[order].T
+                vecs = sector.vectors[..., order, :].swapaxes(-1, -2)
                 for rows, pairs in groups:
-                    g = vecs[:, rows].reshape(vecs.shape[0], pairs.stop - pairs.start, -1)
-                    blocks[sector.columns, pairs, pairs] = g @ g.transpose(0, 2, 1)
-            self._pair_blocks[key] = blocks[:, back[:, None], back].reshape(self.dimension, -1)
+                    g = vecs[..., rows].reshape(*vecs.shape[:-1], pairs.stop - pairs.start, -1)
+                    blocks[places, pairs, pairs] = g @ g.swapaxes(-1, -2)
+            self._pair_blocks[key] = blocks[:, back[:, None], back].reshape(*lead, dim, -1)
         return self._pair_blocks[key]
 
 
@@ -148,35 +164,41 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     return back, tuple(plans)
 
 
-def diagonalize(h: Hamiltonian) -> SpectralDecomposition:
+def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition:
     """Symmetric eigensolve one total-Sz sector at a time.
 
     Each of the Hamiltonian's sector blocks is solved on its own, except a
     sector -M whose block is exactly sector M's block reversed (the flip
     m -> -m on every site; exact at zero field, broken by a field): its
     eigenvectors are sector M's with the rows reversed, on the same
-    eigenvalues. Raises ValueError if a block has a non-finite entry,
-    LinAlgError if LAPACK fails to converge.
+    eigenvalues. A sequence of G Hamiltonians on one layout is one batch:
+    each sector is one eigh on the (G, k, k) stack of its blocks, and -M
+    mirrors M only if it does so in every row. Raises ValueError if a block
+    has a non-finite entry, LinAlgError if LAPACK fails to converge.
     """
-    blocks = h.blocks
+    if isinstance(h, Hamiltonian):
+        blocks, layout = h.blocks, h.layout
+    else:
+        blocks, layout = tuple(map(np.stack, zip(*(one.blocks for one in h)))), h[0].layout
     if not all(np.isfinite(block).all() for block in blocks):
         raise ValueError("Hamiltonian contains non-finite entries")
-    rows_by_sector, sector_m = sector_rows(h.layout)
+    rows_by_sector, sector_m = sector_rows(layout)
     last = len(blocks) - 1
     solved = [None] * len(blocks)
     for k in reversed(range(len(blocks))):      # each M > 0 before its -M
-        if k < last - k and np.array_equal(blocks[k], blocks[last - k][::-1, ::-1]):
+        if k < last - k and np.array_equal(blocks[k], blocks[last - k][..., ::-1, ::-1]):
             values, vectors, _ = solved[last - k]
-            solved[k] = (values, vectors[::-1], last - k)
+            solved[k] = (values, vectors[..., ::-1, :], last - k)
         else:
             solved[k] = (*np.linalg.eigh(blocks[k]), None)
-    eigenvalues = np.concatenate([values for values, _, _ in solved])
-    order = np.argsort(eigenvalues, kind="stable")
-    columns = np.split(np.argsort(order), np.cumsum([len(rows) for rows in rows_by_sector[:-1]]))
+    eigenvalues = np.concatenate([values for values, _, _ in solved], axis=-1)
+    order = np.argsort(eigenvalues, axis=-1, kind="stable")
+    columns = np.split(np.argsort(order, axis=-1),
+                       np.cumsum([len(rows) for rows in rows_by_sector[:-1]]), axis=-1)
     sectors = tuple(Sector(rows, vectors, place, mirror) for rows, (_, vectors, mirror), place
                     in zip(rows_by_sector, solved, columns))
-    return SpectralDecomposition(eigenvalues=eigenvalues[order], magnetizations=sector_m[order],
-                                 sectors=sectors, layout=h.layout)
+    return SpectralDecomposition(eigenvalues=np.take_along_axis(eigenvalues, order, axis=-1),
+                                 magnetizations=sector_m[order], sectors=sectors, layout=layout)
 
 
 def boltzmann_weights(eigenvalues: np.ndarray, beta: float | np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mixedspin import sweeps, verify
-from mixedspin import (EPS_NONZERO, Axis, ModelSpec, SweepRequest, build_model,
-                       diagonalize, find_threshold, log_partition,
+from mixedspin import (EPS_NONZERO, Axis, Hamiltonian, ModelSpec, SweepRequest,
+                       build_model, diagonalize, find_threshold, log_partition,
                        resolve_pairs, run_sweep, threshold_curve)
 from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
 from mixedspin.sweeps import available_pair_kinds, check_threshold, pair_negativities
@@ -93,25 +93,33 @@ def test_sweep_deterministic():
     assert np.array_equal(first.log_z, again.log_z)
 
 
+def _models(h):
+    """The models of one diagonalize call: one Hamiltonian, or each of a batch."""
+    return [h.spec] if isinstance(h, Hamiltonian) else [one.spec for one in h]
+
+
 def test_temperature_axis_reuses_decomposition(monkeypatch):
     calls = []
     real = sweeps.diagonalize
-    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
+    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(_models(h)) or real(h))
     req = SweepRequest(base=ModelSpec(3), axis1=Axis("temperature", 0.1, 2.0, 25),
                        pairs=resolve_pairs(3))
     run_sweep(req)
-    assert len(calls) == 1
+    assert calls == [[ModelSpec(3)]]
     req2 = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 5),
                         axis2=Axis("temperature", 0.1, 1.0, 6),
                         pairs=resolve_pairs(4))
     calls.clear()
     run_sweep(req2)
-    assert len(calls) == 5
+    # five couplings, each diagonalized once, as one batch at four sites
+    assert calls == [[ModelSpec(4, j2=float(v)) for v in np.linspace(0.0, 1.0, 5)]]
 
 
 def test_sweep_lets_each_decomposition_go(monkeypatch):
-    # a sweep holds one decomposition at a time: when the next group's
-    # eigensolve starts, no earlier group's decomposition is still alive
+    # a sweep holds one batch of decompositions at a time: when the next
+    # batch's eigensolve starts, no earlier batch is still alive; the budget
+    # makes batches of two groups of one point each (D = 36)
+    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 2 * 36 * (1 + 36))
     alive = []
     real = sweeps.diagonalize
 
@@ -125,7 +133,7 @@ def test_sweep_lets_each_decomposition_go(monkeypatch):
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.6, 4),
                        pairs=resolve_pairs(4), temperature=0.2)
     run_sweep(req)
-    assert len(alive) == 4
+    assert len(alive) == 2
 
 
 def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
@@ -311,9 +319,10 @@ def test_threshold_curve_value_cross_check():
 
 
 def _count_eigensolves(monkeypatch):
+    """Every model diagonalized, those of a batch one by one."""
     calls = []
     real = sweeps.diagonalize
-    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
+    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.extend(_models(h)) or real(h))
     return calls
 
 
@@ -382,8 +391,9 @@ def test_field_reuse_ground_manifold_spans_sectors_at_crossing():
 
 def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     # a field x temperature grid is one group of 115 points, a j2 x temperature
-    # grid five groups of 23: at four sites (D = 36) both span several stacks
-    # of 7 points
+    # grid five groups of 23: at four sites (D = 36, and 133 pair-state
+    # entries per point for the three pairs) both span several stacks of 7
+    # points
     requests = [
         SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", 0.0, 2.0, 5),
                      axis2=Axis("temperature", 0.02, 1.0, 23), pairs=resolve_pairs(4)),
@@ -396,7 +406,7 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     real = sweeps.log_partition
     monkeypatch.setattr(sweeps, "log_partition",
                         lambda e, beta: stacks.append(e.shape[0]) or real(e, beta))
-    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * 36)
+    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * (36 + 133))
     chunked = [run_sweep(req) for req in requests]
     assert stacks == [7] * 16 + [3] + ([7, 7, 7, 2] * 5)
     for a, b in zip(whole, chunked):
@@ -404,6 +414,49 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
         assert np.array_equal(a.negativities, b.negativities)
         assert np.array_equal(a.internal_energy, b.internal_energy)
         assert np.array_equal(a.log_z, b.log_z)
+
+
+def test_sweep_batches_give_the_per_group_result(monkeypatch):
+    # seven coupling groups of five points at four sites (D = 36), with j2 as
+    # either axis and next to temperature or field: batches of one, three or
+    # (by default) all seven groups give the same bits
+    requests = [
+        SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 7),
+                     axis2=Axis("temperature", 0.02, 1.0, 5)),
+        SweepRequest(base=ModelSpec(4), axis1=Axis("temperature", 0.02, 1.0, 5),
+                     axis2=Axis("j2", 0.0, 1.0, 7)),
+        SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 7),
+                     axis2=Axis("field_b", -1.0, 2.0, 5), temperature=0.05),
+    ]
+    batches = []
+    real = sweeps.diagonalize
+    monkeypatch.setattr(sweeps, "diagonalize", lambda hs: batches.append(len(hs)) or real(hs))
+    results = []
+    for budget, sizes in ((36 * (5 + 36), [1] * 7), (3 * 36 * (5 + 36), [3, 3, 1]),
+                          (sweeps.STACK_ENTRIES, [7])):
+        monkeypatch.setattr(sweeps, "STACK_ENTRIES", budget)
+        batches.clear()
+        results.append([run_sweep(req) for req in requests])
+        assert batches == sizes * len(requests)
+    for batched in results[1:]:
+        for a, b in zip(results[0], batched):
+            assert np.array_equal(a.params, b.params)
+            assert np.array_equal(a.negativities, b.negativities)
+            assert np.array_equal(a.internal_energy, b.internal_energy)
+            assert np.array_equal(a.log_z, b.log_z)
+
+
+def test_sweep_builds_each_coupling_once(monkeypatch):
+    built = []
+    real = sweeps.build_model
+    monkeypatch.setattr(sweeps, "build_model", lambda spec: built.append(spec) or real(spec))
+    run_sweep(SweepRequest(base=ModelSpec(4), axis1=Axis("temperature", 0.02, 1.0, 9),
+                           axis2=Axis("j2", 0.0, 1.0, 11)))
+    assert built == [ModelSpec(4, j2=float(v)) for v in np.linspace(0.0, 1.0, 11)]
+    built.clear()
+    run_sweep(SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", -1.0, 2.0, 9),
+                           axis2=Axis("temperature", 0.02, 1.0, 9)))
+    assert built == [ModelSpec(4)]
 
 
 def test_grid_rows_match_the_single_point_path():

@@ -330,3 +330,49 @@ def test_mirror_sectors_share_spectra_and_flip_pair_blocks(spec):
         keep = (pair.site_a, pair.site_b)
         fast = reduce_pair(decomp, weights, keep).matrix
         assert np.abs(fast - partial_trace(state, keep).matrix).max() <= 1e-12
+
+
+def _batch_cases():
+    # ferromagnetic rows reverse the plain ring's level order and j2 moves
+    # level crossings, so each row of a batch sorts its spectrum its own way
+    for n in range(2, 9):
+        yield [ModelSpec(n, j1) for j1 in (1.0, -0.5, 2.0)]
+    for n in (4, 6, 8):
+        yield [ModelSpec(n, j2=j2) for j2 in (0.1, 0.4, 0.9)]
+    for n in (2, 4):     # a field row next to zero-field rows: no sector mirrors
+        yield [ModelSpec(n), ModelSpec(n, field_b=0.7), ModelSpec(n, 1.5)]
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("specs", list(_batch_cases()),
+                         ids=lambda specs: "-".join(
+                             f"n{s.n_sites}_j1_{s.j1}_j2_{s.j2}_b_{s.field_b}" for s in specs))
+def test_batch_diagonalize_matches_single_decompositions(specs):
+    # a batch is G single decompositions side by side, bit for bit: spectra,
+    # magnetizations, sector vectors and places, and every pair's blocks
+    hs = [build_model(spec) for spec in specs]
+    batch = diagonalize(hs)
+    singles = [diagonalize(h) for h in hs]
+    mirrored = all(spec.field_b == 0.0 for spec in specs)
+    assert batch.eigenvalues.shape == (len(specs), hs[0].layout.total_dimension)
+    pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
+    for row, (spec, single) in enumerate(zip(specs, singles)):
+        # a zero-field row solved without its mirror agrees to rounding, not bits
+        exact = mirrored or spec.field_b != 0.0
+        for sector, alone in zip(batch.sectors, single.sectors):
+            assert sector.rows is alone.rows
+            assert sector.mirror_of == (alone.mirror_of if mirrored else None)
+            if exact:
+                assert np.array_equal(_bits(sector.vectors[row]), _bits(alone.vectors))
+                assert np.array_equal(sector.columns[row], alone.columns)
+        if not exact:
+            assert np.abs(batch.eigenvalues[row] - single.eigenvalues).max() <= 1e-12
+            continue
+        assert np.array_equal(_bits(batch.eigenvalues[row]), _bits(single.eigenvalues))
+        assert np.array_equal(_bits(batch.magnetizations[row]), _bits(single.magnetizations))
+        for keep in pairs:
+            assert np.array_equal(_bits(batch.pair_blocks(keep)[row]),
+                                  _bits(single.pair_blocks(keep)))
