@@ -205,9 +205,13 @@ def boltzmann_weights(eigenvalues: np.ndarray, beta: float | np.ndarray) -> np.n
     """Normalized weights exp(-beta(E - E_min)) / sum, safe for large beta.
 
     For a (k, D) stack each row is shifted and normalized on its own; beta is
-    a number or a (k, 1) column.
+    a number or a (k, 1) column. Every eigenvalue of the ground level
+    (GROUND_DEGENERACY_RTOL) counts as E_min, so eigensolver noise never
+    splits that level, and as beta grows the weights tend to the T = 0 ones.
     """
-    weights = -beta * (eigenvalues - eigenvalues.min(axis=-1, keepdims=True))
+    shifted = eigenvalues - eigenvalues.min(axis=-1, keepdims=True)
+    shifted[_ground_mask(eigenvalues)] = 0.0
+    weights = -beta * shifted
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     return weights

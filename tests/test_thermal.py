@@ -9,6 +9,7 @@ from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
 from mixedspin.negativity import partial_trace, reduce_pair
 from mixedspin.spin_ops import sector_rows
+from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition,
                                boltzmann_weights, ground_degeneracy, state_weights)
 from oracle import (GroundManifoldState, dense_hamiltonian, ground_manifold, sector_hamiltonian,
@@ -124,6 +125,20 @@ def test_boltzmann_weights_normalized():
     w = boltzmann_weights(np.array([-2.0, -1.0, 0.0]), 3.0)
     assert abs(w.sum() - 1.0) < 1e-14
     assert np.all(np.diff(w) < 0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_gibbs_weights_tend_to_the_ground_mixture(decomp_nn, n):
+    # the plain rings' ground levels are degenerate, and eigensolver noise of
+    # ~1e-15 inside a level must not pick one of its states once beta * 1e-15
+    # exceeds 1
+    decomp = decomp_nn[n]
+    pairs = resolve_pairs(n)
+    ground = pair_negativities(decomp, state_weights(decomp.eigenvalues, 0.0), pairs)
+    assert ground_degeneracy(decomp.eigenvalues) > 1
+    for temperature in (1e-16, 1e-300):
+        cold = pair_negativities(decomp, state_weights(decomp.eigenvalues, temperature), pairs)
+        assert np.abs(cold - ground).max() <= 1e-12
 
 
 def test_ground_manifold_degeneracies(decomp_nn):
