@@ -88,9 +88,11 @@ def resolve_pairs(n: int, kinds: Optional[Sequence[str]] = None) -> tuple[PairSe
     if kinds is None:
         kinds = available_pair_kinds(n)
     selectors = []
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in PAIR_SITES:
             raise ValueError(f"unknown pair kind {kind!r}; expected one of {sorted(PAIR_SITES)}")
+        if kind in kinds[:i]:
+            raise ValueError(f"pair kind {kind!r} given twice")
         a, b = PAIR_SITES[kind]
         if b >= n:
             raise ValueError(f"pair kind {kind!r} needs at least {b + 1} sites, ring has {n}")

@@ -206,6 +206,8 @@ def _no_eigensolve(*args, **kwargs):
      "--steps", "3x3", "--temperature", "-1"],
     ["threshold", "--n", "2", "--param", "temperature", "--tmin", "0.5", "--tmax", "2",
      "--temperature", "nan"],
+    ["sweep-temp", "--n", "4", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
+     "--pairs", "half_one,half_one"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes

@@ -30,6 +30,12 @@ def test_resolve_pairs_sites_and_labels():
         resolve_pairs(2, ["one_one"])
 
 
+def test_resolve_pairs_rejects_a_repeated_kind():
+    # two columns of one label would make an ambiguous CSV header
+    with pytest.raises(ValueError, match="pair kind 'one_one' given twice"):
+        resolve_pairs(4, ["one_one", "half_one", "one_one"])
+
+
 def test_axis_validation():
     with pytest.raises(ValueError, match="steps"):
         Axis("temperature", 0.1, 1.0, 1)
