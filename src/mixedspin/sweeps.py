@@ -234,9 +234,9 @@ def run_sweep(req: SweepRequest) -> SweepResult:
     Points are grouped by couplings so each group diagonalizes once, whatever
     its fields and temperatures. Groups are solved and evaluated in batches
     of G = max(1, STACK_ENTRIES // (D * (points per group + D))), each batch
-    in stacks of about STACK_ENTRIES weights; the batches run one after
-    another, and each is let go before the next eigensolve. Output rows are
-    axis1-major.
+    in stacks of about STACK_ENTRIES entries of weights and pair states; the
+    batches run one after another, and each is let go before the next
+    eigensolve. Output rows are axis1-major.
     """
     axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
     params = np.stack(np.meshgrid(*(ax.values for ax in axes), indexing="ij"),
@@ -264,8 +264,10 @@ def run_sweep(req: SweepRequest) -> SweepResult:
     log_zs = np.zeros(len(params))
     for first in range(0, len(groups), batch):
         points = groups[first:first + batch].T          # (points, G)
-        decomp = diagonalize([build_model(_couplings(replace(req.base, j2=j2)))
-                              for j2 in j2s[points[0]].tolist()])
+        hs = [build_model(_couplings(replace(req.base, j2=j2))) for j2 in j2s[points[0]].tolist()]
+        # a lone group skips the leading axis, whose stacking would copy its blocks
+        decomp = diagonalize(hs if len(hs) > 1 else hs[0])
+        del hs
         for start in range(0, len(points), chunk):
             rows = points[start:start + chunk]
             spectra = decomp.energies(fields[rows, None])

@@ -436,7 +436,8 @@ def test_sweep_batches_give_the_per_group_result(monkeypatch):
     ]
     batches = []
     real = sweeps.diagonalize
-    monkeypatch.setattr(sweeps, "diagonalize", lambda hs: batches.append(len(hs)) or real(hs))
+    monkeypatch.setattr(sweeps, "diagonalize",
+                        lambda h: batches.append(len(_models(h))) or real(h))
     results = []
     for budget, sizes in ((36 * (5 + 36), [1] * 7), (3 * 36 * (5 + 36), [3, 3, 1]),
                           (sweeps.STACK_ENTRIES, [7])):
