@@ -56,9 +56,8 @@ THRESHOLD_RTOL = 1e-6
 # Entries per stack: a sweep evaluates max(1, STACK_ENTRIES // (D + P)) points
 # at once, P being a point's pair-state entries, so each temporary stays near
 # 256 kB however long its axes are. Larger stacks of 8-site spectra, or of
-# 4-site pair states (D = 36, P = 133), measurably raise peak RSS. The same
-# budget sizes a batch of coupling groups: pair blocks (about D x D each)
-# and weights.
+# 4-site pair states (D = 36, P = 133), measurably raise peak RSS. The budget
+# also sizes a batch of coupling groups.
 STACK_ENTRIES = 1 << 15
 
 SWEEPABLE = ("temperature", "field_b", "j2")

@@ -18,10 +18,8 @@ row per point, and give each row what a single spectrum would get, bit for
 bit.
 
 G Hamiltonians on one layout are one batch: one eigh per sector on their
-stacked blocks, and every array of the decomposition (spectrum, sector
-vectors and places, pair blocks) gains a leading axis of G whose rows hold,
-bit for bit, what G lone decompositions hold. A (k, G, D) stack of spectra
-covers k points on each of them.
+stacked blocks, and every array of the decomposition gains a leading axis
+of G whose rows hold, bit for bit, what G lone decompositions hold.
 
 The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
 demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
@@ -64,10 +62,7 @@ class Sector(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and their total Sz, with the eigenvectors kept by sector.
-
-    A batch of G has (G, D) eigenvalues and magnetizations, each row sorted.
-    """
+    """Ascending eigenvalues (per row, in a batch) and their total Sz, eigenvectors by sector."""
 
     eigenvalues: np.ndarray
     magnetizations: np.ndarray
