@@ -175,20 +175,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     return config
 
 
-def _axis_steps(config: RunConfig, expect_grid: bool) -> tuple[int, int]:
+def _axis_steps(config: RunConfig, count: int) -> list[int]:
+    """--steps as count integers: N for a sweep, AxB for a grid."""
     text = str(config.steps)
-    if expect_grid:
-        if "x" not in text:
-            raise ConfigError("steps: grid needs AxB, e.g. 80x80")
-        left, _, right = text.partition("x")
-        try:
-            return int(left), int(right)
-        except ValueError as exc:
-            raise ConfigError(f"steps: expected AxB integers, got {text!r}") from exc
     try:
-        return int(text), 0
-    except ValueError as exc:
-        raise ConfigError(f"steps: expected an integer, got {text!r}") from exc
+        steps = [int(part) for part in text.split("x")]
+    except ValueError:
+        steps = []
+    if len(steps) != count:
+        form = "AxB integers, e.g. 80x80" if count == 2 else "an integer"
+        raise ConfigError(f"steps: expected {form}, got {text!r}")
+    return steps
 
 
 def _pair_kinds(config: RunConfig) -> Optional[list[str]]:
@@ -198,8 +195,6 @@ def _pair_kinds(config: RunConfig) -> Optional[list[str]]:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.command == "verify" and not 2 <= config.max_n <= 8:
-        raise ConfigError("max_n: must be between 2 and 8")
     if config.command not in ("threshold", "verify") and config.out is None:
         raise ConfigError("out: missing output path")
     if config.command == "threshold" and config.param is None:
@@ -212,9 +207,14 @@ def _request(config: RunConfig):
 
     Sweeps get a SweepRequest; threshold gets (base spec, pair, search range);
     verify gets the base spec, which it only checks. The model, axis and pair
-    rules live in the library objects built here; their ValueError becomes
-    the command line's one ConfigError.
+    rules live in the library objects built here (verify's max_n is a ring's
+    site count); their ValueError becomes the command line's one ConfigError.
     """
+    if config.command == "verify":
+        try:
+            ModelSpec(config.max_n)
+        except ValueError as exc:
+            raise ConfigError(f"max_n: {exc}") from exc
     try:
         base = ModelSpec(n_sites=config.n, j1=config.j1, j2=config.j2, field_b=config.b)
         if config.command == "verify":
@@ -227,31 +227,21 @@ def _request(config: RunConfig):
             search = _range_for(config, config.param)
             check_threshold(base, config.param, search, config.temperature)
             return base, pairs[0], search
-        if config.command == "grid":
-            steps1, steps2 = _axis_steps(config, expect_grid=True)
-            return SweepRequest(base=base,
-                                axis1=Axis("j2", *_range_for(config, "j2"), steps1),
-                                axis2=Axis("temperature", *_range_for(config, "temperature"),
-                                           steps2),
-                                pairs=pairs, temperature=config.temperature)
-        steps, _ = _axis_steps(config, expect_grid=False)
-        parameter = {"sweep-temp": "temperature", "sweep-field": "field_b",
-                     "sweep-j2": "j2"}[config.command]
-        axis = Axis(parameter, *_range_for(config, parameter), steps)
-        return SweepRequest(base=base, axis1=axis, pairs=pairs,
-                            temperature=config.temperature)
+        parameters = {"sweep-temp": ["temperature"], "sweep-field": ["field_b"],
+                      "sweep-j2": ["j2"], "grid": ["j2", "temperature"]}[config.command]
+        axes = [Axis(p, *_range_for(config, p), steps)
+                for p, steps in zip(parameters, _axis_steps(config, len(parameters)))]
+        return SweepRequest(base, *axes, pairs=pairs, temperature=config.temperature)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _range_for(config: RunConfig, parameter: str) -> tuple[float, float]:
-    pick = {"temperature": (config.tmin, config.tmax),
-            "field_b": (config.bmin, config.bmax),
-            "j2": (config.j2min, config.j2max)}[parameter]
-    names = {"temperature": "tmin/tmax", "field_b": "bmin/bmax", "j2": "j2min/j2max"}
-    if pick[0] is None or pick[1] is None:
-        raise ConfigError(f"{names[parameter]}: required for {parameter} range")
-    return float(pick[0]), float(pick[1])
+    key = {"temperature": "t", "field_b": "b", "j2": "j2"}[parameter]
+    lo, hi = getattr(config, key + "min"), getattr(config, key + "max")
+    if lo is None or hi is None:
+        raise ConfigError(f"{key}min/{key}max: required for {parameter} range")
+    return float(lo), float(hi)
 
 
 def emit_csv(path: str, comments: Sequence[tuple[str, str]], header: Sequence[str],

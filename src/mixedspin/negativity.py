@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -248,17 +247,6 @@ def negativity(pair: PairReducedState) -> NegativityResult:
     return NegativityResult(value=float(negativities(pair)), pair_kind=pair.kind)
 
 
-def schmidt_negativity(coefficients: Sequence[float]) -> float:
-    """Negativity of a bipartite pure state from its Schmidt coefficients."""
-    c = np.asarray(coefficients, dtype=float)
-    if (c < 0).any():
-        raise ValueError("Schmidt coefficients must be nonnegative")
-    if abs(float(np.sum(c * c)) - 1.0) > 1e-10:
-        raise ValueError("Schmidt coefficients must be normalized")
-    total = float(np.sum(c))
-    return (total * total - 1.0) / 2.0
-
-
 def correlator(pair: PairReducedState) -> float:
     """Exchange correlator Tr(rho_pair s_a . s_b) of one pair state."""
     a, b = (spin_matrices(SpinMagnitude((d - 1) / 2)) for d in (pair.dim_a, pair.dim_b))
@@ -278,8 +266,3 @@ def su2_signed(corr: float, kind: PairKind) -> float:
     if kind == PairKind.HALF_HALF:
         return -0.25 - corr
     raise ValueError("no correlator formula for a (1,1) pair")
-
-
-def su2_negativity(corr: float, kind: PairKind) -> float:
-    """Clamped version of su2_signed; equals the true negativity for rotation-invariant states."""
-    return max(0.0, su2_signed(corr, kind))

@@ -30,12 +30,15 @@ a search keeps is decided here, not by callers: a temperature or field
 search memoizes its one model, so it diagonalizes once, and scans as one
 stack; a j2 search holds one decomposition at a time; a boundary curve
 shares one memo across its points, which keeps the scan-grid models its
-next value meets again but never a bisection midpoint.
+next value meets again but never a bisection midpoint. One check,
+`_check_ranges`, rejects a bad sweep, search or curve before any eigensolve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -113,8 +116,6 @@ class Axis:
             raise ValueError("axis needs at least 2 steps")
         if not -math.inf < self.lo < self.hi < math.inf:
             raise ValueError("axis requires finite lo < hi")
-        if self.parameter == "temperature" and self.lo <= 0.0:
-            raise ValueError("temperature axis must stay positive")
 
     @property
     def values(self) -> np.ndarray:
@@ -134,46 +135,38 @@ class SweepRequest:
     def __post_init__(self):
         if not self.pairs:
             object.__setattr__(self, "pairs", resolve_pairs(self.base.n_sites))
-        axes = [self.axis1.parameter] + ([self.axis2.parameter] if self.axis2 else [])
-        if len(set(axes)) != len(axes):
-            raise ValueError("axes must sweep distinct parameters")
-        if "temperature" in axes:
-            if self.temperature is not None:
-                raise ValueError("temperature: an axis sweeps temperature, "
-                                 "so a fixed temperature would be ignored")
-        elif self.temperature is None or not 0.0 < self.temperature < math.inf:
-            raise ValueError("fixed temperature must be finite and > 0 when no axis sweeps it")
-        for ax in filter(None, (self.axis1, self.axis2)):
-            _check_corners(self.base, ax.parameter, (ax.lo, ax.hi))
+        axes = filter(None, (self.axis1, self.axis2))
+        _check_ranges(self.base, [(a.parameter, a.lo, a.hi) for a in axes], self.temperature)
 
 
-def _point(spec: ModelSpec, temperature: Optional[float], parameter: str,
-           value: float) -> tuple[ModelSpec, Optional[float]]:
-    """The (model, temperature) a point runs at once parameter takes value."""
-    if parameter == "temperature":
-        return spec, float(value)
-    return replace(spec, **{parameter: float(value)}), temperature
+def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
+                  temperature: Optional[float], search: bool = False) -> None:
+    """Raise ValueError unless every point of the box that ranges span can run.
+
+    The one range check of sweeps, threshold searches and boundary curves:
+    ranges holds the (parameter, lo, hi) of each axis, search range or curve.
+    Each model rule sees a coupling only through its sign or whether it is
+    zero, so the corners of the box stand for every point inside it.
+    """
+    bounds = {p: (lo, hi) for p, lo, hi in ranges}
+    if len(bounds) != len(ranges):
+        raise ValueError("swept and searched parameters must be distinct")
+    if ("temperature" in bounds) == (temperature is not None):
+        raise ValueError("temperature: a fixed temperature is needed exactly when "
+                         "no axis sweeps or searches temperature")
+    coldest, hottest = bounds.get("temperature", (temperature, temperature))
+    # 1/T must be finite, and only a search takes T = 0: a sweep's logZ is -E0/T
+    if not (coldest >= sys.float_info.min or (search and coldest == 0.0)) or hottest == math.inf:
+        raise ValueError(f"temperature must be finite and {'0 or ' if search else 'positive, '}"
+                         f"at least {sys.float_info.min:.3g}, so that 1/T is finite")
+    couplings = [[(p, lo), (p, hi)] for p, (lo, hi) in bounds.items() if p != "temperature"]
+    for corner in itertools.product(*couplings):
+        replace(base, **dict(corner))
 
 
 def _couplings(spec: ModelSpec) -> ModelSpec:
     """The model without its field: every field shares its eigenvectors."""
     return replace(spec, field_b=0.0)
-
-
-def _decompose(spec: ModelSpec) -> SpectralDecomposition:
-    """Decomposition of spec's couplings; energies(spec.field_b) gives its spectrum."""
-    return diagonalize(build_model(_couplings(spec)))
-
-
-def _check_corners(base: ModelSpec, parameter: str, bounds: Sequence[float]) -> None:
-    """Raise ValueError unless base is a valid model at both ends of a coupling range.
-
-    Each rule sees a coupling only through its sign or whether it is zero,
-    so the two ends stand for every point between them; errors surface
-    before any eigensolve.
-    """
-    for v in bounds:
-        _point(base, None, parameter, v)
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,7 @@ class SpectralCache:
         """Zero-field decomposition of spec; apply spec.field_b through energies()."""
         key = _couplings(spec)
         if key not in self._store:
-            self._store[key] = _decompose(spec)
+            self._store[key] = diagonalize(build_model(key))
         return self._store[key]
 
 
@@ -287,21 +280,18 @@ def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, 
                     fixed_temperature: Optional[float] = None,
                     scan_points: int = 64) -> None:
     """Raise ValueError unless find_threshold can search this range; no eigensolve."""
-    lo, hi = search_range
+    _scan_axis(base, parameter, search_range, fixed_temperature, scan_points)
+
+
+def _scan_axis(base: ModelSpec, parameter: str, search_range: tuple[float, float],
+               fixed_temperature: Optional[float], scan_points: int,
+               curve: Sequence[tuple[str, float, float]] = ()) -> Axis:
+    """The scan grid of a checked search; curve adds a boundary curve's (parameter, lo, hi)."""
     if scan_points < 2:
         raise ValueError(f"scan_points must be at least 2, got {scan_points}")
-    if parameter not in SWEEPABLE:
-        raise ValueError(f"parameter must be one of {SWEEPABLE}")
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError("search range requires finite lo < hi")
-    if parameter == "temperature":
-        if lo < 0.0:
-            raise ValueError("temperature search range must stay >= 0")
-        if fixed_temperature is not None:
-            raise ValueError("temperature: a temperature search takes no fixed temperature")
-    elif fixed_temperature is None or not 0.0 <= fixed_temperature < math.inf:
-        raise ValueError("coupling thresholds need a finite fixed temperature (>= 0)")
-    _check_corners(base, parameter, search_range)
+    scan = Axis(parameter, *search_range, scan_points)
+    _check_ranges(base, [(parameter, *search_range), *curve], fixed_temperature, search=True)
+    return scan
 
 
 def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
@@ -316,16 +306,15 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     the indicator never flips. A temperature or field search diagonalizes
     once; a j2 search holds one decomposition at a time.
     """
-    check_threshold(base, parameter, search_range, fixed_temperature, scan_points)
+    scan = _scan_axis(base, parameter, search_range, fixed_temperature, scan_points)
     # a j2 search never revisits couplings; the others stay on one model
-    return _search(base, parameter, pair, search_range, fixed_temperature, scan_points,
+    return _search(base, pair, scan, fixed_temperature,
                    None if parameter == "j2" else SpectralCache())
 
 
-def _search(base: ModelSpec, parameter: str, pair: PairSelector,
-            search_range: tuple[float, float], fixed_temperature: Optional[float],
-            scan_points: int, memo: Optional[SpectralCache]) -> ThresholdResult:
-    """find_threshold on a checked range; a j2 search's midpoints bypass memo.
+def _search(base: ModelSpec, pair: PairSelector, scan: Axis, fixed_temperature: Optional[float],
+            memo: Optional[SpectralCache]) -> ThresholdResult:
+    """find_threshold on a checked scan grid; a j2 search's midpoints bypass memo.
 
     A temperature or field search evaluates its scan as one stack on its one
     decomposition and each bisection midpoint as a stack of one.
@@ -333,35 +322,36 @@ def _search(base: ModelSpec, parameter: str, pair: PairSelector,
     def negativity_at(spec: ModelSpec, field_b: float | np.ndarray,
                       temperature: float | np.ndarray,
                       store: Optional[SpectralCache]) -> np.ndarray:
-        decomp = store.get(spec) if store is not None else _decompose(spec)
+        decomp = (store.get(spec) if store is not None
+                  else diagonalize(build_model(_couplings(spec))))
         weights = state_weights(decomp.energies(field_b), temperature)
         return pair_negativities(decomp, weights, [pair])[..., 0]
 
     def entangled(values: np.ndarray, store: Optional[SpectralCache]) -> np.ndarray:
-        if parameter == "j2":
+        if scan.parameter == "j2":
             found = np.array([negativity_at(replace(base, j2=float(v)), base.field_b,
                                             fixed_temperature, store) for v in values])
-        elif parameter == "field_b":
+        elif scan.parameter == "field_b":
             found = negativity_at(base, values[:, None], fixed_temperature, store)
         else:
             found = negativity_at(base, base.field_b, values, store)
         return found > EPS_NONZERO
 
-    grid = np.linspace(search_range[0], search_range[1], scan_points)
+    grid = scan.values
     flags = entangled(grid, memo)
     flip = next((i for i in range(1, len(grid)) if flags[i] != flags[i - 1]), None)
     if flip is None:
-        return ThresholdResult(parameter=parameter, value=None, bracket=None,
+        return ThresholdResult(parameter=scan.parameter, value=None, bracket=None,
                                status="none-in-range")
     lo, hi = float(grid[flip - 1]), float(grid[flip])
     lo_flag = flags[flip - 1]
     while hi - lo > THRESHOLD_RTOL * max(1.0, 0.5 * abs(lo + hi)):
         mid = 0.5 * (lo + hi)
-        if entangled(np.array([mid]), None if parameter == "j2" else memo)[0] == lo_flag:
+        if entangled(np.array([mid]), None if scan.parameter == "j2" else memo)[0] == lo_flag:
             lo = mid
         else:
             hi = mid
-    return ThresholdResult(parameter=parameter, value=0.5 * (lo + hi),
+    return ThresholdResult(parameter=scan.parameter, value=0.5 * (lo + hi),
                            bracket=(lo, hi), status="found")
 
 
@@ -373,16 +363,18 @@ def threshold_curve(base: ModelSpec, pair: PairSelector,
 
     With curve_parameter="j2" and search_parameter="temperature" this yields
     the zero-negativity boundary T_th(J2); swapping the roles gives the
-    transposed view J2_th(T). The points share one memo of decompositions:
-    a T_th(J2) curve diagonalizes once per curve value, and a J2_th(T) curve
-    once per scan-grid model plus the bisection midpoints.
+    transposed view J2_th(T). Every point is checked before the first search,
+    and all share one memo of decompositions: a T_th(J2) curve diagonalizes
+    once per curve value, a J2_th(T) curve once per scan-grid model plus the
+    bisection midpoints.
     """
+    values = np.asarray(curve_values, dtype=float)
+    scan = _scan_axis(base, search_parameter, search_range, None, scan_points,
+                      [(curve_parameter, values.min(), values.max())])
     memo = SpectralCache()
     out = []
-    for v in curve_values:
-        point_base, point_temp = _point(base, None, curve_parameter, v)
-        check_threshold(point_base, search_parameter, search_range, point_temp, scan_points)
-        res = _search(point_base, search_parameter, pair, search_range, point_temp,
-                      scan_points, memo)
-        out.append((float(v), res.value))
+    for v in values.tolist():
+        fixed = {curve_parameter: v}
+        temperature = fixed.pop("temperature", None)
+        out.append((v, _search(replace(base, **fixed), pair, scan, temperature, memo).value))
     return out

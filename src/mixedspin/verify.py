@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import analytic
 from .models import ModelSpec, build_model
 from .negativity import (PairKind, PairReducedState, correlator, negativities,
-                         negativity, partial_transpose, reduce_pair,
-                         schmidt_negativity, su2_negativity, su2_signed)
+                         negativity, partial_transpose, reduce_pair, su2_signed)
 from .sweeps import (EPS_NONZERO, Axis, SweepRequest, find_threshold,
                      pair_negativities, resolve_pairs, run_sweep, threshold_curve)
 from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy,
@@ -85,6 +85,22 @@ def _pair(decomp: SpectralDecomposition, temperature: float | np.ndarray,
 def _energy(decomp: SpectralDecomposition, temperature: float) -> float:
     """Internal energy U = sum_i E_i w_i at temperature, as a sweep computes it."""
     return float(np.dot(decomp.eigenvalues, state_weights(decomp.eigenvalues, temperature)))
+
+
+def schmidt_negativity(coefficients: Sequence[float]) -> float:
+    """Negativity of a bipartite pure state from its Schmidt coefficients."""
+    c = np.asarray(coefficients, dtype=float)
+    if (c < 0).any():
+        raise ValueError("Schmidt coefficients must be nonnegative")
+    if abs(float(np.sum(c * c)) - 1.0) > 1e-10:
+        raise ValueError("Schmidt coefficients must be normalized")
+    total = float(np.sum(c))
+    return (total * total - 1.0) / 2.0
+
+
+def su2_negativity(corr: float, kind: PairKind) -> float:
+    """Clamped version of su2_signed; equals the true negativity for rotation-invariant states."""
+    return max(0.0, su2_signed(corr, kind))
 
 
 # ---------------------------------------------------------------------------

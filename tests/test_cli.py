@@ -208,6 +208,14 @@ def _no_eigensolve(*args, **kwargs):
      "--temperature", "nan"],
     ["sweep-temp", "--n", "4", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
      "--pairs", "half_one,half_one"],
+    ["verify", "--max-n", "9"],
+    ["verify", "--max-n", "1"],
+    ["sweep-temp", "--n", "2", "--tmin", "1e-320", "--tmax", "1", "--steps", "2"],
+    ["grid", "--n", "4", "--j2min", "0", "--j2max", "1", "--tmin", "1e-320", "--tmax", "1",
+     "--steps", "3x3"],
+    ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "3",
+     "--temperature", "1e-320"],
+    ["threshold", "--n", "2", "--param", "temperature", "--tmin", "1e-320", "--tmax", "1"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes

@@ -8,10 +8,10 @@ import pytest
 from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
                        build_model, correlator, diagonalize,
                        negativity, partial_trace, partial_transpose, resolve_pairs,
-                       schmidt_negativity, su2_negativity, su2_signed,
-                       thermal_state)
+                       su2_signed, thermal_state)
 from mixedspin.negativity import PairReducedState, negativities, reduce_pair
 from mixedspin.thermal import state_weights
+from mixedspin.verify import schmidt_negativity, su2_negativity
 from oracle import ground_manifold, heisenberg_bond, pair_negativity
 
 

@@ -1,4 +1,5 @@
 import importlib
+import sys
 import weakref
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_axis_validation():
     with pytest.raises(ValueError, match="finite"):
         Axis("temperature", 0.1, float("inf"), 10)
     with pytest.raises(ValueError, match="positive"):
-        Axis("temperature", 0.0, 1.0, 10)
+        SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", 0.0, 1.0, 10))
     with pytest.raises(ValueError, match="parameter"):
         Axis("j3", 0.0, 1.0, 10)
 
@@ -65,6 +66,10 @@ def test_request_validation():
                      axis2=Axis("temperature", 0.1, 1.0, 5), temperature=0.5)
     with pytest.raises(ValueError, match="temperature"):
         check_threshold(ModelSpec(2), "temperature", (0.5, 2.0), fixed_temperature=0.5)
+    # every corner of a two-axis grid is a model: j2 = 1 at b = 2 is not
+    with pytest.raises(ValueError, match="studied separately"):
+        SweepRequest(ModelSpec(4), Axis("j2", 0, 1, 7), Axis("field_b", -1, 2, 5),
+                     temperature=0.05)
 
 
 def test_temperature_sweep_matches_closed_form():
@@ -204,6 +209,46 @@ def test_threshold_rejects_scan_below_two_points(monkeypatch, scan_points):
     # the smallest valid scan brackets the threshold that 64 points find
     two = find_threshold(ModelSpec(4), "temperature", pair, (0.05, 2.0), scan_points=2)
     assert two.status == "found" and abs(two.value - 1.0327) <= 1e-4
+
+
+def test_curve_checks_every_point_before_the_first_search(monkeypatch):
+    # a bad last curve value fails the curve before its first eigensolve
+    calls = _count_eigensolves(monkeypatch)
+    pair = resolve_pairs(4)[0]
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        threshold_curve(ModelSpec(4), pair, "temperature", [0.05, -1.0], "j2", (0, 1))
+    with pytest.raises(ValueError, match="even ring"):
+        threshold_curve(ModelSpec(5), pair, "j2", [0.0, 0.2], "temperature", (0.05, 1.5))
+    with pytest.raises(ValueError, match="finite"):
+        threshold_curve(ModelSpec(4), pair, "temperature", [0.05, float("inf")], "j2",
+                        (0, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.2], "j2", (0, 1))
+    assert calls == []
+
+
+def test_zero_temperature_is_for_searches_only(monkeypatch):
+    # a search may start at or sit at T = 0 (the ground-manifold mixture);
+    # a sweep may not, since its logZ column is -E0/T
+    pair = resolve_pairs(2)[0]
+    check_threshold(ModelSpec(2), "temperature", (0.0, 2.0))
+    check_threshold(ModelSpec(2), "field_b", (0.5, 2.5), fixed_temperature=0.0)
+    assert find_threshold(ModelSpec(2), "temperature", pair, (0.0, 2.0)).status == "found"
+    calls = _count_eigensolves(monkeypatch)
+    for request in (dict(axis1=Axis("temperature", 0.0, 1.0, 5)),
+                    dict(axis1=Axis("field_b", 0.0, 1.0, 5), temperature=0.0)):
+        with pytest.raises(ValueError, match="positive"):
+            SweepRequest(base=ModelSpec(2), **request)
+    # below the smallest normal float 1/T overflows, for sweeps and searches alike
+    tiny = sys.float_info.min / 2
+    with pytest.raises(ValueError, match="at least"):
+        SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", tiny, 1.0, 2))
+    with pytest.raises(ValueError, match="at least"):
+        check_threshold(ModelSpec(2), "temperature", (tiny, 1.0))
+    with pytest.raises(ValueError, match="at least"):
+        check_threshold(ModelSpec(4), "j2", (0.0, 1.0), fixed_temperature=tiny)
+    assert calls == []
+    SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", sys.float_info.min, 1.0, 2))
 
 
 def _forbid_dense(monkeypatch, message):
@@ -424,15 +469,13 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
 
 def test_sweep_batches_give_the_per_group_result(monkeypatch):
     # seven coupling groups of five points at four sites (D = 36), with j2 as
-    # either axis and next to temperature or field: batches of one, three or
-    # (by default) all seven groups give the same bits
+    # either axis: batches of one, three or (by default) all seven groups
+    # give the same bits
     requests = [
         SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 7),
                      axis2=Axis("temperature", 0.02, 1.0, 5)),
         SweepRequest(base=ModelSpec(4), axis1=Axis("temperature", 0.02, 1.0, 5),
                      axis2=Axis("j2", 0.0, 1.0, 7)),
-        SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 7),
-                     axis2=Axis("field_b", -1.0, 2.0, 5), temperature=0.05),
     ]
     batches = []
     real = sweeps.diagonalize
