@@ -5,12 +5,12 @@ changes: every field shares the zero-field decomposition (the field term
 commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
 temperature only changes the weights. A group builds its coupling
 `ModelSpec` once, as the Hamiltonian's total-Sz sector blocks, and needs
-one eigensolve, sector by sector (being at zero field, only the sectors
-M >= 0: spin inversion gives the rest), plus the pair blocks of its
+one eigensolve, of the lowest-|M| sector only, split by total spin (S+
+and spin inversion give every other sector), plus the pair blocks of its
 decomposition, gathered from the sector eigenvectors. Groups go through in
 batches of G whose pair blocks and weights fit in about STACK_ENTRIES
 entries (7 groups of 80 temperatures at four sites, 1 group from six sites
-on): one stacked eigensolve per sector and one product per pair
+on): one stacked eigensolve per total spin and one product per pair
 magnetization for all G, so small rings pay the call overhead once per
 batch. Its points go through in stacks of about STACK_ENTRIES entries of
 weights and pair states: their spectra form a (k, G, D) array,
@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .models import ModelSpec, build_model, ring_layout
+from .models import ModelSpec, build_model, nn_bond_list, nnn_bond_list, ring_layout
 from .negativity import negativities, reduce_pair
 from .thermal import (SpectralDecomposition, diagonalize, log_partition,
                       state_weights)
@@ -110,8 +110,7 @@ class Axis:
     steps: int
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ValueError(f"parameter must be one of {SWEEPABLE}, got {self.parameter!r}")
+        _check_parameter(self.parameter)
         if self.steps < 2:
             raise ValueError("axis needs at least 2 steps")
         if not -math.inf < self.lo < self.hi < math.inf:
@@ -139,6 +138,22 @@ class SweepRequest:
         _check_ranges(self.base, [(a.parameter, a.lo, a.hi) for a in axes], self.temperature)
 
 
+def _check_parameter(parameter: str) -> None:
+    if parameter not in SWEEPABLE:
+        raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
+
+
+def _energy_bound(spec: ModelSpec) -> float:
+    """A bound on |E|: |b| times the total spin, plus each bond's |J| times
+    s_min (s_max + 1), the largest |eigenvalue| of s_a . s_b (at pair spin |s_a - s_b|).
+    """
+    spins = [s.spin for s in ring_layout(spec.n_sites).spins]
+    exchange = sum(abs(j) * min(spins[a], spins[b]) * (max(spins[a], spins[b]) + 1.0)
+                   for j, bond_list in ((spec.j1, nn_bond_list), (spec.j2, nnn_bond_list))
+                   for a, b in bond_list(spec.n_sites))
+    return exchange + abs(spec.field_b) * sum(spins)
+
+
 def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
                   temperature: Optional[float], search: bool = False) -> None:
     """Raise ValueError unless every point of the box that ranges span can run.
@@ -146,8 +161,11 @@ def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
     The one range check of sweeps, threshold searches and boundary curves:
     ranges holds the (parameter, lo, hi) of each axis, search range or curve.
     Each model rule sees a coupling only through its sign or whether it is
-    zero, so the corners of the box stand for every point inside it.
+    zero, and the energy bound grows with each |coupling|, so the corners of
+    the box stand for every point inside it.
     """
+    for parameter, _, _ in ranges:
+        _check_parameter(parameter)
     bounds = {p: (lo, hi) for p, lo, hi in ranges}
     if len(bounds) != len(ranges):
         raise ValueError("swept and searched parameters must be distinct")
@@ -160,8 +178,12 @@ def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
         raise ValueError(f"temperature must be finite and {'0 or ' if search else 'positive, '}"
                          f"at least {sys.float_info.min:.3g}, so that 1/T is finite")
     couplings = [[(p, lo), (p, hi)] for p, (lo, hi) in bounds.items() if p != "temperature"]
-    for corner in itertools.product(*couplings):
-        replace(base, **dict(corner))
+    bound = max(_energy_bound(replace(base, **dict(corner)))
+                for corner in itertools.product(*couplings))
+    # Boltzmann factors take beta (E - E_min), up to 2 * bound / T
+    if coldest > 0.0 and not math.isfinite(2.0 * bound / coldest):
+        raise ValueError(f"temperature {coldest:.3g} is too cold for energies up to "
+                         f"{bound:.3g}: 2 |E| / T must be finite")
 
 
 def _couplings(spec: ModelSpec) -> ModelSpec:

@@ -1,25 +1,30 @@
 """Spectral decomposition, Gibbs states, and thermal observables.
 
 Every ring Hamiltonian conserves total Sz and comes as its sector blocks,
-so `diagonalize` solves it one magnetization sector at a time, keeps the
-eigenvectors by sector and records each one's M. At zero field H is
-invariant under the flip m -> -m on every site, so sector -M takes sector
-M's eigenpairs, rows reversed (spin inversion). The field term b*Sz is
+and every family is isotropic exchange, so H also commutes with total S^2
+and S+. `diagonalize` therefore solves only the lowest-|M| sector (M = 0,
+or 1/2), one small eigh per total spin S on that sector's S^2 eigenbasis,
+and ladders the rest: sector M+1 takes S+ of the vectors with S >= M+1,
+and sector -M takes sector M's eigenpairs, rows reversed (spin inversion).
+Every eigenvector so has an exact S, and an isotropy check on fixed probe
+vectors refuses any H that would break this. The field term b*Sz is
 constant on a sector, so at field b the energies are E_i + b*M_i on the
 same eigenvectors: one diagonalization serves every temperature and every
-field for fixed exchange couplings. Boltzmann weights are computed relative
-to the lowest energy so that inverse temperatures up to ~1e3 never
-overflow, and nothing assumes the energies are sorted. A state at
-temperature T is a weight vector over the eigenvectors (`state_weights`),
-and its pair states come from the decomposition's pair blocks, built from
-the sectors. Many points on one decomposition are one stack: `energies`,
-`state_weights` and `log_partition` take a (k, D) stack of spectra, one
-row per point, and give each row what a single spectrum would get, bit for
-bit.
+field for fixed exchange couplings, and a Hamiltonian built with a field
+is solved without it and gets b*M back on its energies.
 
-G Hamiltonians on one layout are one batch: one eigh per sector on their
-stacked blocks, and every array of the decomposition gains a leading axis
-of G whose rows hold, bit for bit, what G lone decompositions hold.
+Boltzmann weights are computed relative to the lowest energy so that
+inverse temperatures up to ~1e3 never overflow, and nothing assumes the
+energies are sorted. A state at temperature T is a weight vector over the
+eigenvectors (`state_weights`), and its pair states come from the
+decomposition's pair blocks, built from the sectors. Many points on one
+decomposition are one stack: `energies`, `state_weights` and
+`log_partition` take a (k, D) stack of spectra, one row per point, and
+give each row what a single spectrum would get, bit for bit.
+
+G Hamiltonians on one layout are one batch: one eigh per total spin on
+their stacked blocks, and every array of the decomposition gains a leading
+axis of G whose rows hold, bit for bit, what G lone decompositions hold.
 
 The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
 demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
@@ -38,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import Hamiltonian
+from .models import Hamiltonian, _sector_grid
 from .spin_ops import SiteLayout, sector_rows, spin_matrices
 
 # Eigenvectors within this relative distance of the minimum energy count as
@@ -49,9 +54,10 @@ GROUND_DEGENERACY_RTOL = 1e-9
 class Sector(NamedTuple):
     """A total-Sz sector's eigenvectors (columns over its basis rows) and their places.
 
-    `columns` places them in the ascending spectrum. If `mirror_of` is set,
-    the vectors are that sector's with the rows reversed (spin inversion).
-    In a batch, `vectors` and `columns` carry the batch's leading axis.
+    `columns` places them in the ascending spectrum. Every sector M < 0 has
+    `mirror_of` set, at every field: its vectors are sector -M's with the
+    rows reversed (spin inversion). In a batch, `vectors` and `columns`
+    carry the batch's leading axis.
     """
 
     rows: np.ndarray
@@ -159,33 +165,123 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     return back, tuple(plans)
 
 
-def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition:
-    """Symmetric eigensolve one total-Sz sector at a time.
+@lru_cache(maxsize=None)
+def _su2_plan(layout: SiteLayout):
+    """The lowest-|M| sector's S^2 eigenbasis, the S+ action up from it, and isotropy probes.
 
-    Each of the Hamiltonian's sector blocks is solved on its own, except a
-    sector -M whose block is exactly sector M's block reversed (the flip
-    m -> -m on every site; exact at zero field, broken by a field): its
-    eigenvectors are sector M's with the rows reversed, on the same
-    eigenvalues. A sequence of G Hamiltonians on one layout is one batch:
-    each sector is one eigh on the (G, k, k) stack of its blocks, and -M
-    mirrors M only if it does so in every row. Raises ValueError if a block
-    has a non-finite entry, LinAlgError if LAPACK fails to converge.
+    That sector (M = 0, or 1/2 on rings with an odd number of spin-1/2
+    sites) holds one member of every multiplet. Returns its index and M;
+    its S^2 eigenvectors as rows in ascending S, sliced by S (`groups`),
+    and each one's S; per step up to the top sector, S+ as index arrays
+    (source, coef) of shape (sites, upper size): upper row r takes
+    coef[i, r] times lower row source[i, r] from site i (coef 0 where none);
+    and one fixed probe vector per sector from low up, each S+ of the last.
+    """
+    rows_by_sector, sector_m = sector_rows(layout)
+    low = len(rows_by_sector) // 2
+    place = _sector_grid(layout)[1]
+    digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
+    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
+    raises = []
+    for rows in rows_by_sector[low + 1:]:
+        source = np.zeros((len(layout.spins), rows.shape[0]), dtype=np.intp)
+        coef = np.zeros(source.shape)
+        for site, spin in enumerate(layout.spins):
+            # the state with this site one m lower is the next one along its digit
+            up = np.flatnonzero(digits[site][rows] < layout.dims[site] - 1)
+            d = digits[site][rows[up]]
+            source[site, up] = place[rows[up] + strides[site]]
+            coef[site, up] = spin_matrices(spin).splus[d, d + 1]
+        raises.append((source, coef))
+    # S^2 = S-S+ + M(M+1), with S- = (S+)^T, on the lowest-|M| sector
+    m_low = float(sector_m[sum(map(len, rows_by_sector[:low]))])
+    source, coef = raises[0]
+    splus = np.zeros((source.shape[1], rows_by_sector[low].shape[0]))
+    np.add.at(splus, (np.arange(source.shape[1]), source), coef)
+    s2 = splus.T @ splus
+    del splus
+    s2[np.diag_indices_from(s2)] += m_low * (m_low + 1.0)
+    s2, basis = np.linalg.eigh(s2)
+    # the S(S+1) lie at least 2 apart, so rounding gives S exactly
+    spins = 0.5 * np.rint(np.sqrt(4.0 * s2 + 1.0) - 1.0)
+    edges = np.flatnonzero(np.diff(spins, prepend=-1.0, append=np.inf))
+    groups = tuple(slice(a, b) for a, b in zip(edges[:-1], edges[1:]))
+    probes = [np.sin(1.0 + np.arange(s2.shape[0]))]
+    for source, coef in raises:
+        probes.append(_raise(probes[-1][:, None], source, coef)[:, 0])
+    return low, m_low, np.ascontiguousarray(basis.T), spins, groups, tuple(raises), tuple(probes)
+
+
+def _raise(vectors: np.ndarray, source: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """S+ on the columns of (..., k, c) vectors of one sector, by _su2_plan's index arrays."""
+    out = coef[0][:, None] * vectors[..., source[0], :]
+    for site in range(1, source.shape[0]):
+        term = vectors[..., source[site], :]
+        term *= coef[site][:, None]
+        out += term
+    return out
+
+
+def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition:
+    """Symmetric eigensolve of an isotropic Hamiltonian by total spin.
+
+    Only the lowest-|M| sector is solved, one small eigh per S on its
+    block projected on each S-space. Sector M+1 takes the vectors with
+    S >= M+1 as S+ v / sqrt(S(S+1) - M(M+1)) on the same eigenvalues, and
+    sector -M takes sector M's, rows reversed (m -> -m on every site). A
+    field's b*M is taken off each sector's diagonal before the solve and
+    added back to the energies, so -M mirrors M at every field. G
+    Hamiltonians on one layout are one batch of (G, k, k) stacks whose
+    rows hold, bit for bit, what lone decompositions hold. Raises
+    ValueError if a block has a non-finite entry or if H less its field
+    fails H_{M+1} S+ x = S+ H_M x or H_{-M} Rx = R H_M x (R the flip) on
+    fixed probes x; LinAlgError if LAPACK fails to converge.
     """
     if isinstance(h, Hamiltonian):
-        blocks, layout = h.blocks, h.layout
+        blocks, layout, field_b = h.blocks, h.layout, np.float64(h.spec.field_b)
     else:
         blocks, layout = tuple(map(np.stack, zip(*(one.blocks for one in h)))), h[0].layout
+        field_b = np.array([one.spec.field_b for one in h])
     if not all(np.isfinite(block).all() for block in blocks):
         raise ValueError("Hamiltonian contains non-finite entries")
-    rows_by_sector, sector_m = sector_rows(layout)
+    low, m_low, basis, spins, groups, raises, probes = _su2_plan(layout)
     last = len(blocks) - 1
+    m = m_low + np.arange(len(blocks)) - low        # each sector's M
+    if np.any(field_b):         # the field is b*M on a sector's diagonal
+        blocks = [block - np.multiply.outer(field_b * m[k], np.eye(block.shape[-1]))
+                  for k, block in enumerate(blocks)]
+    field_b = field_b[..., None]
+    values, vectors = [], []
+    for group in groups:
+        values_s, vectors_s = np.linalg.eigh(basis[group] @ blocks[low] @ basis[group].T)
+        values.append(values_s)
+        vectors.append(basis[group].T @ vectors_s)
+    values, vectors = np.concatenate(values, axis=-1), [np.concatenate(vectors, axis=-1)]
+    # the isotropy check rides along the ladder as one more column: H_M x
+    images = [blocks[k] @ probe for k, probe in enumerate(probes, low)]
+    found, expected = images[1:], []
+    for k, (source, coef) in enumerate(raises, low + 1):
+        size = probes[k - low].shape[0]
+        s = spins[-size:]
+        raised = _raise(np.concatenate((vectors[-1][..., -size:], images[k - low - 1][..., None]),
+                                       axis=-1), source, coef)
+        raised[..., :-1] /= np.sqrt(s * (s + 1.0) - m[k - 1] * m[k])
+        vectors.append(raised[..., :-1])
+        expected.append(raised[..., -1])
+    for k in range(last - low + 1, last + 1):
+        found.append(blocks[last - k] @ probes[k - low][::-1])
+        expected.append(images[k - low][..., ::-1])
+    found, expected = np.concatenate(found, axis=-1), np.concatenate(expected, axis=-1)
+    scale = np.maximum(np.abs(found).max(axis=-1), np.abs(expected).max(axis=-1))
+    if np.any(np.abs(found - expected).max(axis=-1) > 1e-9 * scale):     # row by row
+        raise ValueError("Hamiltonian is not isotropic")
+    rows_by_sector, sector_m = sector_rows(layout)
     solved = [None] * len(blocks)
-    for k in reversed(range(len(blocks))):      # each M > 0 before its -M
-        if k < last - k and np.array_equal(blocks[k], blocks[last - k][..., ::-1, ::-1]):
-            values, vectors, _ = solved[last - k]
-            solved[k] = (values, vectors[..., ::-1, :], last - k)
-        else:
-            solved[k] = (*np.linalg.eigh(blocks[k]), None)
+    for k in range(low, last + 1):
+        zero_field = values[..., -rows_by_sector[k].shape[0]:]
+        solved[k] = (zero_field + field_b * m[k], vectors[k - low], None)
+        if last - k < low:
+            solved[last - k] = (zero_field - field_b * m[k], vectors[k - low][..., ::-1, :], k)
     eigenvalues = np.concatenate([values for values, _, _ in solved], axis=-1)
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),

@@ -80,6 +80,31 @@ def dense_bond_sum(n: int, bond_list) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def total_spin_squared(layout: SiteLayout) -> np.ndarray:
+    """S^2 = sum over all site pairs a, b of s_a . s_b, from the embedded bonds, as a D x D matrix."""
+    n = len(layout.spins)
+    pairs = sum(heisenberg_bond(a, b, layout) for a in range(n) for b in range(a + 1, n))
+    s2 = 2.0 * pairs + sum(s.spin * (s.spin + 1.0) for s in layout.spins) * np.eye(pairs.shape[0])
+    s2.setflags(write=False)
+    return s2
+
+
+def total_spin_defect(spec: SpectralDecomposition) -> tuple[float, float]:
+    """How far each eigenvector is from a total-spin eigenvector.
+
+    Returns the largest distance of <v|S^2|v> from the nearest S(S+1), and
+    the largest ||S^2 v - S(S+1) v|| for that S.
+    """
+    vectors = spec.eigenvectors
+    s2v = total_spin_squared(spec.layout) @ vectors
+    expectation = np.einsum("ij,ij->j", vectors, s2v)
+    spin = 0.5 * np.rint(np.sqrt(4.0 * expectation + 1.0) - 1.0)
+    exact = spin * (spin + 1.0)
+    return (float(np.abs(expectation - exact).max()),
+            float(np.linalg.norm(s2v - vectors * exact, axis=0).max()))
+
+
 def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """The model's D x D matrix from the embedded bonds and the embedded total Sz."""
     n = spec.n_sites

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mixedspin
 from mixedspin.cli import (ConfigError, NumericalCheckError, RunConfig, emit_csv,
                            main, parse_config, read_config_file)
 
@@ -216,12 +221,32 @@ def _no_eigensolve(*args, **kwargs):
     ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "3",
      "--temperature", "1e-320"],
     ["threshold", "--n", "2", "--param", "temperature", "--tmin", "1e-320", "--tmax", "1"],
+    # above the smallest normal float, but beta * (E - E_min) still overflows
+    ["sweep-temp", "--n", "8", "--tmin", "2.2250738585072014e-308", "--tmax", "1",
+     "--steps", "2"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes
     monkeypatch.setattr("mixedspin.sweeps.diagonalize", _no_eigensolve)
     assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_coupling_sweep_leaves_numpy_random_unimported(tmp_path):
+    # numpy loads numpy.random on first use, which costs a fresh CLI process
+    # tens of milliseconds and several MB of peak RSS
+    package = os.path.dirname(os.path.dirname(mixedspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))))
+    script = ("import sys\n"
+              "from mixedspin.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('numpy.random' in sys.modules)\n")
+    args = ["sweep-j2", "--n", "8", "--j2min", "0.1", "--j2max", "0.9", "--steps", "2",
+            "--temperature", "0.02", "--out", str(tmp_path / "j2.csv")]
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_command_small(capsys):

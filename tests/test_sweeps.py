@@ -224,6 +224,11 @@ def test_curve_checks_every_point_before_the_first_search(monkeypatch):
                         (0, 1))
     with pytest.raises(ValueError, match="distinct"):
         threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.2], "j2", (0, 1))
+    # only a SWEEPABLE parameter makes a curve, whether or not ModelSpec has it
+    for parameter in ("j3", "j1"):
+        with pytest.raises(ValueError, match="parameter must be one of"):
+            threshold_curve(ModelSpec(4), pair, parameter, [0.5, 1.0], "temperature",
+                            (0.05, 1.5))
     assert calls == []
 
 

@@ -5,15 +5,16 @@ import pytest
 
 from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
                        diagonalize, internal_energy, log_partition, resolve_pairs,
-                       thermal_state)
+                       ring_layout, spin_matrices, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
+from mixedspin.models import nn_bond_list
 from mixedspin.negativity import partial_trace, reduce_pair
 from mixedspin.spin_ops import sector_rows
 from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition,
                                boltzmann_weights, ground_degeneracy, state_weights)
-from oracle import (GroundManifoldState, dense_hamiltonian, ground_manifold, sector_hamiltonian,
-                    spectral_residuals, total_sz)
+from oracle import (GroundManifoldState, dense_hamiltonian, embed, ground_manifold,
+                    sector_hamiltonian, spectral_residuals, total_spin_defect, total_sz)
 
 
 def test_diagonalize_residuals(decomp_nn):
@@ -303,6 +304,7 @@ def test_sector_diagonalize_matches_dense_eigh(spec):
     sz = np.diag(total_sz(h.layout))
     expectation = np.einsum("ij,i,ij->j", decomp.eigenvectors, sz, decomp.eigenvectors)
     assert np.abs(decomp.magnetizations - expectation).max() <= 1e-12
+    assert max(total_spin_defect(decomp)) <= 1e-10
     assert ground_degeneracy(decomp.eigenvalues) == ground_degeneracy(dense_values)
     for temperature in (0.0, 0.02, 0.5):
         weights = state_weights(decomp.eigenvalues, temperature)
@@ -319,13 +321,13 @@ def test_sector_diagonalize_matches_dense_eigh(spec):
 def test_mirror_sectors_share_spectra_and_flip_pair_blocks(spec):
     # flipping m -> -m on every site maps sector M onto -M: at b = 0 that is
     # an exact symmetry, so sector -M takes sector M's eigenpairs and its
-    # spectrum is the same numbers; the field's b*Sz breaks it, so sector -M
-    # is solved on its own and lies 2bM below sector M
+    # spectrum is the same numbers; the field's b*Sz is taken off before the
+    # solve, so sector -M mirrors M at every field and lies 2bM below it
     h = build_model(spec)
     decomp = diagonalize(h)
     b, m, energies = spec.field_b, decomp.magnetizations, decomp.eigenvalues
     for sector in decomp.sectors:
-        assert (sector.mirror_of is not None) == (b == 0.0 and m[sector.columns[0]] < 0)
+        assert (sector.mirror_of is not None) == (m[sector.columns[0]] < 0)
     for value in set(m[m > 0].tolist()):
         if b == 0.0:
             assert np.array_equal(energies[m == -value], energies[m == value])
@@ -354,7 +356,7 @@ def _batch_cases():
         yield [ModelSpec(n, j1) for j1 in (1.0, -0.5, 2.0)]
     for n in (4, 6, 8):
         yield [ModelSpec(n, j2=j2) for j2 in (0.1, 0.4, 0.9)]
-    for n in (2, 4):     # a field row next to zero-field rows: no sector mirrors
+    for n in (2, 4, 6):     # a field row next to zero-field rows
         yield [ModelSpec(n), ModelSpec(n, field_b=0.7), ModelSpec(n, 1.5)]
 
 
@@ -371,23 +373,53 @@ def test_batch_diagonalize_matches_single_decompositions(specs):
     hs = [build_model(spec) for spec in specs]
     batch = diagonalize(hs)
     singles = [diagonalize(h) for h in hs]
-    mirrored = all(spec.field_b == 0.0 for spec in specs)
     assert batch.eigenvalues.shape == (len(specs), hs[0].layout.total_dimension)
     pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
     for row, (spec, single) in enumerate(zip(specs, singles)):
-        # a zero-field row solved without its mirror agrees to rounding, not bits
-        exact = mirrored or spec.field_b != 0.0
         for sector, alone in zip(batch.sectors, single.sectors):
             assert sector.rows is alone.rows
-            assert sector.mirror_of == (alone.mirror_of if mirrored else None)
-            if exact:
-                assert np.array_equal(_bits(sector.vectors[row]), _bits(alone.vectors))
-                assert np.array_equal(sector.columns[row], alone.columns)
-        if not exact:
-            assert np.abs(batch.eigenvalues[row] - single.eigenvalues).max() <= 1e-12
-            continue
+            assert sector.mirror_of == alone.mirror_of
+            assert np.array_equal(_bits(sector.vectors[row]), _bits(alone.vectors))
+            assert np.array_equal(sector.columns[row], alone.columns)
         assert np.array_equal(_bits(batch.eigenvalues[row]), _bits(single.eigenvalues))
         assert np.array_equal(_bits(batch.magnetizations[row]), _bits(single.magnetizations))
         for keep in pairs:
             assert np.array_equal(_bits(batch.pair_blocks(keep)[row]),
                                   _bits(single.pair_blocks(keep)))
+        # the batch row on its own, against the dense S^2 and, with a field in
+        # the batch, against the dense eigensolve
+        alone = SpectralDecomposition(
+            eigenvalues=batch.eigenvalues[row], magnetizations=batch.magnetizations[row],
+            sectors=tuple(s._replace(vectors=s.vectors[row], columns=s.columns[row])
+                          for s in batch.sectors), layout=batch.layout)
+        assert max(total_spin_defect(alone)) <= 1e-10
+        if not any(other.field_b for other in specs):
+            continue
+        dense_values, dense_vectors = np.linalg.eigh(hs[row].matrix)
+        assert np.abs(alone.eigenvalues - dense_values).max() <= 1e-10
+        for temperature in (0.0, 0.02, 0.5):
+            weights = state_weights(batch.eigenvalues, temperature)
+            for keep in pairs:
+                oracle = _dense_pair_oracle(dense_values, dense_vectors, batch.layout,
+                                            temperature, keep)
+                fast = reduce_pair(batch, weights, keep).matrix[row]
+                assert np.abs(fast - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_diagonalize_rejects_anisotropic_exchange(n):
+    # sz sz bonds alone conserve total Sz but not total S: no eigensolve by
+    # total spin holds for them, alone, at a 1e-6 share, or as one row of a
+    # batch; nor for a shift of the all-down state alone, which breaks only
+    # the mirror of the all-up one
+    layout = ring_layout(n)
+    sz = [spin_matrices(s).sz for s in layout.spins]
+    ising = sum(embed(np.kron(sz[a], sz[b]), (a, b), layout) for a, b in nn_bond_list(n))
+    isotropic = build_model(ModelSpec(n))
+    all_down = isotropic.matrix.copy()
+    all_down[-1, -1] += 1e-3
+    for matrix in (ising, isotropic.matrix + 1e-6 * ising, all_down):
+        with pytest.raises(ValueError, match="not isotropic"):
+            diagonalize(sector_hamiltonian(matrix, layout, ModelSpec(n)))
+    with pytest.raises(ValueError, match="not isotropic"):
+        diagonalize([isotropic, sector_hamiltonian(ising, layout, ModelSpec(n))])
