@@ -5,33 +5,27 @@ changes: every field shares the zero-field decomposition (the field term
 commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
 temperature only changes the weights. A group builds its coupling
 `ModelSpec` once, as the Hamiltonian's total-Sz sector blocks, and needs
-one eigensolve, of the lowest-|M| sector only, split by total spin (S+
-and spin inversion give every other sector), plus the pair blocks of its
-decomposition, gathered from the sector eigenvectors. Groups go through in
-batches of G whose pair blocks and weights fit in about STACK_ENTRIES
-entries (7 groups of 80 temperatures at four sites, 1 group from six sites
-on): one stacked eigensolve per total spin and one product per pair
-magnetization for all G, so small rings pay the call overhead once per
-batch. Its points go through in stacks of about STACK_ENTRIES entries of
-weights and pair states: their spectra form a (k, G, D) array,
+one eigensolve (`diagonalize`) plus the pair blocks of its decomposition.
+Groups go through in batches of G whose pair blocks and weights fit in
+about STACK_ENTRIES entries (7 groups of 80 temperatures at four sites, 1
+group from six sites on): one stacked eigensolve per total spin and one
+product per pair magnetization for all G, so small rings pay the call
+overhead once per batch. Its points go through in stacks of about
+STACK_ENTRIES entries: their spectra form a (k, G, D) array,
 `state_weights` turns it into weights W (Boltzmann weights, or an equal
 mixture of the ground manifold at T = 0), U and log Z follow in array
 operations, `reduce_pair` forms each pair's states as W @ pair blocks, and
 the `negativities` kernel checks and evaluates the whole stack. No D x D
-Hamiltonian, state or eigenvector matrix is formed and no Python runs per
-point. Batches run one after another, leaving the cores to the
-multithreaded BLAS inside each eigensolve, and a sweep holds one batch of
-decompositions at a time. Rows come out axis1-major.
+matrix is formed and no Python runs per point. Batches run one after
+another, leaving the cores to the multithreaded BLAS of each eigensolve,
+and one is alive at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
-value jumps) are handled the same way as smooth zeros. Which decompositions
-a search keeps is decided here, not by callers: a temperature or field
-search memoizes its one model, so it diagonalizes once, and scans as one
-stack; a j2 search holds one decomposition at a time; a boundary curve
-shares one memo across its points, which keeps the scan-grid models its
-next value meets again but never a bisection midpoint. One check,
-`_check_ranges`, rejects a bad sweep, search or curve before any eigensolve.
+value jumps) are handled the same way as smooth zeros. A search, or all
+searches of a boundary curve, scan as one grid on the sweep's batches and
+bisect together. One check, `_check_ranges`, rejects a bad sweep, search
+or curve before any eigensolve.
 """
 
 from __future__ import annotations
@@ -186,11 +180,6 @@ def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
                          f"{bound:.3g}: 2 |E| / T must be finite")
 
 
-def _couplings(spec: ModelSpec) -> ModelSpec:
-    """The model without its field: every field shares its eigenvectors."""
-    return replace(spec, field_b=0.0)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     columns: tuple[str, ...]
@@ -208,23 +197,8 @@ class ThresholdResult:
     status: str                 # "found" or "none-in-range"
 
 
-class SpectralCache:
-    """Memo of spectral decompositions, and so of their pair blocks, keyed by couplings.
-
-    Private to the threshold searches: a temperature or field search and a
-    boundary curve revisit couplings at many temperatures and fields. A
-    sweep needs none, since it groups its points by couplings.
-    """
-
-    def __init__(self):
-        self._store: dict[ModelSpec, SpectralDecomposition] = {}
-
-    def get(self, spec: ModelSpec) -> SpectralDecomposition:
-        """Zero-field decomposition of spec; apply spec.field_b through energies()."""
-        key = _couplings(spec)
-        if key not in self._store:
-            self._store[key] = diagonalize(build_model(key))
-        return self._store[key]
+# perfbench/tracer.py:96 reads this name without a guard; it stays until that patch goes
+SpectralCache = None
 
 
 def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
@@ -242,54 +216,73 @@ def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
                      for p in pairs], axis=-1)
 
 
+def _grid(base: ModelSpec, axes: Sequence[tuple[str, np.ndarray]], temperature: Optional[float]):
+    """The product of axes, (parameter, values) each, first axis major.
+
+    Returns the points' axis values, each point's field, temperature and j2
+    by name (an axis's is a writable column of them), and one row of point
+    indices per coupling group: each j2 value, or all.
+    """
+    params = np.stack(np.meshgrid(*(values for _, values in axes), indexing="ij"),
+                      axis=-1).reshape(-1, len(axes))
+    point = {p: np.broadcast_to(value, len(params)) for p, value in
+             (("field_b", base.field_b), ("temperature", temperature), ("j2", base.j2))}
+    point.update((p, params[:, i]) for i, (p, _) in enumerate(axes))
+    groups = np.arange(len(params)).reshape([len(values) for _, values in axes])
+    names = [p for p, _ in axes]
+    groups = np.moveaxis(groups, names.index("j2"), 0) if "j2" in names else groups[None]
+    return params, point, groups.reshape(len(groups), -1)
+
+
+def _batches(base: ModelSpec, j2s: np.ndarray, groups: np.ndarray):
+    """Yield each batch's point indices, (points, G), and its zero-field decomposition.
+
+    A batch holds G = max(1, STACK_ENTRIES // (D * (points per group + D)))
+    coupling groups, built without the field, which shares the eigenvectors.
+    Callers drop each decomposition before the next, so one batch is alive.
+    """
+    dim = ring_layout(base.n_sites).total_dimension
+    batch = min(len(groups), max(1, STACK_ENTRIES // (dim * (groups.shape[1] + dim))))
+    for first in range(0, len(groups), batch):
+        points = groups[first:first + batch].T          # (points, G)
+        hs = [build_model(replace(base, j2=j2, field_b=0.0)) for j2 in j2s[points[0]].tolist()]
+        # a lone group skips the leading axis, whose stacking would copy its blocks
+        decomp = diagonalize(hs if len(hs) > 1 else hs[0])
+        del hs
+        yield points, decomp
+        del decomp
+
+
+def _stacks(decomp: SpectralDecomposition, points: np.ndarray,
+            pairs: Sequence[PairSelector]) -> list[np.ndarray]:
+    """A batch's (points, G) indices in stacks of about STACK_ENTRIES entries."""
+    dims = decomp.layout.dims
+    # a stack's entries per point: its weights and its pair states
+    width = decomp.dimension + sum((dims[p.site_a] * dims[p.site_b]) ** 2 for p in pairs)
+    chunk = max(1, STACK_ENTRIES // (width * points.shape[1]))
+    return [points[start:start + chunk] for start in range(0, len(points), chunk)]
+
+
 def run_sweep(req: SweepRequest) -> SweepResult:
     """Evaluate the request on its full grid.
 
     Points are grouped by couplings so each group diagonalizes once, whatever
-    its fields and temperatures. Groups are solved and evaluated in batches
-    of G = max(1, STACK_ENTRIES // (D * (points per group + D))), each batch
-    in stacks of about STACK_ENTRIES entries of weights and pair states; the
-    batches run one after another, and each is let go before the next
-    eigensolve. Output rows are axis1-major.
+    its fields and temperatures; groups run in `_batches`, one at a time, and
+    their points in `_stacks`. Output rows are axis1-major.
     """
     axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
-    params = np.stack(np.meshgrid(*(ax.values for ax in axes), indexing="ij"),
-                      axis=-1).reshape(-1, len(axes))
-
-    # each parameter at every point: its axis column, or its fixed value
-    point = {"field_b": req.base.field_b, "temperature": req.temperature, "j2": req.base.j2}
-    point.update((ax.parameter, params[:, i]) for i, ax in enumerate(axes))
-    fields, temperatures, j2s = (np.broadcast_to(point[p], len(params))
-                                 for p in ("field_b", "temperature", "j2"))
-    # one row of point indices per coupling group: each j2 axis value, or all
-    groups = np.arange(len(params)).reshape([ax.steps for ax in axes])
-    names = [ax.parameter for ax in axes]
-    groups = np.moveaxis(groups, names.index("j2"), 0) if "j2" in names else groups[None]
-    groups = groups.reshape(len(groups), -1)
-
-    layout = ring_layout(req.base.n_sites)
-    dim = layout.total_dimension
-    batch = min(len(groups), max(1, STACK_ENTRIES // (dim * (groups.shape[1] + dim))))
-    # a stack's entries per point: its weights and its pair states
-    width = dim + sum((layout.dims[p.site_a] * layout.dims[p.site_b]) ** 2 for p in req.pairs)
-    chunk = max(1, STACK_ENTRIES // (width * batch))
+    params, point, groups = _grid(req.base, [(ax.parameter, ax.values) for ax in axes],
+                                  req.temperature)
     negativities = np.zeros((len(params), len(req.pairs)))
-    energies = np.zeros(len(params))
-    log_zs = np.zeros(len(params))
-    for first in range(0, len(groups), batch):
-        points = groups[first:first + batch].T          # (points, G)
-        hs = [build_model(_couplings(replace(req.base, j2=j2))) for j2 in j2s[points[0]].tolist()]
-        # a lone group skips the leading axis, whose stacking would copy its blocks
-        decomp = diagonalize(hs if len(hs) > 1 else hs[0])
-        del hs
-        for start in range(0, len(points), chunk):
-            rows = points[start:start + chunk]
-            spectra = decomp.energies(fields[rows, None])
-            weights = state_weights(spectra, temperatures[rows])
+    energies, log_zs = np.zeros((2, len(params)))
+    for points, decomp in _batches(req.base, point["j2"], groups):
+        for rows in _stacks(decomp, points, req.pairs):
+            spectra = decomp.energies(point["field_b"][rows, None])
+            weights = state_weights(spectra, point["temperature"][rows])
             negativities[rows] = pair_negativities(decomp, weights, req.pairs)
             # a batch of dot products: each row's sum runs as np.dot's would
             energies[rows] = np.matmul(spectra[..., None, :], weights[..., None])[..., 0, 0]
-            log_zs[rows] = log_partition(spectra, 1.0 / temperatures[rows, None])
+            log_zs[rows] = log_partition(spectra, 1.0 / point["temperature"][rows, None])
         del decomp
 
     columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
@@ -326,55 +319,63 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     then bisection narrows the bracket until its width is below
     THRESHOLD_RTOL * max(1, threshold). Returns status "none-in-range" when
     the indicator never flips. A temperature or field search diagonalizes
-    once; a j2 search holds one decomposition at a time.
+    once; a j2 search solves its scan and each round's midpoint in batches.
     """
     scan = _scan_axis(base, parameter, search_range, fixed_temperature, scan_points)
-    # a j2 search never revisits couplings; the others stay on one model
-    return _search(base, pair, scan, fixed_temperature,
-                   None if parameter == "j2" else SpectralCache())
+    return _search(base, pair, scan, fixed_temperature)[0]
 
 
-def _search(base: ModelSpec, pair: PairSelector, scan: Axis, fixed_temperature: Optional[float],
-            memo: Optional[SpectralCache]) -> ThresholdResult:
-    """find_threshold on a checked scan grid; a j2 search's midpoints bypass memo.
+def _search(base: ModelSpec, pair: PairSelector, scan: Axis, temperature: Optional[float],
+            curve: Sequence[tuple[str, np.ndarray]] = ()) -> list[ThresholdResult]:
+    """find_threshold on a checked scan grid, at each value of a curve's (parameter, values).
 
-    A temperature or field search evaluates its scan as one stack on its one
-    decomposition and each bisection midpoint as a stack of one.
+    The searches scan as one (curve x scan) grid on the sweep's batches and
+    bisect together, one midpoint each per round in place of their first
+    scan point: on the batch held, or, for j2, as one more run of batches.
     """
-    def negativity_at(spec: ModelSpec, field_b: float | np.ndarray,
-                      temperature: float | np.ndarray,
-                      store: Optional[SpectralCache]) -> np.ndarray:
-        decomp = (store.get(spec) if store is not None
-                  else diagonalize(build_model(_couplings(spec))))
-        weights = state_weights(decomp.energies(field_b), temperature)
-        return pair_negativities(decomp, weights, [pair])[..., 0]
+    k, grid = scan.steps, scan.values
+    _, point, groups = _grid(base, [*curve, (scan.parameter, grid)], temperature)
+    flags = np.zeros(groups.size, dtype=bool)
+    lo, hi = np.zeros((2, groups.size // k))
+    lo_flag, found = np.zeros((2, groups.size // k), dtype=bool)
 
-    def entangled(values: np.ndarray, store: Optional[SpectralCache]) -> np.ndarray:
-        if scan.parameter == "j2":
-            found = np.array([negativity_at(replace(base, j2=float(v)), base.field_b,
-                                            fixed_temperature, store) for v in values])
-        elif scan.parameter == "field_b":
-            found = negativity_at(base, values[:, None], fixed_temperature, store)
-        else:
-            found = negativity_at(base, base.field_b, values, store)
-        return found > EPS_NONZERO
+    def evaluate(decomp, rows):
+        weights = state_weights(decomp.energies(point["field_b"][rows, None]),
+                                point["temperature"][rows])
+        flags[rows] = pair_negativities(decomp, weights, [pair])[..., 0] > EPS_NONZERO
 
-    grid = scan.values
-    flags = entangled(grid, memo)
-    flip = next((i for i in range(1, len(grid)) if flags[i] != flags[i - 1]), None)
-    if flip is None:
-        return ThresholdResult(parameter=scan.parameter, value=None, bracket=None,
-                               status="none-in-range")
-    lo, hi = float(grid[flip - 1]), float(grid[flip])
-    lo_flag = flags[flip - 1]
-    while hi - lo > THRESHOLD_RTOL * max(1.0, 0.5 * abs(lo + hi)):
-        mid = 0.5 * (lo + hi)
-        if entangled(np.array([mid]), None if scan.parameter == "j2" else memo)[0] == lo_flag:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(parameter=scan.parameter, value=0.5 * (lo + hi),
-                           bracket=(lo, hi), status="found")
+    def bisect(ids, solve):
+        # bracket each search's first flip, then halve; solve(wide) flags the midpoints
+        scanned = flags.reshape(-1, k)[ids]
+        flips = scanned[..., 1:] != scanned[..., :-1]
+        first = flips.argmax(axis=-1)
+        found[ids], lo[ids], hi[ids] = flips.any(axis=-1), grid[first], grid[first + 1]
+        lo_flag[ids] = scanned[..., 0]
+        while (wide := found[ids] & (hi[ids] - lo[ids] > THRESHOLD_RTOL * np.maximum(
+                1.0, 0.5 * np.abs(lo[ids] + hi[ids])))).any():
+            point[scan.parameter][ids * k] = mid = 0.5 * (lo[ids] + hi[ids])
+            solve(wide)
+            same = flags[ids * k] == lo_flag[ids]
+            lo[ids] = np.where(wide & same, mid, lo[ids])
+            hi[ids] = np.where(wide & ~same, mid, hi[ids])
+
+    for points, decomp in _batches(base, point["j2"], groups):
+        for rows in _stacks(decomp, points, [pair]):
+            evaluate(decomp, rows)
+        if scan.parameter != "j2":
+            bisect(points[::k] // k, lambda wide: evaluate(decomp, points[::k]))
+        del decomp
+
+    def solve(wide):
+        for points, decomp in _batches(base, point["j2"], np.flatnonzero(wide)[:, None] * k):
+            evaluate(decomp, points)
+            del decomp
+
+    if scan.parameter == "j2":
+        bisect(np.arange(len(lo)), solve)
+    return [ThresholdResult(scan.parameter, 0.5 * (a + b), (a, b), "found") if f else
+            ThresholdResult(scan.parameter, None, None, "none-in-range")
+            for a, b, f in zip(lo.tolist(), hi.tolist(), found.tolist())]
 
 
 def threshold_curve(base: ModelSpec, pair: PairSelector,
@@ -385,18 +386,17 @@ def threshold_curve(base: ModelSpec, pair: PairSelector,
 
     With curve_parameter="j2" and search_parameter="temperature" this yields
     the zero-negativity boundary T_th(J2); swapping the roles gives the
-    transposed view J2_th(T). Every point is checked before the first search,
-    and all share one memo of decompositions: a T_th(J2) curve diagonalizes
-    once per curve value, a J2_th(T) curve once per scan-grid model plus the
-    bisection midpoints.
+    transposed view J2_th(T). Every point is checked before the first
+    search, and each value is find_threshold's there. The searches share
+    the sweep's batches, one at a time: a T_th(J2) curve diagonalizes once
+    per distinct value, a field curve of temperature thresholds (or the
+    reverse) once, a J2_th(T) curve once per scan-grid model and midpoint.
     """
     values = np.asarray(curve_values, dtype=float)
+    if values.ndim != 1 or not len(values):
+        raise ValueError(f"curve_values must be non-empty and 1-D, got shape {values.shape}")
     scan = _scan_axis(base, search_parameter, search_range, None, scan_points,
                       [(curve_parameter, values.min(), values.max())])
-    memo = SpectralCache()
-    out = []
-    for v in values.tolist():
-        fixed = {curve_parameter: v}
-        temperature = fixed.pop("temperature", None)
-        out.append((v, _search(replace(base, **fixed), pair, scan, temperature, memo).value))
-    return out
+    distinct, back = np.unique(values, return_inverse=True)    # a repeat is searched once
+    results = _search(base, pair, scan, None, [(curve_parameter, distinct)])
+    return [(v, results[i].value) for v, i in zip(values.tolist(), back.tolist())]

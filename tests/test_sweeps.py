@@ -148,9 +148,9 @@ def test_sweep_lets_each_decomposition_go(monkeypatch):
 
 
 def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
-    # a coupling search never revisits a model, so when the next eigensolve
-    # starts no earlier decomposition is still alive; a temperature search
-    # diagonalizes its one model once
+    # a coupling search or a boundary curve holds one batch of decompositions
+    # at a time, so when the next eigensolve starts no earlier decomposition
+    # is still alive; a temperature search diagonalizes its one model once
     alive = []
     real = sweeps.diagonalize
 
@@ -166,6 +166,16 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
                          fixed_temperature=0.02, scan_points=8)
     assert res.status == "found"
     assert len(alive) > 8
+    # batches of two coupling groups of three points, or one of eight (D = 36):
+    # a J2_th(T) curve runs four scan batches and two per bisection round, a
+    # T_th(J2) curve three batches
+    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 2 * 36 * (3 + 36))
+    for curve, batches in ((("temperature", [0.05, 0.15, 0.3], "j2", (0.0, 1.0)), 40),
+                           (("j2", [0.0, 0.1, 0.2], "temperature", (0.05, 1.5)), 3)):
+        alive.clear()
+        found = threshold_curve(ModelSpec(4), pair, *curve, scan_points=8)
+        assert all(value is not None for _, value in found)
+        assert len(alive) >= batches
     calls = []
     monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
     find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5), scan_points=8)
@@ -184,10 +194,11 @@ def test_coupling_curve_diagonalizes_each_scan_point_once(monkeypatch):
 
 
 def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
+    # a repeated value is solved once and given twice
     calls = _count_eigensolves(monkeypatch)
-    curve = threshold_curve(ModelSpec(4), resolve_pairs(4)[0], "j2", [0.0, 0.1, 0.2],
+    curve = threshold_curve(ModelSpec(4), resolve_pairs(4)[0], "j2", [0.1, 0.0, 0.2, 0.1],
                             "temperature", (0.05, 1.5), scan_points=8)
-    assert all(t is not None for _, t in curve)
+    assert all(t is not None for _, t in curve) and curve[0] == curve[3]
     assert calls == [ModelSpec(4, j2=v) for v in (0.0, 0.1, 0.2)]
 
 
@@ -224,6 +235,10 @@ def test_curve_checks_every_point_before_the_first_search(monkeypatch):
                         (0, 1))
     with pytest.raises(ValueError, match="distinct"):
         threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.2], "j2", (0, 1))
+    # no values, or a table of them, has no curve to search along
+    for values in ([], [[0.05, 0.1]], np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="curve_values must be non-empty and 1-D"):
+            threshold_curve(ModelSpec(4), pair, "temperature", values, "j2", (0, 1))
     # only a SWEEPABLE parameter makes a curve, whether or not ModelSpec has it
     for parameter in ("j3", "j1"):
         with pytest.raises(ValueError, match="parameter must be one of"):
@@ -356,6 +371,28 @@ def test_threshold_curve_both_orientations():
     assert curve[1][1] is None    # above the zero-coupling threshold: no boundary
 
 
+@pytest.mark.parametrize("curve, values, search, search_range", [
+    ("j2", [0.2, 0.0, 0.45, 0.1, 0.2], "temperature", (0.05, 1.5)),    # unsorted, a repeat
+    ("temperature", [0.05, 0.3, 1.2, 0.15], "j2", (0.0, 1.0)),
+    ("field_b", [0.0, 1.0, 2.5, 0.5], "temperature", (0.0, 2.0)),
+    ("temperature", [0.0, 0.05, 0.3, 0.02], "field_b", (0.0, 6.0)),
+])
+def test_curve_values_are_find_threshold_values(curve, values, search, search_range):
+    # each curve value is, bit for bit, the lone search's at that value,
+    # and None where that search finds no threshold
+    pair = resolve_pairs(4)[0]
+    found = threshold_curve(ModelSpec(4), pair, curve, values, search, search_range,
+                            scan_points=16)
+    assert [v for v, _ in found] == values
+    for value, threshold in found:
+        fixed = {curve: value}
+        temperature = fixed.pop("temperature", None)
+        res = find_threshold(ModelSpec(4, **fixed), search, pair, search_range,
+                             fixed_temperature=temperature, scan_points=16)
+        assert threshold == res.value
+    assert any(t is not None for _, t in found)
+
+
 def test_threshold_curve_value_cross_check():
     # the coupling threshold at fixed T agrees with a direct scan of the
     # closed-form negativity of the four-site model
@@ -404,6 +441,12 @@ def test_field_axis_and_field_search_diagonalize_once(monkeypatch):
     assert calls == [ModelSpec(4)]
     calls.clear()
     find_threshold(ModelSpec(4, field_b=0.5), "temperature", resolve_pairs(4)[0], (0.05, 1.5))
+    assert calls == [ModelSpec(4)]
+    calls.clear()
+    # every search of a field curve of temperature thresholds shares that one
+    curve = threshold_curve(ModelSpec(4), resolve_pairs(4)[0], "field_b", [0.0, 2.5, 1.0],
+                            "temperature", (0.0, 2.0))
+    assert all(t is not None for _, t in curve)
     assert calls == [ModelSpec(4)]
 
 
@@ -539,14 +582,16 @@ def test_grid_rows_match_the_single_point_path():
 
 
 def test_temperature_and_field_searches_scan_as_one_stack(monkeypatch):
+    # one scan stack, then stacks of one midpoint; a lone coupling group's
+    # stacks carry its G axis of 1, as a sweep's do
     sizes = []
     real = sweeps.negativities
     monkeypatch.setattr(sweeps, "negativities",
                         lambda states: sizes.append(states.matrix.shape[:-2]) or real(states))
     pair = resolve_pairs(4)[0]
     assert find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5)).status == "found"
-    assert sizes[0] == (64,) and set(sizes[1:]) == {(1,)}
+    assert sizes[0] == (64, 1) and set(sizes[1:]) == {(1, 1)}
     sizes.clear()
     assert find_threshold(ModelSpec(4), "field_b", pair, (0.0, 6.0),
                           fixed_temperature=0.0).status == "found"
-    assert sizes[0] == (64,) and set(sizes[1:]) == {(1,)}
+    assert sizes[0] == (64, 1) and set(sizes[1:]) == {(1, 1)}
