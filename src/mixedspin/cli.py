@@ -126,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--j2", type=float, help="next-nearest coupling (even n >= 4 only)")
     parser.add_argument("--b", type=float, help="z magnetic field (even n only)")
     parser.add_argument("--temperature", type=float,
-                        help="fixed temperature for coupling/field sweeps and thresholds "
-                             "(rejected where temperature is swept or searched)")
+                        help="fixed temperature for coupling/field sweeps and thresholds, "
+                             "0 allowed (rejected where temperature is swept or searched)")
     parser.add_argument("--tmin", type=float, help="temperature axis start")
     parser.add_argument("--tmax", type=float, help="temperature axis end")
     parser.add_argument("--bmin", type=float, help="field axis start")

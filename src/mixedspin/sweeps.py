@@ -25,7 +25,8 @@ not the value itself, so boundaries driven by level crossings (where the
 value jumps) are handled the same way as smooth zeros. A search, or all
 searches of a boundary curve, scan as one grid on the sweep's batches and
 bisect together. One check, `_check_ranges`, rejects a bad sweep, search
-or curve before any eigensolve.
+or curve before any eigensolve; a field or coupling sweep may sit at T = 0,
+a temperature axis starts above it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .models import ModelSpec, build_model, nn_bond_list, nnn_bond_list, ring_layout
 from .negativity import negativities, reduce_pair
-from .thermal import (SpectralDecomposition, diagonalize, log_partition,
+from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy, log_partition,
                       state_weights)
 
 # Negativity above this counts as "nonzero" when locating thresholds: far
@@ -167,9 +168,11 @@ def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
         raise ValueError("temperature: a fixed temperature is needed exactly when "
                          "no axis sweeps or searches temperature")
     coldest, hottest = bounds.get("temperature", (temperature, temperature))
-    # 1/T must be finite, and only a search takes T = 0: a sweep's logZ is -E0/T
-    if not (coldest >= sys.float_info.min or (search and coldest == 0.0)) or hottest == math.inf:
-        raise ValueError(f"temperature must be finite and {'0 or ' if search else 'positive, '}"
+    # 1/T must be finite; T = 0 is taken except as a temperature axis's start,
+    # whose logZ column would be -E0/T
+    zero = search or "temperature" not in bounds
+    if not (coldest >= sys.float_info.min or (zero and coldest == 0.0)) or hottest == math.inf:
+        raise ValueError(f"temperature must be finite and {'0 or ' if zero else 'positive, '}"
                          f"at least {sys.float_info.min:.3g}, so that 1/T is finite")
     couplings = [[(p, lo), (p, hi)] for p, (lo, hi) in bounds.items() if p != "temperature"]
     bound = max(_energy_bound(replace(base, **dict(corner)))
@@ -186,7 +189,7 @@ class SweepResult:
     params: np.ndarray          # (npoints, naxes)
     negativities: np.ndarray    # (npoints, npairs)
     internal_energy: np.ndarray
-    log_z: np.ndarray
+    log_z: np.ndarray           # the ground degeneracy instead at a fixed T = 0
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,9 @@ def run_sweep(req: SweepRequest) -> SweepResult:
 
     Points are grouped by couplings so each group diagonalizes once, whatever
     its fields and temperatures; groups run in `_batches`, one at a time, and
-    their points in `_stacks`. Output rows are axis1-major.
+    their points in `_stacks`. Output rows are axis1-major. At a fixed
+    T = 0, U is the ground energy and the last column, "ground_degeneracy"
+    in place of "logZ", counts the ground level.
     """
     axes = [req.axis1] + ([req.axis2] if req.axis2 else [])
     params, point, groups = _grid(req.base, [(ax.parameter, ax.values) for ax in axes],
@@ -282,10 +287,12 @@ def run_sweep(req: SweepRequest) -> SweepResult:
             negativities[rows] = pair_negativities(decomp, weights, req.pairs)
             # a batch of dot products: each row's sum runs as np.dot's would
             energies[rows] = np.matmul(spectra[..., None, :], weights[..., None])[..., 0, 0]
-            log_zs[rows] = log_partition(spectra, 1.0 / point["temperature"][rows, None])
+            log_zs[rows] = (ground_degeneracy(spectra) if req.temperature == 0.0 else
+                            log_partition(spectra, 1.0 / point["temperature"][rows, None]))
         del decomp
 
-    columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", "logZ"]
+    last = "ground_degeneracy" if req.temperature == 0.0 else "logZ"
+    columns = [ax.parameter for ax in axes] + [p.label for p in req.pairs] + ["U", last]
     return SweepResult(columns=tuple(columns), params=params,
                        negativities=negativities, internal_energy=energies,
                        log_z=log_zs)

@@ -3,9 +3,11 @@
 Every ring Hamiltonian conserves total Sz and comes as its sector blocks,
 and every family is isotropic exchange, so H also commutes with total S^2
 and S+. `diagonalize` therefore solves only the lowest-|M| sector (M = 0,
-or 1/2), one small eigh per total spin S on that sector's S^2 eigenbasis,
-and ladders the rest: sector M+1 takes S+ of the vectors with S >= M+1,
-and sector -M takes sector M's eigenpairs, rows reversed (spin inversion).
+or 1/2), one small eigh per total spin S on a total-spin basis of that
+sector, coupled from the multiplets of the spin-1/2 and the spin-1
+sublattices with Clebsch-Gordan coefficients, and ladders the rest:
+sector M+1 takes S+ of the vectors with S >= M+1, and sector -M takes
+sector M's eigenpairs, rows reversed (spin inversion).
 Every eigenvector so has an exact S, and an isotropy check on fixed probe
 vectors refuses any H that would break this. The field term b*Sz is
 constant on a sector, so at field b the energies are E_i + b*M_i on the
@@ -36,6 +38,7 @@ as the oracle of the weights route.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +47,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .models import Hamiltonian, _sector_grid
-from .spin_ops import SiteLayout, sector_rows, spin_matrices
+from .spin_ops import HALF, ONE, SiteLayout, SpinMagnitude, sector_rows, spin_matrices
 
 # Eigenvectors within this relative distance of the minimum energy count as
 # part of the ground manifold (eigensolver accuracy budget).
@@ -165,51 +168,117 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     return back, tuple(plans)
 
 
+def _multiplets(kind: SpinMagnitude, strides: np.ndarray):
+    """The multiplets of a sublattice of kind, from an S^2 eigh on its lowest-|M| sector.
+
+    strides are its sites' strides in the ring's basis. Returns each
+    multiplet's S, and by sublattice M, ascending, that M's states as
+    offsets in the ring's basis and the members over them, one column per
+    multiplet (zero where S < |M|), each S+- of the last over
+    sqrt(S(S+1) - M(M+-1)).
+    """
+    ops, size = spin_matrices(kind), kind.dimension
+    state = np.arange(size ** len(strides))
+    splus, m, offset = np.zeros((state.size,) * 2), np.zeros(state.size), np.zeros_like(state)
+    for site, stride in enumerate(strides):
+        step = size ** (len(strides) - 1 - site)
+        d = state // step % size
+        m += np.diag(ops.sz)[d]
+        offset += stride * d
+        up = np.flatnonzero(d)      # S+ takes digit d to d - 1, one step back
+        splus[up - step, up] = ops.splus[d[up] - 1, d[up]]
+    top = m.max()
+    level, low = top % 1.0, np.flatnonzero(m == top % 1.0)
+    # S^2 = S-S+ + M(M+1), with S- = (S+)^T; its S(S+1) lie at least 2 apart
+    s2, vectors = np.linalg.eigh(splus[:, low].T @ splus[:, low]
+                                 + level * (level + 1.0) * np.eye(len(low)))
+    spin = 0.5 * np.rint(np.sqrt(4.0 * s2 + 1.0) - 1.0)
+    members = {level: np.zeros((state.size, spin.size))}
+    members[level][low] = vectors
+    for op, step in ((splus, 1.0), (splus.T, -1.0)):
+        at, v = level, members[level]
+        while abs(at + step) <= top:
+            norm = np.maximum(spin * (spin + 1.0) - at * (at + step), 0.0)
+            v = op @ v
+            v *= np.divide(1.0, np.sqrt(norm), out=np.zeros_like(norm), where=norm > 0.0)
+            at += step
+            members[at] = v
+    return spin, {at: (offset[m == at], members[at][m == at]) for at in sorted(members)}
+
+
 @lru_cache(maxsize=None)
 def _su2_plan(layout: SiteLayout):
-    """The lowest-|M| sector's S^2 eigenbasis, the S+ action up from it, and isotropy probes.
+    """The lowest-|M| sector's total-spin basis, the S+ action up from it, and isotropy probes.
 
     That sector (M = 0, or 1/2 on rings with an odd number of spin-1/2
-    sites) holds one member of every multiplet. Returns its index and M;
-    its S^2 eigenvectors as rows in ascending S, sliced by S (`groups`),
-    and each one's S; per step up to the top sector, S+ as index arrays
-    (source, coef) of shape (sites, upper size): upper row r takes
-    coef[i, r] times lower row source[i, r] from site i (coef 0 where none);
-    and one fixed probe vector per sector from low up, each S+ of the last.
+    sites) holds one member of every multiplet. Its basis couples the
+    spin-1/2 and the spin-1 sublattices: a pair of their multiplets
+    (`_multiplets`) with spins (S_A, S_B) couples to each total S by one
+    column of a Clebsch-Gordan matrix, the S^2 eigenvectors on the pair's
+    at most 2 min(S_A, S_B) + 1 states (M_A, M - M_A), which every pair
+    with those spins shares. The basis fills one sublattice magnetization
+    M_A at a time; no eigh is larger than a sublattice's lowest sector.
+    Returns that sector's index and M; its basis as rows in ascending S,
+    sliced by S (`groups`), and each one's S; per step up to the top
+    sector, S+ as index arrays (source, coef) of shape (sites, upper
+    size): upper row r takes coef[i, r] times lower row source[i, r] from
+    site i (coef 0 where none); and one fixed probe vector per sector from
+    low up, each S+ of the last.
     """
     rows_by_sector, sector_m = sector_rows(layout)
     low = len(rows_by_sector) // 2
-    place = _sector_grid(layout)[1]
-    digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
-    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
-    raises = []
-    for rows in rows_by_sector[low + 1:]:
-        source = np.zeros((len(layout.spins), rows.shape[0]), dtype=np.intp)
-        coef = np.zeros(source.shape)
-        for site, spin in enumerate(layout.spins):
-            # the state with this site one m lower is the next one along its digit
-            up = np.flatnonzero(digits[site][rows] < layout.dims[site] - 1)
-            d = digits[site][rows[up]]
-            source[site, up] = place[rows[up] + strides[site]]
-            coef[site, up] = spin_matrices(spin).splus[d, d + 1]
-        raises.append((source, coef))
-    # S^2 = S-S+ + M(M+1), with S- = (S+)^T, on the lowest-|M| sector
     m_low = float(sector_m[sum(map(len, rows_by_sector[:low]))])
-    source, coef = raises[0]
-    splus = np.zeros((source.shape[1], rows_by_sector[low].shape[0]))
-    np.add.at(splus, (np.arange(source.shape[1]), source), coef)
-    s2 = splus.T @ splus
-    del splus
-    s2[np.diag_indices_from(s2)] += m_low * (m_low + 1.0)
-    s2, basis = np.linalg.eigh(s2)
-    # the S(S+1) lie at least 2 apart, so rounding gives S exactly
-    spins = 0.5 * np.rint(np.sqrt(4.0 * s2 + 1.0) - 1.0)
+    place = _sector_grid(layout)[1]
+    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
+    (spin_a, members_a), (spin_b, members_b) = (
+        _multiplets(kind, strides[[s is kind for s in layout.spins]]) for kind in (HALF, ONE))
+    # spins (S_A, S_B) couple to each of their K total S by one column of a
+    # K x K Clebsch-Gordan matrix: cg[2 S_A, 2 S_B, k] holds the k-th lowest
+    # S's coefficients by M_A + top_a
+    top_a = max(members_a)
+    cg = np.zeros((int(2 * spin_a.max()) + 1, int(2 * spin_b.max()) + 1,
+                   len(members_a), len(members_a)))
+    for s_a, s_b in itertools.product(set(spin_a.tolist()), set(spin_b.tolist())):
+        m_a = np.arange(max(-s_a, m_low - s_b), min(s_a, m_low + s_b) + 0.5)
+        m_b = m_low - m_a
+        hop = np.sqrt(          # S+_A S-_B, from M_A to M_A + 1
+            (s_a * (s_a + 1.0) - m_a[:-1] * (m_a[:-1] + 1.0))
+            * (s_b * (s_b + 1.0) - m_b[:-1] * (m_b[:-1] - 1.0)))
+        s2 = np.diag(s_a * (s_a + 1.0) + s_b * (s_b + 1.0) + 2.0 * m_a * m_b)
+        cg[int(2 * s_a), int(2 * s_b)][:len(m_a), (m_a + top_a).astype(np.intp)] = np.linalg.eigh(
+            s2 + np.diag(hop, 1) + np.diag(hop, -1))[1].T       # S ascending
+    # one column per multiplet pair (a, b) and total S, sorted by S
+    a, b = (x.ravel() for x in np.indices((len(spin_a), len(spin_b))))
+    s_min = np.abs(spin_a[a] - spin_b[b])
+    count = (spin_a[a] + spin_b[b] - s_min + 1.0).astype(np.intp)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    spins = np.repeat(s_min, count) + k
+    order = np.argsort(spins, kind="stable")
+    spins, k, col_a, col_b = spins[order], k[order], *(np.repeat(x, count)[order] for x in (a, b))
+    cg = cg[(2 * spin_a[col_a]).astype(np.intp), (2 * spin_b[col_b]).astype(np.intp), k]
+    basis = np.zeros((len(spins), rows_by_sector[low].shape[0]))
+    for j, (m_a, (offset_a, vectors_a)) in enumerate(members_a.items()):
+        if m_low - m_a in members_b:
+            offset_b, vectors_b = members_b[m_low - m_a]
+            block = (vectors_a[:, col_a] * cg[:, j]).T[:, :, None] \
+                * vectors_b[:, col_b].T[:, None, :]
+            basis[:, place[np.add.outer(offset_a, offset_b).ravel()]] = \
+                block.reshape(len(spins), -1)
     edges = np.flatnonzero(np.diff(spins, prepend=-1.0, append=np.inf))
     groups = tuple(slice(a, b) for a, b in zip(edges[:-1], edges[1:]))
-    probes = [np.sin(1.0 + np.arange(s2.shape[0]))]
+    digits = np.array(np.unravel_index(np.arange(layout.total_dimension), layout.dims))
+    s = np.array([[spin.spin] for spin in layout.spins])
+    raises = []
+    for rows in rows_by_sector[low + 1:]:
+        m = s - digits[:, rows]     # each site's m in the upper state
+        coef = np.sqrt(s * (s + 1.0) - m * (m - 1.0))       # 0 where m = -s
+        # the state with a site one m lower is the next one along its digit
+        source = place[np.where(coef > 0.0, rows + strides[:, None], 0)] * (coef > 0.0)
+        raises.append((source, coef))
+    probes = [np.sin(1.0 + np.arange(basis.shape[0]))]
     for source, coef in raises:
         probes.append(_raise(probes[-1][:, None], source, coef)[:, 0])
-    return low, m_low, np.ascontiguousarray(basis.T), spins, groups, tuple(raises), tuple(probes)
+    return low, m_low, basis, spins, groups, tuple(raises), tuple(probes)
 
 
 def _raise(vectors: np.ndarray, source: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -314,9 +383,10 @@ def _ground_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues <= e_min + GROUND_DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
 
 
-def ground_degeneracy(eigenvalues: np.ndarray) -> int:
-    """Number of eigenvalues within GROUND_DEGENERACY_RTOL of the lowest."""
-    return int(np.count_nonzero(_ground_mask(eigenvalues)))
+def ground_degeneracy(eigenvalues: np.ndarray) -> int | np.ndarray:
+    """Number of eigenvalues within GROUND_DEGENERACY_RTOL of the lowest, per row of a stack."""
+    count = np.count_nonzero(_ground_mask(eigenvalues), axis=-1)
+    return int(count) if count.ndim == 0 else count
 
 
 def state_weights(eigenvalues: np.ndarray, temperature: float | np.ndarray) -> np.ndarray:

@@ -249,6 +249,24 @@ def test_coupling_sweep_leaves_numpy_random_unimported(tmp_path):
     assert run.stdout.splitlines()[-1] == "False"
 
 
+def test_temperature_sweep_leaves_lazy_numpy_submodules_unimported(tmp_path):
+    # numpy.random and numpy.ma load on first use (np.unique imports
+    # numpy.ma), costing a fresh CLI process milliseconds before its first
+    # eigensolve
+    package = os.path.dirname(os.path.dirname(mixedspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))))
+    script = ("import sys\n"
+              "from mixedspin.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n")
+    args = ["sweep-temp", "--n", "8", "--tmin", "0.05", "--tmax", "2", "--steps", "4",
+            "--out", str(tmp_path / "temp.csv")]
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_verify_command_small(capsys):
     code = main(["verify", "--max-n", "3"])
     printed = capsys.readouterr().out

@@ -247,28 +247,50 @@ def test_curve_checks_every_point_before_the_first_search(monkeypatch):
     assert calls == []
 
 
-def test_zero_temperature_is_for_searches_only(monkeypatch):
-    # a search may start at or sit at T = 0 (the ground-manifold mixture);
-    # a sweep may not, since its logZ column is -E0/T
+def test_zero_temperature_is_refused_only_on_a_temperature_axis(monkeypatch):
+    # a search may start at or sit at T = 0 (the ground-manifold mixture), and
+    # a field or coupling sweep may sit at it; a temperature axis may not start
+    # there, since its logZ column is -E0/T
     pair = resolve_pairs(2)[0]
     check_threshold(ModelSpec(2), "temperature", (0.0, 2.0))
     check_threshold(ModelSpec(2), "field_b", (0.5, 2.5), fixed_temperature=0.0)
     assert find_threshold(ModelSpec(2), "temperature", pair, (0.0, 2.0)).status == "found"
     calls = _count_eigensolves(monkeypatch)
-    for request in (dict(axis1=Axis("temperature", 0.0, 1.0, 5)),
-                    dict(axis1=Axis("field_b", 0.0, 1.0, 5), temperature=0.0)):
-        with pytest.raises(ValueError, match="positive"):
-            SweepRequest(base=ModelSpec(2), **request)
+    with pytest.raises(ValueError, match="positive"):
+        SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", 0.0, 1.0, 5))
     # below the smallest normal float 1/T overflows, for sweeps and searches alike
     tiny = sys.float_info.min / 2
     with pytest.raises(ValueError, match="at least"):
         SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", tiny, 1.0, 2))
+    with pytest.raises(ValueError, match="at least"):
+        SweepRequest(base=ModelSpec(2), axis1=Axis("field_b", 0.0, 1.0, 2), temperature=tiny)
     with pytest.raises(ValueError, match="at least"):
         check_threshold(ModelSpec(2), "temperature", (tiny, 1.0))
     with pytest.raises(ValueError, match="at least"):
         check_threshold(ModelSpec(4), "j2", (0.0, 1.0), fixed_temperature=tiny)
     assert calls == []
     SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", sys.float_info.min, 1.0, 2))
+    for request in (dict(base=ModelSpec(2), axis1=Axis("field_b", 0.0, 1.0, 5)),
+                    dict(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 5))):
+        result = run_sweep(SweepRequest(temperature=0.0, **request))
+        assert result.columns[-2:] == ("U", "ground_degeneracy")
+        assert np.isfinite(result.log_z).all() and (result.log_z >= 1).all()
+
+
+def test_two_site_field_sweep_at_zero_temperature():
+    # the ground level is the S = 1/2 doublet at b = 0, its M = -1/2 member
+    # up to the crossing with the S = 3/2 member M = -3/2 at b = 3/2, that
+    # one beyond: N = 1/3, sqrt(2)/3, (sqrt(17) - 3)/12 (the even mixture at
+    # the crossing) and 0, U = E0
+    result = run_sweep(SweepRequest(base=ModelSpec(2), axis1=Axis("field_b", 0.0, 3.0, 7),
+                                    temperature=0.0))
+    b = result.params[:, 0]
+    assert result.columns == ("field_b", "N_half_one", "U", "ground_degeneracy")
+    expected = np.where(b == 0.0, 1.0 / 3.0, np.where(b < 1.5, np.sqrt(2.0) / 3.0, 0.0))
+    expected[b == 1.5] = (np.sqrt(17.0) - 3.0) / 12.0
+    assert np.abs(result.negativities[:, 0] - expected).max() <= 1e-12
+    assert np.abs(result.internal_energy - np.minimum(-1.0 - 0.5 * b, 0.5 - 1.5 * b)).max() <= 1e-12
+    assert result.log_z.tolist() == [2, 1, 1, 2, 1, 1, 1]
 
 
 def _forbid_dense(monkeypatch, message):

@@ -7,14 +7,15 @@ from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
                        diagonalize, internal_energy, log_partition, resolve_pairs,
                        ring_layout, spin_matrices, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
-from mixedspin.models import nn_bond_list
+from mixedspin.models import _sector_grid, nn_bond_list
 from mixedspin.negativity import partial_trace, reduce_pair
 from mixedspin.spin_ops import sector_rows
 from mixedspin.sweeps import pair_negativities
-from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition,
+from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition, _su2_plan,
                                boltzmann_weights, ground_degeneracy, state_weights)
 from oracle import (GroundManifoldState, dense_hamiltonian, embed, ground_manifold,
-                    sector_hamiltonian, spectral_residuals, total_spin_defect, total_sz)
+                    sector_hamiltonian, spectral_residuals, total_spin_defect,
+                    total_spin_squared, total_sz)
 
 
 def test_diagonalize_residuals(decomp_nn):
@@ -423,3 +424,48 @@ def test_diagonalize_rejects_anisotropic_exchange(n):
             diagonalize(sector_hamiltonian(matrix, layout, ModelSpec(n)))
     with pytest.raises(ValueError, match="not isotropic"):
         diagonalize([isotropic, sector_hamiltonian(ising, layout, ModelSpec(n))])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_total_spin_basis_against_the_dense_s2(n):
+    # the lowest-|M| sector's basis, coupled from the two sublattices, is
+    # orthonormal, each row an S^2 eigenvector of its S, and S has as many
+    # rows as multiplets: the size of sector M = S less that of M = S + 1
+    layout = ring_layout(n)
+    low, m_low, basis, spins, groups, _, _ = _su2_plan(layout)
+    rows, sector_m = sector_rows(layout)
+    s2 = total_spin_squared(layout)[np.ix_(rows[low], rows[low])]
+    assert basis.shape == (rows[low].shape[0],) * 2
+    assert np.abs(basis @ basis.T - np.eye(basis.shape[0])).max() <= 1e-13
+    exact = (spins * (spins + 1.0))[:, None]
+    assert np.linalg.norm(basis @ s2 - exact * basis, axis=1).max() <= 1e-12
+    sizes = {float(m): len(r) for m, r in zip(np.unique(sector_m), rows)}
+    group_spins = [float(spins[g.start]) for g in groups]
+    assert all((spins[g] == s).all() for s, g in zip(group_spins, groups))
+    assert group_spins == [m_low + k for k in range(len(groups))]
+    assert [g.stop - g.start for g in groups] == [sizes[s] - sizes.get(s + 1.0, 0)
+                                                  for s in group_spins]
+    assert groups[0].start == 0 and groups[-1].stop == len(spins)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_raise_index_arrays_match_a_site_by_site_build(n):
+    # S+ from each sector to the next, built site by site: upper row r takes
+    # splus[d, d + 1] times the lower row with that site's digit d + 1
+    layout = ring_layout(n)
+    low, _, _, _, _, raises, _ = _su2_plan(layout)
+    rows_by_sector = sector_rows(layout)[0]
+    place = _sector_grid(layout)[1]
+    digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
+    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
+    assert len(raises) == len(rows_by_sector) - low - 1
+    for rows, (source, coef) in zip(rows_by_sector[low + 1:], raises):
+        expected_source = np.zeros((n, rows.shape[0]), dtype=np.intp)
+        expected_coef = np.zeros(expected_source.shape)
+        for site, spin in enumerate(layout.spins):
+            up = np.flatnonzero(digits[site][rows] < layout.dims[site] - 1)
+            d = digits[site][rows[up]]
+            expected_source[site, up] = place[rows[up] + strides[site]]
+            expected_coef[site, up] = spin_matrices(spin).splus[d, d + 1]
+        assert source.dtype == expected_source.dtype
+        assert np.array_equal(source, expected_source) and np.array_equal(coef, expected_coef)
