@@ -11,6 +11,7 @@ non-finite output, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -244,12 +245,18 @@ def _range_for(config: RunConfig, parameter: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+# Rows per format operation: only one block's values are Python floats at a
+# time, so a long table costs little more memory than its text.
+CSV_BLOCK_ROWS = 1024
+
+
 def emit_csv(path: str, comments: Sequence[tuple[str, str]], header: Sequence[str],
              rows) -> None:
     """Write comment lines, header, and rows atomically with LF newlines.
 
     rows is a 2-D array or a sequence of equal-length rows, one value per
-    header column; every value must be finite.
+    header column; every value must be finite. The file gets the mode a
+    new file gets under the umask, and no temporary file outlives a failure.
     """
     values = np.asarray(rows, dtype=float)
     finite = np.isfinite(values)
@@ -258,17 +265,27 @@ def emit_csv(path: str, comments: Sequence[tuple[str, str]], header: Sequence[st
     row_format = ",".join(["%.12g"] * len(header)) + "\n"
     lines = [f"# {key}={value}\n" for key, value in comments]
     lines.append(",".join(header) + "\n")
-    # one row's Python floats at a time and no joined copy of the text, so
-    # the table costs no more memory than the lines it becomes
-    lines += [row_format % tuple(row.tolist()) for row in values]
+    # one format operation per block of rows, with no joined copy of the text
+    for start in range(0, len(values), CSV_BLOCK_ROWS):
+        block = values[start:start + CSV_BLOCK_ROWS]
+        lines.append((row_format * len(block)) % tuple(block.ravel().tolist()))
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         handle = tempfile.NamedTemporaryFile("w", dir=directory, newline="\n",
                                              encoding="utf-8", delete=False,
                                              suffix=".tmp")
-        with handle:
-            handle.writelines(lines)
-        os.replace(handle.name, path)
+        try:
+            with handle:
+                handle.writelines(lines)
+            # mkstemp makes the file 0600, and os.replace keeps the mode
+            os.chmod(handle.name, 0o666 & ~umask)
+            os.replace(handle.name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(handle.name)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

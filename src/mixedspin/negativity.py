@@ -1,28 +1,34 @@
 """Two-site reduction, partial transpose, and negativity.
 
-`reduce_pair` takes pair states straight from a decomposition's pair blocks
-and eigenvector weights: one weight vector gives one pair state, a (k, D)
-stack of weight rows gives a (k, d, d) stack of them. It is the only
-reduction that sweeps, thresholds and `verify` run. `partial_trace` of a
+Every pair state a sweep builds conserves total Sz, so it is carried as its
+block entries: the entries (p, q), p >= q, of equal m_a + m_b, one zero
+column after them (`thermal._pair_entries`; 9, 6 and 15 numbers for a
+(1/2,1), (1/2,1/2) and (1,1) pair against d^2 = 36, 16 and 81).
+`pair_entries` takes them straight from a decomposition's pair blocks and
+eigenvector weights: one weight vector gives one pair state, a (k, D) stack
+of weight rows a (k, E + 1) stack. `reduce_pair` puts them in their places
+of the dense d x d state, for `verify` and the tests. `partial_trace` of a
 dense D x D state stays because `perfbench/oracles.py` reduces its dense
 Gibbs matrices with it, an independent route against which the benchmark
 checks sampled rows; the tests use it as the oracle of `reduce_pair`.
 
 Negativity is the sum of the absolute values of the negative eigenvalues of
 the partially transposed pair state, equivalently (||rho^T_A||_1 - 1)/2.
-`negativities` is the one kernel: it checks every matrix of a stack (unit
-trace, symmetry, positive semidefiniteness), computes both routes for each
-and demands that they agree; `negativity` hands it a stack of one. Every
-pair state a sweep builds conserves total Sz, so the kernel takes its
-eigenvalues block by block: the state splits by m_a + m_b and its partial
-transpose by m_a - m_b, into blocks of at most 2 for (1/2,1) and (1/2,1/2)
-pairs and at most 3 for (1,1) pairs. A stack with any nonzero entry between
-two blocks falls back to one whole-matrix eigvalsh per state. For
-(1/2,1) and (1/2,1/2) pairs a positive partial transpose is also sufficient
-for separability, so a zero value decides; for (1,1) pairs zero is
-inconclusive. At zero field the pair state is SU(2)-invariant and its
-negativity also follows from the exchange correlator alone (`correlator`,
-`su2_signed`; J. Schliemann, PRA 68, 012309 (2003)).
+One kernel computes it: for every state of a stack it checks the trace
+and positive semidefiniteness, computes both routes and demands that they
+agree. It takes its eigenvalues block by block: the state splits by
+m_a + m_b and its partial transpose by m_a - m_b, into blocks of at most 2
+for (1/2,1) and (1/2,1/2) pairs and at most 3 for (1,1) pairs, all read
+from the block entries. `entry_negativities` runs it on the entries of the
+sweep path. `negativities` takes dense states, checks their symmetry too,
+gathers a stack that conserves total Sz into its entries, and sends any
+other stack through the kernel as one whole-matrix eigvalsh per state;
+`negativity` hands it a stack of one. For (1/2,1) and (1/2,1/2) pairs a
+positive partial transpose is also sufficient for separability, so a zero
+value decides; for (1,1) pairs zero is inconclusive. At zero field the
+pair state is SU(2)-invariant and its negativity also follows from the
+exchange correlator alone (`correlator`, `su2_signed`; J. Schliemann, PRA
+68, 012309 (2003)).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spin_ops import SpinMagnitude, spin_matrices
-from .thermal import SpectralDecomposition, ThermalState
+from .thermal import SpectralDecomposition, ThermalState, _pair_entries
 
 # Partial-transpose eigenvalues above -EPS_NEGATIVE are eigensolver noise,
 # not entanglement.
@@ -92,23 +98,34 @@ def partial_trace(state: ThermalState, keep: tuple[int, int]) -> PairReducedStat
                             dim_b=dims[order[1]], site_a=order[0], site_b=order[1])
 
 
+def pair_entries(decomp: SpectralDecomposition, weights: np.ndarray,
+                 keep: tuple[int, int]) -> np.ndarray:
+    """Block entries of the pair state of the mixture sum_i weights[i] |v_i><v_i|.
+
+    A (k, D) stack of weight rows gives a (k, E + 1) stack, one row of the
+    pair's `_pair_entries` and a zero per state. Each row is one
+    vector-matrix product over the decomposition's pair blocks, the same
+    product, bit for bit, whether the row comes alone or in a stack.
+    """
+    return np.matmul(weights[..., None, :], decomp.pair_blocks(keep))[..., 0, :]
+
+
 def reduce_pair(decomp: SpectralDecomposition, weights: np.ndarray,
                 keep: tuple[int, int]) -> PairReducedState:
     """Pair state of the mixture sum_i weights[i] |v_i><v_i|, from the pair blocks.
 
-    A (k, D) stack of weight rows gives the k pair states as one stack. Each
-    row is one vector-matrix product over the decomposition's pair blocks,
-    the same product, bit for bit, whether the row comes alone or in a
-    stack; with state_weights it equals partial_trace of the Gibbs state
-    (T > 0) or of the ground manifold (T = 0).
+    A (k, D) stack of weight rows gives the k pair states as one stack, each
+    its pair_entries put in their places, so exactly symmetric; with
+    state_weights it equals partial_trace of the Gibbs state (T > 0) or of
+    the ground manifold (T = 0). Sweeps and searches skip this dense form
+    and hand pair_entries to entry_negativities.
     """
-    blocks = decomp.pair_blocks(keep)
+    entries = pair_entries(decomp, weights, keep)
     site_a, site_b = sorted(keep)
     dims = decomp.layout.dims
     d_keep = dims[site_a] * dims[site_b]
-    reduced = np.matmul(weights[..., None, :], blocks).reshape(*weights.shape[:-1],
-                                                               d_keep, d_keep)
-    return PairReducedState(matrix=0.5 * (reduced + reduced.swapaxes(-1, -2)),
+    matrix = entries[..., _pair_entries(dims[site_a], dims[site_b])[2]]
+    return PairReducedState(matrix=matrix.reshape(*entries.shape[:-1], d_keep, d_keep),
                             dim_a=dims[site_a], dim_b=dims[site_b],
                             site_a=site_a, site_b=site_b)
 
@@ -170,11 +187,13 @@ def _magnetization_blocks(dim_a: int, dim_b: int):
 
 
 def _block_eigvalsh(m: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Ascending eigenvalues of the matrices a plan takes from each state of a (k, d, d) stack.
+    """Ascending eigenvalues of the matrices a plan takes from each state of a stack.
 
-    Returns a (k, 2, d) array: the eigenvalues of each state and of its
-    partial transpose. Every entry that the plan's blocks leave out must be
-    zero. A 1 x 1 block is its entry, a 2 x 2 block [[a, b], [b, c]] has the
+    m holds one state per row, as a d x d matrix or flat (whole, or as block
+    entries), and the plan's places index a row's flat entries. Returns a
+    (k, 2, d) array: the eigenvalues of each state and of its partial
+    transpose. Every entry that the plan's blocks leave out must be zero. A
+    1 x 1 block is its entry, a 2 x 2 block [[a, b], [b, c]] has the
     eigenvalues (a + c)/2 -+ hypot((a - c)/2, b), and larger blocks go
     through one eigvalsh per block size.
     """
@@ -197,34 +216,33 @@ def _block_eigvalsh(m: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
     return eigs
 
 
-def negativities(pairs: PairReducedState) -> np.ndarray:
-    """Sum of |negative eigenvalues| of the partial transpose, for each state of a stack.
+@lru_cache(maxsize=None)
+def _entry_plan(dim_a: int, dim_b: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """_magnetization_blocks' plan, and the diagonal in natural order, as places in the entries."""
+    entry = _pair_entries(dim_a, dim_b)[2]
+    d = dim_a * dim_b
+    return (tuple(entry[places] for places in _magnetization_blocks(dim_a, dim_b)[0]),
+            entry[np.arange(d) * (d + 1)])
 
-    Every matrix must have unit trace and be symmetric and positive
-    semidefinite (ValueError names the first that is not). Each value is
-    also evaluated in the trace-norm form (||rho^T||_1 - 1)/2, and the two
-    must agree to 1e-10; a mismatch signals an upstream bug (RuntimeError).
-    Returns an array shaped like the stack's leading axes.
 
-    The eigenvalues come block by block: a pair state splits by m_a + m_b
-    and its partial transpose by m_a - m_b, into blocks of at most 2 for a
-    (1/2,1) or (1/2,1/2) pair and at most 3 for a (1,1) pair. If any matrix
-    of the stack has a nonzero entry between two blocks (a state that does
-    not conserve total Sz, such as a locally rotated one), the whole stack
-    goes through as one block per matrix instead.
-    """
-    d = pairs.dim_a * pairs.dim_b
-    m = pairs.matrix.reshape(-1, d, d)
-    traces = np.trace(m, axis1=1, axis2=2)
-    # both checks fail on NaN, which the closed-form blocks would turn into
-    # a zero negativity
+def _check_traces(traces: np.ndarray) -> None:
+    # fails on NaN too, which the closed-form blocks would turn into a zero
+    # negativity
     bad = ~(np.abs(traces - 1.0) <= 1e-10)
     if bad.any():
         raise ValueError(f"pair state trace {traces[bad][0]} is not 1")
-    if not np.abs(m - m.swapaxes(1, 2)).max() <= 1e-10:
-        raise ValueError("pair state is not symmetric")
-    blocks, whole, between = _magnetization_blocks(pairs.dim_a, pairs.dim_b)
-    both = _block_eigvalsh(m, whole if m.reshape(len(m), -1)[:, between].any() else blocks)
+
+
+def _kernel(flat: np.ndarray, plan: tuple[np.ndarray, ...], diagonal: np.ndarray) -> np.ndarray:
+    """Negativities of a (k, n) stack of pair states, read at a plan's places.
+
+    The states are the rows of flat: block entries, or whole matrices; the
+    plan and the diagonal's d places index them. Checks each state's trace
+    and positive semidefiniteness, and that its eigenvalue sum and trace
+    norm agree.
+    """
+    _check_traces(flat[:, diagonal].sum(axis=1))
+    both = _block_eigvalsh(flat, plan)
     min_eigs = both[:, 0, 0]
     if (min_eigs < -1e-12).any():
         raise ValueError("pair state not positive semidefinite "
@@ -239,6 +257,51 @@ def negativities(pairs: PairReducedState) -> np.ndarray:
     if gap.any():
         raise RuntimeError("negativity routes disagree: "
                            f"{values[gap][0]} vs {trace_norm_values[gap][0]}")
+    return values
+
+
+def entry_negativities(entries: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """The negativities kernel on pair states given as their block entries.
+
+    entries is a stack of pair_entries rows of a (dim_a, dim_b) pair, along
+    any leading axes; returns an array shaped like those axes. The states
+    conserve total Sz by construction and are exactly symmetric, so only
+    the trace, positive semidefiniteness and the two routes are checked.
+    """
+    values = _kernel(entries.reshape(-1, entries.shape[-1]), *_entry_plan(dim_a, dim_b))
+    return values.reshape(entries.shape[:-1])
+
+
+def negativities(pairs: PairReducedState) -> np.ndarray:
+    """Sum of |negative eigenvalues| of the partial transpose, for each state of a stack.
+
+    Every matrix must have unit trace and be symmetric and positive
+    semidefinite (ValueError names the first that is not). Each value is
+    also evaluated in the trace-norm form (||rho^T||_1 - 1)/2, and the two
+    must agree to 1e-10; a mismatch signals an upstream bug (RuntimeError).
+    Returns an array shaped like the stack's leading axes.
+
+    A stack whose matrices all conserve total Sz (no nonzero entry between
+    two different values of m_a + m_b) is gathered into its block entries
+    and goes through the kernel as entry_negativities sends them. Otherwise
+    (a state that does not conserve total Sz, such as a locally rotated
+    one) the whole stack goes through as one block per matrix instead.
+    """
+    d = pairs.dim_a * pairs.dim_b
+    m = pairs.matrix.reshape(-1, d, d)
+    # the trace first, so that NaN on a diagonal is named as a trace
+    _check_traces(np.trace(m, axis1=1, axis2=2))
+    if not np.abs(m - m.swapaxes(1, 2)).max() <= 1e-10:
+        raise ValueError("pair state is not symmetric")
+    _, whole, between = _magnetization_blocks(pairs.dim_a, pairs.dim_b)
+    flat = m.reshape(len(m), -1)
+    if flat[:, between].any():
+        values = _kernel(flat, whole, np.arange(d) * (d + 1))
+    else:
+        places = _pair_entries(pairs.dim_a, pairs.dim_b)[0]
+        entries = np.zeros((len(m), places.shape[0] + 1))
+        entries[:, :-1] = flat[:, places]
+        values = _kernel(entries, *_entry_plan(pairs.dim_a, pairs.dim_b))
     return values.reshape(pairs.matrix.shape[:-2])
 
 

@@ -14,11 +14,13 @@ overhead once per batch. Its points go through in stacks of about
 STACK_ENTRIES entries: their spectra form a (k, G, D) array,
 `state_weights` turns it into weights W (Boltzmann weights, or an equal
 mixture of the ground manifold at T = 0), U and log Z follow in array
-operations, `reduce_pair` forms each pair's states as W @ pair blocks, and
-the `negativities` kernel checks and evaluates the whole stack. No D x D
-matrix is formed and no Python runs per point. Batches run one after
-another, leaving the cores to the multithreaded BLAS of each eigensolve,
-and one is alive at a time. Rows come out axis1-major.
+operations, each pair's states are W @ pair blocks, kept as their
+total-Sz block entries (`pair_entries`: 9, 6 or 15 numbers for a (1/2,1),
+(1/2,1/2) or (1,1) pair, not 36, 16 or 81), and the `entry_negativities`
+kernel checks and evaluates the whole stack. No D x D matrix and no
+d x d pair state is formed, and no Python runs per point. Batches run one
+after another, leaving the cores to the multithreaded BLAS of each
+eigensolve, and one is alive at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
@@ -40,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .models import ModelSpec, build_model, nn_bond_list, nnn_bond_list, ring_layout
-from .negativity import negativities, reduce_pair
+from .negativity import entry_negativities, pair_entries
 from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy, log_partition,
                       state_weights)
 
@@ -52,10 +54,11 @@ EPS_NONZERO = 1e-9
 THRESHOLD_RTOL = 1e-6
 
 # Entries per stack: a sweep evaluates max(1, STACK_ENTRIES // (D + P)) points
-# at once, P being a point's pair-state entries, so each temporary stays near
-# 256 kB however long its axes are. Larger stacks of 8-site spectra, or of
-# 4-site pair states (D = 36, P = 133), measurably raise peak RSS. The budget
-# also sizes a batch of coupling groups.
+# at once, P being the block entries of a point's pair states with their zero
+# columns (9 + 6 + 15 = 30 for the three pair kinds), so each temporary stays
+# near 256 kB however long its axes are: about 70 temperatures of a batch of 7
+# four-site couplings (D = 36). Larger stacks of 8-site spectra measurably
+# raise peak RSS. The budget also sizes a batch of coupling groups.
 STACK_ENTRIES = 1 << 15
 
 SWEEPABLE = ("temperature", "field_b", "j2")
@@ -211,12 +214,17 @@ def pair_negativities(decomp: SpectralDecomposition, weights: np.ndarray,
     Pass state_weights(decomp.energies(b), T) for the Gibbs state at T > 0
     or the ground-manifold mixture at T = 0. A (k, D) stack of weight rows
     gives a (k, npairs) array, and a (k, G, D) stack on a batch of G
-    decompositions a (k, G, npairs) one: each pair's states come from the
-    decomposition's pair blocks in one reduce_pair and go through the
-    negativities kernel as one stack.
+    decompositions a (k, G, npairs) one: each pair's states are W @ its
+    pair blocks, block entries only, and go through entry_negativities as
+    one stack; no d x d pair state is formed.
     """
-    return np.stack([negativities(reduce_pair(decomp, weights, (p.site_a, p.site_b)))
-                     for p in pairs], axis=-1)
+    dims = decomp.layout.dims
+    values = []
+    for p in pairs:
+        site_a, site_b = sorted((p.site_a, p.site_b))
+        entries = pair_entries(decomp, weights, (site_a, site_b))
+        values.append(entry_negativities(entries, dims[site_a], dims[site_b]))
+    return np.stack(values, axis=-1)
 
 
 def _grid(base: ModelSpec, axes: Sequence[tuple[str, np.ndarray]], temperature: Optional[float]):
@@ -259,9 +267,9 @@ def _batches(base: ModelSpec, j2s: np.ndarray, groups: np.ndarray):
 def _stacks(decomp: SpectralDecomposition, points: np.ndarray,
             pairs: Sequence[PairSelector]) -> list[np.ndarray]:
     """A batch's (points, G) indices in stacks of about STACK_ENTRIES entries."""
-    dims = decomp.layout.dims
-    # a stack's entries per point: its weights and its pair states
-    width = decomp.dimension + sum((dims[p.site_a] * dims[p.site_b]) ** 2 for p in pairs)
+    # a stack's entries per point: its weights and its pair states' block entries
+    width = decomp.dimension + sum(decomp.pair_blocks((p.site_a, p.site_b)).shape[-1]
+                                   for p in pairs)
     chunk = max(1, STACK_ENTRIES // (width * points.shape[1]))
     return [points[start:start + chunk] for start in range(0, len(points), chunk)]
 

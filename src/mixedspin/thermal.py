@@ -100,33 +100,41 @@ class SpectralDecomposition:
         return self.eigenvalues + field_b * self.magnetizations
 
     def pair_blocks(self, keep: tuple[int, int]) -> np.ndarray:
-        """Row i is Tr_rest |v_i><v_i| on the two kept sites, flattened.
+        """Row i is Tr_rest |v_i><v_i| on the two kept sites, as its block entries.
 
         The kept sites come first in ascending order, as in partial_trace.
+        Every eigenvector has one total Sz, so its pair state conserves
+        m_a + m_b and is fixed by its E entries within the blocks of equal
+        m_a + m_b (`_pair_entries`); a row holds them and one zero column.
         Each pair magnetization of a sector is one batched g @ g.T over a
         grid of pair x rest states, for every decomposition of a batch at
-        once, and a mirrored sector's blocks are its source's, reversed. A
-        batch of G gives (G, D, d^2). Built once per pair and kept on this
-        decomposition, so the blocks live exactly as long as it does.
+        once, and a mirrored sector's entries are its source's, spin-flipped.
+        A batch of G gives (G, D, E + 1). Built once per pair and kept on
+        this decomposition, so the blocks live exactly as long as it does.
         """
         key = self.layout.pair_order(keep)[:2]
         if key not in self._pair_blocks:
-            back, plans = _pair_plan(self.layout, key)
-            d_keep, lead, dim = back.shape[0], self.eigenvalues.shape[:-1], self.dimension
+            flip, plans = _pair_plan(self.layout, key)
+            lead, dim = self.eigenvalues.shape[:-1], self.dimension
             # the blocks of a batch's row r start at r * D
             start = dim * np.arange(math.prod(lead)).reshape(*lead, 1)
-            blocks = np.zeros((start.size * dim, d_keep, d_keep))
-            for sector, (order, groups) in reversed(tuple(zip(self.sectors, plans))):
+            # column-major: W @ blocks then sums each entry as one dot product
+            # over D contiguous numbers; a row-major copy makes BLAS sum in
+            # another order and moves CSV cells in their last digits
+            blocks = np.zeros((flip.shape[0], start.size * dim)).T
+            for sector, (order, runs, cols, pick) in reversed(tuple(zip(self.sectors, plans))):
                 places = start + sector.columns
                 if sector.mirror_of is not None:      # its source, M > 0, came first
                     source = start + self.sectors[sector.mirror_of].columns
-                    blocks[places] = blocks[source, ::-1, ::-1]
+                    blocks[places] = blocks[source[..., None], flip]
                     continue
                 vecs = sector.vectors[..., order, :].swapaxes(-1, -2)
-                for rows, pairs in groups:
-                    g = vecs[..., rows].reshape(*vecs.shape[:-1], pairs.stop - pairs.start, -1)
-                    blocks[places, pairs, pairs] = g @ g.swapaxes(-1, -2)
-            self._pair_blocks[key] = blocks[:, back[:, None], back].reshape(*lead, dim, -1)
+                products = []
+                for first, stop, size in runs:
+                    g = vecs[..., first:stop].reshape(*vecs.shape[:-1], size, -1)
+                    products.append((g @ g.swapaxes(-1, -2)).reshape(*g.shape[:-2], -1))
+                blocks[places[..., None], cols] = np.concatenate(products, axis=-1)[..., pick]
+            self._pair_blocks[key] = blocks.reshape(*lead, dim, -1)
         return self._pair_blocks[key]
 
 
@@ -140,32 +148,80 @@ class ThermalState:
     layout: SiteLayout
 
 
+@lru_cache(maxsize=None)
+def _pair_entries(dim_a: int, dim_b: int):
+    """The total-Sz block entries of a (dim_a, dim_b) pair state, d = dim_a * dim_b.
+
+    Pair state p = a * dim_b + b has m_a + m_b = s_a + s_b - (a + b), and a
+    state that conserves total Sz couples only states of equal a + b. Its E
+    entries are the places (p, q), p >= q, of equal a + b, listed by a + b,
+    then p, then q: each a + b is one run, its block's lower triangle row by
+    row. Returns the entries' flat places p * d + q, (E,); the spin flip
+    (m -> -m on both sites, which takes p to d - 1 - p) as the entry that
+    each entry takes, (E + 1,), the zero column E staying put; and the entry
+    at each of the d^2 places, (d^2,), E between blocks.
+    """
+    d = dim_a * dim_b
+    label = np.add(*np.divmod(np.arange(d), dim_b))
+    p, q = np.nonzero((label[:, None] == label) & np.tri(d, dtype=bool))
+    places = (p * d + q)[np.argsort(label[p], kind="stable")]
+    entry = np.full(d * d, places.shape[0])
+    entry[places] = entry[places % d * d + places // d] = np.arange(places.shape[0])
+    flip = np.append(entry[d * d - 1 - places], places.shape[0])
+    for shared in (places, flip, entry):
+        shared.setflags(write=False)
+    return places, flip, entry
+
+
 # Like the bond sums in models.py, this depends only on the layout and the
 # pair, so every decomposition of one ring size shares it.
 
 @lru_cache(maxsize=None)
 def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
-    """Per sector, a row order and (rows, pair ranks) slices for pair_blocks.
+    """The spin flip of the entries and, per sector, what pair_blocks multiplies.
 
-    Pair states are ranked by (pair magnetization, index); `back` maps each
-    to its rank. A stable sort of a sector's rows by pair rank turns each
-    pair magnetization into one run of P pair states x R rest states.
+    Pair states are ranked by (a + b, index), the order of _pair_entries'
+    runs. A stable sort of a sector's rows by pair rank turns the P states
+    of each a + b present into one run of P pair x R rest states, whose
+    g @ g.T is a P x P block. Per sector: that row order; the runs as
+    [first row, stop row, P]; and the entries its blocks hold (cols), with
+    their places (pick) among the blocks, flattened one after another.
+    All sectors are planned at once, in array operations.
     """
     site_a, site_b = keep
     dims = layout.dims
-    m_a, m_b = (np.diag(spin_matrices(layout.spins[site]).sz) for site in keep)
-    pair_m = np.add.outer(m_a, m_b).ravel()
-    back = np.argsort(np.argsort(pair_m, kind="stable"))
-    edges = np.flatnonzero(np.diff(np.sort(pair_m), prepend=-np.inf, append=np.inf))
-    digits = np.unravel_index(np.arange(layout.total_dimension), dims)
-    rank = back[digits[site_a] * dims[site_b] + digits[site_b]]
-    plans = []
-    for rows in sector_rows(layout)[0]:
-        order = np.argsort(rank[rows], kind="stable")
-        runs = np.searchsorted(rank[rows][order], edges)
-        plans.append((order, tuple((slice(runs[j], runs[j + 1]), slice(edges[j], edges[j + 1]))
-                                   for j in range(edges.shape[0] - 1) if runs[j + 1] > runs[j])))
-    return back, tuple(plans)
+    places, flip, _ = _pair_entries(dims[site_a], dims[site_b])
+    d = dims[site_a] * dims[site_b]
+    pair_label = np.add(*np.divmod(np.arange(d), dims[site_b]))
+    size = np.bincount(pair_label)          # P of each a + b
+    first = np.cumsum(size) - size          # the rank of its first state
+    rank = np.argsort(np.argsort(pair_label, kind="stable"))
+    # each entry's a + b, and its flat place in that P x P block
+    p, q = np.divmod(places, d)
+    label = pair_label[p]
+    within = (rank[p] - first[label]) * size[label] + rank[q] - first[label]
+    # every row's sector and pair state, the sectors one after another
+    rows_by_sector = sector_rows(layout)[0]
+    counts = [len(rows) for rows in rows_by_sector]
+    sector = np.repeat(np.arange(len(counts)), counts)
+    digits = np.unravel_index(np.concatenate(rows_by_sector), dims)
+    pair = digits[site_a] * dims[site_b] + digits[site_b]
+    order = np.argsort(sector * d + rank[pair], kind="stable")
+    # a run per sector and a + b present: its rows, and where it stops
+    run = np.bincount(sector * size.shape[0] + pair_label[pair],
+                      minlength=len(counts) * size.shape[0]).reshape(len(counts), -1)
+    present, stop = run > 0, np.cumsum(run, axis=1)
+    s, j = np.nonzero(present)
+    runs = np.stack((stop[s, j] - run[s, j], stop[s, j], size[j]), axis=1).tolist()
+    squares = np.where(present, size * size, 0)
+    held = present[:, label]
+    cols = np.nonzero(held)[1]
+    pick = ((np.cumsum(squares, axis=1) - squares)[:, label] + within)[held]
+    # each sector's slice of the rows, the runs and the entries
+    bounds = np.cumsum([[0, 0, 0], *zip(counts, present.sum(axis=1), held.sum(axis=1))],
+                       axis=0).tolist()
+    return flip, tuple((order[r:r_end] - r, runs[u:u_end], cols[e:e_end], pick[e:e_end])
+                       for (r, u, e), (r_end, u_end, e_end) in zip(bounds, bounds[1:]))
 
 
 def _multiplets(kind: SpinMagnitude, strides: np.ndarray):

@@ -85,6 +85,49 @@ def test_emit_csv_format(tmp_path):
     assert lines[4].startswith("0.333333333333,")   # 12 significant digits
 
 
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025])
+def test_emit_csv_blocks_give_the_per_row_bytes(tmp_path, count):
+    # rows go out in blocks of CSV_BLOCK_ROWS per format operation; the bytes
+    # are those of one format per row, across and at the block edges
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((count, 4)) * 10.0 ** rng.integers(-20, 20, (count, 4))
+    special = np.array([-0.0, 1e-300, 1e300, -1e300, 1.0 / 3.0])
+    rows.ravel()[:min(rows.size, special.size)] = special[:rows.size]
+    if count > 1:
+        rows[-1] = [-0.0, 1e-300, 1e300, 0.0]
+    path = tmp_path / "rows.csv"
+    emit_csv(str(path), [("n", "2")], ["a", "b", "c", "d"], rows)
+    expected = "# n=2\na,b,c,d\n" + "".join(
+        "%.12g,%.12g,%.12g,%.12g\n" % tuple(row.tolist()) for row in rows)
+    assert path.read_bytes() == expected.encode()
+    if count:
+        assert path.read_text().splitlines()[2].startswith("-0,1e-300,1e+300,")
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    # the replace fails when the target is a directory: exit code 3, and the
+    # temporary file beside it is removed
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
+                 "--out", str(target)]) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_csv_mode_follows_the_umask(tmp_path, umask):
+    # a CSV gets the mode of any new file, 0666 less the umask, not the
+    # 0600 of the temporary file it is renamed from
+    old = os.umask(umask)
+    try:
+        emit_csv(str(tmp_path / "mode.csv"), [], ["x"], [(1.0,)])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "mode.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_emit_csv_rejects_non_finite(tmp_path):
     with pytest.raises(NumericalCheckError):
         emit_csv(str(tmp_path / "bad.csv"), [], ["x"], [(float("nan"),)])

@@ -9,8 +9,10 @@ from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
                        build_model, correlator, diagonalize,
                        negativity, partial_trace, partial_transpose, resolve_pairs,
                        su2_signed, thermal_state)
-from mixedspin.negativity import PairReducedState, negativities, reduce_pair
-from mixedspin.thermal import state_weights
+from mixedspin.negativity import (PairReducedState, entry_negativities, negativities,
+                                  pair_entries, reduce_pair)
+from mixedspin.sweeps import pair_negativities
+from mixedspin.thermal import _pair_entries, state_weights
 from mixedspin.verify import schmidt_negativity, su2_negativity
 from oracle import ground_manifold, heisenberg_bond, pair_negativity
 
@@ -475,3 +477,57 @@ def test_block_kernel_degenerate_blocks_and_exact_zeros():
     eigs = negmod._block_eigvalsh(separable[None], negmod._magnetization_blocks(2, 3)[0])
     assert np.array_equal(eigs, [[[0.0, 0.0, 0.0, 0.0, 0.5, 0.5]] * 2])
     assert abs(negativities(PairReducedState(singlet_half, 2, 2, 0, 1)) - 0.5) <= 1e-15
+
+
+# pair states as their total-Sz block entries, the sweep path's form
+
+@pytest.mark.parametrize("dim_a, dim_b, width", [(2, 3, 9), (3, 2, 9), (2, 2, 6), (3, 3, 15)])
+def test_pair_entries_hold_each_block_entry_once(dim_a, dim_b, width):
+    # E entries and a zero column: a symmetric state that conserves total Sz
+    # goes to its entries and back unchanged, and the flip of the entries is
+    # the flip m -> -m of both sites
+    places, flip, entry = _pair_entries(dim_a, dim_b)
+    assert places.shape[0] + 1 == flip.shape[0] == width
+    assert np.array_equal(flip[flip], np.arange(width)) and flip[-1] == width - 1
+    states = _sz_conserving_states(np.random.default_rng(width), dim_a, dim_b, 5)
+    states = 0.5 * (states + states.swapaxes(1, 2))
+    entries, flipped = np.zeros((2, 5, width))
+    entries[:, :-1] = states.reshape(5, -1)[:, places]
+    flipped[:, :-1] = states[:, ::-1, ::-1].reshape(5, -1)[:, places]
+    assert np.array_equal(entries[:, entry].reshape(states.shape), states)
+    assert np.array_equal(entries[:, flip], flipped)
+
+
+def _entry_cases():
+    for n in range(2, 9):
+        yield [ModelSpec(n)]
+        yield [ModelSpec(n, j1) for j1 in (1.0, -0.5, 2.0)]
+
+
+@pytest.mark.parametrize("specs", list(_entry_cases()),
+                         ids=lambda specs: f"n{specs[0].n_sites}-G{len(specs)}")
+def test_entry_kernel_equals_the_dense_route_bit_for_bit(specs):
+    # the sweep path, pair_entries into entry_negativities, against the dense
+    # contract, reduce_pair into negativities, for every pair kind of the
+    # ring: a stack of temperatures (T = 0 included) at zero field and at a
+    # field, on a lone decomposition or a batch of three
+    hs = [build_model(spec) for spec in specs]
+    decomp = diagonalize(hs if len(hs) > 1 else hs[0])
+    fields, temperatures = (np.repeat([0.0, 0.7], 4), np.tile([0.0, 0.02, 0.5, 3.0], 2))
+    lead = (8,) + decomp.eigenvalues.shape[:-1]
+    spectra = decomp.energies(fields.reshape(8, *[1] * len(lead)))
+    weights = state_weights(spectra, np.broadcast_to(
+        temperatures.reshape(8, *[1] * (len(lead) - 1)), lead))
+    pairs = resolve_pairs(specs[0].n_sites)
+    together = pair_negativities(decomp, weights, pairs)
+    for column, pair in enumerate(pairs):
+        keep = (pair.site_a, pair.site_b)
+        entries = pair_entries(decomp, weights, keep)
+        dense = reduce_pair(decomp, weights, keep)
+        assert entries.shape == lead + (
+            {(2, 3): 9, (2, 2): 6, (3, 3): 15}[(dense.dim_a, dense.dim_b)],)
+        assert np.array_equal(dense.matrix, dense.matrix.swapaxes(-1, -2))
+        fast = entry_negativities(entries, dense.dim_a, dense.dim_b)
+        assert fast.shape == lead
+        assert np.array_equal(fast.view(np.int64), negativities(dense).view(np.int64))
+        assert np.array_equal(fast.view(np.int64), together[..., column].view(np.int64))

@@ -10,6 +10,7 @@ from mixedspin import (EPS_NONZERO, Axis, Hamiltonian, ModelSpec, SweepRequest,
                        build_model, diagonalize, find_threshold, log_partition,
                        resolve_pairs, run_sweep, threshold_curve)
 from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
+from mixedspin.negativity import PairReducedState
 from mixedspin.sweeps import available_pair_kinds, check_threshold, pair_negativities
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, ground_degeneracy, state_weights
 
@@ -512,9 +513,9 @@ def test_field_reuse_ground_manifold_spans_sectors_at_crossing():
 
 def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     # a field x temperature grid is one group of 115 points, a j2 x temperature
-    # grid five groups of 23: at four sites (D = 36, and 133 pair-state
-    # entries per point for the three pairs) both span several stacks of 7
-    # points
+    # grid five groups of 23: at four sites (D = 36, and 9 + 6 + 15 = 30
+    # block entries per point for the three pairs) both span several stacks
+    # of 7 points
     requests = [
         SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", 0.0, 2.0, 5),
                      axis2=Axis("temperature", 0.02, 1.0, 23), pairs=resolve_pairs(4)),
@@ -527,7 +528,7 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     real = sweeps.log_partition
     monkeypatch.setattr(sweeps, "log_partition",
                         lambda e, beta: stacks.append(e.shape[0]) or real(e, beta))
-    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * (36 + 133))
+    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * (36 + 30))
     chunked = [run_sweep(req) for req in requests]
     assert stacks == [7] * 16 + [3] + ([7, 7, 7, 2] * 5)
     for a, b in zip(whole, chunked):
@@ -605,15 +606,39 @@ def test_grid_rows_match_the_single_point_path():
 
 def test_temperature_and_field_searches_scan_as_one_stack(monkeypatch):
     # one scan stack, then stacks of one midpoint; a lone coupling group's
-    # stacks carry its G axis of 1, as a sweep's do
+    # stacks carry its G axis of 1, as a sweep's do, and each state its 9
+    # block entries of a (1/2,1) pair
     sizes = []
-    real = sweeps.negativities
-    monkeypatch.setattr(sweeps, "negativities",
-                        lambda states: sizes.append(states.matrix.shape[:-2]) or real(states))
+    real = sweeps.entry_negativities
+    monkeypatch.setattr(sweeps, "entry_negativities",
+                        lambda entries, *dims: sizes.append(entries.shape) or real(entries, *dims))
     pair = resolve_pairs(4)[0]
     assert find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5)).status == "found"
-    assert sizes[0] == (64, 1) and set(sizes[1:]) == {(1, 1)}
+    assert sizes[0] == (64, 1, 9) and set(sizes[1:]) == {(1, 1, 9)}
     sizes.clear()
     assert find_threshold(ModelSpec(4), "field_b", pair, (0.0, 6.0),
                           fixed_temperature=0.0).status == "found"
-    assert sizes[0] == (64, 1) and set(sizes[1:]) == {(1, 1)}
+    assert sizes[0] == (64, 1, 9) and set(sizes[1:]) == {(1, 1, 9)}
+
+
+def test_sweeps_and_searches_form_no_dense_pair_state(monkeypatch):
+    # pair states travel as their block entries from the pair blocks to the
+    # kernel: no d x d PairReducedState is made on the sweep or search path
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a dense pair state was formed")
+
+    monkeypatch.setattr(PairReducedState, "__init__", refuse)
+    with pytest.raises(AssertionError, match="dense pair state"):
+        PairReducedState(np.eye(4) / 4, 2, 2, 0, 1)
+    pairs = resolve_pairs(4)
+    run_sweep(SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 3),
+                           axis2=Axis("temperature", 0.02, 1.0, 4), pairs=pairs))
+    run_sweep(SweepRequest(base=ModelSpec(6), axis1=Axis("field_b", 0.0, 3.0, 4),
+                           temperature=0.0, pairs=resolve_pairs(6)))
+    run_sweep(SweepRequest(base=ModelSpec(3), axis1=Axis("temperature", 0.05, 2.0, 5)))
+    for parameter, search, temperature in (("temperature", (0.05, 1.5), None),
+                                           ("field_b", (0.0, 6.0), 0.0),
+                                           ("j2", (0.0, 1.0), 0.02)):
+        find_threshold(ModelSpec(4), parameter, pairs[2], search, temperature, scan_points=8)
+    threshold_curve(ModelSpec(4), pairs[0], "j2", [0.0, 0.2], "temperature", (0.05, 1.5),
+                    scan_points=8)
