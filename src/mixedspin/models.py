@@ -115,7 +115,7 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
 # at 8 sites against 1296^2 for the full matrix.
 
 @lru_cache(maxsize=None)
-def _sector_grid(layout: SiteLayout) -> tuple[np.ndarray, np.ndarray, tuple]:
+def sector_grid(layout: SiteLayout) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Places in the flat sector blocks: entry (i, j) of one sector is at row_start[i] + place[j].
 
     Also each block's slice of the flat array and its side.
@@ -144,7 +144,7 @@ def _bond_sum(n: int, bond_list) -> np.ndarray:
     same float as in the sum of the embedded bonds.
     """
     layout = ring_layout(n)
-    row_start, place, blocks = _sector_grid(layout)
+    row_start, place, blocks = sector_grid(layout)
     digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
     strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
     h = np.zeros(blocks[-1][0].stop)
@@ -167,7 +167,7 @@ def build_model(spec: ModelSpec) -> Hamiltonian:
     """The plain ring, plus the field term or the next-nearest term when set."""
     n = spec.n_sites
     layout = ring_layout(n)
-    row_start, place, blocks = _sector_grid(layout)
+    row_start, place, blocks = sector_grid(layout)
     h = spec.j1 * _bond_sum(n, nn_bond_list)
     if spec.field_b != 0.0:
         h[row_start + place] += spec.field_b * basis_magnetization(layout)

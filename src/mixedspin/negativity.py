@@ -2,7 +2,7 @@
 
 Every pair state a sweep builds conserves total Sz, so it is carried as its
 block entries: the entries (p, q), p >= q, of equal m_a + m_b, one zero
-column after them (`thermal._pair_entries`; 9, 6 and 15 numbers for a
+column after them (`spin_ops.pair_basis`; 9, 6 and 15 numbers for a
 (1/2,1), (1/2,1/2) and (1,1) pair against d^2 = 36, 16 and 81).
 `pair_entries` takes them straight from a decomposition's pair blocks and
 eigenvector weights: one weight vector gives one pair state, a (k, D) stack
@@ -19,10 +19,11 @@ and positive semidefiniteness, computes both routes and demands that they
 agree. It takes its eigenvalues block by block: the state splits by
 m_a + m_b and its partial transpose by m_a - m_b, into blocks of at most 2
 for (1/2,1) and (1/2,1/2) pairs and at most 3 for (1,1) pairs, all read
-from the block entries. `entry_negativities` runs it on the entries of the
-sweep path. `negativities` takes dense states, checks their symmetry too,
-gathers a stack that conserves total Sz into its entries, and sends any
-other stack through the kernel as one whole-matrix eigvalsh per state;
+from the block entries by the plans of `pair_basis`. `entry_negativities`
+runs it on the entries of the sweep path. `negativities` takes dense
+states, checks their symmetry too, gathers a stack that conserves total Sz
+into its entries, and sends any other stack through the kernel as one
+whole-matrix eigvalsh per state (the basis' one-block plan);
 `negativity` hands it a stack of one. For (1/2,1) and (1/2,1/2) pairs a
 positive partial transpose is also sufficient for separability, so a zero
 value decides; for (1,1) pairs zero is inconclusive. At zero field the
@@ -35,12 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import SpinMagnitude, spin_matrices
-from .thermal import SpectralDecomposition, ThermalState, _pair_entries
+from .spin_ops import SpinMagnitude, pair_basis, spin_matrices
+from .thermal import SpectralDecomposition, ThermalState
 
 # Partial-transpose eigenvalues above -EPS_NEGATIVE are eigensolver noise,
 # not entanglement.
@@ -103,7 +103,7 @@ def pair_entries(decomp: SpectralDecomposition, weights: np.ndarray,
     """Block entries of the pair state of the mixture sum_i weights[i] |v_i><v_i|.
 
     A (k, D) stack of weight rows gives a (k, E + 1) stack, one row of the
-    pair's `_pair_entries` and a zero per state. Each row is one
+    pair's `pair_basis` entries and a zero per state. Each row is one
     vector-matrix product over the decomposition's pair blocks, the same
     product, bit for bit, whether the row comes alone or in a stack.
     """
@@ -124,7 +124,7 @@ def reduce_pair(decomp: SpectralDecomposition, weights: np.ndarray,
     site_a, site_b = sorted(keep)
     dims = decomp.layout.dims
     d_keep = dims[site_a] * dims[site_b]
-    matrix = entries[..., _pair_entries(dims[site_a], dims[site_b])[2]]
+    matrix = entries[..., pair_basis(dims[site_a], dims[site_b]).entry]
     return PairReducedState(matrix=matrix.reshape(*entries.shape[:-1], d_keep, d_keep),
                             dim_a=dims[site_a], dim_b=dims[site_b],
                             site_a=site_a, site_b=site_b)
@@ -148,56 +148,17 @@ def partial_transpose(pair: PairReducedState, subsystem: str = "a") -> np.ndarra
     return swapped.reshape(*lead, da * db, da * db)
 
 
-@lru_cache(maxsize=None)
-def _magnetization_blocks(dim_a: int, dim_b: int):
-    """Block plans that take a (dim_a, dim_b) pair state and its partial transpose.
-
-    Basis state (a, b) has m_a + m_b = s_a + s_b - (a + b). A state that
-    conserves total Sz couples only equal a + b; its partial transpose then
-    couples only equal a - b, i.e. equal m_a - m_b, in blocks of the same
-    sizes (b -> dim_b - 1 - b maps one labelling onto the other). A plan
-    lists the blocks by ascending size, one (2, number of blocks, size, size)
-    array per size that holds the place of each block entry in the flattened
-    pair state, first for the state and then for its partial transpose.
-    Returns the plan by magnetization, the plan with the whole matrix as one
-    block, and the flat places of the entries between two blocks of the state.
-    """
-    d = dim_a * dim_b
-    a, b = np.divmod(np.arange(d), dim_b)
-    state = np.arange(d * d).reshape(d, d)
-    transpose = partial_transpose(PairReducedState(state, dim_a, dim_b, 0, 1))
-
-    def places(label: np.ndarray, matrix: np.ndarray) -> list[np.ndarray]:
-        # labels are consecutive integers; no np.unique, whose first call is slow
-        blocks = [np.flatnonzero(label == v) for v in range(label.min(), label.max() + 1)]
-        sizes = sorted({len(block) for block in blocks})
-        rows = [np.array([block for block in blocks if len(block) == size]) for size in sizes]
-        return [matrix[r[:, :, None], r[:, None, :]] for r in rows]
-
-    def plan(state_label: np.ndarray, transpose_label: np.ndarray) -> tuple[np.ndarray, ...]:
-        out = tuple(np.stack(pair) for pair in zip(places(state_label, state),
-                                                   places(transpose_label, transpose)))
-        for shared in out:
-            shared.setflags(write=False)
-        return out
-
-    whole = np.zeros(d, dtype=int)
-    return (plan(a + b, a - b), plan(whole, whole),
-            np.flatnonzero((a + b)[:, None] != (a + b)[None, :]))
-
-
-def _block_eigvalsh(m: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
+def _block_eigvalsh(flat: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
     """Ascending eigenvalues of the matrices a plan takes from each state of a stack.
 
-    m holds one state per row, as a d x d matrix or flat (whole, or as block
-    entries), and the plan's places index a row's flat entries. Returns a
-    (k, 2, d) array: the eigenvalues of each state and of its partial
-    transpose. Every entry that the plan's blocks leave out must be zero. A
-    1 x 1 block is its entry, a 2 x 2 block [[a, b], [b, c]] has the
-    eigenvalues (a + c)/2 -+ hypot((a - c)/2, b), and larger blocks go
-    through one eigvalsh per block size.
+    flat holds one state per row, as its d^2 places or its block entries,
+    and the plan's places index a row. Returns a (k, 2, d) array: the
+    eigenvalues of each state and of its partial transpose. Every entry
+    that the plan's blocks leave out must be zero. A 1 x 1 block is its
+    entry, a 2 x 2 block [[a, b], [b, c]] has the eigenvalues
+    (a + c)/2 -+ hypot((a - c)/2, b), and larger blocks go through one
+    eigvalsh per block size.
     """
-    flat = m.reshape(len(m), -1)
     parts = []
     for places in plan:
         blocks = flat[:, places]
@@ -208,21 +169,14 @@ def _block_eigvalsh(m: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
             mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
             parts += [mean - radius, mean + radius]
         else:
-            parts.append(np.linalg.eigvalsh(blocks).reshape(len(m), 2, -1))
+            # the count, not -1: an empty stack leaves -1 undetermined
+            parts.append(np.linalg.eigvalsh(blocks).reshape(len(flat), 2,
+                                                             places.shape[1] * places.shape[2]))
     # sorted in place: np.sort, which sorts a copy, raised the peak RSS of an
     # 80 x 80 grid run by about 0.25 MB
     eigs = np.concatenate(parts, axis=-1)
     eigs.sort(axis=-1)
     return eigs
-
-
-@lru_cache(maxsize=None)
-def _entry_plan(dim_a: int, dim_b: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """_magnetization_blocks' plan, and the diagonal in natural order, as places in the entries."""
-    entry = _pair_entries(dim_a, dim_b)[2]
-    d = dim_a * dim_b
-    return (tuple(entry[places] for places in _magnetization_blocks(dim_a, dim_b)[0]),
-            entry[np.arange(d) * (d + 1)])
 
 
 def _check_traces(traces: np.ndarray) -> None:
@@ -268,7 +222,8 @@ def entry_negativities(entries: np.ndarray, dim_a: int, dim_b: int) -> np.ndarra
     conserve total Sz by construction and are exactly symmetric, so only
     the trace, positive semidefiniteness and the two routes are checked.
     """
-    values = _kernel(entries.reshape(-1, entries.shape[-1]), *_entry_plan(dim_a, dim_b))
+    basis = pair_basis(dim_a, dim_b)
+    values = _kernel(entries.reshape(-1, entries.shape[-1]), basis.plan, basis.diagonal)
     return values.reshape(entries.shape[:-1])
 
 
@@ -291,17 +246,16 @@ def negativities(pairs: PairReducedState) -> np.ndarray:
     m = pairs.matrix.reshape(-1, d, d)
     # the trace first, so that NaN on a diagonal is named as a trace
     _check_traces(np.trace(m, axis1=1, axis2=2))
-    if not np.abs(m - m.swapaxes(1, 2)).max() <= 1e-10:
+    if not (np.abs(m - m.swapaxes(1, 2)) <= 1e-10).all():
         raise ValueError("pair state is not symmetric")
-    _, whole, between = _magnetization_blocks(pairs.dim_a, pairs.dim_b)
-    flat = m.reshape(len(m), -1)
-    if flat[:, between].any():
-        values = _kernel(flat, whole, np.arange(d) * (d + 1))
+    basis = pair_basis(pairs.dim_a, pairs.dim_b)
+    flat = m.reshape(-1, d * d)
+    if flat[:, basis.entry == basis.places.shape[0]].any():
+        values = _kernel(flat, basis.whole, np.arange(d) * (d + 1))
     else:
-        places = _pair_entries(pairs.dim_a, pairs.dim_b)[0]
-        entries = np.zeros((len(m), places.shape[0] + 1))
-        entries[:, :-1] = flat[:, places]
-        values = _kernel(entries, *_entry_plan(pairs.dim_a, pairs.dim_b))
+        entries = np.zeros((len(m), basis.places.shape[0] + 1))
+        entries[:, :-1] = flat[:, basis.places]
+        values = _kernel(entries, basis.plan, basis.diagonal)
     return values.reshape(pairs.matrix.shape[:-2])
 
 

@@ -1,4 +1,4 @@
-"""Local spin operators, the basis of a ring's product space, and its Sz sectors.
+"""Local spin operators, the basis of a ring's product space, its Sz sectors, and the pair basis.
 
 Everything here is real arithmetic: exchange couplings are assembled in the
 ladder form sz*sz + (s+ s- + s- s+)/2 instead of using sy, so Hamiltonians
@@ -7,6 +7,12 @@ and thermal states stay real symmetric throughout.
 Basis convention: each site's z-eigenbasis is ordered by descending magnetic
 quantum number (m = +s first), and the global basis is the plain Kronecker
 product of the sites in layout order.
+
+`pair_basis` owns the layout of a two-site state: which of its d^2 places
+a total-Sz-conserving state can fill (equal m_a + m_b), how they are stored
+as block entries, and which blocks the state and its partial transpose
+split into (equal m_a + m_b, and equal m_a - m_b). Pair blocks, the dense
+pair state and the negativity kernel all read it.
 """
 
 from __future__ import annotations
@@ -112,3 +118,57 @@ def sector_rows(layout: SiteLayout) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     for shared in rows:
         shared.setflags(write=False)
     return rows, m[np.concatenate(rows)]
+
+
+class PairBasis(NamedTuple):
+    """The layout of a (dim_a, dim_b) pair state, d = dim_a * dim_b; see pair_basis."""
+
+    label: np.ndarray               # (d,) a + b of each pair state
+    places: np.ndarray              # (E,) the entries' flat places p * d + q
+    entry: np.ndarray               # (d^2,) the entry at each place, E between blocks
+    flip: np.ndarray                # (E + 1,) the entry each entry takes under m -> -m
+    plan: tuple[np.ndarray, ...]    # the blocks as entries, one (2, k, n, n) per size n
+    diagonal: np.ndarray            # (d,) the diagonal's entries in natural order
+    whole: tuple[np.ndarray, ...]   # one block: the d^2 places, and the transpose's
+
+
+@lru_cache(maxsize=None)
+def pair_basis(dim_a: int, dim_b: int) -> PairBasis:
+    """The total-Sz block entries of a (dim_a, dim_b) pair state and its block plans.
+
+    Pair state p = a * dim_b + b has m_a + m_b = s_a + s_b - (a + b), and a
+    state that conserves total Sz couples only states of equal a + b. Its E
+    entries are the places (p, q), p >= q, of equal a + b, listed by a + b,
+    then p, then q: each a + b is one run, its block's lower triangle row by
+    row; the spin flip takes p to d - 1 - p. Its partial transpose, whose
+    entry ((a, b), (a', b')) is the state's ((a', b), (a, b')), couples only
+    equal a - b, in blocks of the same sizes (b -> dim_b - 1 - b maps one
+    labelling onto the other). A plan's (2, k, n, n) array holds its k
+    blocks of size n, the state's and then the partial transpose's.
+    """
+    d = dim_a * dim_b
+    a, b = np.divmod(np.arange(d), dim_b)
+    label = a + b
+    p, q = np.nonzero((label[:, None] == label) & np.tri(d, dtype=bool))
+    places = (p * d + q)[np.argsort(label[p], kind="stable")]
+    size = places.shape[0]
+    entry = np.full(d * d, size)
+    entry[places] = entry[places % d * d + places // d] = np.arange(size)
+    flip = np.append(entry[d * d - 1 - places], size)
+    state = np.arange(d * d).reshape(d, d)
+    transpose = (a * dim_b + b[:, None]) * d + a[:, None] * dim_b + b
+
+    def blocks(label: np.ndarray, matrix: np.ndarray) -> list[np.ndarray]:
+        # labels are consecutive integers; no np.unique, whose first call is slow
+        groups = [np.flatnonzero(label == v) for v in range(label.min(), label.max() + 1)]
+        sizes = sorted({len(group) for group in groups})
+        rows = [np.array([group for group in groups if len(group) == n]) for n in sizes]
+        return [matrix[r[:, :, None], r[:, None, :]] for r in rows]
+
+    plan = tuple(entry[np.stack(pair)]
+                 for pair in zip(blocks(label, state), blocks(a - b, transpose)))
+    basis = PairBasis(label, places, entry, flip, plan, entry[np.arange(d) * (d + 1)],
+                      (np.stack((state, transpose))[:, None],))
+    for shared in (*basis[:4], *plan, basis.diagonal, *basis.whole):
+        shared.setflags(write=False)
+    return basis

@@ -19,9 +19,10 @@ Boltzmann weights are computed relative to the lowest energy so that
 inverse temperatures up to ~1e3 never overflow, and nothing assumes the
 energies are sorted. A state at temperature T is a weight vector over the
 eigenvectors (`state_weights`), and its pair states come from the
-decomposition's pair blocks, built from the sectors. Many points on one
-decomposition are one stack: `energies`, `state_weights` and
-`log_partition` take a (k, D) stack of spectra, one row per point, and
+decomposition's pair blocks, built from the sectors as the block entries
+that `spin_ops.pair_basis` lays out. Many points on one decomposition are
+one stack: `energies`, `state_weights` and `log_partition` take a (k, D)
+stack of spectra, one row per point, and
 give each row what a single spectrum would get, bit for bit.
 
 G Hamiltonians on one layout are one batch: one eigh per total spin on
@@ -46,8 +47,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import Hamiltonian, _sector_grid
-from .spin_ops import HALF, ONE, SiteLayout, SpinMagnitude, sector_rows, spin_matrices
+from .models import Hamiltonian, sector_grid
+from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, pair_basis, sector_rows,
+                       spin_matrices)
 
 # Eigenvectors within this relative distance of the minimum energy count as
 # part of the ground manifold (eigensolver accuracy budget).
@@ -105,7 +107,7 @@ class SpectralDecomposition:
         The kept sites come first in ascending order, as in partial_trace.
         Every eigenvector has one total Sz, so its pair state conserves
         m_a + m_b and is fixed by its E entries within the blocks of equal
-        m_a + m_b (`_pair_entries`); a row holds them and one zero column.
+        m_a + m_b (`pair_basis`); a row holds them and one zero column.
         Each pair magnetization of a sector is one batched g @ g.T over a
         grid of pair x rest states, for every decomposition of a batch at
         once, and a mirrored sector's entries are its source's, spin-flipped.
@@ -148,31 +150,6 @@ class ThermalState:
     layout: SiteLayout
 
 
-@lru_cache(maxsize=None)
-def _pair_entries(dim_a: int, dim_b: int):
-    """The total-Sz block entries of a (dim_a, dim_b) pair state, d = dim_a * dim_b.
-
-    Pair state p = a * dim_b + b has m_a + m_b = s_a + s_b - (a + b), and a
-    state that conserves total Sz couples only states of equal a + b. Its E
-    entries are the places (p, q), p >= q, of equal a + b, listed by a + b,
-    then p, then q: each a + b is one run, its block's lower triangle row by
-    row. Returns the entries' flat places p * d + q, (E,); the spin flip
-    (m -> -m on both sites, which takes p to d - 1 - p) as the entry that
-    each entry takes, (E + 1,), the zero column E staying put; and the entry
-    at each of the d^2 places, (d^2,), E between blocks.
-    """
-    d = dim_a * dim_b
-    label = np.add(*np.divmod(np.arange(d), dim_b))
-    p, q = np.nonzero((label[:, None] == label) & np.tri(d, dtype=bool))
-    places = (p * d + q)[np.argsort(label[p], kind="stable")]
-    entry = np.full(d * d, places.shape[0])
-    entry[places] = entry[places % d * d + places // d] = np.arange(places.shape[0])
-    flip = np.append(entry[d * d - 1 - places], places.shape[0])
-    for shared in (places, flip, entry):
-        shared.setflags(write=False)
-    return places, flip, entry
-
-
 # Like the bond sums in models.py, this depends only on the layout and the
 # pair, so every decomposition of one ring size shares it.
 
@@ -180,7 +157,7 @@ def _pair_entries(dim_a: int, dim_b: int):
 def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     """The spin flip of the entries and, per sector, what pair_blocks multiplies.
 
-    Pair states are ranked by (a + b, index), the order of _pair_entries'
+    Pair states are ranked by (a + b, index), the order of pair_basis'
     runs. A stable sort of a sector's rows by pair rank turns the P states
     of each a + b present into one run of P pair x R rest states, whose
     g @ g.T is a P x P block. Per sector: that row order; the runs as
@@ -190,9 +167,8 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     """
     site_a, site_b = keep
     dims = layout.dims
-    places, flip, _ = _pair_entries(dims[site_a], dims[site_b])
-    d = dims[site_a] * dims[site_b]
-    pair_label = np.add(*np.divmod(np.arange(d), dims[site_b]))
+    pair_label, places, _, flip = pair_basis(dims[site_a], dims[site_b])[:4]
+    d = pair_label.shape[0]
     size = np.bincount(pair_label)          # P of each a + b
     first = np.cumsum(size) - size          # the rank of its first state
     rank = np.argsort(np.argsort(pair_label, kind="stable"))
@@ -284,7 +260,7 @@ def _su2_plan(layout: SiteLayout):
     rows_by_sector, sector_m = sector_rows(layout)
     low = len(rows_by_sector) // 2
     m_low = float(sector_m[sum(map(len, rows_by_sector[:low]))])
-    place = _sector_grid(layout)[1]
+    place = sector_grid(layout)[1]
     strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
     (spin_a, members_a), (spin_b, members_b) = (
         _multiplets(kind, strides[[s is kind for s in layout.spins]]) for kind in (HALF, ONE))

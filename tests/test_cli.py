@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mixedspin
+from mixedspin import verify
 from mixedspin.cli import (ConfigError, NumericalCheckError, RunConfig, emit_csv,
                            main, parse_config, read_config_file)
 
@@ -58,6 +60,24 @@ def test_config_file_unknown_key(tmp_path):
     cfg.write_text("command=sweep-temp\nbogus=1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="bogus"):
         parse_config(["--config", str(cfg)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("command=frobnicate\n", "command: unknown 'frobnicate'"),
+    ("command=verify\nmax_n 2\n", "bad.cfg:2: expected key=value, got 'max_n 2'"),
+])
+def test_config_file_bad_line_is_one_error_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
+def test_unreadable_config_file_is_one_error_line(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and len(err.splitlines()) == 1
 
 
 def test_config_file_bad_number(tmp_path):
@@ -202,6 +222,33 @@ def test_threshold_command(tmp_path, capsys):
     assert values[3] == "1"
 
 
+def test_threshold_without_a_crossing(tmp_path, capsys):
+    # a (1/2,1/2) pair of the three-site ring is never entangled: the search
+    # says so and writes the range with found = 0
+    out = tmp_path / "none.csv"
+    assert main(["threshold", "--n", "3", "--pairs", "half_half", "--param", "temperature",
+                 "--tmin", "0.1", "--tmax", "2", "--out", str(out)]) == 0
+    assert "none in range [0.1, 2]" in capsys.readouterr().out
+    assert out.read_text().splitlines()[-2:] == ["threshold,bracket_lo,bracket_hi,found",
+                                                 "0,0.1,2,0"]
+
+
+def test_failed_verify_check_exits_2(tmp_path, capsys, monkeypatch):
+    original = verify.check_two_site
+
+    def one_failing():
+        first, *rest = original()
+        return [replace(first, status="fail"), *rest]
+
+    monkeypatch.setattr(verify, "check_two_site", one_failing)
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--max-n", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical check failure:")
+    assert captured.out.count("[FAIL]") == 1
+    assert [l for l in out.read_text().splitlines() if not l.startswith("#")][1][:2] == "0,"
+
+
 def test_exit_codes(tmp_path):
     # validation error
     assert main(["sweep-j2", "--n", "5", "--j2min", "0", "--j2max", "1",
@@ -267,6 +314,11 @@ def _no_eigensolve(*args, **kwargs):
     # above the smallest normal float, but beta * (E - E_min) still overflows
     ["sweep-temp", "--n", "8", "--tmin", "2.2250738585072014e-308", "--tmax", "1",
      "--steps", "2"],
+    ["sweep-temp", "--n", "2", "--tmin", "0.1", "--tmax", "1", "--steps", "abc"],
+    ["grid", "--n", "4", "--j2min", "0", "--j2max", "1", "--tmin", "0.1", "--tmax", "1",
+     "--steps", "80"],
+    ["threshold", "--n", "2", "--tmin", "0.1", "--tmax", "1"],
+    ["sweep-temp", "--n", "2", "--tmin", "0.1", "--steps", "5"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes

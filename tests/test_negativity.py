@@ -11,8 +11,9 @@ from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
                        su2_signed, thermal_state)
 from mixedspin.negativity import (PairReducedState, entry_negativities, negativities,
                                   pair_entries, reduce_pair)
+from mixedspin.spin_ops import pair_basis
 from mixedspin.sweeps import pair_negativities
-from mixedspin.thermal import _pair_entries, state_weights
+from mixedspin.thermal import state_weights
 from mixedspin.verify import schmidt_negativity, su2_negativity
 from oracle import ground_manifold, heisenberg_bond, pair_negativity
 
@@ -98,6 +99,8 @@ def test_partial_transpose_subsystem_spectra_agree():
         spec_a = np.sort(np.linalg.eigvalsh(partial_transpose(pair, "a")))
         spec_b = np.sort(np.linalg.eigvalsh(partial_transpose(pair, "b")))
         assert np.abs(spec_a - spec_b).max() <= 1e-12
+    with pytest.raises(ValueError, match="subsystem must be 'a' or 'b'"):
+        partial_transpose(pair, "c")
 
 
 def test_negativity_of_two_qubit_singlet():
@@ -403,15 +406,22 @@ def _locally_rotated(rng, states, dim_a, dim_b):
     return np.array(out)
 
 
+def _entries(states, basis):
+    """The block entries of a stack of symmetric states, and a zero column."""
+    entries = np.zeros((len(states), basis.places.shape[0] + 1))
+    entries[:, :-1] = states.reshape(len(states), -1)[:, basis.places]
+    return entries
+
+
 def _check_against_full_eigvalsh(states, dim_a, dim_b):
     """Block eigenvalues and negativities against eigvalsh of every full matrix."""
     negmod = importlib.import_module("mixedspin.negativity")
     pairs = PairReducedState(matrix=states, dim_a=dim_a, dim_b=dim_b, site_a=0, site_b=1)
     transposed = partial_transpose(pairs)
     full_state, full_transpose = np.linalg.eigvalsh(states), np.linalg.eigvalsh(transposed)
-    plan, _, between = negmod._magnetization_blocks(dim_a, dim_b)
-    if not states.reshape(len(states), -1)[:, between].any():
-        both = negmod._block_eigvalsh(states, plan)
+    basis = pair_basis(dim_a, dim_b)
+    if not states.reshape(len(states), -1)[:, basis.entry == basis.places.shape[0]].any():
+        both = negmod._block_eigvalsh(_entries(states, basis), basis.plan)
         assert both.shape == (len(states), 2, dim_a * dim_b)
         assert np.abs(both[:, 0] - full_state).max() <= 1e-14
         assert np.abs(both[:, 1] - full_transpose).max() <= 1e-14
@@ -467,16 +477,28 @@ def test_block_kernel_degenerate_blocks_and_exact_zeros():
     # in the state and in its partial transpose
     for d_a, d_b in PAIR_DIMS:
         mixed = np.eye(d_a * d_b)[None] / (d_a * d_b)
-        plan = negmod._magnetization_blocks(d_a, d_b)[0]
-        assert np.array_equal(negmod._block_eigvalsh(mixed, plan),
+        basis = pair_basis(d_a, d_b)
+        assert np.array_equal(negmod._block_eigvalsh(_entries(mixed, basis), basis.plan),
                               np.full((1, 2, d_a * d_b), 1.0 / (d_a * d_b)))
     # a singlet's zero eigenvalues and a separable diagonal state come out exact
-    eigs = negmod._block_eigvalsh(singlet_half[None], negmod._magnetization_blocks(2, 2)[0])
+    basis = pair_basis(2, 2)
+    eigs = negmod._block_eigvalsh(_entries(singlet_half[None], basis), basis.plan)
     assert np.array_equal(eigs[0, 0, :3], [0.0, 0.0, 0.0]) and abs(eigs[0, 0, 3] - 1.0) <= 1e-15
     assert np.abs(eigs[0, 1] - [-0.5, 0.5, 0.5, 0.5]).max() <= 1e-15
-    eigs = negmod._block_eigvalsh(separable[None], negmod._magnetization_blocks(2, 3)[0])
+    basis = pair_basis(2, 3)
+    eigs = negmod._block_eigvalsh(_entries(separable[None], basis), basis.plan)
     assert np.array_equal(eigs, [[[0.0, 0.0, 0.0, 0.0, 0.5, 0.5]] * 2])
     assert abs(negativities(PairReducedState(singlet_half, 2, 2, 0, 1)) - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("dim_a, dim_b", PAIR_DIMS)
+def test_both_kernels_take_empty_stacks(dim_a, dim_b):
+    # no state in, no value out: an array shaped like the leading axes
+    d, width = dim_a * dim_b, pair_basis(dim_a, dim_b).places.shape[0] + 1
+    for lead in [(0,), (3, 0)]:
+        dense = PairReducedState(np.zeros(lead + (d, d)), dim_a, dim_b, 0, 1)
+        assert negativities(dense).shape == lead
+        assert entry_negativities(np.zeros(lead + (width,)), dim_a, dim_b).shape == lead
 
 
 # pair states as their total-Sz block entries, the sweep path's form
@@ -486,14 +508,13 @@ def test_pair_entries_hold_each_block_entry_once(dim_a, dim_b, width):
     # E entries and a zero column: a symmetric state that conserves total Sz
     # goes to its entries and back unchanged, and the flip of the entries is
     # the flip m -> -m of both sites
-    places, flip, entry = _pair_entries(dim_a, dim_b)
+    basis = pair_basis(dim_a, dim_b)
+    places, flip, entry = basis.places, basis.flip, basis.entry
     assert places.shape[0] + 1 == flip.shape[0] == width
     assert np.array_equal(flip[flip], np.arange(width)) and flip[-1] == width - 1
     states = _sz_conserving_states(np.random.default_rng(width), dim_a, dim_b, 5)
     states = 0.5 * (states + states.swapaxes(1, 2))
-    entries, flipped = np.zeros((2, 5, width))
-    entries[:, :-1] = states.reshape(5, -1)[:, places]
-    flipped[:, :-1] = states[:, ::-1, ::-1].reshape(5, -1)[:, places]
+    entries, flipped = _entries(states, basis), _entries(states[:, ::-1, ::-1], basis)
     assert np.array_equal(entries[:, entry].reshape(states.shape), states)
     assert np.array_equal(entries[:, flip], flipped)
 

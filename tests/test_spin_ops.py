@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mixedspin import HALF, ONE, SiteLayout, spin_matrices
+from mixedspin import HALF, ONE, SiteLayout, partial_transpose, spin_matrices
 from mixedspin.models import nn_bond_list, nnn_bond_list, ring_layout
+from mixedspin.negativity import PairReducedState
+from mixedspin.spin_ops import pair_basis
 from oracle import embed, heisenberg_bond, total_sz
 
 
@@ -181,3 +183,35 @@ def test_embed_matches_kronecker_chain():
         sz = sum(embed(spin_matrices(s).sz, (site,), layout)
                  for site, s in enumerate(layout.spins))
         assert np.array_equal(total_sz(layout), sz)
+
+
+def test_layout_needs_a_site():
+    with pytest.raises(ValueError, match="at least one site"):
+        SiteLayout(())
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_pair_basis_against_brute_force(dim_a, dim_b):
+    basis = pair_basis(dim_a, dim_b)
+    assert pair_basis(dim_a, dim_b) is basis
+    d, size = dim_a * dim_b, basis.places.shape[0]
+    ab = [divmod(p, dim_b) for p in range(d)]
+    assert np.array_equal(basis.label, [a + b for a, b in ab])
+    # the direct partial-transpose map is partial_transpose of an index matrix
+    index = np.arange(d * d).reshape(d, d)
+    transpose = partial_transpose(PairReducedState(index, dim_a, dim_b, 0, 1))
+    assert np.array_equal(basis.whole[0], np.stack((index, transpose))[:, None])
+    # the zero column marks exactly the places of unequal a + b
+    unequal = [sum(ab[p]) != sum(ab[q]) for p in range(d) for q in range(d)]
+    assert np.array_equal(basis.entry == size, unequal)
+    assert np.array_equal(basis.places[basis.diagonal], np.arange(d) * (d + 1))
+    # each plan block holds exactly the entries of one a + b (the state) or
+    # of one a - b (its partial transpose), and never the zero column
+    for k, (matrix, value) in enumerate([(index, lambda a, b: a + b),
+                                         (transpose, lambda a, b: a - b)]):
+        rows = [[p for p in range(d) if value(*ab[p]) == v] for v in {value(*x) for x in ab}]
+        expected = sorted(basis.entry[matrix[np.ix_(r, r)]].tolist() for r in rows)
+        assert sorted(block.tolist() for places in basis.plan for block in places[k]) == expected
+    assert all((places < size).all() for places in basis.plan)
+    assert not any(array.flags.writeable for array in
+                   (*basis[:4], *basis.plan, basis.diagonal, *basis.whole))

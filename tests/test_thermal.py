@@ -7,7 +7,7 @@ from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
                        diagonalize, internal_energy, log_partition, resolve_pairs,
                        ring_layout, spin_matrices, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
-from mixedspin.models import _sector_grid, nn_bond_list
+from mixedspin.models import nn_bond_list, sector_grid
 from mixedspin.negativity import partial_trace, reduce_pair
 from mixedspin.spin_ops import sector_rows
 from mixedspin.sweeps import pair_negativities
@@ -65,6 +65,12 @@ def test_thermal_state_rejects_nonpositive_temperature(decomp_nn):
         thermal_state(decomp_nn[2], 0.0)
     with pytest.raises(ValueError, match="positive"):
         thermal_state(decomp_nn[2], -1.0)
+
+
+def test_internal_energy_rejects_nonpositive_beta(decomp_nn):
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            internal_energy(decomp_nn[2], beta)
 
 
 def test_thermal_state_invariants(decomp_nn):
@@ -455,7 +461,7 @@ def test_raise_index_arrays_match_a_site_by_site_build(n):
     layout = ring_layout(n)
     low, _, _, _, _, raises, _ = _su2_plan(layout)
     rows_by_sector = sector_rows(layout)[0]
-    place = _sector_grid(layout)[1]
+    place = sector_grid(layout)[1]
     digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
     strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
     assert len(raises) == len(rows_by_sector) - low - 1
