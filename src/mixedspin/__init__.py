@@ -1,6 +1,19 @@
 """Exact diagonalization and thermal negativity for (1/2,1) Heisenberg rings."""
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# Every eigensolve here is small (76 x 76 at most up to eight sites), and a
+# BLAS pool of one thread per core buys no wall time on it while its idle
+# threads spin and the thread count changes the last bits of a result. So
+# the BLAS runs one thread unless the user set a thread count, or numpy was
+# loaded before this package and its pool is already sized.
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_VARIABLES):
+    os.environ["OMP_NUM_THREADS"] = "1"
 
 from .models import Hamiltonian, ModelSpec, build_model, ring_layout
 from .negativity import (NegativityResult, PairKind, PairReducedState,

@@ -3,6 +3,10 @@
 Output is deterministic CSV: '#'-prefixed comment lines echo the effective
 configuration, a header row names the columns, and data rows carry 12
 significant digits. Files are written atomically (temp file + rename).
+The BLAS runs one thread unless a thread variable such as OMP_NUM_THREADS
+is set (see the package `__init__`), so the bytes no longer depend on the
+number of cores; they can still depend on the BLAS build and the CPU kernel
+it picks.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical check failure or
 non-finite output, 3 I/O error.

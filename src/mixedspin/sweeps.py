@@ -19,8 +19,8 @@ total-Sz block entries (`pair_entries`: 9, 6 or 15 numbers for a (1/2,1),
 (1/2,1/2) or (1,1) pair, not 36, 16 or 81), and the `entry_negativities`
 kernel checks and evaluates the whole stack. No D x D matrix and no
 d x d pair state is formed, and no Python runs per point. Batches run one
-after another, leaving the cores to the multithreaded BLAS of each
-eigensolve, and one is alive at a time. Rows come out axis1-major.
+after another on one BLAS thread (unless a thread variable asks for more),
+and one is alive at a time. Rows come out axis1-major.
 
 Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
@@ -332,9 +332,12 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
 
     A coarse scan finds the first flip of the indicator inside search_range,
     then bisection narrows the bracket until its width is below
-    THRESHOLD_RTOL * max(1, threshold). Returns status "none-in-range" when
-    the indicator never flips. A temperature or field search diagonalizes
-    once; a j2 search solves its scan and each round's midpoint in batches.
+    THRESHOLD_RTOL * max(1, threshold). Only that first flip is bisected:
+    later flips of the scan (a re-entrant window) are not reported, and a
+    window narrower than one scan cell is not seen at all. Returns status
+    "none-in-range" when the indicator never flips. A temperature or field
+    search diagonalizes once; a j2 search solves its scan and each round's
+    midpoint in batches.
     """
     scan = _scan_axis(base, parameter, search_range, fixed_temperature, scan_points)
     return _search(base, pair, scan, fixed_temperature)[0]

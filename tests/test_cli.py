@@ -327,39 +327,72 @@ def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _run_python(script, *args, **variables):
+    """Run script in a fresh interpreter that finds this mixedspin, with no
+    BLAS thread variable set besides the given variables; returns stdout."""
+    package = os.path.dirname(os.path.dirname(mixedspin.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in mixedspin.THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=os.pathsep.join(
+        filter(None, (package, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_coupling_sweep_leaves_numpy_random_unimported(tmp_path):
     # numpy loads numpy.random on first use, which costs a fresh CLI process
     # tens of milliseconds and several MB of peak RSS
-    package = os.path.dirname(os.path.dirname(mixedspin.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package, os.environ.get("PYTHONPATH")))))
     script = ("import sys\n"
               "from mixedspin.cli import main\n"
               "assert main(sys.argv[1:]) == 0\n"
               "print('numpy.random' in sys.modules)\n")
     args = ["sweep-j2", "--n", "8", "--j2min", "0.1", "--j2max", "0.9", "--steps", "2",
             "--temperature", "0.02", "--out", str(tmp_path / "j2.csv")]
-    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines()[-1] == "False"
+    assert _run_python(script, *args).splitlines()[-1] == "False"
 
 
 def test_temperature_sweep_leaves_lazy_numpy_submodules_unimported(tmp_path):
     # numpy.random and numpy.ma load on first use (np.unique imports
     # numpy.ma), costing a fresh CLI process milliseconds before its first
     # eigensolve
-    package = os.path.dirname(os.path.dirname(mixedspin.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (package, os.environ.get("PYTHONPATH")))))
     script = ("import sys\n"
               "from mixedspin.cli import main\n"
               "assert main(sys.argv[1:]) == 0\n"
               "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n")
     args = ["sweep-temp", "--n", "8", "--tmin", "0.05", "--tmax", "2", "--steps", "4",
             "--out", str(tmp_path / "temp.csv")]
-    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert _run_python(script, *args).splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count the process's threads")
+def test_cli_run_holds_one_thread(tmp_path):
+    # with no thread variable set, the BLAS starts no pool beside the main thread
+    script = ("import os, sys\n"
+              "from mixedspin.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(len(os.listdir('/proc/self/task')))\n")
+    args = ["sweep-j2", "--n", "8", "--j2min", "0.1", "--j2max", "0.9", "--steps", "4",
+            "--temperature", "0.02", "--out", str(tmp_path / "j2.csv")]
+    assert _run_python(script, *args).splitlines()[-1] == "1"
+
+
+def test_user_thread_count_survives_import():
+    script = ("import os, sys\n"
+              "assert 'numpy' not in sys.modules\n"
+              "import mixedspin\n"
+              "print(sorted((k, v) for k, v in os.environ.items()\n"
+              "             if k.endswith('_NUM_THREADS')))\n")
+    printed = _run_python(script, OPENBLAS_NUM_THREADS="2").splitlines()[-1]
+    assert printed == "[('OPENBLAS_NUM_THREADS', '2')]"
+
+
+def test_import_after_numpy_leaves_the_environment_alone():
+    script = ("import os\n"
+              "import numpy\n"
+              "before = dict(os.environ)\n"
+              "import mixedspin\n"
+              "print(dict(os.environ) == before)\n")
+    assert _run_python(script).splitlines()[-1] == "True"
 
 
 def test_verify_command_small(capsys):
