@@ -13,9 +13,11 @@ deliberate and is pinned down by the four-site level ladder checked in the
 tests. For N >= 6 every pair appears exactly once.
 
 Every term conserves total Sz, so a Hamiltonian is built and kept as its
-sector blocks, straight from the bond action on each sector's product
-states; no full-space matrix is formed. `Hamiltonian.matrix` assembles the
-D x D matrix on demand for the dense oracles of the tests.
+exchange's sector blocks, straight from the bond action on each sector's
+product states; no full-space matrix is formed. The field term b*Sz is
+b*M on sector M, so it stays out of the blocks: `diagonalize` puts it on
+the energies, and `Hamiltonian.matrix`, the D x D matrix assembled on
+demand for the dense oracles of the tests, adds it to the diagonal.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import (HALF, ONE, SiteLayout, basis_magnetization, sector_rows,
-                       spin_matrices)
+from .spin_ops import HALF, ONE, SiteLayout, product_basis, spin_matrices
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """H as its total-Sz sector blocks, one per sector of sector_rows(layout), in ascending M."""
+    """H's exchange as the total-Sz sector blocks of product_basis(layout); b*Sz is not in them."""
 
     blocks: tuple[np.ndarray, ...]
     layout: SiteLayout
@@ -72,10 +73,13 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """H as a dense D x D matrix, assembled on every access (for the dense oracles only)."""
+        """H with its field as a dense D x D matrix, built on every access (dense oracles only)."""
+        basis = product_basis(self.layout)
         h = np.zeros((self.layout.total_dimension,) * 2)
-        for rows, block in zip(sector_rows(self.layout)[0], self.blocks):
+        for rows, block in zip(basis.rows, self.blocks):
             h[np.ix_(rows, rows)] = block
+        if self.spec.field_b != 0.0:
+            h += self.spec.field_b * np.diag(basis.m)
         return h
 
 
@@ -111,28 +115,8 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
 # The bond sums depend only on the ring size, not the couplings; caching them
 # makes coupling sweeps cost one combination of two arrays per grid point.
 # Every bond conserves total Sz, so each sum is kept as its sector blocks
-# (sector_rows order), raveled end to end in one flat array: 243,782 entries
-# at 8 sites against 1296^2 for the full matrix.
-
-@lru_cache(maxsize=None)
-def sector_grid(layout: SiteLayout) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Places in the flat sector blocks: entry (i, j) of one sector is at row_start[i] + place[j].
-
-    Also each block's slice of the flat array and its side.
-    """
-    row_start = np.empty(layout.total_dimension, dtype=np.intp)
-    place = np.empty_like(row_start)
-    blocks, start = [], 0
-    for rows in sector_rows(layout)[0]:
-        k = rows.shape[0]
-        place[rows] = np.arange(k)
-        row_start[rows] = start + k * place[rows]
-        blocks.append((slice(start, start + k * k), k))
-        start += k * k
-    row_start.setflags(write=False)
-    place.setflags(write=False)
-    return row_start, place, tuple(blocks)
-
+# (product_basis order), raveled end to end in one flat array: 243,782
+# entries at 8 sites against 1296^2 for the full matrix.
 
 @lru_cache(maxsize=None)
 def _bond_sum(n: int, bond_list) -> np.ndarray:
@@ -144,9 +128,7 @@ def _bond_sum(n: int, bond_list) -> np.ndarray:
     same float as in the sum of the embedded bonds.
     """
     layout = ring_layout(n)
-    row_start, place, blocks = sector_grid(layout)
-    digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
-    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
+    digits, strides, _, _, _, place, row_start, blocks = product_basis(layout)
     h = np.zeros(blocks[-1][0].stop)
     diagonal = row_start + place
     for a, b in bond_list(n):
@@ -164,14 +146,11 @@ def _bond_sum(n: int, bond_list) -> np.ndarray:
 
 
 def build_model(spec: ModelSpec) -> Hamiltonian:
-    """The plain ring, plus the field term or the next-nearest term when set."""
+    """The plain ring's exchange, plus the next-nearest term when set; the field stays in spec."""
     n = spec.n_sites
     layout = ring_layout(n)
-    row_start, place, blocks = sector_grid(layout)
     h = spec.j1 * _bond_sum(n, nn_bond_list)
-    if spec.field_b != 0.0:
-        h[row_start + place] += spec.field_b * basis_magnetization(layout)
-    elif spec.j2 != 0.0:
+    if spec.j2 != 0.0:
         h = h + spec.j2 * _bond_sum(n, nnn_bond_list)
-    return Hamiltonian(blocks=tuple(h[span].reshape(k, k) for span, k in blocks),
-                       layout=layout, spec=spec)
+    blocks = tuple(h[span].reshape(k, k) for span, k in product_basis(layout).blocks)
+    return Hamiltonian(blocks=blocks, layout=layout, spec=spec)

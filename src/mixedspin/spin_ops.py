@@ -1,4 +1,4 @@
-"""Local spin operators, the basis of a ring's product space, its Sz sectors, and the pair basis.
+"""Local spin operators, the product basis of a layout with its Sz sectors, and the pair basis.
 
 Everything here is real arithmetic: exchange couplings are assembled in the
 ladder form sz*sz + (s+ s- + s- s+)/2 instead of using sy, so Hamiltonians
@@ -7,6 +7,9 @@ and thermal states stay real symmetric throughout.
 Basis convention: each site's z-eigenbasis is ordered by descending magnetic
 quantum number (m = +s first), and the global basis is the plain Kronecker
 product of the sites in layout order.
+
+`product_basis` owns a ring's product states: their digits, their total m,
+and each total-Sz sector's rows and block among the flat sector blocks.
 
 `pair_basis` owns the layout of a two-site state: which of its d^2 places
 a total-Sz-conserving state can fill (equal m_a + m_b), how they are stored
@@ -99,25 +102,45 @@ def spin_matrices(s: SpinMagnitude) -> SpinOperators:
     return SpinOperators(sz=np.diag(m), splus=splus, sminus=splus.T)
 
 
-def basis_magnetization(layout: SiteLayout) -> np.ndarray:
-    """Total m of each product basis state, in basis order (exact half-integers)."""
-    m = np.zeros(1)
-    for s in layout.spins:
-        m = np.add.outer(m, np.diag(spin_matrices(s).sz)).ravel()
-    return m
+class ProductBasis(NamedTuple):
+    """The product basis of a layout and its total-Sz sectors; see product_basis."""
+
+    digits: np.ndarray              # (sites, D) each state's digit per site, m = s - digit
+    strides: np.ndarray             # (sites,) each site's stride in the state index
+    m: np.ndarray                   # (D,) each state's total m (exact half-integers)
+    rows: tuple[np.ndarray, ...]    # each sector's states, sectors in ascending M
+    sector_m: np.ndarray            # (D,) each row's M, the sectors one after another
+    place: np.ndarray               # (D,) each state's place in its sector
+    row_start: np.ndarray           # (D,) where its row starts in the flat sector blocks
+    blocks: tuple[tuple[slice, int], ...]   # each block's slice of the flat array, and side
 
 
 @lru_cache(maxsize=None)
-def sector_rows(layout: SiteLayout) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Basis indices of each total-Sz sector in ascending M, and each row's M in that order.
+def product_basis(layout: SiteLayout) -> ProductBasis:
+    """The layout's product states, their total m and their total-Sz sectors.
 
-    The flip m -> -m maps basis index i to D - 1 - i: sectors k and S - 1 - k mirror.
+    State i = sum(digits[:, i] * strides). The sector blocks lie end to end
+    in one flat array: entry (i, j) of a block is at row_start[i] + place[j].
+    The flip m -> -m maps state i to D - 1 - i: sectors k and S - 1 - k mirror.
     """
-    m = basis_magnetization(layout)
+    dims = layout.dims
+    digits = np.array(np.unravel_index(np.arange(layout.total_dimension), dims))
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
+    m = sum(np.diag(spin_matrices(s).sz)[d] for s, d in zip(layout.spins, digits))
     rows = tuple(np.flatnonzero(m == value) for value in sorted(set(m.tolist())))
-    for shared in rows:
+    place, row_start = np.empty((2, layout.total_dimension), dtype=np.intp)
+    blocks, start = [], 0
+    for sector in rows:
+        k = sector.shape[0]
+        place[sector] = np.arange(k)
+        row_start[sector] = start + k * place[sector]
+        blocks.append((slice(start, start + k * k), k))
+        start += k * k
+    basis = ProductBasis(digits, strides, m, rows, m[np.concatenate(rows)], place, row_start,
+                         tuple(blocks))
+    for shared in (*basis[:3], *rows, *basis[4:7]):
         shared.setflags(write=False)
-    return rows, m[np.concatenate(rows)]
+    return basis
 
 
 class PairBasis(NamedTuple):

@@ -12,8 +12,8 @@ Every eigenvector so has an exact S, and an isotropy check on fixed probe
 vectors refuses any H that would break this. The field term b*Sz is
 constant on a sector, so at field b the energies are E_i + b*M_i on the
 same eigenvectors: one diagonalization serves every temperature and every
-field for fixed exchange couplings, and a Hamiltonian built with a field
-is solved without it and gets b*M back on its energies.
+field for fixed exchange couplings. A Hamiltonian's blocks hold only its
+exchange, and `diagonalize` puts its field's b*M on the energies.
 
 Boltzmann weights are computed relative to the lowest energy so that
 inverse temperatures up to ~1e3 never overflow, and nothing assumes the
@@ -47,8 +47,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import Hamiltonian, sector_grid
-from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, pair_basis, sector_rows,
+from .models import Hamiltonian
+from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, pair_basis, product_basis,
                        spin_matrices)
 
 # Eigenvectors within this relative distance of the minimum energy count as
@@ -177,11 +177,10 @@ def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
     label = pair_label[p]
     within = (rank[p] - first[label]) * size[label] + rank[q] - first[label]
     # every row's sector and pair state, the sectors one after another
-    rows_by_sector = sector_rows(layout)[0]
-    counts = [len(rows) for rows in rows_by_sector]
+    ring = product_basis(layout)
+    counts = [len(rows) for rows in ring.rows]
     sector = np.repeat(np.arange(len(counts)), counts)
-    digits = np.unravel_index(np.concatenate(rows_by_sector), dims)
-    pair = digits[site_a] * dims[site_b] + digits[site_b]
+    pair = (ring.digits[site_a] * dims[site_b] + ring.digits[site_b])[np.concatenate(ring.rows)]
     order = np.argsort(sector * d + rank[pair], kind="stable")
     # a run per sector and a + b present: its rows, and where it stops
     run = np.bincount(sector * size.shape[0] + pair_label[pair],
@@ -209,14 +208,9 @@ def _multiplets(kind: SpinMagnitude, strides: np.ndarray):
     multiplet (zero where S < |M|), each S+- of the last over
     sqrt(S(S+1) - M(M+-1)).
     """
-    ops, size = spin_matrices(kind), kind.dimension
-    state = np.arange(size ** len(strides))
-    splus, m, offset = np.zeros((state.size,) * 2), np.zeros(state.size), np.zeros_like(state)
-    for site, stride in enumerate(strides):
-        step = size ** (len(strides) - 1 - site)
-        d = state // step % size
-        m += np.diag(ops.sz)[d]
-        offset += stride * d
+    ops, sub = spin_matrices(kind), product_basis(SiteLayout((kind,) * len(strides)))
+    m, offset, splus = sub.m, strides @ sub.digits, np.zeros((sub.m.size,) * 2)
+    for d, step in zip(sub.digits, sub.strides):
         up = np.flatnonzero(d)      # S+ takes digit d to d - 1, one step back
         splus[up - step, up] = ops.splus[d[up] - 1, d[up]]
     top = m.max()
@@ -225,7 +219,7 @@ def _multiplets(kind: SpinMagnitude, strides: np.ndarray):
     s2, vectors = np.linalg.eigh(splus[:, low].T @ splus[:, low]
                                  + level * (level + 1.0) * np.eye(len(low)))
     spin = 0.5 * np.rint(np.sqrt(4.0 * s2 + 1.0) - 1.0)
-    members = {level: np.zeros((state.size, spin.size))}
+    members = {level: np.zeros((m.size, spin.size))}
     members[level][low] = vectors
     for op, step in ((splus, 1.0), (splus.T, -1.0)):
         at, v = level, members[level]
@@ -257,11 +251,9 @@ def _su2_plan(layout: SiteLayout):
     site i (coef 0 where none); and one fixed probe vector per sector from
     low up, each S+ of the last.
     """
-    rows_by_sector, sector_m = sector_rows(layout)
-    low = len(rows_by_sector) // 2
-    m_low = float(sector_m[sum(map(len, rows_by_sector[:low]))])
-    place = sector_grid(layout)[1]
-    strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
+    ring = product_basis(layout)
+    low = len(ring.rows) // 2
+    m_low, place, strides = float(ring.m[ring.rows[low][0]]), ring.place, ring.strides
     (spin_a, members_a), (spin_b, members_b) = (
         _multiplets(kind, strides[[s is kind for s in layout.spins]]) for kind in (HALF, ONE))
     # spins (S_A, S_B) couple to each of their K total S by one column of a
@@ -288,7 +280,7 @@ def _su2_plan(layout: SiteLayout):
     order = np.argsort(spins, kind="stable")
     spins, k, col_a, col_b = spins[order], k[order], *(np.repeat(x, count)[order] for x in (a, b))
     cg = cg[(2 * spin_a[col_a]).astype(np.intp), (2 * spin_b[col_b]).astype(np.intp), k]
-    basis = np.zeros((len(spins), rows_by_sector[low].shape[0]))
+    basis = np.zeros((len(spins), ring.rows[low].shape[0]))
     for j, (m_a, (offset_a, vectors_a)) in enumerate(members_a.items()):
         if m_low - m_a in members_b:
             offset_b, vectors_b = members_b[m_low - m_a]
@@ -298,11 +290,10 @@ def _su2_plan(layout: SiteLayout):
                 block.reshape(len(spins), -1)
     edges = np.flatnonzero(np.diff(spins, prepend=-1.0, append=np.inf))
     groups = tuple(slice(a, b) for a, b in zip(edges[:-1], edges[1:]))
-    digits = np.array(np.unravel_index(np.arange(layout.total_dimension), layout.dims))
     s = np.array([[spin.spin] for spin in layout.spins])
     raises = []
-    for rows in rows_by_sector[low + 1:]:
-        m = s - digits[:, rows]     # each site's m in the upper state
+    for rows in ring.rows[low + 1:]:
+        m = s - ring.digits[:, rows]    # each site's m in the upper state
         coef = np.sqrt(s * (s + 1.0) - m * (m - 1.0))       # 0 where m = -s
         # the state with a site one m lower is the next one along its digit
         source = place[np.where(coef > 0.0, rows + strides[:, None], 0)] * (coef > 0.0)
@@ -329,12 +320,12 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     Only the lowest-|M| sector is solved, one small eigh per S on its
     block projected on each S-space. Sector M+1 takes the vectors with
     S >= M+1 as S+ v / sqrt(S(S+1) - M(M+1)) on the same eigenvalues, and
-    sector -M takes sector M's, rows reversed (m -> -m on every site). A
-    field's b*M is taken off each sector's diagonal before the solve and
-    added back to the energies, so -M mirrors M at every field. G
+    sector -M takes sector M's, rows reversed (m -> -m on every site). The
+    blocks hold no field, and each sector's energies gain the spec's b*M,
+    so -M mirrors M at every field. G
     Hamiltonians on one layout are one batch of (G, k, k) stacks whose
     rows hold, bit for bit, what lone decompositions hold. Raises
-    ValueError if a block has a non-finite entry or if H less its field
+    ValueError if a block has a non-finite entry or if H
     fails H_{M+1} S+ x = S+ H_M x or H_{-M} Rx = R H_M x (R the flip) on
     fixed probes x; LinAlgError if LAPACK fails to converge.
     """
@@ -348,9 +339,6 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     low, m_low, basis, spins, groups, raises, probes = _su2_plan(layout)
     last = len(blocks) - 1
     m = m_low + np.arange(len(blocks)) - low        # each sector's M
-    if np.any(field_b):         # the field is b*M on a sector's diagonal
-        blocks = [block - np.multiply.outer(field_b * m[k], np.eye(block.shape[-1]))
-                  for k, block in enumerate(blocks)]
     field_b = field_b[..., None]
     values, vectors = [], []
     for group in groups:
@@ -376,21 +364,22 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     scale = np.maximum(np.abs(found).max(axis=-1), np.abs(expected).max(axis=-1))
     if np.any(np.abs(found - expected).max(axis=-1) > 1e-9 * scale):     # row by row
         raise ValueError("Hamiltonian is not isotropic")
-    rows_by_sector, sector_m = sector_rows(layout)
+    ring = product_basis(layout)
     solved = [None] * len(blocks)
     for k in range(low, last + 1):
-        zero_field = values[..., -rows_by_sector[k].shape[0]:]
+        zero_field = values[..., -ring.rows[k].shape[0]:]
         solved[k] = (zero_field + field_b * m[k], vectors[k - low], None)
         if last - k < low:
             solved[last - k] = (zero_field - field_b * m[k], vectors[k - low][..., ::-1, :], k)
     eigenvalues = np.concatenate([values for values, _, _ in solved], axis=-1)
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),
-                       np.cumsum([len(rows) for rows in rows_by_sector[:-1]]), axis=-1)
+                       np.cumsum([len(rows) for rows in ring.rows[:-1]]), axis=-1)
     sectors = tuple(Sector(rows, vectors, place, mirror) for rows, (_, vectors, mirror), place
-                    in zip(rows_by_sector, solved, columns))
+                    in zip(ring.rows, solved, columns))
     return SpectralDecomposition(eigenvalues=np.take_along_axis(eigenvalues, order, axis=-1),
-                                 magnetizations=sector_m[order], sectors=sectors, layout=layout)
+                                 magnetizations=ring.sector_m[order], sectors=sectors,
+                                 layout=layout)
 
 
 def boltzmann_weights(eigenvalues: np.ndarray, beta: float | np.ndarray) -> np.ndarray:

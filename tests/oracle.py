@@ -24,7 +24,7 @@ import numpy as np
 from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, negativity, partial_trace,
                        ring_layout, spin_matrices)
 from mixedspin.models import nn_bond_list, nnn_bond_list
-from mixedspin.spin_ops import basis_magnetization, sector_rows
+from mixedspin.spin_ops import product_basis
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, SpectralDecomposition
 
 
@@ -67,8 +67,8 @@ def heisenberg_bond(site_a: int, site_b: int, layout: SiteLayout) -> np.ndarray:
 
 
 def total_sz(layout: SiteLayout) -> np.ndarray:
-    """Sum of all embedded z operators: the diagonal of basis_magnetization."""
-    return np.diag(basis_magnetization(layout))
+    """Sum of all embedded z operators: the diagonal of each product state's total m."""
+    return np.diag(product_basis(layout).m)
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +106,7 @@ def total_spin_defect(spec: SpectralDecomposition) -> tuple[float, float]:
 
 
 def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    """The model's D x D matrix from the embedded bonds and the embedded total Sz."""
+    """The model's D x D matrix from the embedded bonds and, with a field, the embedded total Sz."""
     n = spec.n_sites
     h = spec.j1 * dense_bond_sum(n, nn_bond_list)
     if spec.field_b != 0.0:
@@ -117,12 +117,12 @@ def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
 
 
 def sector_hamiltonian(matrix: np.ndarray, layout: SiteLayout, spec: ModelSpec) -> Hamiltonian:
-    """A dense matrix as a Hamiltonian of sector blocks.
+    """A dense exchange matrix as a Hamiltonian of sector blocks; spec.field_b adds b*Sz.
 
     Raises ValueError if any entry couples two total-Sz sectors, which the
     blocks cannot hold.
     """
-    blocks = tuple(matrix[np.ix_(rows, rows)] for rows in sector_rows(layout)[0])
+    blocks = tuple(matrix[np.ix_(rows, rows)] for rows in product_basis(layout).rows)
     if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(matrix):
         raise ValueError("Hamiltonian does not conserve total Sz")
     return Hamiltonian(blocks=blocks, layout=layout, spec=spec)

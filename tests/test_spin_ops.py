@@ -4,7 +4,7 @@ import pytest
 from mixedspin import HALF, ONE, SiteLayout, partial_transpose, spin_matrices
 from mixedspin.models import nn_bond_list, nnn_bond_list, ring_layout
 from mixedspin.negativity import PairReducedState
-from mixedspin.spin_ops import pair_basis
+from mixedspin.spin_ops import pair_basis, product_basis
 from oracle import embed, heisenberg_bond, total_sz
 
 
@@ -215,3 +215,42 @@ def test_pair_basis_against_brute_force(dim_a, dim_b):
     assert all((places < size).all() for places in basis.plan)
     assert not any(array.flags.writeable for array in
                    (*basis[:4], *basis.plan, basis.diagonal, *basis.whole))
+
+
+def _product_layouts():
+    for n in range(2, 9):
+        yield ring_layout(n)
+    for kind in (HALF, ONE):
+        for count in range(1, 5):
+            yield SiteLayout((kind,) * count)
+
+
+@pytest.mark.parametrize("layout", list(_product_layouts()),
+                         ids=lambda layout: "".join(map(str, layout.dims)))
+def test_product_basis_against_brute_force(layout):
+    basis = product_basis(layout)
+    assert product_basis(layout) is basis
+    size = layout.total_dimension
+    state = np.arange(size)
+    assert np.array_equal(basis.digits, np.unravel_index(state, layout.dims))
+    assert np.array_equal(basis.strides @ basis.digits, state)
+    # the total m of the Kronecker product, one site's sz diagonal at a time
+    m = np.zeros(1)
+    for s in layout.spins:
+        m = np.add.outer(m, np.diag(spin_matrices(s).sz)).ravel()
+    assert np.array_equal(basis.m, m)
+    values = np.unique(m)
+    assert len(basis.rows) == len(basis.blocks) == len(values)
+    start = 0
+    for k, (value, rows) in enumerate(zip(values, basis.rows)):
+        side = rows.shape[0]
+        assert np.array_equal(rows, np.flatnonzero(m == value))
+        assert np.array_equal(np.sort(size - 1 - rows), basis.rows[len(values) - 1 - k])
+        assert np.array_equal(basis.place[rows], np.arange(side))
+        assert np.array_equal(basis.row_start[rows], start + side * np.arange(side))
+        assert basis.blocks[k] == (slice(start, start + side * side), side)
+        start += side * side
+    assert np.array_equal(basis.sector_m, np.repeat(values, [len(r) for r in basis.rows]))
+    assert not any(array.flags.writeable for array in
+                   (basis.digits, basis.strides, basis.m, *basis.rows, basis.sector_m,
+                    basis.place, basis.row_start))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
                        diagonalize, internal_energy, log_partition, resolve_pairs,
                        ring_layout, spin_matrices, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
-from mixedspin.models import nn_bond_list, sector_grid
+from mixedspin.models import nn_bond_list
 from mixedspin.negativity import partial_trace, reduce_pair
-from mixedspin.spin_ops import sector_rows
+from mixedspin.spin_ops import product_basis
 from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition, _su2_plan,
                                boltzmann_weights, ground_degeneracy, state_weights)
@@ -269,16 +270,31 @@ def _sector_cases():
 def test_sector_blocks_are_slices_of_the_dense_hamiltonian(spec):
     # the blocks built from the bond action on each sector's product states
     # are the same floats, bit for bit, as the sector slices of the sum of
-    # Kronecker-embedded bonds, which has no entry between two sectors
+    # Kronecker-embedded bonds, which has no entry between two sectors; the
+    # blocks hold no field, and .matrix adds it as the dense oracle does
     h = build_model(spec)
     dense = dense_hamiltonian(spec)
-    rows_by_sector = sector_rows(h.layout)[0]
+    exchange = dense_hamiltonian(replace(spec, field_b=0.0))
+    rows_by_sector = product_basis(h.layout).rows
     assert len(h.blocks) == len(rows_by_sector)
     for rows, block in zip(rows_by_sector, h.blocks):
-        assert block.tobytes() == dense[np.ix_(rows, rows)].tobytes()
+        assert block.tobytes() == exchange[np.ix_(rows, rows)].tobytes()
     assert sum(np.count_nonzero(dense[np.ix_(rows, rows)]) for rows in rows_by_sector) \
         == np.count_nonzero(dense)
     assert h.matrix.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("n, b", [(2, 1.5), (4, 0.7), (6, 0.3), (8, 2.9)])
+def test_field_hamiltonian_solves_as_the_zero_field_one(n, b):
+    # the field is b*M on sector M and never enters the blocks, so a field
+    # Hamiltonian's decomposition is the zero-field one with b*M on its
+    # energies: the same floats and the same eigenvectors, bit for bit
+    field = diagonalize(build_model(ModelSpec(n, field_b=b)))
+    zero = diagonalize(build_model(ModelSpec(n)))
+    assert field.eigenvalues.tobytes() == np.sort(zero.energies(b)).tobytes()
+    for ours, theirs in zip(field.sectors, zero.sectors):
+        assert ours.vectors.tobytes() == theirs.vectors.tobytes()
+        assert ours.rows is theirs.rows and ours.mirror_of == theirs.mirror_of
 
 
 def _dense_pair_oracle(values, vectors, layout, temperature, keep):
@@ -328,8 +344,8 @@ def test_sector_diagonalize_matches_dense_eigh(spec):
 def test_mirror_sectors_share_spectra_and_flip_pair_blocks(spec):
     # flipping m -> -m on every site maps sector M onto -M: at b = 0 that is
     # an exact symmetry, so sector -M takes sector M's eigenpairs and its
-    # spectrum is the same numbers; the field's b*Sz is taken off before the
-    # solve, so sector -M mirrors M at every field and lies 2bM below it
+    # spectrum is the same numbers; the field's b*Sz is not in the blocks,
+    # so sector -M mirrors M at every field and lies 2bM below it
     h = build_model(spec)
     decomp = diagonalize(h)
     b, m, energies = spec.field_b, decomp.magnetizations, decomp.eigenvalues
@@ -439,7 +455,8 @@ def test_total_spin_basis_against_the_dense_s2(n):
     # rows as multiplets: the size of sector M = S less that of M = S + 1
     layout = ring_layout(n)
     low, m_low, basis, spins, groups, _, _ = _su2_plan(layout)
-    rows, sector_m = sector_rows(layout)
+    ring = product_basis(layout)
+    rows, sector_m = ring.rows, ring.sector_m
     s2 = total_spin_squared(layout)[np.ix_(rows[low], rows[low])]
     assert basis.shape == (rows[low].shape[0],) * 2
     assert np.abs(basis @ basis.T - np.eye(basis.shape[0])).max() <= 1e-13
@@ -460,8 +477,8 @@ def test_raise_index_arrays_match_a_site_by_site_build(n):
     # splus[d, d + 1] times the lower row with that site's digit d + 1
     layout = ring_layout(n)
     low, _, _, _, _, raises, _ = _su2_plan(layout)
-    rows_by_sector = sector_rows(layout)[0]
-    place = sector_grid(layout)[1]
+    ring = product_basis(layout)
+    rows_by_sector, place = ring.rows, ring.place
     digits = np.unravel_index(np.arange(layout.total_dimension), layout.dims)
     strides = np.cumprod((1,) + layout.dims[:0:-1])[::-1]
     assert len(raises) == len(rows_by_sector) - low - 1
