@@ -16,9 +16,10 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_
     os.environ["OMP_NUM_THREADS"] = "1"
 
 from .models import Hamiltonian, ModelSpec, build_model, ring_layout
-from .negativity import (NegativityResult, PairKind, PairReducedState,
-                         correlator, negativity, partial_trace, partial_transpose,
-                         reduce_pair, su2_signed)
+# `mixedspin.negativity` is the submodule; its function of that name is
+# `mixedspin.negativity.negativity`
+from .negativity import (NegativityResult, PairKind, PairReducedState, correlator,
+                         partial_trace, partial_transpose, reduce_pair, su2_signed)
 from .spin_ops import HALF, ONE, SiteLayout, SpinMagnitude, spin_matrices
 from .sweeps import (EPS_NONZERO, Axis, PairSelector, SweepRequest, SweepResult,
                      ThresholdResult, find_threshold, resolve_pairs, run_sweep,
@@ -33,7 +34,7 @@ __all__ = [
     "SpectralDecomposition", "ThermalState", "diagonalize", "state_weights",
     "thermal_state", "internal_energy", "log_partition",
     "PairKind", "PairReducedState", "NegativityResult", "reduce_pair",
-    "partial_trace", "partial_transpose", "negativity", "correlator", "su2_signed",
+    "partial_trace", "partial_transpose", "correlator", "su2_signed",
     "Axis", "SweepRequest", "SweepResult", "ThresholdResult", "PairSelector",
     "EPS_NONZERO", "run_sweep", "find_threshold", "threshold_curve",
     "resolve_pairs",

@@ -23,12 +23,22 @@ demand for the dense oracles of the tests, adds it to the diagonal.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .spin_ops import HALF, ONE, SiteLayout, product_basis, spin_matrices
+
+
+def is_count(value, low: int, high: float = math.inf) -> bool:
+    """Whether value is an integer, Python's or numpy's, from low to high."""
+    try:
+        return low <= operator.index(value) <= high
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,11 @@ class ModelSpec:
     def __post_init__(self):
         # 8 sites is 1296 states, the largest ring the tests can check
         # against the full Kronecker-built matrix; each cell more is 6x.
-        if not 2 <= self.n_sites <= 8:
-            raise ValueError("n_sites must be between 2 and 8")
-        if not all(map(math.isfinite, (self.j1, self.j2, self.field_b))):
-            raise ValueError("couplings and field must be finite")
+        if not is_count(self.n_sites, 2, 8):
+            raise ValueError("n_sites must be an integer between 2 and 8")
+        if not all(isinstance(x, numbers.Real) and math.isfinite(x)
+                   for x in (self.j1, self.j2, self.field_b)):
+            raise ValueError("couplings and field must be finite real numbers")
         if self.j2 < 0.0:
             raise ValueError("next-nearest coupling j2 must be >= 0")
         if self.j2 != 0.0 and (self.n_sites % 2 or self.n_sites < 4):

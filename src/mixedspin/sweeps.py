@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .models import ModelSpec, build_model, nn_bond_list, nnn_bond_list, ring_layout
+from .models import ModelSpec, build_model, is_count, nn_bond_list, nnn_bond_list, ring_layout
 from .negativity import entry_negativities, pair_entries
 from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy, log_partition,
                       state_weights)
@@ -109,8 +109,8 @@ class Axis:
 
     def __post_init__(self):
         _check_parameter(self.parameter)
-        if self.steps < 2:
-            raise ValueError("axis needs at least 2 steps")
+        if not is_count(self.steps, 2):
+            raise ValueError(f"axis needs an integer of at least 2 steps, got {self.steps!r}")
         if not -math.inf < self.lo < self.hi < math.inf:
             raise ValueError("axis requires finite lo < hi")
 
@@ -317,8 +317,8 @@ def _scan_axis(base: ModelSpec, parameter: str, search_range: tuple[float, float
                fixed_temperature: Optional[float], scan_points: int,
                curve: Sequence[tuple[str, float, float]] = ()) -> Axis:
     """The scan grid of a checked search; curve adds a boundary curve's (parameter, lo, hi)."""
-    if scan_points < 2:
-        raise ValueError(f"scan_points must be at least 2, got {scan_points}")
+    if not is_count(scan_points, 2):
+        raise ValueError(f"scan_points must be at least 2 and an integer, got {scan_points!r}")
     scan = Axis(parameter, *search_range, scan_points)
     _check_ranges(base, [(parameter, *search_range), *curve], fixed_temperature, search=True)
     return scan

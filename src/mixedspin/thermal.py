@@ -108,9 +108,10 @@ class SpectralDecomposition:
         Every eigenvector has one total Sz, so its pair state conserves
         m_a + m_b and is fixed by its E entries within the blocks of equal
         m_a + m_b (`pair_basis`); a row holds them and one zero column.
-        Each pair magnetization of a sector is one batched g @ g.T over a
-        grid of pair x rest states, for every decomposition of a batch at
-        once, and a mirrored sector's entries are its source's, spin-flipped.
+        Per sector and a + b, g holds the amplitudes on a P x R grid of pair
+        by rest states (`_pair_plan`), and the lower triangle of g @ g.T is
+        that a + b's entries, for every decomposition of a batch at once; a
+        mirrored sector's entries are its source's, spin-flipped.
         A batch of G gives (G, D, E + 1). Built once per pair and kept on
         this decomposition, so the blocks live exactly as long as it does.
         """
@@ -124,18 +125,16 @@ class SpectralDecomposition:
             # over D contiguous numbers; a row-major copy makes BLAS sum in
             # another order and moves CSV cells in their last digits
             blocks = np.zeros((flip.shape[0], start.size * dim)).T
-            for sector, (order, runs, cols, pick) in reversed(tuple(zip(self.sectors, plans))):
+            for sector, grids in reversed(tuple(zip(self.sectors, plans))):
                 places = start + sector.columns
                 if sector.mirror_of is not None:      # its source, M > 0, came first
                     source = start + self.sectors[sector.mirror_of].columns
                     blocks[places] = blocks[source[..., None], flip]
                     continue
-                vecs = sector.vectors[..., order, :].swapaxes(-1, -2)
-                products = []
-                for first, stop, size in runs:
-                    g = vecs[..., first:stop].reshape(*vecs.shape[:-1], size, -1)
-                    products.append((g @ g.swapaxes(-1, -2)).reshape(*g.shape[:-2], -1))
-                blocks[places[..., None], cols] = np.concatenate(products, axis=-1)[..., pick]
+                vectors = sector.vectors.swapaxes(-1, -2)
+                for grid, (p, q), span in grids:
+                    g = vectors[..., grid]
+                    blocks[places, span] = (g @ g.swapaxes(-1, -2))[..., p, q]
             self._pair_blocks[key] = blocks.reshape(*lead, dim, -1)
         return self._pair_blocks[key]
 
@@ -155,48 +154,37 @@ class ThermalState:
 
 @lru_cache(maxsize=None)
 def _pair_plan(layout: SiteLayout, keep: tuple[int, int]):
-    """The spin flip of the entries and, per sector, what pair_blocks multiplies.
+    """The spin flip of the entries and, per sector, the grids pair_blocks multiplies.
 
-    Pair states are ranked by (a + b, index), the order of pair_basis'
-    runs. A stable sort of a sector's rows by pair rank turns the P states
-    of each a + b present into one run of P pair x R rest states, whose
-    g @ g.T is a P x P block. Per sector: that row order; the runs as
-    [first row, stop row, P]; and the entries its blocks hold (cols), with
-    their places (pick) among the blocks, flattened one after another.
-    All sectors are planned at once, in array operations.
+    A sector that meets an a + b holds all P pair states of it, each with
+    the same R rest states. One stable sort of all rows by (sector, a + b,
+    pair state) lays each a + b present in a sector out as a P x R grid of
+    sector places, its pair states ascending down the rows. Per sector, a
+    (grid, tril, span) per grid: g @ g.T over the grid is that a + b's
+    P x P block, and its lower triangle row by row (tril) is the span of
+    entries that pair_basis gives that a + b.
     """
     site_a, site_b = keep
     dims = layout.dims
-    pair_label, places, _, flip = pair_basis(dims[site_a], dims[site_b])[:4]
-    d = pair_label.shape[0]
-    size = np.bincount(pair_label)          # P of each a + b
-    first = np.cumsum(size) - size          # the rank of its first state
-    rank = np.argsort(np.argsort(pair_label, kind="stable"))
-    # each entry's a + b, and its flat place in that P x P block
-    p, q = np.divmod(places, d)
-    label = pair_label[p]
-    within = (rank[p] - first[label]) * size[label] + rank[q] - first[label]
-    # every row's sector and pair state, the sectors one after another
-    ring = product_basis(layout)
-    counts = [len(rows) for rows in ring.rows]
-    sector = np.repeat(np.arange(len(counts)), counts)
-    pair = (ring.digits[site_a] * dims[site_b] + ring.digits[site_b])[np.concatenate(ring.rows)]
-    order = np.argsort(sector * d + rank[pair], kind="stable")
-    # a run per sector and a + b present: its rows, and where it stops
-    run = np.bincount(sector * size.shape[0] + pair_label[pair],
-                      minlength=len(counts) * size.shape[0]).reshape(len(counts), -1)
-    present, stop = run > 0, np.cumsum(run, axis=1)
-    s, j = np.nonzero(present)
-    runs = np.stack((stop[s, j] - run[s, j], stop[s, j], size[j]), axis=1).tolist()
-    squares = np.where(present, size * size, 0)
-    held = present[:, label]
-    cols = np.nonzero(held)[1]
-    pick = ((np.cumsum(squares, axis=1) - squares)[:, label] + within)[held]
-    # each sector's slice of the rows, the runs and the entries
-    bounds = np.cumsum([[0, 0, 0], *zip(counts, present.sum(axis=1), held.sum(axis=1))],
-                       axis=0).tolist()
-    return flip, tuple((order[r:r_end] - r, runs[u:u_end], cols[e:e_end], pick[e:e_end])
-                       for (r, u, e), (r_end, u_end, e_end) in zip(bounds, bounds[1:]))
+    pair_label, _, _, flip = pair_basis(dims[site_a], dims[site_b])[:4]
+    size = np.bincount(pair_label).tolist()         # P of each a + b
+    triangle = [p * (p + 1) // 2 for p in size]
+    # tril is np.tril_indices(P), a few times faster: a P x P lower triangle, row by row
+    entries = [(np.nonzero(np.tri(p, dtype=bool)), slice(stop - t, stop))
+               for p, t, stop in zip(size, triangle, np.cumsum(triangle).tolist())]
+    # every row's pair state and (sector, a + b) cell, the sectors one after another
+    ring, labels = product_basis(layout), len(size)
+    rows = np.concatenate(ring.rows)
+    pair = ring.digits[site_a, rows] * dims[site_b] + ring.digits[site_b, rows]
+    sector = np.repeat(np.arange(len(ring.rows)), [len(r) for r in ring.rows])
+    cell = sector * labels + pair_label[pair]
+    order = np.argsort(cell * pair_label.shape[0] + pair, kind="stable")
+    place = ring.place[rows[order]]
+    count = np.bincount(cell, minlength=len(ring.rows) * labels).reshape(-1, labels)
+    end = np.cumsum(count).reshape(count.shape)
+    return flip, tuple(tuple((place[e - n:e].reshape(size[j], -1), *entries[j])
+                             for j, (n, e) in enumerate(zip(counts, ends)) if n)
+                       for counts, ends in zip(count.tolist(), end.tolist()))
 
 
 def _multiplets(kind: SpinMagnitude, strides: np.ndarray):
@@ -320,14 +308,15 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     Only the lowest-|M| sector is solved, one small eigh per S on its
     block projected on each S-space. Sector M+1 takes the vectors with
     S >= M+1 as S+ v / sqrt(S(S+1) - M(M+1)) on the same eigenvalues, and
-    sector -M takes sector M's, rows reversed (m -> -m on every site). The
-    blocks hold no field, and each sector's energies gain the spec's b*M,
-    so -M mirrors M at every field. G
+    sector -M takes sector M's, rows reversed (m -> -m on every site). So
+    sector M's zero-field energies are the lowest sector's tail of
+    S >= |M|; one pass puts the tails end to end and adds the spec's b*M.
+    The blocks hold no field, so -M mirrors M at every field. G
     Hamiltonians on one layout are one batch of (G, k, k) stacks whose
     rows hold, bit for bit, what lone decompositions hold. Raises
-    ValueError if a block has a non-finite entry or if H
-    fails H_{M+1} S+ x = S+ H_M x or H_{-M} Rx = R H_M x (R the flip) on
-    fixed probes x; LinAlgError if LAPACK fails to converge.
+    ValueError if a block has a non-finite entry or if H fails
+    H_{M+1} S+ x = S+ H_M x or H_{-M} Rx = R H_M x (R the flip) on fixed
+    probes x; LinAlgError if LAPACK fails to converge.
     """
     if isinstance(h, Hamiltonian):
         blocks, layout, field_b = h.blocks, h.layout, np.float64(h.spec.field_b)
@@ -339,7 +328,6 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     low, m_low, basis, spins, groups, raises, probes = _su2_plan(layout)
     last = len(blocks) - 1
     m = m_low + np.arange(len(blocks)) - low        # each sector's M
-    field_b = field_b[..., None]
     values, vectors = [], []
     for group in groups:
         values_s, vectors_s = np.linalg.eigh(basis[group] @ blocks[low] @ basis[group].T)
@@ -365,18 +353,14 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     if np.any(np.abs(found - expected).max(axis=-1) > 1e-9 * scale):     # row by row
         raise ValueError("Hamiltonian is not isotropic")
     ring = product_basis(layout)
-    solved = [None] * len(blocks)
-    for k in range(low, last + 1):
-        zero_field = values[..., -ring.rows[k].shape[0]:]
-        solved[k] = (zero_field + field_b * m[k], vectors[k - low], None)
-        if last - k < low:
-            solved[last - k] = (zero_field - field_b * m[k], vectors[k - low][..., ::-1, :], k)
-    eigenvalues = np.concatenate([values for values, _, _ in solved], axis=-1)
+    eigenvalues = np.concatenate([values[..., -rows.shape[0]:] for rows in ring.rows], axis=-1) \
+        + field_b[..., None] * ring.sector_m
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),
                        np.cumsum([len(rows) for rows in ring.rows[:-1]]), axis=-1)
-    sectors = tuple(Sector(rows, vectors, place, mirror) for rows, (_, vectors, mirror), place
-                    in zip(ring.rows, solved, columns))
+    sectors = tuple(Sector(rows, vectors[k - low], place) if k >= low
+                    else Sector(rows, vectors[last - k - low][..., ::-1, :], place, last - k)
+                    for k, (rows, place) in enumerate(zip(ring.rows, columns)))
     return SpectralDecomposition(eigenvalues=np.take_along_axis(eigenvalues, order, axis=-1),
                                  magnetizations=ring.sector_m[order], sectors=sectors,
                                  layout=layout)

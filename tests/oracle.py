@@ -21,9 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, negativity, partial_trace,
-                       ring_layout, spin_matrices)
+from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, partial_trace, ring_layout,
+                       spin_matrices)
 from mixedspin.models import nn_bond_list, nnn_bond_list
+from mixedspin.negativity import negativity
 from mixedspin.spin_ops import product_basis
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, SpectralDecomposition
 

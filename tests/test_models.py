@@ -43,10 +43,19 @@ def test_bond_lists():
     dict(n_sites=2, j1=float("nan")),
     dict(n_sites=2, field_b=float("nan")),
     dict(n_sites=2, field_b=float("-inf")),
+    dict(n_sites=4.0),
+    dict(n_sites="4"),
+    dict(n_sites=4, j1="1"),
+    dict(n_sites=4, j2=0.5j),
 ])
 def test_model_spec_rejections(kwargs):
     with pytest.raises(ValueError):
         ModelSpec(**kwargs)
+
+
+def test_model_spec_takes_numpy_numbers():
+    spec = ModelSpec(np.int64(4), j1=np.float64(1.0), j2=np.float32(0.5))
+    assert np.array_equal(build_model(spec).matrix, build_model(ModelSpec(4, j2=0.5)).matrix)
 
 
 def test_two_site_spectrum():

@@ -1,16 +1,18 @@
-import importlib
+import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mixedspin
 from mixedspin import (HALF, ONE, ModelSpec, PairKind, SiteLayout, ThermalState,
-                       build_model, correlator, diagonalize,
-                       negativity, partial_trace, partial_transpose, resolve_pairs,
-                       su2_signed, thermal_state)
+                       build_model, correlator, diagonalize, partial_trace, partial_transpose,
+                       resolve_pairs, su2_signed, thermal_state)
+from mixedspin import negativity as negmod
 from mixedspin.negativity import (PairReducedState, entry_negativities, negativities,
-                                  pair_entries, reduce_pair)
+                                  negativity, pair_entries, reduce_pair)
 from mixedspin.spin_ops import pair_basis
 from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import state_weights
@@ -101,6 +103,14 @@ def test_partial_transpose_subsystem_spectra_agree():
         assert np.abs(spec_a - spec_b).max() <= 1e-12
     with pytest.raises(ValueError, match="subsystem must be 'a' or 'b'"):
         partial_transpose(pair, "c")
+
+
+def test_package_attribute_negativity_is_the_submodule():
+    # the package re-exports no function of the submodule's name, which
+    # would shadow it; the function is mixedspin.negativity.negativity
+    assert mixedspin.negativity is sys.modules["mixedspin.negativity"]
+    assert "negativity" not in mixedspin.__all__
+    assert mixedspin.negativity.negativity is negativity
 
 
 def test_negativity_of_two_qubit_singlet():
@@ -301,14 +311,22 @@ def test_pair_states_from_blocks_match_dense_oracle(spec):
             assert np.abs(fast.matrix - oracle.matrix).max() <= 1e-12
 
 
-def test_pair_blocks_cover_every_site_pair_in_either_order():
-    decomp = diagonalize(build_model(ModelSpec(5)))
-    weights = state_weights(decomp.eigenvalues, 0.4)
-    dense = thermal_state(decomp, 0.4)
-    for a in range(5):
-        for b in range(5):
-            if a == b:
-                continue
+@pytest.mark.parametrize("specs", [
+    [ModelSpec(5)],
+    [ModelSpec(6, j2=0.3)],         # an even ring: rest sites lie between pairs such as (0, 3)
+    [ModelSpec(6, j2=0.3), ModelSpec(6, j1=0.5, j2=0.9)],
+], ids=["n5", "n6-j2", "n6-batch"])
+def test_pair_blocks_cover_every_site_pair_in_either_order(specs):
+    # every ordered site pair against the dense partial trace, and a batch's
+    # rows hold each lone decomposition's pair blocks bit for bit
+    n = specs[0].n_sites
+    batch = diagonalize([build_model(spec) for spec in specs])
+    for row, spec in enumerate(specs):
+        decomp = diagonalize(build_model(spec))
+        weights = state_weights(decomp.eigenvalues, 0.4)
+        dense = thermal_state(decomp, 0.4)
+        for a, b in itertools.permutations(range(n), 2):
+            assert np.array_equal(batch.pair_blocks((a, b))[row], decomp.pair_blocks((a, b)))
             fast = reduce_pair(decomp, weights, (a, b))
             oracle = partial_trace(dense, (a, b))
             assert (fast.site_a, fast.site_b) == (min(a, b), max(a, b))
@@ -318,7 +336,7 @@ def test_pair_blocks_cover_every_site_pair_in_either_order():
     with pytest.raises(ValueError, match="distinct"):
         decomp.pair_blocks((2, 2))
     with pytest.raises(ValueError, match="out of range"):
-        decomp.pair_blocks((0, 5))
+        decomp.pair_blocks((0, n))
 
 
 # temperatures of one stack: ground-manifold rows at T = 0 among Gibbs rows
@@ -372,7 +390,6 @@ def test_negativity_stack_checks_every_matrix(monkeypatch):
     # the routes can only part through a bug in one of them: a cut-off that
     # drops the entangled state's negative eigenvalues from the eigenvalue
     # sum but not from the trace norm must be caught on that state alone
-    negmod = importlib.import_module("mixedspin.negativity")
     monkeypatch.setattr(negmod, "EPS_NEGATIVE", 0.5)
     assert negativities(replace(good, matrix=good.matrix[[0, 1, 3, 4]])).max() == 0.0
     with pytest.raises(RuntimeError, match="disagree"):
@@ -415,7 +432,6 @@ def _entries(states, basis):
 
 def _check_against_full_eigvalsh(states, dim_a, dim_b):
     """Block eigenvalues and negativities against eigvalsh of every full matrix."""
-    negmod = importlib.import_module("mixedspin.negativity")
     pairs = PairReducedState(matrix=states, dim_a=dim_a, dim_b=dim_b, site_a=0, site_b=1)
     transposed = partial_transpose(pairs)
     full_state, full_transpose = np.linalg.eigvalsh(states), np.linalg.eigvalsh(transposed)
@@ -472,7 +488,6 @@ def test_block_kernel_degenerate_blocks_and_exact_zeros():
                          (np.array([separable, np.eye(6) / 6]), (2, 3)),
                          (np.array([singlet_one, np.eye(9) / 9]), (3, 3))]:
         _check_against_full_eigvalsh(states, *dims)
-    negmod = importlib.import_module("mixedspin.negativity")
     # maximally mixed: every 2 x 2 block degenerate with a zero off-diagonal,
     # in the state and in its partial transpose
     for d_a, d_b in PAIR_DIMS:

@@ -1,11 +1,11 @@
-import importlib
 import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from mixedspin import sweeps, verify
+from mixedspin import models, sweeps, thermal, verify
+from mixedspin import negativity as negmod
 from mixedspin import (EPS_NONZERO, Axis, Hamiltonian, ModelSpec, SweepRequest,
                        build_model, diagonalize, find_threshold, log_partition,
                        resolve_pairs, run_sweep, threshold_curve)
@@ -41,6 +41,10 @@ def test_resolve_pairs_rejects_a_repeated_kind():
 def test_axis_validation():
     with pytest.raises(ValueError, match="steps"):
         Axis("temperature", 0.1, 1.0, 1)
+    for steps in (3.0, "3", None):
+        with pytest.raises(ValueError, match="steps"):
+            Axis("temperature", 0.1, 1.0, steps)
+    assert Axis("temperature", 0.1, 1.0, np.int64(3)).values.tolist() == [0.1, 0.55, 1.0]
     with pytest.raises(ValueError, match="lo < hi"):
         Axis("j2", 1.0, 0.5, 10)
     with pytest.raises(ValueError, match="finite"):
@@ -203,7 +207,7 @@ def test_temperature_curve_diagonalizes_once_per_value(monkeypatch):
     assert calls == [ModelSpec(4, j2=v) for v in (0.0, 0.1, 0.2)]
 
 
-@pytest.mark.parametrize("scan_points", [0, 1])
+@pytest.mark.parametrize("scan_points", [0, 1, 10.0, "10"])
 def test_threshold_rejects_scan_below_two_points(monkeypatch, scan_points):
     # one point cannot bracket a flip and zero points have no indicator at
     # all; both entry points refuse before any eigensolve
@@ -296,11 +300,6 @@ def test_two_site_field_sweep_at_zero_temperature():
 
 def _forbid_dense(monkeypatch, message):
     """Make thermal_state, partial_trace and the dense eigenvector and Hamiltonian matrices raise."""
-    # the package re-exports a function named `negativity`, so the submodule
-    # has to come from the import system
-    thermal = importlib.import_module("mixedspin.thermal")
-    negmod = importlib.import_module("mixedspin.negativity")
-    models = importlib.import_module("mixedspin.models")
 
     def forbidden(*args, **kwargs):
         raise AssertionError(message)
