@@ -12,21 +12,19 @@ Exit codes: 0 success, 1 configuration error, 2 numerical check failure or
 non-finite output, 3 I/O error.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import Optional, Sequence, get_args
 
 import numpy as np
 
 from . import __version__, verify
 from .models import ModelSpec
-from .sweeps import (Axis, SweepRequest, ThresholdResult, check_threshold,
+from .sweeps import (SWEEPABLE, Axis, SweepRequest, ThresholdResult, check_threshold,
                      find_threshold, resolve_pairs, run_sweep)
 
 COMMANDS = ("sweep-temp", "sweep-field", "sweep-j2", "grid", "threshold", "verify")
@@ -40,25 +38,38 @@ class NumericalCheckError(Exception):
     """A verification check failed or an output row was non-finite."""
 
 
+def _option(default, help: str, choices: Optional[Sequence[str]] = None):
+    """A RunConfig field with its help text and allowed values (None: any)."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class RunConfig:
-    command: str
-    n: int = 2
-    j1: float = 1.0
-    j2: float = 0.0
-    b: float = 0.0
-    temperature: Optional[float] = None
-    tmin: Optional[float] = None
-    tmax: Optional[float] = None
-    bmin: Optional[float] = None
-    bmax: Optional[float] = None
-    j2min: Optional[float] = None
-    j2max: Optional[float] = None
-    steps: str = "100"
-    pairs: Optional[str] = None
-    param: Optional[str] = None
-    out: Optional[str] = None
-    max_n: int = 8
+    """One run's options. Each field is declared once for its flag --name ("_"
+    spelled "-"; command, the one without a default, is positional) and its
+    config-file key: both convert to its annotated type and check its choices.
+    """
+
+    command: str = _option(MISSING, "action; may also come from the config file",
+                           choices=COMMANDS)
+    n: int = _option(2, "number of sites (2..8)")
+    j1: float = _option(1.0, "nearest-neighbor coupling (default 1)")
+    j2: float = _option(0.0, "next-nearest coupling (even n >= 4 only)")
+    b: float = _option(0.0, "z magnetic field (even n only)")
+    temperature: Optional[float] = _option(
+        None, "fixed temperature for coupling/field sweeps and thresholds, "
+              "0 allowed (rejected where temperature is swept or searched)")
+    tmin: Optional[float] = _option(None, "temperature axis start")
+    tmax: Optional[float] = _option(None, "temperature axis end")
+    bmin: Optional[float] = _option(None, "field axis start")
+    bmax: Optional[float] = _option(None, "field axis end")
+    j2min: Optional[float] = _option(None, "j2 axis start")
+    j2max: Optional[float] = _option(None, "j2 axis end")
+    steps: str = _option("100", "axis steps: N, or AxB for grid")
+    pairs: Optional[str] = _option(None, "comma list from half_one,half_half,one_one")
+    param: Optional[str] = _option(None, "threshold search parameter", choices=SWEEPABLE)
+    out: Optional[str] = _option(None, "output CSV path")
+    max_n: int = _option(8, "largest ring size the verify battery runs (default 8)")
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Config lines written into CSV comments; out is omitted so
@@ -74,25 +85,25 @@ class RunConfig:
         return items
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_FLOAT_KEYS = {"j1", "j2", "b", "temperature", "tmin", "tmax", "bmin", "bmax",
-               "j2min", "j2max"}
-_INT_KEYS = {"n", "max_n"}
+def _kind(option: Field) -> type:
+    """int, float or str: the type an option holds when set, from its annotation."""
+    return next(t for t in (option.type, *get_args(option.type)) if t in (int, float, str))
 
 
-def _coerce(key: str, raw: str):
+def _coerce(option: Field, raw: str):
+    """A config-file value, converted and checked as its flag's value is."""
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
+        value = _kind(option)(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    return raw
+        raise ConfigError(f"{option.name}: expected a number, got {raw!r}") from exc
+    if option.metadata["choices"] and value not in option.metadata["choices"]:
+        raise ConfigError(f"{option.name}: unknown {value!r}")
+    return value
 
 
 def read_config_file(path: str) -> dict:
     """Flat key=value text; blank lines and '#' comments are ignored."""
+    options = {f.name: f for f in fields(RunConfig)}
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -111,9 +122,9 @@ def read_config_file(path: str) -> dict:
                 key = key.strip().replace("-", "_")
                 if key in ("version", "check_names"):   # informational echo lines
                     continue
-                if key not in _FIELD_TYPES:
+                if key not in options:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                values[key] = _coerce(key, raw.strip())
+                values[key] = _coerce(options[key], raw.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -123,29 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mixedspin",
         description="Thermal entanglement negativity in (1/2,1) mixed-spin Heisenberg rings")
-    parser.add_argument("command", nargs="?", choices=COMMANDS,
-                        help="action; may also come from the config file")
     parser.add_argument("--config", help="flat key=value config file (flags override it)")
-    parser.add_argument("--n", type=int, help="number of sites (2..8)")
-    parser.add_argument("--j1", type=float, help="nearest-neighbor coupling (default 1)")
-    parser.add_argument("--j2", type=float, help="next-nearest coupling (even n >= 4 only)")
-    parser.add_argument("--b", type=float, help="z magnetic field (even n only)")
-    parser.add_argument("--temperature", type=float,
-                        help="fixed temperature for coupling/field sweeps and thresholds, "
-                             "0 allowed (rejected where temperature is swept or searched)")
-    parser.add_argument("--tmin", type=float, help="temperature axis start")
-    parser.add_argument("--tmax", type=float, help="temperature axis end")
-    parser.add_argument("--bmin", type=float, help="field axis start")
-    parser.add_argument("--bmax", type=float, help="field axis end")
-    parser.add_argument("--j2min", type=float, help="j2 axis start")
-    parser.add_argument("--j2max", type=float, help="j2 axis end")
-    parser.add_argument("--steps", help="axis steps: N, or AxB for grid")
-    parser.add_argument("--pairs", help="comma list from half_one,half_half,one_one")
-    parser.add_argument("--param", choices=["temperature", "field_b", "j2"],
-                        help="threshold search parameter")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--max-n", dest="max_n", type=int,
-                        help="largest ring size the verify battery runs (default 8)")
+    for option in fields(RunConfig):
+        positional = option.default is MISSING
+        parser.add_argument(option.name if positional else "--" + option.name.replace("_", "-"),
+                            nargs="?" if positional else None, type=_kind(option),
+                            **option.metadata)
     return parser
 
 
@@ -159,24 +153,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         # argparse already printed a diagnostic; normalize the exit code
         raise ConfigError("invalid command line") from exc
 
-    merged: dict = {}
-    if namespace.config:
-        merged.update(read_config_file(namespace.config))
-    for key in _FIELD_TYPES:
-        flag = getattr(namespace, key, None)
-        if flag is not None:
-            merged[key] = flag
-
-    command = merged.pop("command", None)
-    if command is None:
+    merged = read_config_file(namespace.config) if namespace.config else {}
+    merged.update((f.name, getattr(namespace, f.name)) for f in fields(RunConfig)
+                  if getattr(namespace, f.name) is not None)
+    if "command" not in merged:
         raise ConfigError("command: missing (give one of " + ", ".join(COMMANDS) + ")")
-    if command not in COMMANDS:
-        raise ConfigError(f"command: unknown {command!r}")
-
-    config = RunConfig(command=command)
-    for key, value in merged.items():
-        setattr(config, key, value)
-    _validate(config)
+    config = RunConfig(**merged)
+    if config.command not in ("threshold", "verify") and config.out is None:
+        raise ConfigError("out: missing output path")
+    if config.command == "threshold" and config.param is None:
+        raise ConfigError("param: threshold needs --param")
+    _request(config)
     return config
 
 
@@ -197,14 +184,6 @@ def _pair_kinds(config: RunConfig) -> Optional[list[str]]:
     if config.pairs is None:
         return None
     return [k.strip() for k in config.pairs.split(",") if k.strip()] or None
-
-
-def _validate(config: RunConfig) -> None:
-    if config.command not in ("threshold", "verify") and config.out is None:
-        raise ConfigError("out: missing output path")
-    if config.command == "threshold" and config.param is None:
-        raise ConfigError("param: threshold needs --param")
-    _request(config)
 
 
 def _request(config: RunConfig):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -111,8 +112,9 @@ class Axis:
         _check_parameter(self.parameter)
         if not is_count(self.steps, 2):
             raise ValueError(f"axis needs an integer of at least 2 steps, got {self.steps!r}")
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ValueError("axis requires finite lo < hi")
+        if not (isinstance(self.lo, numbers.Real) and isinstance(self.hi, numbers.Real)
+                and -math.inf < self.lo < self.hi < math.inf):
+            raise ValueError("axis requires real, finite lo < hi")
 
     @property
     def values(self) -> np.ndarray:
@@ -133,7 +135,8 @@ class SweepRequest:
         if not self.pairs:
             object.__setattr__(self, "pairs", resolve_pairs(self.base.n_sites))
         axes = filter(None, (self.axis1, self.axis2))
-        _check_ranges(self.base, [(a.parameter, a.lo, a.hi) for a in axes], self.temperature)
+        _check_ranges(self.base, [(a.parameter, a.lo, a.hi) for a in axes], self.temperature,
+                      self.pairs)
 
 
 def _check_parameter(parameter: str) -> None:
@@ -153,15 +156,22 @@ def _energy_bound(spec: ModelSpec) -> float:
 
 
 def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
-                  temperature: Optional[float], search: bool = False) -> None:
+                  temperature: Optional[float], pairs: Sequence[PairSelector],
+                  search: bool = False) -> None:
     """Raise ValueError unless every point of the box that ranges span can run.
 
     The one range check of sweeps, threshold searches and boundary curves:
-    ranges holds the (parameter, lo, hi) of each axis, search range or curve.
-    Each model rule sees a coupling only through its sign or whether it is
-    zero, and the energy bound grows with each |coupling|, so the corners of
-    the box stand for every point inside it.
+    ranges holds the (parameter, lo, hi) of each axis, search range or curve,
+    and pairs the pairs whose negativities they take. Each model rule sees a
+    coupling only through its sign or whether it is zero, and the energy
+    bound grows with each |coupling|, so the corners of the box stand for
+    every point inside it.
     """
+    for p in pairs:
+        sites = (p.site_a, p.site_b)
+        if p.site_a == p.site_b or not all(is_count(s, 0, base.n_sites - 1) for s in sites):
+            raise ValueError(f"pair {p.label} needs two distinct sites of the "
+                             f"{base.n_sites}-site ring, got {sites}")
     for parameter, _, _ in ranges:
         _check_parameter(parameter)
     bounds = {p: (lo, hi) for p, lo, hi in ranges}
@@ -174,7 +184,8 @@ def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
     # 1/T must be finite; T = 0 is taken except as a temperature axis's start,
     # whose logZ column would be -E0/T
     zero = search or "temperature" not in bounds
-    if not (coldest >= sys.float_info.min or (zero and coldest == 0.0)) or hottest == math.inf:
+    if not isinstance(coldest, numbers.Real) or hottest == math.inf or not (
+            coldest >= sys.float_info.min or (zero and coldest == 0.0)):
         raise ValueError(f"temperature must be finite and {'0 or ' if zero else 'positive, '}"
                          f"at least {sys.float_info.min:.3g}, so that 1/T is finite")
     couplings = [[(p, lo), (p, hi)] for p, (lo, hi) in bounds.items() if p != "temperature"]
@@ -310,17 +321,19 @@ def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, 
                     fixed_temperature: Optional[float] = None,
                     scan_points: int = 64) -> None:
     """Raise ValueError unless find_threshold can search this range; no eigensolve."""
-    _scan_axis(base, parameter, search_range, fixed_temperature, scan_points)
+    _scan_axis(base, parameter, search_range, fixed_temperature, scan_points, ())
 
 
 def _scan_axis(base: ModelSpec, parameter: str, search_range: tuple[float, float],
                fixed_temperature: Optional[float], scan_points: int,
+               pairs: Sequence[PairSelector],
                curve: Sequence[tuple[str, float, float]] = ()) -> Axis:
     """The scan grid of a checked search; curve adds a boundary curve's (parameter, lo, hi)."""
     if not is_count(scan_points, 2):
         raise ValueError(f"scan_points must be at least 2 and an integer, got {scan_points!r}")
     scan = Axis(parameter, *search_range, scan_points)
-    _check_ranges(base, [(parameter, *search_range), *curve], fixed_temperature, search=True)
+    _check_ranges(base, [(parameter, *search_range), *curve], fixed_temperature, pairs,
+                  search=True)
     return scan
 
 
@@ -339,7 +352,7 @@ def find_threshold(base: ModelSpec, parameter: str, pair: PairSelector,
     search diagonalizes once; a j2 search solves its scan and each round's
     midpoint in batches.
     """
-    scan = _scan_axis(base, parameter, search_range, fixed_temperature, scan_points)
+    scan = _scan_axis(base, parameter, search_range, fixed_temperature, scan_points, [pair])
     return _search(base, pair, scan, fixed_temperature)[0]
 
 
@@ -413,7 +426,7 @@ def threshold_curve(base: ModelSpec, pair: PairSelector,
     values = np.asarray(curve_values, dtype=float)
     if values.ndim != 1 or not len(values):
         raise ValueError(f"curve_values must be non-empty and 1-D, got shape {values.shape}")
-    scan = _scan_axis(base, search_parameter, search_range, None, scan_points,
+    scan = _scan_axis(base, search_parameter, search_range, None, scan_points, [pair],
                       [(curve_parameter, values.min(), values.max())])
     distinct, back = np.unique(values, return_inverse=True)    # a repeat is searched once
     results = _search(base, pair, scan, None, [(curve_parameter, distinct)])

@@ -65,8 +65,14 @@ def test_config_file_unknown_key(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("command=frobnicate\n", "command: unknown 'frobnicate'"),
     ("command=verify\nmax_n 2\n", "bad.cfg:2: expected key=value, got 'max_n 2'"),
+    ("command=threshold\nn=2\nparam=bogus\ntmin=0.5\ntmax=2\n", "param: unknown 'bogus'"),
+    ("command=sweep-temp\nn=4.5\ntmin=0.1\ntmax=1\nout=x.csv\n",
+     "n: expected a number, got '4.5'"),
 ])
-def test_config_file_bad_line_is_one_error_line(tmp_path, capsys, text, message):
+def test_config_file_bad_line_is_one_error_line(tmp_path, capsys, monkeypatch, text, message):
+    # a config-file value is converted and checked as its flag's is: one
+    # error line, no eigensolve and no traceback
+    monkeypatch.setattr("mixedspin.sweeps.diagonalize", _no_eigensolve)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert main(["--config", str(cfg)]) == 1

@@ -53,6 +53,10 @@ def test_axis_validation():
         SweepRequest(base=ModelSpec(2), axis1=Axis("temperature", 0.0, 1.0, 10))
     with pytest.raises(ValueError, match="parameter"):
         Axis("j3", 0.0, 1.0, 10)
+    # an end that is not a real number is refused as such, not compared
+    for lo, hi in (("0.1", 1.0), (0.1, "1"), (None, 1.0), (0.1, 1j)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            Axis("temperature", lo, hi, 3)
 
 
 def test_request_validation():
@@ -71,6 +75,16 @@ def test_request_validation():
                      axis2=Axis("temperature", 0.1, 1.0, 5), temperature=0.5)
     with pytest.raises(ValueError, match="temperature"):
         check_threshold(ModelSpec(2), "temperature", (0.5, 2.0), fixed_temperature=0.5)
+    # a fixed temperature or search range that is not a real number is one ValueError
+    for temperature in ("1", [0.5]):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            SweepRequest(ModelSpec(4), Axis("j2", 0.0, 1.0, 5), temperature=temperature)
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        check_threshold(ModelSpec(4), "j2", (0.0, 1.0), fixed_temperature="0.1")
+    pair = resolve_pairs(2)[0]
+    for search_range in (("0.5", 2.0), (0.5, "2")):
+        with pytest.raises(ValueError, match="lo < hi"):
+            find_threshold(ModelSpec(2), "temperature", pair, search_range)
     # every corner of a two-axis grid is a model: j2 = 1 at b = 2 is not
     with pytest.raises(ValueError, match="studied separately"):
         SweepRequest(ModelSpec(4), Axis("j2", 0, 1, 7), Axis("field_b", -1, 2, 5),
@@ -249,6 +263,22 @@ def test_curve_checks_every_point_before_the_first_search(monkeypatch):
         with pytest.raises(ValueError, match="parameter must be one of"):
             threshold_curve(ModelSpec(4), pair, parameter, [0.5, 1.0], "temperature",
                             (0.05, 1.5))
+    assert calls == []
+
+
+@pytest.mark.parametrize("sites", [(0, 9), (1, 1), (-1, 2), (0, 1.0)])
+def test_bad_pair_sites_are_refused_before_any_eigensolve(monkeypatch, sites):
+    # a site off the ring, or one site twice, is refused by the one range
+    # check of sweeps, searches and curves
+    calls = _count_eigensolves(monkeypatch)
+    pair = sweeps.PairSelector("N_bad", *sites)
+    message = "needs two distinct sites of the 4-site ring"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(SweepRequest(ModelSpec(4), Axis("temperature", 0.1, 1.0, 3), pairs=(pair,)))
+    with pytest.raises(ValueError, match=message):
+        find_threshold(ModelSpec(4), "temperature", pair, (0.05, 2.0))
+    with pytest.raises(ValueError, match=message):
+        threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.1], "temperature", (0.05, 2.0))
     assert calls == []
 
 
