@@ -38,6 +38,12 @@ class NumericalCheckError(Exception):
     """A verification check failed or an output row was non-finite."""
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """An argparse failure (unknown flag, missing value) as one ConfigError."""
+        raise ConfigError(message)
+
+
 def _option(default, help: str, choices: Optional[Sequence[str]] = None):
     """A RunConfig field with its help text and allowed values (None: any)."""
     return field(default=default, metadata={"help": help, "choices": choices})
@@ -47,7 +53,7 @@ def _option(default, help: str, choices: Optional[Sequence[str]] = None):
 class RunConfig:
     """One run's options. Each field is declared once for its flag --name ("_"
     spelled "-"; command, the one without a default, is positional) and its
-    config-file key: both convert to its annotated type and check its choices.
+    config-file key; `_coerce` converts both to its annotated type and checks its choices.
     """
 
     command: str = _option(MISSING, "action; may also come from the config file",
@@ -85,17 +91,15 @@ class RunConfig:
         return items
 
 
-def _kind(option: Field) -> type:
-    """int, float or str: the type an option holds when set, from its annotation."""
-    return next(t for t in (option.type, *get_args(option.type)) if t in (int, float, str))
-
-
 def _coerce(option: Field, raw: str):
-    """A config-file value, converted and checked as its flag's value is."""
+    """A flag's or config-file key's text, converted to its option's type and checked."""
+    # int, float or str: the type the option holds when set, from its annotation
+    kind = next(t for t in (option.type, *get_args(option.type)) if t in (int, float, str))
     try:
-        value = _kind(option)(raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{option.name}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{option.name}: expected {expected}, got {raw!r}") from exc
     if option.metadata["choices"] and value not in option.metadata["choices"]:
         raise ConfigError(f"{option.name}: unknown {value!r}")
     return value
@@ -131,30 +135,24 @@ def read_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedspin",
         description="Thermal entanglement negativity in (1/2,1) mixed-spin Heisenberg rings")
     parser.add_argument("--config", help="flat key=value config file (flags override it)")
     for option in fields(RunConfig):
         positional = option.default is MISSING
+        choices = option.metadata["choices"]
         parser.add_argument(option.name if positional else "--" + option.name.replace("_", "-"),
-                            nargs="?" if positional else None, type=_kind(option),
-                            **option.metadata)
+                            nargs="?" if positional else None, help=option.metadata["help"],
+                            metavar="{" + ",".join(choices) + "}" if choices else None)
     return parser
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Merge defaults, config file, and flags (flags win) into a RunConfig."""
-    try:
-        namespace = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:       # --help
-            raise
-        # argparse already printed a diagnostic; normalize the exit code
-        raise ConfigError("invalid command line") from exc
-
+    namespace = _build_parser().parse_args(argv)
     merged = read_config_file(namespace.config) if namespace.config else {}
-    merged.update((f.name, getattr(namespace, f.name)) for f in fields(RunConfig)
+    merged.update((f.name, _coerce(f, getattr(namespace, f.name))) for f in fields(RunConfig)
                   if getattr(namespace, f.name) is not None)
     if "command" not in merged:
         raise ConfigError("command: missing (give one of " + ", ".join(COMMANDS) + ")")
@@ -169,14 +167,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def _axis_steps(config: RunConfig, count: int) -> list[int]:
     """--steps as count integers: N for a sweep, AxB for a grid."""
-    text = str(config.steps)
     try:
-        steps = [int(part) for part in text.split("x")]
+        steps = [int(part) for part in config.steps.split("x")]
     except ValueError:
         steps = []
     if len(steps) != count:
         form = "AxB integers, e.g. 80x80" if count == 2 else "an integer"
-        raise ConfigError(f"steps: expected {form}, got {text!r}")
+        raise ConfigError(f"steps: expected {form}, got {config.steps!r}")
     return steps
 
 

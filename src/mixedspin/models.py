@@ -24,21 +24,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spin_ops import HALF, ONE, SiteLayout, product_basis, spin_matrices
-
-
-def is_count(value, low: int, high: float = math.inf) -> bool:
-    """Whether value is an integer, Python's or numpy's, from low to high."""
-    try:
-        return low <= operator.index(value) <= high
-    except TypeError:
-        return False
+from .spin_ops import HALF, ONE, SiteLayout, is_count, product_basis, spin_matrices
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,22 @@ pair state and the negativity kernel all read it.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+
+def is_count(value, low: int, high: float = math.inf) -> bool:
+    """Whether value is an integer, Python's or numpy's but not a bool, from low to high."""
+    try:
+        return not isinstance(value, bool) and low <= operator.index(value) <= high
+    except TypeError:
+        return False
 
 
 class SpinMagnitude(Enum):
@@ -70,7 +80,7 @@ class SiteLayout:
         return int(np.prod(self.dims))
 
     def check_site(self, site: int) -> None:
-        if not 0 <= site < len(self.spins):
+        if not is_count(site, 0, len(self.spins) - 1):
             raise ValueError(f"site index {site} out of range for {len(self.spins)} sites")
 
     def pair_order(self, keep: tuple[int, int]) -> tuple[int, ...]:

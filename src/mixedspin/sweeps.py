@@ -42,8 +42,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .models import ModelSpec, build_model, is_count, nn_bond_list, nnn_bond_list, ring_layout
+from .models import ModelSpec, build_model, nn_bond_list, nnn_bond_list, ring_layout
 from .negativity import entry_negativities, pair_entries
+from .spin_ops import is_count
 from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy, log_partition,
                       state_weights)
 
@@ -61,6 +62,12 @@ THRESHOLD_RTOL = 1e-6
 # four-site couplings (D = 36). Larger stacks of 8-site spectra measurably
 # raise peak RSS. The budget also sizes a batch of coupling groups.
 STACK_ENTRIES = 1 << 15
+
+# Points per sweep or search grid. Each point keeps its row of the output
+# arrays and its CSV text, 122 bytes at two sites and 190 on a 4000 x 50
+# four-site grid, so this many take about 3 GB; a larger grid would end in
+# numpy's allocation error, or a traceback, instead of one message.
+MAX_POINTS = 1 << 24
 
 SWEEPABLE = ("temperature", "field_b", "j2")
 
@@ -134,9 +141,9 @@ class SweepRequest:
     def __post_init__(self):
         if not self.pairs:
             object.__setattr__(self, "pairs", resolve_pairs(self.base.n_sites))
-        axes = filter(None, (self.axis1, self.axis2))
+        axes = [a for a in (self.axis1, self.axis2) if a]
         _check_ranges(self.base, [(a.parameter, a.lo, a.hi) for a in axes], self.temperature,
-                      self.pairs)
+                      self.pairs, math.prod(a.steps for a in axes))
 
 
 def _check_parameter(parameter: str) -> None:
@@ -157,21 +164,26 @@ def _energy_bound(spec: ModelSpec) -> float:
 
 def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
                   temperature: Optional[float], pairs: Sequence[PairSelector],
-                  search: bool = False) -> None:
+                  points: int, search: bool = False) -> None:
     """Raise ValueError unless every point of the box that ranges span can run.
 
     The one range check of sweeps, threshold searches and boundary curves:
     ranges holds the (parameter, lo, hi) of each axis, search range or curve,
-    and pairs the pairs whose negativities they take. Each model rule sees a
-    coupling only through its sign or whether it is zero, and the energy
-    bound grows with each |coupling|, so the corners of the box stand for
-    every point inside it.
+    pairs the pairs whose negativities they take (their sites are checked by
+    `SiteLayout.pair_order`), and points the grid's point count. Each model
+    rule sees a coupling only through its sign or whether it is zero, and the
+    energy bound grows with each |coupling|, so the corners of the box stand
+    for every point inside it.
     """
+    if points > MAX_POINTS:
+        raise ValueError(f"a grid of {points} points is more than the {MAX_POINTS} a run "
+                         f"can hold")
     for p in pairs:
-        sites = (p.site_a, p.site_b)
-        if p.site_a == p.site_b or not all(is_count(s, 0, base.n_sites - 1) for s in sites):
+        try:
+            ring_layout(base.n_sites).pair_order((p.site_a, p.site_b))
+        except ValueError as exc:
             raise ValueError(f"pair {p.label} needs two distinct sites of the "
-                             f"{base.n_sites}-site ring, got {sites}")
+                             f"{base.n_sites}-site ring, got {(p.site_a, p.site_b)}") from exc
     for parameter, _, _ in ranges:
         _check_parameter(parameter)
     bounds = {p: (lo, hi) for p, lo, hi in ranges}
@@ -326,14 +338,15 @@ def check_threshold(base: ModelSpec, parameter: str, search_range: tuple[float, 
 
 def _scan_axis(base: ModelSpec, parameter: str, search_range: tuple[float, float],
                fixed_temperature: Optional[float], scan_points: int,
-               pairs: Sequence[PairSelector],
-               curve: Sequence[tuple[str, float, float]] = ()) -> Axis:
-    """The scan grid of a checked search; curve adds a boundary curve's (parameter, lo, hi)."""
+               pairs: Sequence[PairSelector], curve: Sequence[tuple[str, float, float]] = (),
+               curve_points: int = 1) -> Axis:
+    """The scan grid of a checked search; curve adds a boundary curve's (parameter, lo, hi)
+    and curve_points its number of values."""
     if not is_count(scan_points, 2):
         raise ValueError(f"scan_points must be at least 2 and an integer, got {scan_points!r}")
     scan = Axis(parameter, *search_range, scan_points)
     _check_ranges(base, [(parameter, *search_range), *curve], fixed_temperature, pairs,
-                  search=True)
+                  curve_points * scan_points, search=True)
     return scan
 
 
@@ -427,7 +440,7 @@ def threshold_curve(base: ModelSpec, pair: PairSelector,
     if values.ndim != 1 or not len(values):
         raise ValueError(f"curve_values must be non-empty and 1-D, got shape {values.shape}")
     scan = _scan_axis(base, search_parameter, search_range, None, scan_points, [pair],
-                      [(curve_parameter, values.min(), values.max())])
+                      [(curve_parameter, values.min(), values.max())], len(values))
     distinct, back = np.unique(values, return_inverse=True)    # a repeat is searched once
     results = _search(base, pair, scan, None, [(curve_parameter, distinct)])
     return [(v, results[i].value) for v, i in zip(values.tolist(), back.tolist())]

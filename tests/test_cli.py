@@ -67,7 +67,7 @@ def test_config_file_unknown_key(tmp_path):
     ("command=verify\nmax_n 2\n", "bad.cfg:2: expected key=value, got 'max_n 2'"),
     ("command=threshold\nn=2\nparam=bogus\ntmin=0.5\ntmax=2\n", "param: unknown 'bogus'"),
     ("command=sweep-temp\nn=4.5\ntmin=0.1\ntmax=1\nout=x.csv\n",
-     "n: expected a number, got '4.5'"),
+     "n: expected an integer, got '4.5'"),
 ])
 def test_config_file_bad_line_is_one_error_line(tmp_path, capsys, monkeypatch, text, message):
     # a config-file value is converted and checked as its flag's is: one
@@ -325,12 +325,33 @@ def _no_eigensolve(*args, **kwargs):
      "--steps", "80"],
     ["threshold", "--n", "2", "--tmin", "0.1", "--tmax", "1"],
     ["sweep-temp", "--n", "2", "--tmin", "0.1", "--steps", "5"],
+    # a flag's value is converted and checked as a config-file key's is, and
+    # argparse's own failures (unknown flag, missing value) are one line too
+    ["threshold", "--n", "4.5", "--param", "j2"],
+    ["threshold", "--n", "4", "--param", "bogus"],
+    ["sweep-temp", "--bogus", "3"],
+    ["sweep-temp", "--n"],
+    # more points than a run can hold, refused before numpy allocates them
+    ["sweep-temp", "--n", "4", "--tmin", "0.1", "--tmax", "1", "--steps", "9223372036854775807"],
+    ["sweep-temp", "--n", "4", "--tmin", "0.1", "--tmax", "1", "--steps", "1000000000000000000"],
+    ["sweep-temp", "--n", "4", "--tmin", "0.1", "--tmax", "1", "--steps", "99999999999999999999"],
 ])
 def test_bad_input_is_one_error_line(args, tmp_path, capsys, monkeypatch):
     # rejected while parsing: no eigensolve runs and no traceback escapes
     monkeypatch.setattr("mixedspin.sweeps.diagonalize", _no_eigensolve)
     assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_help_lists_the_choices(capsys):
+    # argparse no longer checks the choices, but --help still shows them
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{sweep-temp,sweep-field,sweep-j2,grid,threshold,verify}" in out
+    assert "--param {temperature,field_b,j2}" in out
 
 
 def _run_python(script, *args, **variables):

@@ -190,6 +190,17 @@ def test_layout_needs_a_site():
         SiteLayout(())
 
 
+@pytest.mark.parametrize("keep", [(0, 1.0), (True, 2), (0, 4), (-1, 2)])
+def test_pair_order_takes_integer_sites_only(keep):
+    # a float or a bool is no site index, even where it equals one
+    with pytest.raises(ValueError, match="out of range"):
+        ring_layout(4).pair_order(keep)
+
+
+def test_pair_order_takes_numpy_integers():
+    assert ring_layout(4).pair_order((np.int64(2), np.int64(0))) == (0, 2, 1, 3)
+
+
 @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_pair_basis_against_brute_force(dim_a, dim_b):
     basis = pair_basis(dim_a, dim_b)

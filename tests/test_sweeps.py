@@ -266,7 +266,7 @@ def test_curve_checks_every_point_before_the_first_search(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("sites", [(0, 9), (1, 1), (-1, 2), (0, 1.0)])
+@pytest.mark.parametrize("sites", [(0, 9), (1, 1), (-1, 2), (0, 1.0), (True, 2)])
 def test_bad_pair_sites_are_refused_before_any_eigensolve(monkeypatch, sites):
     # a site off the ring, or one site twice, is refused by the one range
     # check of sweeps, searches and curves
@@ -279,6 +279,32 @@ def test_bad_pair_sites_are_refused_before_any_eigensolve(monkeypatch, sites):
         find_threshold(ModelSpec(4), "temperature", pair, (0.05, 2.0))
     with pytest.raises(ValueError, match=message):
         threshold_curve(ModelSpec(4), pair, "j2", [0.0, 0.1], "temperature", (0.05, 2.0))
+    assert calls == []
+
+
+def test_grids_beyond_max_points_are_refused_before_any_allocation(monkeypatch):
+    # a grid's size is checked from its step counts, before numpy allocates
+    # an axis or a grid; the CI's 20,000-step axis and 4000 x 20 grid stay valid
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(sweeps.np, "linspace", no_allocation)
+    calls = _count_eigensolves(monkeypatch)
+    base, pair = ModelSpec(4), resolve_pairs(4)[0]
+    for steps in (9223372036854775807, 10 ** 18, 99999999999999999999,
+                  sweeps.MAX_POINTS + 1):
+        with pytest.raises(ValueError, match="points is more than"):
+            SweepRequest(base, Axis("temperature", 0.1, 1.0, steps))
+    with pytest.raises(ValueError, match="points is more than"):
+        SweepRequest(base, Axis("j2", 0.0, 1.0, 4097), Axis("temperature", 0.1, 1.0, 4096))
+    with pytest.raises(ValueError, match="points is more than"):
+        find_threshold(base, "temperature", pair, (0.05, 2.0), scan_points=10 ** 18)
+    with pytest.raises(ValueError, match="points is more than"):
+        threshold_curve(base, pair, "j2", [0.0, 0.5], "temperature", (0.05, 2.0),
+                        scan_points=sweeps.MAX_POINTS // 2 + 1)
+    SweepRequest(base, Axis("temperature", 0.1, 1.0, sweeps.MAX_POINTS))
+    SweepRequest(ModelSpec(8), Axis("temperature", 0.01, 3.0, 20000))
+    SweepRequest(base, Axis("j2", 0.005, 1.0, 4000), Axis("temperature", 0.01, 1.0, 20))
     assert calls == []
 
 
