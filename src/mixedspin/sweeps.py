@@ -10,7 +10,11 @@ Groups go through in batches of G whose pair blocks and weights fit in
 about STACK_ENTRIES entries (7 groups of 80 temperatures at four sites, 1
 group from six sites on): one stacked eigensolve per total spin and one
 product per pair magnetization for all G, so small rings pay the call
-overhead once per batch. Its points go through in stacks of about
+overhead once per batch. A batch is diagonalized for its points' fields
+and temperatures: only the multiplets they weigh (the Boltzmann window,
+a few dozen of the 1,296 eight-site states at T = 0.02) are laddered and
+paired, the rest weigh under e^-74 of the ground level. Its points go
+through in stacks of about
 STACK_ENTRIES entries: their spectra form a (k, G, D) array,
 `state_weights` turns it into weights W (Boltzmann weights, or an equal
 mixture of the ground manifold at T = 0), U and log Z follow in array
@@ -26,7 +30,11 @@ Thresholds are found by bisecting the indicator "negativity > EPS_NONZERO",
 not the value itself, so boundaries driven by level crossings (where the
 value jumps) are handled the same way as smooth zeros. A search, or all
 searches of a boundary curve, scan as one grid on the sweep's batches and
-bisect together. One check, `_check_ranges`, rejects a bad sweep, search
+bisect together. A temperature search's midpoints lie below its hottest
+scan point, in its window, and each j2 midpoint has a batch and a window
+of its own; a field search's midpoints lie between its scan fields, where
+another multiplet can be the ground level, so its decomposition keeps
+every multiplet. One check, `_check_ranges`, rejects a bad sweep, search
 or curve before any eigensolve; a field or coupling sweep may sit at T = 0,
 a temperature axis starts above it.
 """
@@ -119,6 +127,7 @@ class Axis:
         _check_parameter(self.parameter)
         if not is_count(self.steps, 2):
             raise ValueError(f"axis needs an integer of at least 2 steps, got {self.steps!r}")
+        _check_points(self.steps)       # before values allocates them
         if not (isinstance(self.lo, numbers.Real) and isinstance(self.hi, numbers.Real)
                 and -math.inf < self.lo < self.hi < math.inf):
             raise ValueError("axis requires real, finite lo < hi")
@@ -151,6 +160,12 @@ def _check_parameter(parameter: str) -> None:
         raise ValueError(f"parameter must be one of {SWEEPABLE}, got {parameter!r}")
 
 
+def _check_points(points: int) -> None:
+    if points > MAX_POINTS:
+        raise ValueError(f"a grid of {points} points is more than the {MAX_POINTS} a run "
+                         f"can hold")
+
+
 def _energy_bound(spec: ModelSpec) -> float:
     """A bound on |E|: |b| times the total spin, plus each bond's |J| times
     s_min (s_max + 1), the largest |eigenvalue| of s_a . s_b (at pair spin |s_a - s_b|).
@@ -175,9 +190,7 @@ def _check_ranges(base: ModelSpec, ranges: Sequence[tuple[str, float, float]],
     energy bound grows with each |coupling|, so the corners of the box stand
     for every point inside it.
     """
-    if points > MAX_POINTS:
-        raise ValueError(f"a grid of {points} points is more than the {MAX_POINTS} a run "
-                         f"can hold")
+    _check_points(points)
     for p in pairs:
         try:
             ring_layout(base.n_sites).pair_order((p.site_a, p.site_b))
@@ -268,20 +281,26 @@ def _grid(base: ModelSpec, axes: Sequence[tuple[str, np.ndarray]], temperature: 
     return params, point, groups.reshape(len(groups), -1)
 
 
-def _batches(base: ModelSpec, j2s: np.ndarray, groups: np.ndarray):
+def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = True):
     """Yield each batch's point indices, (points, G), and its zero-field decomposition.
 
     A batch holds G = max(1, STACK_ENTRIES // (D * (points per group + D)))
     coupling groups, built without the field, which shares the eigenvectors.
+    A windowed decomposition holds only the multiplets that its points'
+    fields and temperatures weigh (`diagonalize`), so it serves those points
+    and any at their fields and a lower temperature.
     Callers drop each decomposition before the next, so one batch is alive.
     """
     dim = ring_layout(base.n_sites).total_dimension
     batch = min(len(groups), max(1, STACK_ENTRIES // (dim * (groups.shape[1] + dim))))
     for first in range(0, len(groups), batch):
         points = groups[first:first + batch].T          # (points, G)
-        hs = [build_model(replace(base, j2=j2, field_b=0.0)) for j2 in j2s[points[0]].tolist()]
+        hs = [build_model(replace(base, j2=j2, field_b=0.0))
+              for j2 in point["j2"][points[0]].tolist()]
         # a lone group skips the leading axis, whose stacking would copy its blocks
-        decomp = diagonalize(hs if len(hs) > 1 else hs[0])
+        served = points if len(hs) > 1 else points[:, 0]
+        window = (point["field_b"][served], point["temperature"][served]) if windowed else None
+        decomp = diagonalize(hs if len(hs) > 1 else hs[0], window)
         del hs
         yield points, decomp
         del decomp
@@ -311,7 +330,7 @@ def run_sweep(req: SweepRequest) -> SweepResult:
                                   req.temperature)
     negativities = np.zeros((len(params), len(req.pairs)))
     energies, log_zs = np.zeros((2, len(params)))
-    for points, decomp in _batches(req.base, point["j2"], groups):
+    for points, decomp in _batches(req.base, point, groups):
         for rows in _stacks(decomp, points, req.pairs):
             spectra = decomp.energies(point["field_b"][rows, None])
             weights = state_weights(spectra, point["temperature"][rows])
@@ -403,7 +422,9 @@ def _search(base: ModelSpec, pair: PairSelector, scan: Axis, temperature: Option
             lo[ids] = np.where(wide & same, mid, lo[ids])
             hi[ids] = np.where(wide & ~same, mid, hi[ids])
 
-    for points, decomp in _batches(base, point["j2"], groups):
+    # a field search bisects on the held decomposition at fields between its
+    # scan points, where a multiplet that no scan point weighs can be ground
+    for points, decomp in _batches(base, point, groups, scan.parameter != "field_b"):
         for rows in _stacks(decomp, points, [pair]):
             evaluate(decomp, rows)
         if scan.parameter != "j2":
@@ -411,7 +432,7 @@ def _search(base: ModelSpec, pair: PairSelector, scan: Axis, temperature: Option
         del decomp
 
     def solve(wide):
-        for points, decomp in _batches(base, point["j2"], np.flatnonzero(wide)[:, None] * k):
+        for points, decomp in _batches(base, point, np.flatnonzero(wide)[:, None] * k):
             evaluate(decomp, points)
             del decomp
 

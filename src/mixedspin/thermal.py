@@ -15,6 +15,14 @@ same eigenvectors: one diagonalization serves every temperature and every
 field for fixed exchange couplings. A Hamiltonian's blocks hold only its
 exchange, and `diagonalize` puts its field's b*M on the energies.
 
+Given the (field, temperature) points it will serve, `diagonalize` keeps a
+Boltzmann window: the multiplets whose lowest member lies within
+BOLTZMANN_WINDOW * T of some point's lowest energy (at T = 0, the ground
+level). Only those are laddered and only their rows of the pair blocks are
+filled; the rest stay zero, where the points' weights are below e^-74 of the
+ground level's. Energies, magnetizations and weights still cover all D
+states, and a window that holds every multiplet is the windowless route.
+
 Boltzmann weights are computed relative to the lowest energy so that
 inverse temperatures up to ~1e3 never overflow, and nothing assumes the
 energies are sorted. A state at temperature T is a weight vector over the
@@ -34,7 +42,7 @@ demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
 `thermal_state`) and `internal_energy` run in no sweep, threshold or
 `verify` check. They stay because `perfbench/oracles.py` recomputes sampled
 benchmark rows through that independent D x D route, and the tests use it
-as the oracle of the weights route.
+as the oracle of the weights route; a windowed decomposition refuses it.
 """
 
 from __future__ import annotations
@@ -55,6 +63,12 @@ from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, pair_basis, product
 # part of the ground manifold (eigensolver accuracy budget).
 GROUND_DEGENERACY_RTOL = 1e-9
 
+# A state more than this many temperatures above a point's lowest energy
+# weighs under e^-74 ~ 7e-33 of a ground state there, so even the 7,776
+# states of ten sites add under 1e-28 to a pair entry: `diagonalize` ladders
+# and pairs only the multiplets that some point it serves holds below that.
+BOLTZMANN_WINDOW = 74.0
+
 
 class Sector(NamedTuple):
     """A total-Sz sector's eigenvectors (columns over its basis rows) and their places.
@@ -62,7 +76,8 @@ class Sector(NamedTuple):
     `columns` places them in the ascending spectrum. Every sector M < 0 has
     `mirror_of` set, at every field: its vectors are sector -M's with the
     rows reversed (spin inversion). In a batch, `vectors` and `columns`
-    carry the batch's leading axis.
+    carry the batch's leading axis. A windowed decomposition's sectors hold
+    only the members of the window's multiplets.
     """
 
     rows: np.ndarray
@@ -87,7 +102,13 @@ class SpectralDecomposition:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """One decomposition's orthonormal eigenvectors as D x D columns, on every access."""
+        """One decomposition's orthonormal eigenvectors as D x D columns, on every access.
+
+        Raises ValueError on a decomposition diagonalized for a window of
+        points, which holds only the window's eigenvectors.
+        """
+        if sum(sector.columns.shape[-1] for sector in self.sectors) != self.dimension:
+            raise ValueError("a windowed decomposition holds only its window's eigenvectors")
         vectors = np.zeros((self.dimension, self.dimension))
         for sector in self.sectors:
             vectors[np.ix_(sector.rows, sector.columns)] = sector.vectors
@@ -112,8 +133,10 @@ class SpectralDecomposition:
         by rest states (`_pair_plan`), and the lower triangle of g @ g.T is
         that a + b's entries, for every decomposition of a batch at once; a
         mirrored sector's entries are its source's, spin-flipped.
-        A batch of G gives (G, D, E + 1). Built once per pair and kept on
-        this decomposition, so the blocks live exactly as long as it does.
+        A batch of G gives (G, D, E + 1). On a windowed decomposition only
+        the window's rows are filled and the others are zero. Built once per
+        pair and kept on this decomposition, so the blocks live exactly as
+        long as it does.
         """
         key = self.layout.pair_order(keep)[:2]
         if key not in self._pair_blocks:
@@ -126,6 +149,8 @@ class SpectralDecomposition:
             # another order and moves CSV cells in their last digits
             blocks = np.zeros((flip.shape[0], start.size * dim)).T
             for sector, grids in reversed(tuple(zip(self.sectors, plans))):
+                if not sector.columns.shape[-1]:        # outside a window
+                    continue
                 places = start + sector.columns
                 if sector.mirror_of is not None:      # its source, M > 0, came first
                     source = start + self.sectors[sector.mirror_of].columns
@@ -134,6 +159,12 @@ class SpectralDecomposition:
                 vectors = sector.vectors.swapaxes(-1, -2)
                 for grid, (p, q), span in grids:
                     g = vectors[..., grid]
+                    if g.size == grid.size:
+                        # numpy's matmul gives BLAS a grid with a unit stride, as one
+                        # column's is, and sums wider sectors' strided grids in its
+                        # own loop, in another order; a strided copy keeps a window's
+                        # one-column sector in that loop, bit for bit the full route
+                        g = np.repeat(g, 2, axis=-1)[..., ::2]
                     blocks[places, span] = (g @ g.swapaxes(-1, -2))[..., p, q]
             self._pair_blocks[key] = blocks.reshape(*lead, dim, -1)
         return self._pair_blocks[key]
@@ -302,7 +333,33 @@ def _raise(vectors: np.ndarray, source: np.ndarray, coef: np.ndarray) -> np.ndar
     return out
 
 
-def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition:
+def _window(values: np.ndarray, spins: np.ndarray, field_b: float | np.ndarray,
+            fields: np.ndarray, temperatures: np.ndarray) -> np.ndarray | None:
+    """The lowest-sector multiplets that some point weighs, ascending, or None if all are.
+
+    values and spins are the multiplets' zero-field energies, (n,) or (G, n)
+    in a batch, and their S; fields and temperatures give each point, (k,) or
+    (k, G), and the fields add to field_b. At field b a multiplet's lowest
+    member lies at E - |b| S, and it is kept if that lies within
+    BOLTZMANN_WINDOW * T, widened by twice the ground level's tolerance, of
+    the point's lowest energy: at T = 0 the window holds the ground level
+    (`_ground_mask`) of every point.
+    """
+    b = np.abs(field_b + np.asarray(fields, dtype=float))[..., None]
+    reach = BOLTZMANN_WINDOW * np.asarray(temperatures, dtype=float)[..., None]
+    keep = np.zeros(len(spins), dtype=bool)
+    chunk = max(1, (1 << 15) // values.size)    # points at a time, a few hundred kB each
+    for first in range(0, len(b), chunk):
+        lowest = values - b[first:first + chunk] * spins
+        e_min = lowest.min(axis=-1, keepdims=True)
+        tolerance = 2.0 * GROUND_DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
+        keep |= (lowest <= e_min + reach[first:first + chunk] + tolerance) \
+            .reshape(-1, len(spins)).any(axis=0)
+    return None if keep.all() else np.flatnonzero(keep)
+
+
+def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
+                points: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralDecomposition:
     """Symmetric eigensolve of an isotropic Hamiltonian by total spin.
 
     Only the lowest-|M| sector is solved, one small eigh per S on its
@@ -313,7 +370,14 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     S >= |M|; one pass puts the tails end to end and adds the spec's b*M.
     The blocks hold no field, so -M mirrors M at every field. G
     Hamiltonians on one layout are one batch of (G, k, k) stacks whose
-    rows hold, bit for bit, what lone decompositions hold. Raises
+    rows hold, bit for bit, what lone decompositions hold.
+
+    points, if given, are the (fields, temperatures) of every point the
+    decomposition will serve, (k,) arrays, or (k, G) for a batch, the fields
+    on top of each spec's. The ladder then raises only the window's
+    multiplets (`_window`; for a batch, those of any row) and the sectors
+    hold only their members, so the decomposition serves those points, and
+    any at their fields and a lower temperature, as the full one would. Raises
     ValueError if a block has a non-finite entry or if H fails
     H_{M+1} S+ x = S+ H_M x or H_{-M} Rx = R H_M x (R the flip) on fixed
     probes x; LinAlgError if LAPACK fails to converge.
@@ -334,14 +398,19 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
         values.append(values_s)
         vectors.append(basis[group].T @ vectors_s)
     values, vectors = np.concatenate(values, axis=-1), [np.concatenate(vectors, axis=-1)]
+    window = None if points is None else _window(values, spins, field_b, *points)
+    if window is not None:
+        vectors[0] = vectors[0][..., window]
+    kept = np.arange(len(spins)) if window is None else window
     # the isotropy check rides along the ladder as one more column: H_M x
     images = [blocks[k] @ probe for k, probe in enumerate(probes, low)]
     found, expected = images[1:], []
     for k, (source, coef) in enumerate(raises, low + 1):
-        size = probes[k - low].shape[0]
-        s = spins[-size:]
-        raised = _raise(np.concatenate((vectors[-1][..., -size:], images[k - low - 1][..., None]),
-                                       axis=-1), source, coef)
+        size = probes[k - low].shape[0]     # the multiplets with S >= M, the last ones
+        take = np.count_nonzero(kept >= len(spins) - size)
+        s, below = spins[kept[len(kept) - take:]], vectors[-1]
+        raised = _raise(np.concatenate((below[..., below.shape[-1] - take:],
+                                        images[k - low - 1][..., None]), axis=-1), source, coef)
         raised[..., :-1] /= np.sqrt(s * (s + 1.0) - m[k - 1] * m[k])
         vectors.append(raised[..., :-1])
         expected.append(raised[..., -1])
@@ -358,6 +427,9 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian]) -> SpectralDecomposition
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),
                        np.cumsum([len(rows) for rows in ring.rows[:-1]]), axis=-1)
+    if window is not None:      # a sector's states are the last multiplets, S >= |M|
+        start = [len(spins) - len(rows) for rows in ring.rows]
+        columns = [c[..., window[window >= first] - first] for c, first in zip(columns, start)]
     sectors = tuple(Sector(rows, vectors[k - low], place) if k >= low
                     else Sector(rows, vectors[last - k - low][..., ::-1, :], place, last - k)
                     for k, (rows, place) in enumerate(zip(ring.rows, columns)))

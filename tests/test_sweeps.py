@@ -44,6 +44,10 @@ def test_axis_validation():
     for steps in (3.0, "3", None):
         with pytest.raises(ValueError, match="steps"):
             Axis("temperature", 0.1, 1.0, steps)
+    # a step count beyond any grid is refused before values allocates it
+    for steps in (10**18, sweeps.MAX_POINTS + 1):
+        with pytest.raises(ValueError, match="points is more than"):
+            Axis("temperature", 0.1, 1.0, steps)
     assert Axis("temperature", 0.1, 1.0, np.int64(3)).values.tolist() == [0.1, 0.55, 1.0]
     with pytest.raises(ValueError, match="lo < hi"):
         Axis("j2", 1.0, 0.5, 10)
@@ -131,7 +135,8 @@ def _models(h):
 def test_temperature_axis_reuses_decomposition(monkeypatch):
     calls = []
     real = sweeps.diagonalize
-    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(_models(h)) or real(h))
+    monkeypatch.setattr(sweeps, "diagonalize",
+                        lambda h, points=None: calls.append(_models(h)) or real(h, points))
     req = SweepRequest(base=ModelSpec(3), axis1=Axis("temperature", 0.1, 2.0, 25),
                        pairs=resolve_pairs(3))
     run_sweep(req)
@@ -153,9 +158,9 @@ def test_sweep_lets_each_decomposition_go(monkeypatch):
     alive = []
     real = sweeps.diagonalize
 
-    def tracked(h):
+    def tracked(h, points=None):
         assert [ref for ref in alive if ref() is not None] == []
-        decomp = real(h)
+        decomp = real(h, points)
         alive.append(weakref.ref(decomp))
         return decomp
 
@@ -173,9 +178,9 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
     alive = []
     real = sweeps.diagonalize
 
-    def tracked(h):
+    def tracked(h, points=None):
         assert [ref for ref in alive if ref() is not None] == []
-        decomp = real(h)
+        decomp = real(h, points)
         alive.append(weakref.ref(decomp))
         return decomp
 
@@ -196,7 +201,8 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
         assert all(value is not None for _, value in found)
         assert len(alive) >= batches
     calls = []
-    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.append(h.spec) or real(h))
+    monkeypatch.setattr(sweeps, "diagonalize",
+                        lambda h, points=None: calls.append(h.spec) or real(h, points))
     find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5), scan_points=8)
     assert len(calls) == 1
 
@@ -493,7 +499,8 @@ def _count_eigensolves(monkeypatch):
     """Every model diagonalized, those of a batch one by one."""
     calls = []
     real = sweeps.diagonalize
-    monkeypatch.setattr(sweeps, "diagonalize", lambda h: calls.extend(_models(h)) or real(h))
+    monkeypatch.setattr(sweeps, "diagonalize",
+                        lambda h, points=None: calls.extend(_models(h)) or real(h, points))
     return calls
 
 
@@ -526,6 +533,32 @@ def test_field_axis_and_field_search_diagonalize_once(monkeypatch):
                             "temperature", (0.0, 2.0))
     assert all(t is not None for _, t in curve)
     assert calls == [ModelSpec(4)]
+
+
+def test_searches_window_their_decompositions_except_a_field_search(monkeypatch):
+    # a j2 search solves its scan points and each midpoint for that point's
+    # Boltzmann window; a field search bisects between its scan fields on
+    # its one decomposition, where a multiplet that no scan field weighs can
+    # be the ground level, so it keeps every multiplet
+    windows = []
+    real = sweeps.diagonalize
+
+    def tracked(h, points=None):
+        decomp = real(h, points)
+        kept = sum(sector.columns.shape[-1] for sector in decomp.sectors)
+        windows.append((points is not None, kept < decomp.dimension))
+        return decomp
+
+    monkeypatch.setattr(sweeps, "diagonalize", tracked)
+    pair = resolve_pairs(6)[0]
+    res = find_threshold(ModelSpec(6), "j2", pair, (0.0, 1.0), fixed_temperature=0.02,
+                         scan_points=8)
+    assert res.status == "found"
+    assert len(windows) > 8 and windows == [(True, True)] * len(windows)
+    windows.clear()
+    res = find_threshold(ModelSpec(6), "field_b", pair, (0.0, 6.0), fixed_temperature=0.02)
+    assert res.status == "found"
+    assert windows == [(False, False)]
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -606,7 +639,7 @@ def test_sweep_batches_give_the_per_group_result(monkeypatch):
     batches = []
     real = sweeps.diagonalize
     monkeypatch.setattr(sweeps, "diagonalize",
-                        lambda h: batches.append(len(_models(h))) or real(h))
+                        lambda h, points=None: batches.append(len(_models(h))) or real(h, points))
     results = []
     for budget, sizes in ((36 * (5 + 36), [1] * 7), (3 * 36 * (5 + 36), [3, 3, 1]),
                           (sweeps.STACK_ENTRIES, [7])):

@@ -9,11 +9,11 @@ from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
                        ring_layout, spin_matrices, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
 from mixedspin.models import nn_bond_list
-from mixedspin.negativity import partial_trace, reduce_pair
+from mixedspin.negativity import pair_entries, partial_trace, reduce_pair
 from mixedspin.spin_ops import product_basis
 from mixedspin.sweeps import pair_negativities
-from mixedspin.thermal import (GROUND_DEGENERACY_RTOL, SpectralDecomposition, _su2_plan,
-                               boltzmann_weights, ground_degeneracy, state_weights)
+from mixedspin.thermal import (BOLTZMANN_WINDOW, GROUND_DEGENERACY_RTOL, SpectralDecomposition,
+                               _ground_mask, _su2_plan, boltzmann_weights, ground_degeneracy, state_weights)
 from oracle import (GroundManifoldState, dense_hamiltonian, embed, ground_manifold,
                     sector_hamiltonian, spectral_residuals, total_spin_defect,
                     total_spin_squared, total_sz)
@@ -434,18 +434,22 @@ def test_diagonalize_rejects_anisotropic_exchange(n):
     # sz sz bonds alone conserve total Sz but not total S: no eigensolve by
     # total spin holds for them, alone, at a 1e-6 share, or as one row of a
     # batch; nor for a shift of the all-down state alone, which breaks only
-    # the mirror of the all-up one
+    # the mirror of the all-up one. The check's probes ride the ladder beside
+    # the eigenvectors, so a window of the ground multiplet alone (T = 0, no
+    # field) still runs it on every sector
     layout = ring_layout(n)
     sz = [spin_matrices(s).sz for s in layout.spins]
     ising = sum(embed(np.kron(sz[a], sz[b]), (a, b), layout) for a, b in nn_bond_list(n))
     isotropic = build_model(ModelSpec(n))
     all_down = isotropic.matrix.copy()
     all_down[-1, -1] += 1e-3
-    for matrix in (ising, isotropic.matrix + 1e-6 * ising, all_down):
+    for lone, batch in ((None, None),
+                        ((np.zeros(1), np.zeros(1)), (np.zeros((1, 2)), np.zeros((1, 2))))):
+        for matrix in (ising, isotropic.matrix + 1e-6 * ising, all_down):
+            with pytest.raises(ValueError, match="not isotropic"):
+                diagonalize(sector_hamiltonian(matrix, layout, ModelSpec(n)), lone)
         with pytest.raises(ValueError, match="not isotropic"):
-            diagonalize(sector_hamiltonian(matrix, layout, ModelSpec(n)))
-    with pytest.raises(ValueError, match="not isotropic"):
-        diagonalize([isotropic, sector_hamiltonian(ising, layout, ModelSpec(n))])
+            diagonalize([isotropic, sector_hamiltonian(ising, layout, ModelSpec(n))], batch)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -492,3 +496,99 @@ def test_raise_index_arrays_match_a_site_by_site_build(n):
             expected_coef[site, up] = spin_matrices(spin).splus[d, d + 1]
         assert source.dtype == expected_source.dtype
         assert np.array_equal(source, expected_source) and np.array_equal(coef, expected_coef)
+
+
+def _kept(decomp: SpectralDecomposition) -> np.ndarray:
+    """Which places of one decomposition's spectrum its sectors hold eigenvectors for."""
+    kept = np.zeros(decomp.dimension, dtype=bool)
+    for sector in decomp.sectors:
+        kept[sector.columns] = True
+    return kept
+
+
+def _window_cases():
+    # the plain ring at two couplings, next-nearest coupling on even rings
+    # from four sites, and a field model (b built into H) on even rings
+    for n in range(2, 9):
+        specs = [ModelSpec(n), ModelSpec(n, j1=2.0)]
+        if n % 2 == 0 and n >= 4:
+            specs.append(ModelSpec(n, j2=0.4))
+        if n % 2 == 0:
+            specs.append(ModelSpec(n, field_b=0.6))
+        yield specs
+
+
+@pytest.mark.parametrize("specs", list(_window_cases()),
+                         ids=lambda specs: f"n{specs[0].n_sites}")
+def test_windowed_pair_entries_match_the_full_route(specs):
+    # a decomposition diagonalized for some points holds only the multiplets
+    # those points weigh: its pair entries at the points are the full route's,
+    # for each Hamiltonian alone and for all of them as one batch, at fields
+    # that add to the model's own
+    hs = [build_model(spec) for spec in specs]
+    fields = np.array([0.0, 0.35, -1.2])
+    pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
+    for h in (*hs, hs):
+        full = diagonalize(h)
+        b = fields if full.eigenvalues.ndim == 1 else np.repeat(fields[:, None], len(hs), axis=1)
+        for temperature in (0.0, 0.02, 0.1):
+            t = np.full(b.shape, temperature)
+            windowed = diagonalize(h, (b, t))
+            weights = state_weights(full.energies(b[..., None]), t)
+            for keep in pairs:
+                fast, oracle = pair_entries(windowed, weights, keep), pair_entries(full, weights, keep)
+                assert np.abs(fast - oracle).max() <= 1e-12
+            if specs[0].n_sites == 8 and temperature == 0.02:
+                # the window is the point: 1,296 states, a few dozen weighed
+                assert np.count_nonzero(_kept(windowed)) < full.dimension // 4
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_window_of_every_multiplet_is_the_full_route(n):
+    # points hot enough to weigh every multiplet give the windowless
+    # decomposition's bits, alone and in a batch
+    hs = [build_model(ModelSpec(n, j2=j2)) for j2 in (0.0, 0.5)]
+    pairs = [(p.site_a, p.site_b) for p in resolve_pairs(n)]
+    for h in (hs[0], hs):
+        full = diagonalize(h)
+        width = (full.eigenvalues.max(axis=-1) - full.eigenvalues.min(axis=-1)).max()
+        temperature = 2.0 * width / BOLTZMANN_WINDOW
+        shape = (3,) + full.eigenvalues.shape[:-1]
+        windowed = diagonalize(h, (np.zeros(shape), np.full(shape, temperature)))
+        assert np.array_equal(windowed.eigenvalues, full.eigenvalues)
+        assert np.array_equal(windowed.magnetizations, full.magnetizations)
+        for sector, whole in zip(windowed.sectors, full.sectors):
+            assert sector.rows is whole.rows and sector.mirror_of == whole.mirror_of
+            assert np.array_equal(sector.vectors, whole.vectors)
+            assert np.array_equal(sector.columns, whole.columns)
+        for keep in pairs:
+            assert np.array_equal(windowed.pair_blocks(keep), full.pair_blocks(keep))
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(n) for n in range(2, 9)]
+                         + [ModelSpec(n, j2=0.4) for n in (4, 6, 8)]
+                         + [ModelSpec(n, field_b=b) for n in (2, 4, 8) for b in (0.6, 3.0)],
+                         ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
+def test_a_zero_temperature_window_holds_the_ground_level(spec):
+    # at T = 0 the window's rows are the ground level: exactly, without a
+    # field, where a multiplet is one level; with one, the ground level and
+    # the other members of its multiplets, which pair_blocks fills too
+    decomp = diagonalize(build_model(spec), (np.zeros(1), np.zeros(1)))
+    kept, ground = _kept(decomp), _ground_mask(decomp.eigenvalues)
+    if spec.field_b == 0.0:
+        assert np.array_equal(kept, ground)
+    else:
+        assert np.all(kept[ground]) and np.count_nonzero(kept) < decomp.dimension
+    rows = np.zeros(decomp.dimension, dtype=bool)
+    for pair in resolve_pairs(spec.n_sites):
+        rows |= np.any(decomp.pair_blocks((pair.site_a, pair.site_b)) != 0.0, axis=-1)
+    assert np.array_equal(rows, kept)
+
+
+def test_a_windowed_decomposition_has_no_dense_eigenvectors():
+    # its dropped eigenvectors are not zero columns: asking for them fails
+    decomp = diagonalize(build_model(ModelSpec(6)), (np.zeros(1), np.full(1, 0.02)))
+    assert np.count_nonzero(_kept(decomp)) < decomp.dimension
+    with pytest.raises(ValueError, match="window"):
+        decomp.eigenvectors
+    assert diagonalize(build_model(ModelSpec(6))).eigenvectors.shape == (216, 216)
