@@ -15,7 +15,7 @@ THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS
 if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_VARIABLES):
     os.environ["OMP_NUM_THREADS"] = "1"
 
-from .models import Hamiltonian, ModelSpec, build_model, ring_layout
+from .models import Hamiltonian, ModelSpec, Term, build_model, ring_layout
 # `mixedspin.negativity` is the submodule; its function of that name is
 # `mixedspin.negativity.negativity`
 from .negativity import (NegativityResult, PairKind, PairReducedState, correlator,
@@ -30,7 +30,7 @@ from .thermal import (SpectralDecomposition, ThermalState, diagonalize,
 __all__ = [
     "__version__",
     "HALF", "ONE", "SpinMagnitude", "SiteLayout", "spin_matrices",
-    "ModelSpec", "Hamiltonian", "ring_layout", "build_model",
+    "ModelSpec", "Hamiltonian", "Term", "ring_layout", "build_model",
     "SpectralDecomposition", "ThermalState", "diagonalize", "state_weights",
     "thermal_state", "internal_energy", "log_partition",
     "PairKind", "PairReducedState", "NegativityResult", "reduce_pair",

@@ -12,19 +12,18 @@ every sublattice pair twice, so each pair effectively carries 2*J2; this is
 deliberate and is pinned down by the four-site level ladder checked in the
 tests. For N >= 6 every pair appears exactly once.
 
-Every term conserves total Sz, so a Hamiltonian is built and kept as its
-exchange's sector blocks, straight from the bond action on each sector's
-product states; no full-space matrix is formed. The field term b*Sz is
-b*M on sector M, so it stays out of the blocks: `diagonalize` puts it on
-the energies, and `Hamiltonian.matrix`, the D x D matrix assembled on
-demand for the dense oracles of the tests, adds it to the diagonal.
+Every family is j1 * H_nn + j2 * H_nnn: a Hamiltonian is its couplings times
+cached bond-sum terms, each built once per ring size as total-Sz sector blocks
+from the bond action on product states, with no full-space matrix. The field
+b*Sz is b*M on sector M: `diagonalize` puts it on the energies, and
+`Hamiltonian.blocks` and `.matrix` sum the terms for the tests' dense oracles.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -65,13 +64,28 @@ class ModelSpec:
             raise ValueError("the field model is defined for even rings only")
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
-    """H's exchange as the total-Sz sector blocks of product_basis(layout); b*Sz is not in them."""
+@dataclass(frozen=True, eq=False)
+class Term:
+    """Field-free exchange as product_basis sector blocks, and diagonalize's projections of it."""
 
     blocks: tuple[np.ndarray, ...]
+    projected: list = field(default_factory=list, init=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Hamiltonian:
+    """H's exchange as the sum of coefficient * term over terms; b*Sz stays in spec."""
+
+    terms: tuple[tuple[float, Term], ...]
     layout: SiteLayout
     spec: ModelSpec
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The exchange's sector blocks, summed on every access (dense oracles only)."""
+        (c0, t0), *rest = self.terms
+        return tuple(sum((c * t.blocks[k] for c, t in rest), c0 * x)
+                     for k, x in enumerate(t0.blocks))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -114,15 +128,15 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
     return bonds
 
 
-# The bond sums depend only on the ring size, not the couplings; caching them
-# makes coupling sweeps cost one combination of two arrays per grid point.
+# The bond sums depend only on the ring size, not the couplings, so each is
+# one cached term: a coupling point only names them with its coefficients.
 # Every bond conserves total Sz, so each sum is kept as its sector blocks
-# (product_basis order), raveled end to end in one flat array: 243,782
-# entries at 8 sites against 1296^2 for the full matrix.
+# (product_basis order), views of one flat array: 243,782 entries at 8
+# sites against 1296^2 for the full matrix.
 
 @lru_cache(maxsize=None)
-def _bond_sum(n: int, bond_list) -> np.ndarray:
-    """Sector blocks of the sum of unit Heisenberg bonds over bond_list(n), flattened.
+def _bond_sum(n: int, bond_list) -> Term:
+    """The sum of unit Heisenberg bonds over bond_list(n), as a term.
 
     A bond s_a . s_b adds m_a m_b to each product state's diagonal entry and
     (s+_a s-_b + s-_a s+_b)/2 between two states one flip apart, which share
@@ -144,15 +158,13 @@ def _bond_sum(n: int, bond_list) -> np.ndarray:
         h[row_start[flipped] + place[state]] += value
         h[row_start[state] + place[flipped]] += value
     h.setflags(write=False)
-    return h
+    return Term(tuple(h[span].reshape(k, k) for span, k in blocks))
 
 
 def build_model(spec: ModelSpec) -> Hamiltonian:
-    """The plain ring's exchange, plus the next-nearest term when set; the field stays in spec."""
+    """j1 times the ring's bond-sum term, plus j2 times the next-nearest one; b stays in spec."""
     n = spec.n_sites
-    layout = ring_layout(n)
-    h = spec.j1 * _bond_sum(n, nn_bond_list)
+    terms = ((spec.j1, _bond_sum(n, nn_bond_list)),)
     if spec.j2 != 0.0:
-        h = h + spec.j2 * _bond_sum(n, nnn_bond_list)
-    blocks = tuple(h[span].reshape(k, k) for span, k in product_basis(layout).blocks)
-    return Hamiltonian(blocks=blocks, layout=layout, spec=spec)
+        terms += ((spec.j2, _bond_sum(n, nnn_bond_list)),)
+    return Hamiltonian(terms=terms, layout=ring_layout(n), spec=spec)

@@ -4,7 +4,7 @@ A sweep groups its points by exchange couplings, which only a j2 axis
 changes: every field shares the zero-field decomposition (the field term
 commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
 temperature only changes the weights. A group builds its coupling
-`ModelSpec` once, as the Hamiltonian's total-Sz sector blocks, and needs
+`ModelSpec` once, as coefficients of the ring's cached bond sums, and needs
 one eigensolve (`diagonalize`) plus the pair blocks of its decomposition.
 Groups go through in batches of G whose pair blocks and weights fit in
 about STACK_ENTRIES entries (7 groups of 80 temperatures at four sites, 1
@@ -297,7 +297,7 @@ def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = 
         points = groups[first:first + batch].T          # (points, G)
         hs = [build_model(replace(base, j2=j2, field_b=0.0))
               for j2 in point["j2"][points[0]].tolist()]
-        # a lone group skips the leading axis, whose stacking would copy its blocks
+        # a lone group is one Hamiltonian, without the batch's leading axis
         served = points if len(hs) > 1 else points[:, 0]
         window = (point["field_b"][served], point["temperature"][served]) if windowed else None
         decomp = diagonalize(hs if len(hs) > 1 else hs[0], window)

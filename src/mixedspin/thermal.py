@@ -1,19 +1,19 @@
 """Spectral decomposition, Gibbs states, and thermal observables.
 
-Every ring Hamiltonian conserves total Sz and comes as its sector blocks,
-and every family is isotropic exchange, so H also commutes with total S^2
+Every ring Hamiltonian is couplings times terms (`models.Term`), each an
+isotropic exchange conserving total Sz, so H commutes with total Sz, S^2
 and S+. `diagonalize` therefore solves only the lowest-|M| sector (M = 0,
 or 1/2), one small eigh per total spin S on a total-spin basis of that
 sector, coupled from the multiplets of the spin-1/2 and the spin-1
 sublattices with Clebsch-Gordan coefficients, and ladders the rest:
 sector M+1 takes S+ of the vectors with S >= M+1, and sector -M takes
-sector M's eigenpairs, rows reversed (spin inversion).
-Every eigenvector so has an exact S, and an isotropy check on fixed probe
-vectors refuses any H that would break this. The field term b*Sz is
-constant on a sector, so at field b the energies are E_i + b*M_i on the
-same eigenvectors: one diagonalization serves every temperature and every
-field for fixed exchange couplings. A Hamiltonian's blocks hold only its
-exchange, and `diagonalize` puts its field's b*M on the energies.
+sector M's eigenpairs, rows reversed (spin inversion). Every eigenvector
+so has an exact S. Each term is checked on fixed probe vectors, refused if
+it would break this, and projected on every S-space once; a coupling
+point sums the projections. The field term b*Sz is constant on a sector,
+so at field b the energies are E_i + b*M_i on the same eigenvectors: one
+diagonalization serves every temperature and every field for fixed
+exchange couplings; `diagonalize` puts the spec's b*M on the energies.
 
 Given the (field, temperature) points it will serve, `diagonalize` keeps a
 Boltzmann window: the multiplets whose lowest member lies within
@@ -33,9 +33,9 @@ one stack: `energies`, `state_weights` and `log_partition` take a (k, D)
 stack of spectra, one row per point, and
 give each row what a single spectrum would get, bit for bit.
 
-G Hamiltonians on one layout are one batch: one eigh per total spin on
-their stacked blocks, and every array of the decomposition gains a leading
-axis of G whose rows hold, bit for bit, what G lone decompositions hold.
+G Hamiltonians on one layout are one batch: a (G,) column of coefficients
+per term, one eigh per total spin, and every array of the decomposition a
+leading axis of G whose rows hold, bit for bit, what lone ones hold.
 
 The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
 demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import Hamiltonian
+from .models import Hamiltonian, Term
 from .spin_ops import (HALF, ONE, SiteLayout, SpinMagnitude, pair_basis, product_basis,
                        spin_matrices)
 
@@ -341,60 +341,86 @@ def _window(values: np.ndarray, spins: np.ndarray, field_b: float | np.ndarray,
     in a batch, and their S; fields and temperatures give each point, (k,) or
     (k, G), and the fields add to field_b. At field b a multiplet's lowest
     member lies at E - |b| S, and it is kept if that lies within
-    BOLTZMANN_WINDOW * T, widened by twice the ground level's tolerance, of
-    the point's lowest energy: at T = 0 the window holds the ground level
-    (`_ground_mask`) of every point.
+    BOLTZMANN_WINDOW * T (compared as gap / BOLTZMANN_WINDOW <= T, which no
+    finite T overflows), widened by twice the ground level's tolerance, of
+    the point's lowest energy: at T = 0, every point's ground level (`_ground_mask`).
     """
     b = np.abs(field_b + np.asarray(fields, dtype=float))[..., None]
-    reach = BOLTZMANN_WINDOW * np.asarray(temperatures, dtype=float)[..., None]
+    t = np.asarray(temperatures, dtype=float)[..., None]
     keep = np.zeros(len(spins), dtype=bool)
     chunk = max(1, (1 << 15) // values.size)    # points at a time, a few hundred kB each
     for first in range(0, len(b), chunk):
         lowest = values - b[first:first + chunk] * spins
         e_min = lowest.min(axis=-1, keepdims=True)
         tolerance = 2.0 * GROUND_DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
-        keep |= (lowest <= e_min + reach[first:first + chunk] + tolerance) \
+        keep |= ((lowest - e_min - tolerance) / BOLTZMANN_WINDOW <= t[first:first + chunk]) \
             .reshape(-1, len(spins)).any(axis=0)
     return None if keep.all() else np.flatnonzero(keep)
+
+
+def _project(term: Term, layout: SiteLayout) -> list[np.ndarray]:
+    """Check a term, then keep on it its lowest-sector block on each S-space, in ascending S.
+
+    Raises ValueError on a non-finite entry, or unless H_{M+1} S+ x = S+ H_M x and
+    H_{-M} Rx = R H_M x (R the flip) on fixed probes x, as every isotropic sum does.
+    """
+    blocks = term.blocks
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise ValueError("Hamiltonian contains non-finite entries")
+    low, _, basis, _, groups, raises, probes = _su2_plan(layout)
+    images = [blocks[k] @ probe for k, probe in enumerate(probes, low)]
+    # each sector below the lowest-|M| one mirrors one above it, nearest first
+    found = np.concatenate(images[1:] + [blocks[low - 1 - i] @ probe[::-1]
+                                         for i, probe in enumerate(probes[-low:])])
+    expected = np.concatenate([_raise(x[:, None], *up)[:, 0] for x, up in zip(images, raises)]
+                              + [x[::-1] for x in images[-low:]])
+    if np.abs(found - expected).max() > 1e-9 * max(np.abs(found).max(), np.abs(expected).max()):
+        raise ValueError("Hamiltonian is not isotropic")
+    term.projected.extend([basis[g] @ blocks[low] @ basis[g].T for g in groups])
+    return term.projected
 
 
 def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
                 points: tuple[np.ndarray, np.ndarray] | None = None) -> SpectralDecomposition:
     """Symmetric eigensolve of an isotropic Hamiltonian by total spin.
 
-    Only the lowest-|M| sector is solved, one small eigh per S on its
-    block projected on each S-space. Sector M+1 takes the vectors with
-    S >= M+1 as S+ v / sqrt(S(S+1) - M(M+1)) on the same eigenvalues, and
-    sector -M takes sector M's, rows reversed (m -> -m on every site). So
-    sector M's zero-field energies are the lowest sector's tail of
-    S >= |M|; one pass puts the tails end to end and adds the spec's b*M.
-    The blocks hold no field, so -M mirrors M at every field. G
-    Hamiltonians on one layout are one batch of (G, k, k) stacks whose
-    rows hold, bit for bit, what lone decompositions hold.
+    Only the lowest-|M| sector is solved, one small eigh per S on the sum of
+    coefficient times term projected on that S-space (`_project`, once per
+    term). Sector M+1 takes the vectors with S >= M+1 as
+    S+ v / sqrt(S(S+1) - M(M+1)) on the same eigenvalues, and sector -M
+    takes sector M's, rows reversed (m -> -m on every site). So sector M's
+    zero-field energies are the lowest sector's tail of S >= |M|; one pass
+    puts the tails end to end and adds the spec's b*M. The terms hold no
+    field, so -M mirrors M at every field. G Hamiltonians on one layout are
+    one batch, a (G,) coefficient column per term, whose rows hold, bit for
+    bit, what lone decompositions hold.
 
     points, if given, are the (fields, temperatures) of every point the
     decomposition will serve, (k,) arrays, or (k, G) for a batch, the fields
     on top of each spec's. The ladder then raises only the window's
     multiplets (`_window`; for a batch, those of any row) and the sectors
     hold only their members, so the decomposition serves those points, and
-    any at their fields and a lower temperature, as the full one would. Raises
-    ValueError if a block has a non-finite entry or if H fails
-    H_{M+1} S+ x = S+ H_M x or H_{-M} Rx = R H_M x (R the flip) on fixed
-    probes x; LinAlgError if LAPACK fails to converge.
+    any at their fields and a lower temperature, as the full one would.
+    Raises ValueError for a term that fails `_project`'s check or a sum that
+    overflows, and LinAlgError if LAPACK fails to converge.
     """
+    hs = [h] if isinstance(h, Hamiltonian) else h
+    layout, terms = hs[0].layout, list(dict.fromkeys(t for one in hs for _, t in one.terms))
+    coefs = np.array([[sum(c for c, t in one.terms if t is term) for one in hs] for term in terms])
+    field_b = np.array([one.spec.field_b for one in hs])
     if isinstance(h, Hamiltonian):
-        blocks, layout, field_b = h.blocks, h.layout, np.float64(h.spec.field_b)
-    else:
-        blocks, layout = tuple(map(np.stack, zip(*(one.blocks for one in h)))), h[0].layout
-        field_b = np.array([one.spec.field_b for one in h])
-    if not all(np.isfinite(block).all() for block in blocks):
-        raise ValueError("Hamiltonian contains non-finite entries")
-    low, m_low, basis, spins, groups, raises, probes = _su2_plan(layout)
-    last = len(blocks) - 1
-    m = m_low + np.arange(len(blocks)) - low        # each sector's M
+        coefs, field_b = coefs[:, 0], field_b[0]
+    projected = [term.projected or _project(term, layout) for term in terms]
+    low, m_low, basis, spins, groups, raises, _ = _su2_plan(layout)
+    ring = product_basis(layout)
+    m = m_low + np.arange(len(ring.rows)) - low        # each sector's M
     values, vectors = [], []
-    for group in groups:
-        values_s, vectors_s = np.linalg.eigh(basis[group] @ blocks[low] @ basis[group].T)
+    for g, group in enumerate(groups):
+        block = sum((c[..., None, None] * p[g] for c, p in zip(coefs[1:], projected[1:])),
+                    coefs[0][..., None, None] * projected[0][g])
+        if not np.isfinite(block).all():        # finite terms, overflowing couplings
+            raise ValueError("Hamiltonian contains non-finite entries")
+        values_s, vectors_s = np.linalg.eigh(block)
         values.append(values_s)
         vectors.append(basis[group].T @ vectors_s)
     values, vectors = np.concatenate(values, axis=-1), [np.concatenate(vectors, axis=-1)]
@@ -402,26 +428,12 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
     if window is not None:
         vectors[0] = vectors[0][..., window]
     kept = np.arange(len(spins)) if window is None else window
-    # the isotropy check rides along the ladder as one more column: H_M x
-    images = [blocks[k] @ probe for k, probe in enumerate(probes, low)]
-    found, expected = images[1:], []
     for k, (source, coef) in enumerate(raises, low + 1):
-        size = probes[k - low].shape[0]     # the multiplets with S >= M, the last ones
-        take = np.count_nonzero(kept >= len(spins) - size)
+        take = np.count_nonzero(kept >= len(spins) - len(ring.rows[k]))
         s, below = spins[kept[len(kept) - take:]], vectors[-1]
-        raised = _raise(np.concatenate((below[..., below.shape[-1] - take:],
-                                        images[k - low - 1][..., None]), axis=-1), source, coef)
-        raised[..., :-1] /= np.sqrt(s * (s + 1.0) - m[k - 1] * m[k])
-        vectors.append(raised[..., :-1])
-        expected.append(raised[..., -1])
-    for k in range(last - low + 1, last + 1):
-        found.append(blocks[last - k] @ probes[k - low][::-1])
-        expected.append(images[k - low][..., ::-1])
-    found, expected = np.concatenate(found, axis=-1), np.concatenate(expected, axis=-1)
-    scale = np.maximum(np.abs(found).max(axis=-1), np.abs(expected).max(axis=-1))
-    if np.any(np.abs(found - expected).max(axis=-1) > 1e-9 * scale):     # row by row
-        raise ValueError("Hamiltonian is not isotropic")
-    ring = product_basis(layout)
+        vectors.append(_raise(below[..., below.shape[-1] - take:], source, coef)
+                       / np.sqrt(s * (s + 1.0) - m[k - 1] * m[k]))
+    last = len(ring.rows) - 1
     eigenvalues = np.concatenate([values[..., -rows.shape[0]:] for rows in ring.rows], axis=-1) \
         + field_b[..., None] * ring.sector_m
     order = np.argsort(eigenvalues, axis=-1, kind="stable")

@@ -8,7 +8,8 @@ for the tests to compare against: any local operator embedded in the full
 space by a Kronecker product (`embed`), the Hamiltonian as a sum of such
 embedded bonds, the ground-manifold projector mixture, the negativity
 of a reduced dense state, and the eigenpair residuals of a decomposition.
-`sector_hamiltonian` turns any dense matrix into the package's Hamiltonian.
+`sector_hamiltonian` turns any dense matrix into the package's Hamiltonian, as
+one term.
 The dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the
 package, where the benchmark's own oracle uses them.
 """
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, partial_trace, ring_layout,
+from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, Term, partial_trace, ring_layout,
                        spin_matrices)
 from mixedspin.models import nn_bond_list, nnn_bond_list
 from mixedspin.negativity import negativity
@@ -118,15 +119,15 @@ def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
 
 
 def sector_hamiltonian(matrix: np.ndarray, layout: SiteLayout, spec: ModelSpec) -> Hamiltonian:
-    """A dense exchange matrix as a Hamiltonian of sector blocks; spec.field_b adds b*Sz.
+    """A dense exchange matrix as a Hamiltonian of one term, coefficient 1; spec.field_b adds b*Sz.
 
     Raises ValueError if any entry couples two total-Sz sectors, which the
-    blocks cannot hold.
+    term's sector blocks cannot hold.
     """
     blocks = tuple(matrix[np.ix_(rows, rows)] for rows in product_basis(layout).rows)
     if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(matrix):
         raise ValueError("Hamiltonian does not conserve total Sz")
-    return Hamiltonian(blocks=blocks, layout=layout, spec=spec)
+    return Hamiltonian(terms=((1.0, Term(blocks)),), layout=layout, spec=spec)
 
 
 @dataclass(frozen=True)

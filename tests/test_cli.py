@@ -390,6 +390,18 @@ def test_temperature_sweep_leaves_lazy_numpy_submodules_unimported(tmp_path):
     assert _run_python(script, *args).splitlines()[-1] == "[]"
 
 
+def test_coupling_sweep_leaves_the_verify_battery_unimported(tmp_path):
+    # only the verify command loads the battery and its closed forms, which
+    # every sweep and threshold process would otherwise pay for at start-up
+    script = ("import sys\n"
+              "from mixedspin.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print(sorted({'mixedspin.verify', 'mixedspin.analytic'} & set(sys.modules)))\n")
+    args = ["sweep-j2", "--n", "4", "--j2min", "0", "--j2max", "1", "--steps", "3",
+            "--temperature", "0.1", "--out", str(tmp_path / "j2.csv")]
+    assert _run_python(script, *args).splitlines()[-1] == "[]"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs /proc/self/task to count the process's threads")
 def test_cli_run_holds_one_thread(tmp_path):

@@ -105,6 +105,16 @@ def test_temperature_sweep_matches_closed_form():
     assert np.abs(res.negativities[:, 0] - expected).max() <= 1e-10
 
 
+def test_temperature_axis_up_to_the_largest_float():
+    # the Boltzmann window's reach is 74 T, past the largest float from
+    # T ~ 2.4e306; a sweep there warns of no overflow (pyproject.toml makes
+    # a RuntimeWarning an error) and its hot rows are the uniform mixture
+    res = run_sweep(SweepRequest(base=ModelSpec(4), axis1=Axis("temperature", 0.1, 1e308, 3)))
+    assert np.all(res.negativities[1:] == 0.0)
+    assert np.abs(res.internal_energy[1:]).max() <= 1e-12
+    assert np.abs(res.log_z[1:] - np.log(36.0)).max() <= 1e-12
+
+
 def test_sweep_rows_are_axis1_major():
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.4, 3),
                        axis2=Axis("temperature", 0.1, 0.2, 2),

@@ -1,14 +1,15 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mixedspin import (ModelSpec, ThermalState, build_model, correlator,
-                       diagonalize, internal_energy, log_partition, resolve_pairs,
-                       ring_layout, spin_matrices, thermal_state)
+from mixedspin import (Axis, ModelSpec, SweepRequest, ThermalState, build_model, correlator,
+                       diagonalize, internal_energy, log_partition, models, resolve_pairs,
+                       ring_layout, run_sweep, spin_matrices, thermal, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
-from mixedspin.models import nn_bond_list
+from mixedspin.models import nn_bond_list, nnn_bond_list
 from mixedspin.negativity import pair_entries, partial_trace, reduce_pair
 from mixedspin.spin_ops import product_basis
 from mixedspin.sweeps import pair_negativities
@@ -268,10 +269,11 @@ def _sector_cases():
 @pytest.mark.parametrize("spec", list(_sector_cases()),
                          ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
 def test_sector_blocks_are_slices_of_the_dense_hamiltonian(spec):
-    # the blocks built from the bond action on each sector's product states
-    # are the same floats, bit for bit, as the sector slices of the sum of
-    # Kronecker-embedded bonds, which has no entry between two sectors; the
-    # blocks hold no field, and .matrix adds it as the dense oracle does
+    # the blocks built from the bond action on each sector's product states,
+    # summed over the terms, are the same floats, bit for bit, as the sector
+    # slices of the sum of Kronecker-embedded bonds, which has no entry
+    # between two sectors; the terms hold no field, and .matrix adds it as
+    # the dense oracle does
     h = build_model(spec)
     dense = dense_hamiltonian(spec)
     exchange = dense_hamiltonian(replace(spec, field_b=0.0))
@@ -297,19 +299,22 @@ def test_field_hamiltonian_solves_as_the_zero_field_one(n, b):
         assert ours.rows is theirs.rows and ours.mirror_of == theirs.mirror_of
 
 
-def _dense_pair_oracle(values, vectors, layout, temperature, keep):
-    """partial_trace of the Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs."""
+def _dense_state(values, vectors, layout, temperature):
+    """The Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs."""
     e_min = values.min()
     if temperature == 0.0:
         ground = vectors[:, values <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))]
         rho = ground @ ground.T / ground.shape[1]
-        state = GroundManifoldState(matrix=rho, degeneracy=ground.shape[1],
-                                    energy=float(e_min), layout=layout)
-    else:
-        w = np.exp(-(values - e_min) / temperature)
-        rho = (vectors * (w / w.sum())) @ vectors.T
-        state = ThermalState(matrix=rho, beta=1.0 / temperature, log_z=0.0, layout=layout)
-    return partial_trace(state, keep).matrix
+        return GroundManifoldState(matrix=rho, degeneracy=ground.shape[1],
+                                   energy=float(e_min), layout=layout)
+    w = np.exp(-(values - e_min) / temperature)
+    rho = (vectors * (w / w.sum())) @ vectors.T
+    return ThermalState(matrix=rho, beta=1.0 / temperature, log_z=0.0, layout=layout)
+
+
+def _dense_pair_oracle(values, vectors, layout, temperature, keep):
+    """partial_trace of the Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs."""
+    return partial_trace(_dense_state(values, vectors, layout, temperature), keep).matrix
 
 
 @pytest.mark.parametrize("spec", list(_sector_cases()),
@@ -383,6 +388,14 @@ def _batch_cases():
         yield [ModelSpec(n), ModelSpec(n, field_b=0.7), ModelSpec(n, 1.5)]
 
 
+def _row(batch: SpectralDecomposition, row: int) -> SpectralDecomposition:
+    """One row of a batch as a lone decomposition."""
+    return SpectralDecomposition(
+        eigenvalues=batch.eigenvalues[row], magnetizations=batch.magnetizations[row],
+        sectors=tuple(s._replace(vectors=s.vectors[row], columns=s.columns[row])
+                      for s in batch.sectors), layout=batch.layout)
+
+
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -411,10 +424,7 @@ def test_batch_diagonalize_matches_single_decompositions(specs):
                                   _bits(single.pair_blocks(keep)))
         # the batch row on its own, against the dense S^2 and, with a field in
         # the batch, against the dense eigensolve
-        alone = SpectralDecomposition(
-            eigenvalues=batch.eigenvalues[row], magnetizations=batch.magnetizations[row],
-            sectors=tuple(s._replace(vectors=s.vectors[row], columns=s.columns[row])
-                          for s in batch.sectors), layout=batch.layout)
+        alone = _row(batch, row)
         assert max(total_spin_defect(alone)) <= 1e-10
         if not any(other.field_b for other in specs):
             continue
@@ -434,9 +444,9 @@ def test_diagonalize_rejects_anisotropic_exchange(n):
     # sz sz bonds alone conserve total Sz but not total S: no eigensolve by
     # total spin holds for them, alone, at a 1e-6 share, or as one row of a
     # batch; nor for a shift of the all-down state alone, which breaks only
-    # the mirror of the all-up one. The check's probes ride the ladder beside
-    # the eigenvectors, so a window of the ground multiplet alone (T = 0, no
-    # field) still runs it on every sector
+    # the mirror of the all-up one. The check runs on each term, on every
+    # sector, so a window of the ground multiplet alone (T = 0, no field)
+    # refuses them too
     layout = ring_layout(n)
     sz = [spin_matrices(s).sz for s in layout.spins]
     ising = sum(embed(np.kron(sz[a], sz[b]), (a, b), layout) for a, b in nn_bond_list(n))
@@ -592,3 +602,93 @@ def test_a_windowed_decomposition_has_no_dense_eigenvectors():
     with pytest.raises(ValueError, match="window"):
         decomp.eigenvectors
     assert diagonalize(build_model(ModelSpec(6))).eigenvectors.shape == (216, 216)
+
+
+def _family_cases():
+    # every ring from two sites: the plain ring at two couplings on odd rings;
+    # on even ones the plain ring (j2 = 0), next-nearest coupling from four
+    # sites and the field model, which one batch mixes
+    for n in range(2, 9):
+        if n % 2:
+            yield [ModelSpec(n), ModelSpec(n, j1=2.0)]
+        elif n == 2:
+            yield [ModelSpec(n), ModelSpec(n, field_b=0.7)]
+        else:
+            yield [ModelSpec(n), ModelSpec(n, j2=0.3), ModelSpec(n, field_b=0.7)]
+
+
+@pytest.mark.parametrize("specs", list(_family_cases()), ids=lambda specs: f"n{specs[0].n_sites}")
+def test_coupling_terms_match_the_dense_hamiltonian(specs):
+    # the sum of coupling times projected term, alone and as one row of a
+    # batch mixing j2 = 0 and j2 > 0 and a field row, against numpy's eigh
+    # of the Kronecker-built Hamiltonian: spectra to 1e-10, pair states at
+    # T = 0, 0.02 and 0.5 to 1e-12, and every eigenvector's residual,
+    # orthonormality and S^2
+    hs = [build_model(spec) for spec in specs]
+    batch = diagonalize(hs)
+    layout = hs[0].layout
+    pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
+    for row, (spec, h) in enumerate(zip(specs, hs)):
+        values, vectors = np.linalg.eigh(dense_hamiltonian(spec))
+        decomps = (diagonalize(h), _row(batch, row))
+        for decomp in decomps:
+            assert np.abs(decomp.eigenvalues - values).max() <= 1e-10
+            resid, ortho = spectral_residuals(h, decomp)
+            assert resid <= 1e-12 and ortho <= 1e-12
+            assert max(total_spin_defect(decomp)) <= 1e-10
+        for temperature in (0.0, 0.02, 0.5):
+            state = _dense_state(values, vectors, layout, temperature)
+            for keep in pairs:
+                oracle = partial_trace(state, keep).matrix
+                for decomp in decomps:
+                    weights = state_weights(decomp.eigenvalues, temperature)
+                    fast = reduce_pair(decomp, weights, keep).matrix
+                    assert np.abs(fast - oracle).max() <= 1e-12
+
+
+def test_each_term_is_checked_and_projected_once(monkeypatch):
+    # bond sums built afresh for this test, which this process has not yet
+    # projected: a six-point eight-site j2 sweep checks and projects the
+    # nearest-neighbour term, at j2 = 0, and the next-nearest one, at the
+    # next point, once each; a second sweep reuses both projections
+    monkeypatch.setattr(models, "_bond_sum", functools.lru_cache(models._bond_sum.__wrapped__))
+    projected, real = [], thermal._project
+    monkeypatch.setattr(thermal, "_project",
+                        lambda term, layout: projected.append(term) or real(term, layout))
+    req = SweepRequest(base=ModelSpec(8), axis1=Axis("j2", 0.0, 1.0, 6), temperature=0.02)
+    first = run_sweep(req)
+    terms = [models._bond_sum(8, bonds) for bonds in (nn_bond_list, nnn_bond_list)]
+    assert projected == terms
+    kept = [block for term in terms for block in term.projected]
+    again = run_sweep(req)
+    assert projected == terms
+    assert all(a is b for a, b in zip(kept, (block for term in terms for block in term.projected)))
+    assert np.array_equal(first.negativities, again.negativities)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_an_anisotropic_term_is_refused_at_any_coefficient(n):
+    # sz sz bonds as a term beside the isotropic bond sum are refused at a
+    # coefficient of 1 or of 1e-6, alone or as one row of a batch whose other
+    # row does not name them, and no projection of them is kept
+    layout = ring_layout(n)
+    sz = [spin_matrices(s).sz for s in layout.spins]
+    ising = sum(embed(np.kron(sz[a], sz[b]), (a, b), layout) for a, b in nn_bond_list(n))
+    (_, term), = sector_hamiltonian(ising, layout, ModelSpec(n)).terms
+    isotropic = build_model(ModelSpec(n))
+    for coefficient in (1.0, 1e-6):
+        mixed = replace(isotropic, terms=isotropic.terms + ((coefficient, term),))
+        for h, points in ((mixed, None), ([isotropic, mixed], None),
+                          ([isotropic, mixed], (np.zeros((1, 2)), np.zeros((1, 2))))):
+            with pytest.raises(ValueError, match="not isotropic"):
+                diagonalize(h, points)
+    assert term.projected == []
+
+
+def test_couplings_that_overflow_finite_terms_are_refused():
+    # every term is finite and passes its check, but 1e308 times the
+    # nearest-neighbour bond sum overflows on some S-space: the sum is
+    # refused, as the term would be, rather than solved into NaN
+    for j1 in (1e308, -1e308):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            diagonalize(build_model(ModelSpec(4, j1=j1)))
