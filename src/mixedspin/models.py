@@ -15,8 +15,7 @@ tests. For N >= 6 every pair appears exactly once.
 Every family is j1 * H_nn + j2 * H_nnn: a Hamiltonian is its couplings times
 cached bond-sum terms, each built once per ring size as total-Sz sector blocks
 from the bond action on product states, with no full-space matrix. The field
-b*Sz is b*M on sector M: `diagonalize` puts it on the energies, and
-`Hamiltonian.blocks` and `.matrix` sum the terms for the tests' dense oracles.
+b*Sz is b*M on sector M: `diagonalize` puts it on the energies.
 """
 
 from __future__ import annotations
@@ -79,24 +78,6 @@ class Hamiltonian:
     terms: tuple[tuple[float, Term], ...]
     layout: SiteLayout
     spec: ModelSpec
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The exchange's sector blocks, summed on every access (dense oracles only)."""
-        (c0, t0), *rest = self.terms
-        return tuple(sum((c * t.blocks[k] for c, t in rest), c0 * x)
-                     for k, x in enumerate(t0.blocks))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """H with its field as a dense D x D matrix, built on every access (dense oracles only)."""
-        basis = product_basis(self.layout)
-        h = np.zeros((self.layout.total_dimension,) * 2)
-        for rows, block in zip(basis.rows, self.blocks):
-            h[np.ix_(rows, rows)] = block
-        if self.spec.field_b != 0.0:
-            h += self.spec.field_b * np.diag(basis.m)
-        return h
 
 
 def ring_layout(n: int) -> SiteLayout:

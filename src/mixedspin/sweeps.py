@@ -285,7 +285,8 @@ def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = 
     """Yield each batch's point indices, (points, G), and its zero-field decomposition.
 
     A batch holds G = max(1, STACK_ENTRIES // (D * (points per group + D)))
-    coupling groups, built without the field, which shares the eigenvectors.
+    coupling groups, built without the field, which shares the eigenvectors;
+    a batch of one also carries the leading axis of G.
     A windowed decomposition holds only the multiplets that its points'
     fields and temperatures weigh (`diagonalize`), so it serves those points
     and any at their fields and a lower temperature.
@@ -297,10 +298,8 @@ def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = 
         points = groups[first:first + batch].T          # (points, G)
         hs = [build_model(replace(base, j2=j2, field_b=0.0))
               for j2 in point["j2"][points[0]].tolist()]
-        # a lone group is one Hamiltonian, without the batch's leading axis
-        served = points if len(hs) > 1 else points[:, 0]
-        window = (point["field_b"][served], point["temperature"][served]) if windowed else None
-        decomp = diagonalize(hs if len(hs) > 1 else hs[0], window)
+        window = (point["field_b"][points], point["temperature"][points]) if windowed else None
+        decomp = diagonalize(hs, window)
         del hs
         yield points, decomp
         del decomp

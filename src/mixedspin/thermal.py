@@ -21,7 +21,7 @@ BOLTZMANN_WINDOW * T of some point's lowest energy (at T = 0, the ground
 level). Only those are laddered and only their rows of the pair blocks are
 filled; the rest stay zero, where the points' weights are below e^-74 of the
 ground level's. Energies, magnetizations and weights still cover all D
-states, and a window that holds every multiplet is the windowless route.
+states. Without points the window holds every multiplet, on the same route.
 
 Boltzmann weights are computed relative to the lowest energy so that
 inverse temperatures up to ~1e3 never overflow, and nothing assumes the
@@ -38,11 +38,11 @@ per term, one eigh per total spin, and every array of the decomposition a
 leading axis of G whose rows hold, bit for bit, what lone ones hold.
 
 The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
-demand, like `Hamiltonian.matrix`), the dense Gibbs matrix (`ThermalState`,
-`thermal_state`) and `internal_energy` run in no sweep, threshold or
-`verify` check. They stay because `perfbench/oracles.py` recomputes sampled
-benchmark rows through that independent D x D route, and the tests use it
-as the oracle of the weights route; a windowed decomposition refuses it.
+demand), the dense Gibbs matrix (`ThermalState`, `thermal_state`) and
+`internal_energy` run in no sweep, threshold or `verify` check. They stay
+because `perfbench/oracles.py` recomputes sampled benchmark rows through
+that independent D x D route, and the tests use it as the oracle of the
+weights route; a windowed decomposition refuses it.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ BOLTZMANN_WINDOW = 74.0
 
 
 class Sector(NamedTuple):
-    """A total-Sz sector's eigenvectors (columns over its basis rows) and their places.
+    """A total-Sz sector's eigenvectors (columns over its `product_basis` rows) and their places.
 
     `columns` places them in the ascending spectrum. Every sector M < 0 has
     `mirror_of` set, at every field: its vectors are sector -M's with the
@@ -80,7 +80,6 @@ class Sector(NamedTuple):
     only the members of the window's multiplets.
     """
 
-    rows: np.ndarray
     vectors: np.ndarray
     columns: np.ndarray
     mirror_of: int | None = None
@@ -110,8 +109,8 @@ class SpectralDecomposition:
         if sum(sector.columns.shape[-1] for sector in self.sectors) != self.dimension:
             raise ValueError("a windowed decomposition holds only its window's eigenvectors")
         vectors = np.zeros((self.dimension, self.dimension))
-        for sector in self.sectors:
-            vectors[np.ix_(sector.rows, sector.columns)] = sector.vectors
+        for rows, sector in zip(product_basis(self.layout).rows, self.sectors):
+            vectors[np.ix_(rows, sector.columns)] = sector.vectors
         return vectors
 
     def energies(self, field_b: float | np.ndarray) -> np.ndarray:
@@ -334,8 +333,8 @@ def _raise(vectors: np.ndarray, source: np.ndarray, coef: np.ndarray) -> np.ndar
 
 
 def _window(values: np.ndarray, spins: np.ndarray, field_b: float | np.ndarray,
-            fields: np.ndarray, temperatures: np.ndarray) -> np.ndarray | None:
-    """The lowest-sector multiplets that some point weighs, ascending, or None if all are.
+            fields: np.ndarray, temperatures: np.ndarray) -> np.ndarray:
+    """The lowest-sector multiplets that some point weighs, ascending.
 
     values and spins are the multiplets' zero-field energies, (n,) or (G, n)
     in a batch, and their S; fields and temperatures give each point, (k,) or
@@ -355,7 +354,7 @@ def _window(values: np.ndarray, spins: np.ndarray, field_b: float | np.ndarray,
         tolerance = 2.0 * GROUND_DEGENERACY_RTOL * np.maximum(1.0, np.abs(e_min))
         keep |= ((lowest - e_min - tolerance) / BOLTZMANN_WINDOW <= t[first:first + chunk]) \
             .reshape(-1, len(spins)).any(axis=0)
-    return None if keep.all() else np.flatnonzero(keep)
+    return np.flatnonzero(keep)
 
 
 def _project(term: Term, layout: SiteLayout) -> list[np.ndarray]:
@@ -397,14 +396,17 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
 
     points, if given, are the (fields, temperatures) of every point the
     decomposition will serve, (k,) arrays, or (k, G) for a batch, the fields
-    on top of each spec's. The ladder then raises only the window's
-    multiplets (`_window`; for a batch, those of any row) and the sectors
-    hold only their members, so the decomposition serves those points, and
-    any at their fields and a lower temperature, as the full one would.
-    Raises ValueError for a term that fails `_project`'s check or a sum that
-    overflows, and LinAlgError if LAPACK fails to converge.
+    on top of each spec's. The ladder raises only the window's multiplets
+    (`_window`; for a batch, those of any row), every one without points,
+    and the sectors hold only their members, so the decomposition serves
+    those points, and any at their fields and a lower temperature, as the
+    full one would. Raises ValueError for an empty batch or one that mixes
+    layouts, a term that fails `_project`'s check or a sum that overflows,
+    and LinAlgError if LAPACK fails to converge.
     """
-    hs = [h] if isinstance(h, Hamiltonian) else h
+    hs = [h] if isinstance(h, Hamiltonian) else list(h)
+    if not hs or any(one.layout != hs[0].layout for one in hs):
+        raise ValueError("a batch needs one or more Hamiltonians, all on one ring layout")
     layout, terms = hs[0].layout, list(dict.fromkeys(t for one in hs for _, t in one.terms))
     coefs = np.array([[sum(c for c, t in one.terms if t is term) for one in hs] for term in terms])
     field_b = np.array([one.spec.field_b for one in hs])
@@ -416,21 +418,20 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
     m = m_low + np.arange(len(ring.rows)) - low        # each sector's M
     values, vectors = [], []
     for g, group in enumerate(groups):
-        block = sum((c[..., None, None] * p[g] for c, p in zip(coefs[1:], projected[1:])),
-                    coefs[0][..., None, None] * projected[0][g])
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = sum((c[..., None, None] * p[g] for c, p in zip(coefs[1:], projected[1:])),
+                        coefs[0][..., None, None] * projected[0][g])
         if not np.isfinite(block).all():        # finite terms, overflowing couplings
             raise ValueError("Hamiltonian contains non-finite entries")
         values_s, vectors_s = np.linalg.eigh(block)
         values.append(values_s)
         vectors.append(basis[group].T @ vectors_s)
-    values, vectors = np.concatenate(values, axis=-1), [np.concatenate(vectors, axis=-1)]
-    window = None if points is None else _window(values, spins, field_b, *points)
-    if window is not None:
-        vectors[0] = vectors[0][..., window]
-    kept = np.arange(len(spins)) if window is None else window
+    values = np.concatenate(values, axis=-1)
+    window = np.arange(len(spins)) if points is None else _window(values, spins, field_b, *points)
+    vectors = [np.concatenate(vectors, axis=-1)[..., window]]
     for k, (source, coef) in enumerate(raises, low + 1):
-        take = np.count_nonzero(kept >= len(spins) - len(ring.rows[k]))
-        s, below = spins[kept[len(kept) - take:]], vectors[-1]
+        take = np.count_nonzero(window >= len(spins) - len(ring.rows[k]))
+        s, below = spins[window[len(window) - take:]], vectors[-1]
         vectors.append(_raise(below[..., below.shape[-1] - take:], source, coef)
                        / np.sqrt(s * (s + 1.0) - m[k - 1] * m[k]))
     last = len(ring.rows) - 1
@@ -439,12 +440,11 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),
                        np.cumsum([len(rows) for rows in ring.rows[:-1]]), axis=-1)
-    if window is not None:      # a sector's states are the last multiplets, S >= |M|
-        start = [len(spins) - len(rows) for rows in ring.rows]
-        columns = [c[..., window[window >= first] - first] for c, first in zip(columns, start)]
-    sectors = tuple(Sector(rows, vectors[k - low], place) if k >= low
-                    else Sector(rows, vectors[last - k - low][..., ::-1, :], place, last - k)
-                    for k, (rows, place) in enumerate(zip(ring.rows, columns)))
+    columns = [c[..., window[window >= first] - first]     # a sector's are those S >= |M|
+               for c, first in zip(columns, [len(spins) - len(rows) for rows in ring.rows])]
+    sectors = tuple(Sector(vectors[k - low], place) if k >= low
+                    else Sector(vectors[last - k - low][..., ::-1, :], place, last - k)
+                    for k, place in enumerate(columns))
     return SpectralDecomposition(eigenvalues=np.take_along_axis(eigenvalues, order, axis=-1),
                                  magnetizations=ring.sector_m[order], sectors=sectors,
                                  layout=layout)

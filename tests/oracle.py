@@ -8,8 +8,9 @@ for the tests to compare against: any local operator embedded in the full
 space by a Kronecker product (`embed`), the Hamiltonian as a sum of such
 embedded bonds, the ground-manifold projector mixture, the negativity
 of a reduced dense state, and the eigenpair residuals of a decomposition.
-`sector_hamiltonian` turns any dense matrix into the package's Hamiltonian, as
-one term.
+`dense_matrix` assembles a package Hamiltonian's terms and field as one
+D x D matrix, and `sector_hamiltonian` turns any dense matrix into the
+package's Hamiltonian, as one term.
 The dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the
 package, where the benchmark's own oracle uses them.
 """
@@ -118,6 +119,18 @@ def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
     return h
 
 
+def dense_matrix(h: Hamiltonian) -> np.ndarray:
+    """H with its field as a D x D matrix: per sector, the sum of coefficient times term block."""
+    basis = product_basis(h.layout)
+    matrix = np.zeros((h.layout.total_dimension,) * 2)
+    (c0, t0), *rest = h.terms
+    for k, rows in enumerate(basis.rows):
+        matrix[np.ix_(rows, rows)] = sum((c * t.blocks[k] for c, t in rest), c0 * t0.blocks[k])
+    if h.spec.field_b != 0.0:
+        matrix += h.spec.field_b * np.diag(basis.m)
+    return matrix
+
+
 def sector_hamiltonian(matrix: np.ndarray, layout: SiteLayout, spec: ModelSpec) -> Hamiltonian:
     """A dense exchange matrix as a Hamiltonian of one term, coefficient 1; spec.field_b adds b*Sz.
 
@@ -162,7 +175,7 @@ def spectral_residuals(h: Hamiltonian, spec: SpectralDecomposition) -> tuple[flo
 
     Returns (max_i ||H v_i - E_i v_i|| / (max(1,|E_i|) sqrt(D)), ||V^T V - I||_inf).
     """
-    hv = h.matrix @ spec.eigenvectors
+    hv = dense_matrix(h) @ spec.eigenvectors
     resid = hv - spec.eigenvectors * spec.eigenvalues
     norms = np.linalg.norm(resid, axis=0)
     scale = np.maximum(1.0, np.abs(spec.eigenvalues)) * math.sqrt(spec.dimension)

@@ -4,7 +4,7 @@ import pytest
 from mixedspin import HALF, ONE, ModelSpec, build_model, ring_layout, spin_matrices
 from mixedspin.analytic import four_spin_ground_energy, four_spin_levels
 from mixedspin.models import nn_bond_list, nnn_bond_list
-from oracle import embed, total_sz
+from oracle import dense_matrix, embed, total_sz
 
 
 def test_ring_layout_even_alternates():
@@ -55,27 +55,28 @@ def test_model_spec_rejections(kwargs):
 
 def test_model_spec_takes_numpy_numbers():
     spec = ModelSpec(np.int64(4), j1=np.float64(1.0), j2=np.float32(0.5))
-    assert np.array_equal(build_model(spec).matrix, build_model(ModelSpec(4, j2=0.5)).matrix)
+    assert np.array_equal(dense_matrix(build_model(spec)),
+                          dense_matrix(build_model(ModelSpec(4, j2=0.5))))
 
 
 def test_two_site_spectrum():
-    eigs = np.linalg.eigvalsh(build_model(ModelSpec(2)).matrix)
+    eigs = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(2))))
     assert np.allclose(np.sort(eigs), [-1, -1, 0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_three_site_ground_energy():
-    eigs = np.linalg.eigvalsh(build_model(ModelSpec(3)).matrix)
+    eigs = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(3))))
     assert abs(eigs.min() + 1.75) < 1e-12
 
 
 def test_four_site_ground_energy_per_site():
-    eigs = np.linalg.eigvalsh(build_model(ModelSpec(4)).matrix)
+    eigs = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(4))))
     assert abs(eigs.min() / 4.0 + 0.75) < 1e-12
 
 
 def test_field_zero_matches_plain_ring():
-    plain = build_model(ModelSpec(4)).matrix
-    with_field = build_model(ModelSpec(4, 1.0, field_b=0.0)).matrix
+    plain = dense_matrix(build_model(ModelSpec(4)))
+    with_field = dense_matrix(build_model(ModelSpec(4, 1.0, field_b=0.0)))
     assert np.array_equal(plain, with_field)
 
 
@@ -86,16 +87,16 @@ def test_field_rejects_odd_ring():
 
 def test_two_site_field_level_crossing():
     # the two lowest levels become degenerate exactly at b = 3/2
-    eigs = np.linalg.eigvalsh(build_model(ModelSpec(2, 1.0, field_b=1.5)).matrix)
+    eigs = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(2, 1.0, field_b=1.5))))
     assert abs(eigs[1] - eigs[0]) < 1e-12
-    below = np.linalg.eigvalsh(build_model(ModelSpec(2, 1.0, field_b=1.4)).matrix)
-    above = np.linalg.eigvalsh(build_model(ModelSpec(2, 1.0, field_b=1.6)).matrix)
+    below = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(2, 1.0, field_b=1.4))))
+    above = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(2, 1.0, field_b=1.6))))
     assert below[1] - below[0] > 1e-3
     assert above[1] - above[0] > 1e-3
 
 
 def test_two_site_strong_field_product_ground_state():
-    eigs, vecs = np.linalg.eigh(build_model(ModelSpec(2, 1.0, field_b=2.0)).matrix)
+    eigs, vecs = np.linalg.eigh(dense_matrix(build_model(ModelSpec(2, 1.0, field_b=2.0))))
     assert abs(eigs[0] - (0.5 - 3.0)) < 1e-12
     assert eigs[1] - eigs[0] > 1e-3
     # the ground vector is a single product basis state
@@ -106,7 +107,7 @@ def test_two_site_strong_field_product_ground_state():
     (0.0, -3.0), (0.1, -2.75), (0.3, -2.45), (1.0, -5.5),
 ])
 def test_four_site_nnn_ground_energies(j2, expected):
-    eigs = np.linalg.eigvalsh(build_model(ModelSpec(4, 1.0, j2)).matrix)
+    eigs = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(4, 1.0, j2))))
     assert abs(eigs.min() - expected) < 1e-12
 
 
@@ -125,8 +126,8 @@ def test_nnn_rejections():
 ])
 def test_hamiltonians_conserve_total_sz(spec):
     h = build_model(spec)
-    sz = total_sz(h.layout)
-    assert np.abs(sz @ h.matrix - h.matrix @ sz).max() <= 1e-12
+    sz, matrix = total_sz(h.layout), dense_matrix(h)
+    assert np.abs(sz @ matrix - matrix @ sz).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", [
@@ -142,14 +143,15 @@ def test_field_free_hamiltonians_conserve_total_spin(spec):
         splus += embed(spin_matrices(s).splus, (site,), layout)
     sz = total_sz(layout)
     s_squared = sz @ sz + 0.5 * (splus @ splus.T + splus.T @ splus)
-    assert np.abs(s_squared @ h.matrix - h.matrix @ s_squared).max() <= 1e-12
+    matrix = dense_matrix(h)
+    assert np.abs(s_squared @ matrix - matrix @ s_squared).max() <= 1e-12
 
 
 def test_four_site_exchange_symmetry():
     # swapping the two spin-halves (sites 0, 2) or the two spin-ones (1, 3)
     # permutes the bond set onto itself, so the matrix is exactly invariant
     for spec in (ModelSpec(4), ModelSpec(4, j2=0.6), ModelSpec(4, field_b=0.5)):
-        h = build_model(spec).matrix
+        h = dense_matrix(build_model(spec))
         dims = (2, 3, 2, 3)
         idx_half = np.arange(36).reshape(dims).transpose(2, 1, 0, 3).ravel()
         idx_one = np.arange(36).reshape(dims).transpose(0, 3, 2, 1).ravel()
@@ -160,7 +162,7 @@ def test_four_site_exchange_symmetry():
 
 def test_four_site_spectrum_matches_level_ladder():
     for j2 in (0.0, 0.2, 0.45, 0.9):
-        eigs = np.linalg.eigvalsh(build_model(ModelSpec(4, 1.0, j2)).matrix)
+        eigs = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(4, 1.0, j2))))
         ladder = four_spin_levels(1.0, j2).eigenvalue_multiset()
         assert ladder.size == 36
         assert np.abs(np.sort(eigs) - ladder).max() <= 1e-10
@@ -168,8 +170,8 @@ def test_four_site_spectrum_matches_level_ladder():
 
 def test_ground_energy_piecewise_linear_with_kinks():
     j2s = np.linspace(0.0, 1.0, 401)
-    grounds = np.array([np.linalg.eigvalsh(build_model(ModelSpec(4, 1.0, j)).matrix).min()
-                        for j in j2s])
+    grounds = np.array([np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(4, 1.0, j))))
+                        .min() for j in j2s])
     expected = np.array([four_spin_ground_energy(1.0, j) for j in j2s])
     assert np.abs(grounds - expected).max() <= 1e-10
     # continuity across the level crossings
@@ -180,8 +182,8 @@ def test_ground_energy_piecewise_linear_with_kinks():
 
 
 def test_build_model_dispatch():
-    assert build_model(ModelSpec(2)).matrix.shape == (6, 6)
-    assert np.array_equal(build_model(ModelSpec(4, j2=0.3)).matrix,
-                          build_model(ModelSpec(4, 1.0, 0.3)).matrix)
-    assert np.array_equal(build_model(ModelSpec(4, field_b=0.7)).matrix,
-                          build_model(ModelSpec(4, 1.0, field_b=0.7)).matrix)
+    assert dense_matrix(build_model(ModelSpec(2))).shape == (6, 6)
+    assert np.array_equal(dense_matrix(build_model(ModelSpec(4, j2=0.3))),
+                          dense_matrix(build_model(ModelSpec(4, 1.0, 0.3))))
+    assert np.array_equal(dense_matrix(build_model(ModelSpec(4, field_b=0.7))),
+                          dense_matrix(build_model(ModelSpec(4, 1.0, field_b=0.7))))

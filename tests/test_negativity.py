@@ -17,7 +17,7 @@ from mixedspin.spin_ops import pair_basis
 from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import state_weights
 from mixedspin.verify import schmidt_negativity, su2_negativity
-from oracle import ground_manifold, heisenberg_bond, pair_negativity
+from oracle import dense_matrix, ground_manifold, heisenberg_bond, pair_negativity
 
 
 def _pure_pair(vector, dim_a, dim_b, sites=(0, 1)):
@@ -274,7 +274,7 @@ def test_degenerate_manifold_mixture_vs_components(decomp_nn):
     up[1], up[3] = -math.sqrt(1 / 3), math.sqrt(2 / 3)       # |1/2,0>, |-1/2,1>
     for vec in (down, up):
         h = build_model(ModelSpec(2))
-        assert np.abs(h.matrix @ vec - (-1.0) * vec).max() <= 1e-12
+        assert np.abs(dense_matrix(h) @ vec - (-1.0) * vec).max() <= 1e-12
         component = ThermalState(matrix=np.outer(vec, vec), beta=float("inf"),
                                  log_z=0.0, layout=decomp.layout)
         value = pair_negativity(component, (0, 1))

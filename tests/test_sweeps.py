@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mixedspin import models, sweeps, thermal, verify
+from mixedspin import sweeps, thermal, verify
 from mixedspin import negativity as negmod
 from mixedspin import (EPS_NONZERO, Axis, Hamiltonian, ModelSpec, SweepRequest,
                        build_model, diagonalize, find_threshold, log_partition,
@@ -13,6 +13,7 @@ from mixedspin.analytic import (TWO_SPIN_T_THRESHOLD, two_spin_negativity)
 from mixedspin.negativity import PairReducedState
 from mixedspin.sweeps import available_pair_kinds, check_threshold, pair_negativities
 from mixedspin.thermal import GROUND_DEGENERACY_RTOL, ground_degeneracy, state_weights
+from oracle import dense_matrix
 
 
 def test_available_pair_kinds():
@@ -212,9 +213,9 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
         assert len(alive) >= batches
     calls = []
     monkeypatch.setattr(sweeps, "diagonalize",
-                        lambda h, points=None: calls.append(h.spec) or real(h, points))
+                        lambda h, points=None: calls.extend(_models(h)) or real(h, points))
     find_threshold(ModelSpec(4), "temperature", pair, (0.05, 1.5), scan_points=8)
-    assert len(calls) == 1
+    assert calls == [ModelSpec(4)]
 
 
 def test_coupling_curve_diagonalizes_each_scan_point_once(monkeypatch):
@@ -371,7 +372,7 @@ def test_two_site_field_sweep_at_zero_temperature():
 
 
 def _forbid_dense(monkeypatch, message):
-    """Make thermal_state, partial_trace and the dense eigenvector and Hamiltonian matrices raise."""
+    """Make thermal_state, partial_trace and the dense eigenvector matrix raise."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError(message)
@@ -379,16 +380,17 @@ def _forbid_dense(monkeypatch, message):
     monkeypatch.setattr(thermal, "thermal_state", forbidden)
     monkeypatch.setattr(negmod, "partial_trace", forbidden)
     monkeypatch.setattr(thermal.SpectralDecomposition, "eigenvectors", property(forbidden))
-    monkeypatch.setattr(models.Hamiltonian, "matrix", property(forbidden))
 
 
 def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
     # thermal_state and partial_trace are the oracle only, and ground_manifold
-    # lives in the tests: sweeps.py binds none of them, and every search and
-    # sweep of the three families finishes with both package functions and
-    # the D x D eigenvector and Hamiltonian assemblies raising
+    # and the dense Hamiltonian live in the tests: sweeps.py binds none of
+    # them, a Hamiltonian has no dense view, and every search and sweep of
+    # the three families finishes with both package functions and the D x D
+    # eigenvector assembly raising
     for name in ("thermal_state", "ground_manifold", "partial_trace"):
         assert not hasattr(sweeps, name)
+    assert not hasattr(Hamiltonian, "matrix") and not hasattr(Hamiltonian, "blocks")
     _forbid_dense(monkeypatch, "dense oracle called on the fast path")
     req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 0.6, 3),
                        axis2=Axis("temperature", 0.1, 1.0, 3), pairs=resolve_pairs(4))
@@ -411,7 +413,7 @@ def test_verify_never_forms_a_dense_state(monkeypatch):
     # the battery checks the pipeline the sweeps run: verify.py binds no dense
     # state or dense reduction, and every check runs, in the same order and
     # without a failure, with thermal_state, partial_trace and the D x D
-    # eigenvector and Hamiltonian assemblies raising
+    # eigenvector assembly raising
     for name in ("thermal_state", "ground_manifold", "partial_trace", "pair_negativity"):
         assert not hasattr(verify, name)
     names = [r.name for r in verify.run_all(max_n=4)]
@@ -596,7 +598,7 @@ def test_field_reuse_ground_manifold_spans_sectors_at_crossing():
     zero_field = diagonalize(build_model(ModelSpec(2)))
     for b, expected in ((1.5, 2), (1.49, 1), (1.51, 1)):
         energies = zero_field.energies(b)
-        dense = np.linalg.eigvalsh(build_model(ModelSpec(2, field_b=b)).matrix)
+        dense = np.linalg.eigvalsh(dense_matrix(build_model(ModelSpec(2, field_b=b))))
         e0 = dense[0]
         dense_count = int(np.sum(dense <= e0 + GROUND_DEGENERACY_RTOL * max(1.0, abs(e0))))
         assert ground_degeneracy(energies) == dense_count == expected
@@ -700,6 +702,38 @@ def test_grid_rows_match_the_single_point_path():
             assert abs(res.log_z[row] - log_z) <= 1e-12 * abs(log_z)
             row += 1
     assert row == res.params.shape[0] == 800
+
+
+def _int64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("temperature", [0.02, 0.0])
+def test_batches_of_one_group_are_the_lone_route(monkeypatch, n, temperature):
+    # from six sites on a batch holds one coupling group, handed to
+    # diagonalize as a list of one; each of its rows is, bit for bit, the
+    # lone Hamiltonian's decomposition under the same window, its weights,
+    # pair negativities, U and log Z (or the ground degeneracy at T = 0)
+    batches = []
+    real = sweeps.diagonalize
+    monkeypatch.setattr(sweeps, "diagonalize",
+                        lambda h, points=None: batches.append(len(_models(h))) or real(h, points))
+    axis, pairs = Axis("j2", 0.0, 1.0, 6), resolve_pairs(n)
+    res = run_sweep(SweepRequest(base=ModelSpec(n), axis1=axis, pairs=pairs,
+                                 temperature=temperature))
+    assert batches == [1] * axis.steps
+    for row, j2 in enumerate(axis.values.tolist()):
+        decomp = diagonalize(build_model(ModelSpec(n, j2=j2)),
+                             (np.zeros(1), np.full(1, temperature)))
+        spectrum = decomp.energies(0.0)
+        weights = state_weights(spectrum, temperature)
+        last = (ground_degeneracy(spectrum) if temperature == 0.0
+                else log_partition(spectrum, 1.0 / temperature))
+        assert np.array_equal(_int64(res.negativities[row]),
+                              _int64(pair_negativities(decomp, weights, pairs)))
+        assert np.array_equal(_int64(res.internal_energy[row]), _int64(np.dot(spectrum, weights)))
+        assert np.array_equal(_int64(res.log_z[row]), _int64(last))
 
 
 def test_temperature_and_field_searches_scan_as_one_stack(monkeypatch):

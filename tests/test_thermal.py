@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,9 @@ from mixedspin.spin_ops import product_basis
 from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import (BOLTZMANN_WINDOW, GROUND_DEGENERACY_RTOL, SpectralDecomposition,
                                _ground_mask, _su2_plan, boltzmann_weights, ground_degeneracy, state_weights)
-from oracle import (GroundManifoldState, dense_hamiltonian, embed, ground_manifold,
-                    sector_hamiltonian, spectral_residuals, total_spin_defect,
-                    total_spin_squared, total_sz)
+from oracle import (GroundManifoldState, dense_hamiltonian, dense_matrix, embed,
+                    ground_manifold, sector_hamiltonian, spectral_residuals,
+                    total_spin_defect, total_spin_squared, total_sz)
 
 
 def test_diagonalize_residuals(decomp_nn):
@@ -123,7 +124,8 @@ def test_internal_energy_is_log_z_derivative(decomp_nn):
 def test_energy_shift_invariance(decomp_nn):
     h = build_model(ModelSpec(3))
     shift = 2.7
-    shifted = diagonalize(sector_hamiltonian(h.matrix + shift * np.eye(12), h.layout, h.spec))
+    shifted = diagonalize(sector_hamiltonian(dense_matrix(h) + shift * np.eye(12), h.layout,
+                                             h.spec))
     for t in (0.2, 1.0):
         a = thermal_state(decomp_nn[3], t)
         b = thermal_state(shifted, t)
@@ -221,7 +223,7 @@ def test_diagonalize_rejects_coupling_between_sectors():
     # a Hamiltonian of sector blocks cannot hold such an entry, so the
     # dense matrix is refused on its way into one
     h = build_model(ModelSpec(2))
-    leaky = h.matrix.copy()
+    leaky = dense_matrix(h)
     leaky[0, 1] = leaky[1, 0] = 1e-3       # |+1/2,+1> and |+1/2,0> differ in M
     with pytest.raises(ValueError, match="conserve total Sz"):
         diagonalize(sector_hamiltonian(leaky, h.layout, h.spec))
@@ -272,18 +274,17 @@ def test_sector_blocks_are_slices_of_the_dense_hamiltonian(spec):
     # the blocks built from the bond action on each sector's product states,
     # summed over the terms, are the same floats, bit for bit, as the sector
     # slices of the sum of Kronecker-embedded bonds, which has no entry
-    # between two sectors; the terms hold no field, and .matrix adds it as
-    # the dense oracle does
+    # between two sectors; the terms hold no field, and dense_matrix adds it
+    # as the dense oracle does
     h = build_model(spec)
     dense = dense_hamiltonian(spec)
-    exchange = dense_hamiltonian(replace(spec, field_b=0.0))
+    exchange = replace(h, spec=replace(spec, field_b=0.0))
     rows_by_sector = product_basis(h.layout).rows
-    assert len(h.blocks) == len(rows_by_sector)
-    for rows, block in zip(rows_by_sector, h.blocks):
-        assert block.tobytes() == exchange[np.ix_(rows, rows)].tobytes()
+    assert all(len(term.blocks) == len(rows_by_sector) for _, term in h.terms)
     assert sum(np.count_nonzero(dense[np.ix_(rows, rows)]) for rows in rows_by_sector) \
         == np.count_nonzero(dense)
-    assert h.matrix.tobytes() == dense.tobytes()
+    assert dense_matrix(exchange).tobytes() == dense_hamiltonian(exchange.spec).tobytes()
+    assert dense_matrix(h).tobytes() == dense.tobytes()
 
 
 @pytest.mark.parametrize("n, b", [(2, 1.5), (4, 0.7), (6, 0.3), (8, 2.9)])
@@ -294,9 +295,12 @@ def test_field_hamiltonian_solves_as_the_zero_field_one(n, b):
     field = diagonalize(build_model(ModelSpec(n, field_b=b)))
     zero = diagonalize(build_model(ModelSpec(n)))
     assert field.eigenvalues.tobytes() == np.sort(zero.energies(b)).tobytes()
-    for ours, theirs in zip(field.sectors, zero.sectors):
+    rows_by_sector = product_basis(field.layout).rows
+    assert len(field.sectors) == len(zero.sectors) == len(rows_by_sector)
+    for rows, ours, theirs in zip(rows_by_sector, field.sectors, zero.sectors):
+        assert ours.vectors.shape == theirs.vectors.shape == (len(rows), ours.columns.size)
         assert ours.vectors.tobytes() == theirs.vectors.tobytes()
-        assert ours.rows is theirs.rows and ours.mirror_of == theirs.mirror_of
+        assert ours.mirror_of == theirs.mirror_of
 
 
 def _dense_state(values, vectors, layout, temperature):
@@ -323,7 +327,7 @@ def test_sector_diagonalize_matches_dense_eigh(spec):
     # the dense eigensolve of the full matrix, called here and nowhere in the
     # package, is the oracle for the sector split
     h = build_model(spec)
-    dense_values, dense_vectors = np.linalg.eigh(h.matrix)
+    dense_values, dense_vectors = np.linalg.eigh(dense_matrix(h))
     decomp = diagonalize(h)
     assert np.abs(decomp.eigenvalues - dense_values).max() <= 1e-10
     resid, ortho = spectral_residuals(h, decomp)
@@ -411,9 +415,11 @@ def test_batch_diagonalize_matches_single_decompositions(specs):
     singles = [diagonalize(h) for h in hs]
     assert batch.eigenvalues.shape == (len(specs), hs[0].layout.total_dimension)
     pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
+    rows_by_sector = product_basis(batch.layout).rows
     for row, (spec, single) in enumerate(zip(specs, singles)):
-        for sector, alone in zip(batch.sectors, single.sectors):
-            assert sector.rows is alone.rows
+        assert len(batch.sectors) == len(single.sectors) == len(rows_by_sector)
+        for rows, sector, alone in zip(rows_by_sector, batch.sectors, single.sectors):
+            assert sector.vectors.shape[-2] == alone.vectors.shape[-2] == len(rows)
             assert sector.mirror_of == alone.mirror_of
             assert np.array_equal(_bits(sector.vectors[row]), _bits(alone.vectors))
             assert np.array_equal(sector.columns[row], alone.columns)
@@ -428,7 +434,7 @@ def test_batch_diagonalize_matches_single_decompositions(specs):
         assert max(total_spin_defect(alone)) <= 1e-10
         if not any(other.field_b for other in specs):
             continue
-        dense_values, dense_vectors = np.linalg.eigh(hs[row].matrix)
+        dense_values, dense_vectors = np.linalg.eigh(dense_matrix(hs[row]))
         assert np.abs(alone.eigenvalues - dense_values).max() <= 1e-10
         for temperature in (0.0, 0.02, 0.5):
             weights = state_weights(batch.eigenvalues, temperature)
@@ -451,11 +457,11 @@ def test_diagonalize_rejects_anisotropic_exchange(n):
     sz = [spin_matrices(s).sz for s in layout.spins]
     ising = sum(embed(np.kron(sz[a], sz[b]), (a, b), layout) for a, b in nn_bond_list(n))
     isotropic = build_model(ModelSpec(n))
-    all_down = isotropic.matrix.copy()
+    all_down = dense_matrix(isotropic)
     all_down[-1, -1] += 1e-3
     for lone, batch in ((None, None),
                         ((np.zeros(1), np.zeros(1)), (np.zeros((1, 2)), np.zeros((1, 2))))):
-        for matrix in (ising, isotropic.matrix + 1e-6 * ising, all_down):
+        for matrix in (ising, dense_matrix(isotropic) + 1e-6 * ising, all_down):
             with pytest.raises(ValueError, match="not isotropic"):
                 diagonalize(sector_hamiltonian(matrix, layout, ModelSpec(n)), lone)
         with pytest.raises(ValueError, match="not isotropic"):
@@ -567,8 +573,11 @@ def test_a_window_of_every_multiplet_is_the_full_route(n):
         windowed = diagonalize(h, (np.zeros(shape), np.full(shape, temperature)))
         assert np.array_equal(windowed.eigenvalues, full.eigenvalues)
         assert np.array_equal(windowed.magnetizations, full.magnetizations)
-        for sector, whole in zip(windowed.sectors, full.sectors):
-            assert sector.rows is whole.rows and sector.mirror_of == whole.mirror_of
+        rows_by_sector = product_basis(full.layout).rows
+        assert len(windowed.sectors) == len(full.sectors) == len(rows_by_sector)
+        for rows, sector, whole in zip(rows_by_sector, windowed.sectors, full.sectors):
+            assert sector.vectors.shape[-2] == len(rows)
+            assert sector.mirror_of == whole.mirror_of
             assert np.array_equal(sector.vectors, whole.vectors)
             assert np.array_equal(sector.columns, whole.columns)
         for keep in pairs:
@@ -688,7 +697,29 @@ def test_an_anisotropic_term_is_refused_at_any_coefficient(n):
 def test_couplings_that_overflow_finite_terms_are_refused():
     # every term is finite and passes its check, but 1e308 times the
     # nearest-neighbour bond sum overflows on some S-space: the sum is
-    # refused, as the term would be, rather than solved into NaN
+    # refused, as the term would be, rather than solved into NaN, alone or
+    # as one row of a batch, and with every warning an error the caller
+    # gets that ValueError and no overflow warning first
+    finite = build_model(ModelSpec(4))
     for j1 in (1e308, -1e308):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            diagonalize(build_model(ModelSpec(4, j1=j1)))
+        h = build_model(ModelSpec(4, j1=j1))
+        for hs in (h, [h], [finite, h]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    diagonalize(hs)
+
+
+def test_an_empty_or_mixed_batch_is_refused_before_any_eigensolve(monkeypatch):
+    # a batch is one or more Hamiltonians on one ring layout; an empty list
+    # or a list mixing rings is refused with one message, before any term is
+    # checked or any eigensolve runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigensolve run for a bad batch")
+
+    monkeypatch.setattr(thermal, "_project", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for batch in ([], [build_model(ModelSpec(4)), build_model(ModelSpec(6))],
+                  [build_model(ModelSpec(3)), build_model(ModelSpec(2))]):
+        with pytest.raises(ValueError, match="all on one ring layout"):
+            diagonalize(batch)
