@@ -13,9 +13,9 @@ deliberate and is pinned down by the four-site level ladder checked in the
 tests. For N >= 6 every pair appears exactly once.
 
 Every family is j1 * H_nn + j2 * H_nnn: a Hamiltonian is its couplings times
-cached bond-sum terms, each built once per ring size as total-Sz sector blocks
-from the bond action on product states, with no full-space matrix. The field
-b*Sz is b*M on sector M: `diagonalize` puts it on the energies.
+cached bond-sum terms, each built once per ring size from the bond action on
+product states as a diagonal and one hop list per bond, with no matrix. The
+field b*Sz is b*M on sector M: `diagonalize` puts it on the energies.
 """
 
 from __future__ import annotations
@@ -65,9 +65,13 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class Term:
-    """Field-free exchange as product_basis sector blocks, and diagonalize's projections of it."""
+    """Field-free exchange on product states, and diagonalize's projections of it.
 
-    blocks: tuple[np.ndarray, ...]
+    Each hop (state, flipped, value) adds value at (state, flipped) and (flipped, state).
+    """
+
+    diagonal: np.ndarray                                            # (D,)
+    hops: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]     # hop lists; repeats add
     projected: list = field(default_factory=list, init=False, repr=False)
 
 
@@ -111,9 +115,8 @@ def nnn_bond_list(n: int) -> list[tuple[int, int]]:
 
 # The bond sums depend only on the ring size, not the couplings, so each is
 # one cached term: a coupling point only names them with its coefficients.
-# Every bond conserves total Sz, so each sum is kept as its sector blocks
-# (product_basis order), views of one flat array: 243,782 entries at 8
-# sites against 1296^2 for the full matrix.
+# As its diagonal and its bonds' hops a sum takes 0.09 MB at 8 sites, 0.7 MB
+# at 10 and 4.9 MB at 12; dense sector blocks would take 1.95, 63 and 2,074 MB.
 
 @lru_cache(maxsize=None)
 def _bond_sum(n: int, bond_list) -> Term:
@@ -121,25 +124,24 @@ def _bond_sum(n: int, bond_list) -> Term:
 
     A bond s_a . s_b adds m_a m_b to each product state's diagonal entry and
     (s+_a s-_b + s-_a s+_b)/2 between two states one flip apart, which share
-    a sector. The bonds are added in bond_list order, so every entry is the
-    same float as in the sum of the embedded bonds.
+    a sector: one hop list per bond. Summed in bond_list order, every entry
+    is the same float as in the sum of the embedded bonds.
     """
     layout = ring_layout(n)
-    digits, strides, _, _, _, place, row_start, blocks = product_basis(layout)
-    h = np.zeros(blocks[-1][0].stop)
-    diagonal = row_start + place
+    digits, strides = product_basis(layout)[:2]
+    diagonal = np.zeros(layout.total_dimension)
+    hops = []
     for a, b in bond_list(n):
         ops_a, ops_b = spin_matrices(layout.spins[a]), spin_matrices(layout.spins[b])
-        h[diagonal] += np.diag(ops_a.sz)[digits[a]] * np.diag(ops_b.sz)[digits[b]]
+        diagonal += np.diag(ops_a.sz)[digits[a]] * np.diag(ops_b.sz)[digits[b]]
         # states where s+_a s-_b acts: site a below its top m, site b above its bottom
         state = np.flatnonzero((digits[a] > 0) & (digits[b] < layout.dims[b] - 1))
         flipped = state - strides[a] + strides[b]
         da, db = digits[a][state], digits[b][state]
-        value = 0.5 * (ops_a.splus[da - 1, da] * ops_b.sminus[db + 1, db])
-        h[row_start[flipped] + place[state]] += value
-        h[row_start[state] + place[flipped]] += value
-    h.setflags(write=False)
-    return Term(tuple(h[span].reshape(k, k) for span, k in blocks))
+        hops.append((state, flipped, 0.5 * (ops_a.splus[da - 1, da] * ops_b.sminus[db + 1, db])))
+    for array in (diagonal, *(array for hop in hops for array in hop)):
+        array.setflags(write=False)
+    return Term(diagonal, tuple(hops))
 
 
 def build_model(spec: ModelSpec) -> Hamiltonian:

@@ -9,7 +9,7 @@ quantum number (m = +s first), and the global basis is the plain Kronecker
 product of the sites in layout order.
 
 `product_basis` owns a ring's product states: their digits, their total m,
-and each total-Sz sector's rows and block among the flat sector blocks.
+and each total-Sz sector's rows and each state's place among them.
 
 `pair_basis` owns the layout of a two-site state: which of its d^2 places
 a total-Sz-conserving state can fill (equal m_a + m_b), how they are stored
@@ -121,34 +121,25 @@ class ProductBasis(NamedTuple):
     rows: tuple[np.ndarray, ...]    # each sector's states, sectors in ascending M
     sector_m: np.ndarray            # (D,) each row's M, the sectors one after another
     place: np.ndarray               # (D,) each state's place in its sector
-    row_start: np.ndarray           # (D,) where its row starts in the flat sector blocks
-    blocks: tuple[tuple[slice, int], ...]   # each block's slice of the flat array, and side
 
 
 @lru_cache(maxsize=None)
 def product_basis(layout: SiteLayout) -> ProductBasis:
     """The layout's product states, their total m and their total-Sz sectors.
 
-    State i = sum(digits[:, i] * strides). The sector blocks lie end to end
-    in one flat array: entry (i, j) of a block is at row_start[i] + place[j].
-    The flip m -> -m maps state i to D - 1 - i: sectors k and S - 1 - k mirror.
+    State i = sum(digits[:, i] * strides). The flip m -> -m maps state i to
+    D - 1 - i: sectors k and S - 1 - k mirror.
     """
     dims = layout.dims
     digits = np.array(np.unravel_index(np.arange(layout.total_dimension), dims))
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]
     m = sum(np.diag(spin_matrices(s).sz)[d] for s, d in zip(layout.spins, digits))
     rows = tuple(np.flatnonzero(m == value) for value in sorted(set(m.tolist())))
-    place, row_start = np.empty((2, layout.total_dimension), dtype=np.intp)
-    blocks, start = [], 0
+    place = np.empty(layout.total_dimension, dtype=np.intp)
     for sector in rows:
-        k = sector.shape[0]
-        place[sector] = np.arange(k)
-        row_start[sector] = start + k * place[sector]
-        blocks.append((slice(start, start + k * k), k))
-        start += k * k
-    basis = ProductBasis(digits, strides, m, rows, m[np.concatenate(rows)], place, row_start,
-                         tuple(blocks))
-    for shared in (*basis[:3], *rows, *basis[4:7]):
+        place[sector] = np.arange(sector.shape[0])
+    basis = ProductBasis(digits, strides, m, rows, m[np.concatenate(rows)], place)
+    for shared in (*basis[:3], *rows, *basis[4:]):
         shared.setflags(write=False)
     return basis
 

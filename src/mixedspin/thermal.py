@@ -360,22 +360,33 @@ def _window(values: np.ndarray, spins: np.ndarray, field_b: float | np.ndarray,
 def _project(term: Term, layout: SiteLayout) -> list[np.ndarray]:
     """Check a term, then keep on it its lowest-sector block on each S-space, in ascending S.
 
-    Raises ValueError on a non-finite entry, or unless H_{M+1} S+ x = S+ H_M x and
-    H_{-M} Rx = R H_M x (R the flip) on fixed probes x, as every isotropic sum does.
+    Raises ValueError on a non-finite entry, a hop between sectors, or unless
+    H S+ x = S+ H x and H Rx = R H x (R the flip, which reverses the states) on
+    fixed probes x, as every isotropic sum does. The block is not kept.
     """
-    blocks = term.blocks
-    if not all(np.isfinite(block).all() for block in blocks):
+    ring = product_basis(layout)
+    if not all(np.isfinite(a).all() for a in (term.diagonal, *(hop[2] for hop in term.hops))):
         raise ValueError("Hamiltonian contains non-finite entries")
-    low, _, basis, _, groups, raises, probes = _su2_plan(layout)
-    images = [blocks[k] @ probe for k, probe in enumerate(probes, low)]
-    # each sector below the lowest-|M| one mirrors one above it, nearest first
-    found = np.concatenate(images[1:] + [blocks[low - 1 - i] @ probe[::-1]
-                                         for i, probe in enumerate(probes[-low:])])
-    expected = np.concatenate([_raise(x[:, None], *up)[:, 0] for x, up in zip(images, raises)]
-                              + [x[::-1] for x in images[-low:]])
+    if any((ring.m[state] != ring.m[flipped]).any() for state, flipped, _ in term.hops):
+        raise ValueError("Hamiltonian does not conserve total Sz")
+    low, m_low, basis, _, groups, raises, probes = _su2_plan(layout)
+    x = np.zeros((layout.total_dimension, 2))
+    x[np.concatenate(ring.rows[low:]), 0] = np.concatenate(probes)  # lowest-|M| sector up
+    x[:, 1] = x[::-1, 0]                                             # and their flip
+    hx = term.diagonal[:, None] * x
+    block = np.diag(term.diagonal[ring.rows[low]])
+    for state, flipped, value in term.hops:
+        rows, cols, value = np.r_[state, flipped], np.r_[flipped, state], np.r_[value, value]
+        np.add.at(hx, rows, value[:, None] * x[cols])
+        inside = ring.m[rows] == m_low
+        np.add.at(block, (ring.place[rows[inside]], ring.place[cols[inside]]), value[inside])
+    images = [hx[rows, 0] for rows in ring.rows[low:]]
+    found = np.concatenate(images[1:] + [hx[:, 1]])
+    expected = np.concatenate([_raise(y[:, None], *up)[:, 0] for y, up in zip(images, raises)]
+                              + [hx[::-1, 0]])
     if np.abs(found - expected).max() > 1e-9 * max(np.abs(found).max(), np.abs(expected).max()):
         raise ValueError("Hamiltonian is not isotropic")
-    term.projected.extend([basis[g] @ blocks[low] @ basis[g].T for g in groups])
+    term.projected.extend([basis[g] @ block @ basis[g].T for g in groups])
     return term.projected
 
 
@@ -401,8 +412,8 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
     and the sectors hold only their members, so the decomposition serves
     those points, and any at their fields and a lower temperature, as the
     full one would. Raises ValueError for an empty batch or one that mixes
-    layouts, a term that fails `_project`'s check or a sum that overflows,
-    and LinAlgError if LAPACK fails to converge.
+    layouts, a term that fails `_project`'s check, a sum or a field b*M that
+    overflows, and LinAlgError if LAPACK fails to converge.
     """
     hs = [h] if isinstance(h, Hamiltonian) else list(h)
     if not hs or any(one.layout != hs[0].layout for one in hs):
@@ -427,6 +438,11 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
         values.append(values_s)
         vectors.append(basis[group].T @ vectors_s)
     values = np.concatenate(values, axis=-1)
+    with np.errstate(over="ignore"):
+        eigenvalues = np.concatenate([values[..., -rows.shape[0]:] for rows in ring.rows],
+                                     axis=-1) + field_b[..., None] * ring.sector_m
+    if not np.isfinite(eigenvalues).all():      # a field whose b*M overflows
+        raise ValueError("Hamiltonian contains non-finite entries")
     window = np.arange(len(spins)) if points is None else _window(values, spins, field_b, *points)
     vectors = [np.concatenate(vectors, axis=-1)[..., window]]
     for k, (source, coef) in enumerate(raises, low + 1):
@@ -435,8 +451,6 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
         vectors.append(_raise(below[..., below.shape[-1] - take:], source, coef)
                        / np.sqrt(s * (s + 1.0) - m[k - 1] * m[k]))
     last = len(ring.rows) - 1
-    eigenvalues = np.concatenate([values[..., -rows.shape[0]:] for rows in ring.rows], axis=-1) \
-        + field_b[..., None] * ring.sector_m
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),
                        np.cumsum([len(rows) for rows in ring.rows[:-1]]), axis=-1)

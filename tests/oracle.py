@@ -1,16 +1,17 @@
 """Dense full-matrix oracles for the tests.
 
-The package builds Hamiltonians one way, as total-Sz sector blocks from the
-bond action on product states, and computes pair states one way:
-eigenvector weights (`state_weights`) times pair blocks (`reduce_pair`).
-The helpers here reach the same quantities through D x D matrices instead,
-for the tests to compare against: any local operator embedded in the full
-space by a Kronecker product (`embed`), the Hamiltonian as a sum of such
-embedded bonds, the ground-manifold projector mixture, the negativity
-of a reduced dense state, and the eigenpair residuals of a decomposition.
-`dense_matrix` assembles a package Hamiltonian's terms and field as one
-D x D matrix, and `sector_hamiltonian` turns any dense matrix into the
-package's Hamiltonian, as one term.
+The package builds Hamiltonians one way, as a diagonal and hop lists from
+the bond action on product states (`models.Term`), and computes pair states
+one way: eigenvector weights (`state_weights`) times pair blocks
+(`reduce_pair`). The helpers here reach the same quantities through D x D
+matrices instead, for the tests to compare against: any local operator
+embedded in the full space by a Kronecker product (`embed`), the
+Hamiltonian as a sum of such embedded bonds, the ground-manifold projector
+mixture, the negativity of a reduced dense state, and the eigenpair
+residuals of a decomposition. `term_matrix` assembles a term's hops as a
+D x D matrix, `dense_matrix` a package Hamiltonian's terms and field, and
+`sector_hamiltonian` turns any dense matrix into the package's
+Hamiltonian, as one term; every dense view of a term is built here.
 The dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the
 package, where the benchmark's own oracle uses them.
 """
@@ -119,28 +120,35 @@ def dense_hamiltonian(spec: ModelSpec) -> np.ndarray:
     return h
 
 
+def term_matrix(term: Term) -> np.ndarray:
+    """A term as a D x D matrix: its diagonal, plus each hop at (state, flipped) and
+    (flipped, state), added in hop-list order, a repeated pair once per appearance."""
+    matrix = np.diag(term.diagonal)
+    for state, flipped, value in term.hops:
+        np.add.at(matrix, (state, flipped), value)
+        np.add.at(matrix, (flipped, state), value)
+    return matrix
+
+
 def dense_matrix(h: Hamiltonian) -> np.ndarray:
-    """H with its field as a D x D matrix: per sector, the sum of coefficient times term block."""
-    basis = product_basis(h.layout)
-    matrix = np.zeros((h.layout.total_dimension,) * 2)
+    """H with its field as a D x D matrix: the sum of coefficient times term matrix."""
     (c0, t0), *rest = h.terms
-    for k, rows in enumerate(basis.rows):
-        matrix[np.ix_(rows, rows)] = sum((c * t.blocks[k] for c, t in rest), c0 * t0.blocks[k])
+    matrix = sum((c * term_matrix(t) for c, t in rest), c0 * term_matrix(t0))
     if h.spec.field_b != 0.0:
-        matrix += h.spec.field_b * np.diag(basis.m)
+        matrix += h.spec.field_b * np.diag(product_basis(h.layout).m)
     return matrix
 
 
 def sector_hamiltonian(matrix: np.ndarray, layout: SiteLayout, spec: ModelSpec) -> Hamiltonian:
-    """A dense exchange matrix as a Hamiltonian of one term, coefficient 1; spec.field_b adds b*Sz.
+    """A symmetric dense exchange matrix as a Hamiltonian of one term, coefficient 1.
 
-    Raises ValueError if any entry couples two total-Sz sectors, which the
-    term's sector blocks cannot hold.
+    The term holds the diagonal, and one hop per nonzero entry below it;
+    spec.field_b adds b*Sz. `diagonalize` refuses an entry that couples two
+    total-Sz sectors.
     """
-    blocks = tuple(matrix[np.ix_(rows, rows)] for rows in product_basis(layout).rows)
-    if sum(np.count_nonzero(b) for b in blocks) != np.count_nonzero(matrix):
-        raise ValueError("Hamiltonian does not conserve total Sz")
-    return Hamiltonian(terms=((1.0, Term(blocks)),), layout=layout, spec=spec)
+    state, flipped = np.nonzero(np.tril(matrix, -1))
+    term = Term(np.diag(matrix).copy(), ((state, flipped, matrix[state, flipped]),))
+    return Hamiltonian(terms=((1.0, term),), layout=layout, spec=spec)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mixedspin import HALF, ONE, ModelSpec, build_model, ring_layout, spin_matrices
+from mixedspin import (HALF, ONE, Hamiltonian, ModelSpec, Term, build_model, diagonalize, models,
+                       ring_layout, spin_matrices)
 from mixedspin.analytic import four_spin_ground_energy, four_spin_levels
 from mixedspin.models import nn_bond_list, nnn_bond_list
-from oracle import dense_matrix, embed, total_sz
+from oracle import dense_hamiltonian, dense_matrix, embed, total_sz
 
 
 def test_ring_layout_even_alternates():
@@ -187,3 +188,30 @@ def test_build_model_dispatch():
                           dense_matrix(build_model(ModelSpec(4, 1.0, 0.3))))
     assert np.array_equal(dense_matrix(build_model(ModelSpec(4, field_b=0.7))),
                           dense_matrix(build_model(ModelSpec(4, 1.0, field_b=0.7))))
+
+
+def test_an_eight_site_bond_sum_holds_no_dense_block():
+    # a term is its (D,) diagonal and one (state, flipped, value) hop list
+    # per bond: under 0.2 MB at eight sites, where the total-Sz sector
+    # blocks of one bond sum take 1.95 MB
+    for bonds in (nn_bond_list, nnn_bond_list):
+        term = models._bond_sum(8, bonds)
+        arrays = [term.diagonal, *(array for hop in term.hops for array in hop)]
+        assert len(term.hops) == len(bonds(8))
+        assert all(array.ndim == 1 for array in arrays)
+        assert sum(array.nbytes for array in arrays) < 0.2e6
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_a_term_with_repeated_hops_adds_each_one(n):
+    # every bond's hops in one list, each twice at half its value: a pair
+    # that repeats adds once per appearance, in diagonalize as in the
+    # oracle, so the term is the bond sum and solves to the dense spectrum
+    bond_sum = models._bond_sum(n, nn_bond_list)
+    state, flipped, value = (np.concatenate([hop[i] for hop in bond_sum.hops] * 2)
+                             for i in range(3))
+    term = Term(bond_sum.diagonal, ((state, flipped, 0.5 * value),))
+    h = Hamiltonian(terms=((1.0, term),), layout=ring_layout(n), spec=ModelSpec(n))
+    dense = dense_hamiltonian(ModelSpec(n))
+    assert np.array_equal(dense_matrix(h), dense)
+    assert np.abs(diagonalize(h).eigenvalues - np.linalg.eigvalsh(dense)).max() <= 1e-10

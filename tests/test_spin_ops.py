@@ -251,17 +251,13 @@ def test_product_basis_against_brute_force(layout):
         m = np.add.outer(m, np.diag(spin_matrices(s).sz)).ravel()
     assert np.array_equal(basis.m, m)
     values = np.unique(m)
-    assert len(basis.rows) == len(basis.blocks) == len(values)
-    start = 0
+    assert len(basis.rows) == len(values)
     for k, (value, rows) in enumerate(zip(values, basis.rows)):
         side = rows.shape[0]
         assert np.array_equal(rows, np.flatnonzero(m == value))
         assert np.array_equal(np.sort(size - 1 - rows), basis.rows[len(values) - 1 - k])
         assert np.array_equal(basis.place[rows], np.arange(side))
-        assert np.array_equal(basis.row_start[rows], start + side * np.arange(side))
-        assert basis.blocks[k] == (slice(start, start + side * side), side)
-        start += side * side
     assert np.array_equal(basis.sector_m, np.repeat(values, [len(r) for r in basis.rows]))
     assert not any(array.flags.writeable for array in
                    (basis.digits, basis.strides, basis.m, *basis.rows, basis.sector_m,
-                    basis.place, basis.row_start))
+                    basis.place))

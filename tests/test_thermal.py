@@ -220,8 +220,8 @@ def test_ground_degeneracy_at_field_level_crossing():
 
 
 def test_diagonalize_rejects_coupling_between_sectors():
-    # a Hamiltonian of sector blocks cannot hold such an entry, so the
-    # dense matrix is refused on its way into one
+    # the oracle turns such an entry into a hop between two sectors, which
+    # a term's check refuses before any projection
     h = build_model(ModelSpec(2))
     leaky = dense_matrix(h)
     leaky[0, 1] = leaky[1, 0] = 1e-3       # |+1/2,+1> and |+1/2,0> differ in M
@@ -271,17 +271,22 @@ def _sector_cases():
 @pytest.mark.parametrize("spec", list(_sector_cases()),
                          ids=lambda s: f"n{s.n_sites}-j2_{s.j2}-b_{s.field_b}")
 def test_sector_blocks_are_slices_of_the_dense_hamiltonian(spec):
-    # the blocks built from the bond action on each sector's product states,
-    # summed over the terms, are the same floats, bit for bit, as the sector
-    # slices of the sum of Kronecker-embedded bonds, which has no entry
-    # between two sectors; the terms hold no field, and dense_matrix adds it
-    # as the dense oracle does
+    # each term holds one hop list per bond, each hop within one sector; the
+    # hops built from the bond action on product states, assembled by the
+    # oracle and summed over the terms, are the same floats, bit for bit, as
+    # the sum of Kronecker-embedded bonds, which has no entry between two
+    # sectors; the terms hold no field, and dense_matrix adds it as the
+    # dense oracle does
     h = build_model(spec)
     dense = dense_hamiltonian(spec)
     exchange = replace(h, spec=replace(spec, field_b=0.0))
-    rows_by_sector = product_basis(h.layout).rows
-    assert all(len(term.blocks) == len(rows_by_sector) for _, term in h.terms)
-    assert sum(np.count_nonzero(dense[np.ix_(rows, rows)]) for rows in rows_by_sector) \
+    ring = product_basis(h.layout)
+    for (_, term), bonds in zip(h.terms, (nn_bond_list, nnn_bond_list)):
+        assert term.diagonal.shape == (h.layout.total_dimension,)
+        assert len(term.hops) == len(bonds(spec.n_sites))
+        assert all(np.array_equal(ring.m[state], ring.m[flipped])
+                   for state, flipped, _ in term.hops)
+    assert sum(np.count_nonzero(dense[np.ix_(rows, rows)]) for rows in ring.rows) \
         == np.count_nonzero(dense)
     assert dense_matrix(exchange).tobytes() == dense_hamiltonian(exchange.spec).tobytes()
     assert dense_matrix(h).tobytes() == dense.tobytes()
@@ -708,6 +713,26 @@ def test_couplings_that_overflow_finite_terms_are_refused():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):
                     diagonalize(hs)
+
+
+def test_fields_that_overflow_are_refused():
+    # b = 1e308 overflows b*M on the four-site ring's sectors with |M| > 1:
+    # the field is refused with the couplings' message rather than put on
+    # the energies as infinities, alone, as one row of a batch and with
+    # points, and with every warning an error the caller gets that
+    # ValueError and no overflow warning first; a large finite b*M is kept
+    finite = build_model(ModelSpec(4))
+    for b in (1e308, -1e308):
+        h = build_model(ModelSpec(4, field_b=b))
+        for hs, points in ((h, None), ([finite, h], None),
+                           (h, (np.zeros(1), np.full(1, 0.02)))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    diagonalize(hs, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(diagonalize(build_model(ModelSpec(4, field_b=5e307))).eigenvalues).all()
 
 
 def test_an_empty_or_mixed_batch_is_refused_before_any_eigensolve(monkeypatch):
