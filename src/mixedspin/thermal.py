@@ -364,26 +364,26 @@ def _project(term: Term, layout: SiteLayout) -> list[np.ndarray]:
     H S+ x = S+ H x and H Rx = R H x (R the flip, which reverses the states) on
     fixed probes x, as every isotropic sum does. The block is not kept.
     """
-    ring = product_basis(layout)
-    if not all(np.isfinite(a).all() for a in (term.diagonal, *(hop[2] for hop in term.hops))):
+    ring, hops = product_basis(layout), term.hops or ((np.empty(0, dtype=np.intp),) * 3,)
+    rows, cols, value = (np.concatenate([hop[i] for hop in hops for i in pick])
+                         for pick in ((0, 1), (1, 0), (2, 2)))  # each hop both ways, bond by bond
+    if not (np.isfinite(term.diagonal).all() and np.isfinite(value).all()):
         raise ValueError("Hamiltonian contains non-finite entries")
-    if any((ring.m[state] != ring.m[flipped]).any() for state, flipped, _ in term.hops):
+    if (ring.m[rows] != ring.m[cols]).any():
         raise ValueError("Hamiltonian does not conserve total Sz")
     low, m_low, basis, _, groups, raises, probes = _su2_plan(layout)
-    x = np.zeros((layout.total_dimension, 2))
-    x[np.concatenate(ring.rows[low:]), 0] = np.concatenate(probes)  # lowest-|M| sector up
-    x[:, 1] = x[::-1, 0]                                             # and their flip
-    hx = term.diagonal[:, None] * x
-    block = np.diag(term.diagonal[ring.rows[low]])
-    for state, flipped, value in term.hops:
-        rows, cols, value = np.r_[state, flipped], np.r_[flipped, state], np.r_[value, value]
-        np.add.at(hx, rows, value[:, None] * x[cols])
-        inside = ring.m[rows] == m_low
-        np.add.at(block, (ring.place[rows[inside]], ring.place[cols[inside]]), value[inside])
-    images = [hx[rows, 0] for rows in ring.rows[low:]]
-    found = np.concatenate(images[1:] + [hx[:, 1]])
+    x = np.zeros((2, layout.total_dimension))
+    x[0, np.concatenate(ring.rows[low:])] = np.concatenate(probes)  # lowest-|M| sector up
+    x[1] = x[0, ::-1]                                                # and their flip
+    hx = term.diagonal * x + [np.bincount(rows, value * y[cols], len(y)) for y in x]
+    inside, k = ring.m[rows] == m_low, len(ring.rows[low])
+    block = np.diag(term.diagonal[ring.rows[low]])      # then the hops, added in order
+    block += np.bincount(ring.place[rows[inside]] * k + ring.place[cols[inside]],
+                         weights=value[inside], minlength=k * k).reshape(k, k)
+    images = [hx[0, sector] for sector in ring.rows[low:]]
+    found = np.concatenate(images[1:] + [hx[1]])
     expected = np.concatenate([_raise(y[:, None], *up)[:, 0] for y, up in zip(images, raises)]
-                              + [hx[::-1, 0]])
+                              + [hx[0, ::-1]])
     if np.abs(found - expected).max() > 1e-9 * max(np.abs(found).max(), np.abs(expected).max()):
         raise ValueError("Hamiltonian is not isotropic")
     term.projected.extend([basis[g] @ block @ basis[g].T for g in groups])
