@@ -18,8 +18,7 @@ if "numpy" not in sys.modules and not any(name in os.environ for name in THREAD_
 from .models import Hamiltonian, ModelSpec, Term, build_model, ring_layout
 # `mixedspin.negativity` is the submodule; its function of that name is
 # `mixedspin.negativity.negativity`
-from .negativity import (NegativityResult, PairKind, PairReducedState, correlator,
-                         partial_trace, partial_transpose, reduce_pair, su2_signed)
+from .negativity import PairKind, partial_trace
 from .spin_ops import HALF, ONE, SiteLayout, SpinMagnitude, spin_matrices
 from .sweeps import (EPS_NONZERO, Axis, PairSelector, SweepRequest, SweepResult,
                      ThresholdResult, find_threshold, resolve_pairs, run_sweep,
@@ -33,8 +32,7 @@ __all__ = [
     "ModelSpec", "Hamiltonian", "Term", "ring_layout", "build_model",
     "SpectralDecomposition", "ThermalState", "diagonalize", "state_weights",
     "thermal_state", "internal_energy", "log_partition",
-    "PairKind", "PairReducedState", "NegativityResult", "reduce_pair",
-    "partial_trace", "partial_transpose", "correlator", "su2_signed",
+    "PairKind", "partial_trace",
     "Axis", "SweepRequest", "SweepResult", "ThresholdResult", "PairSelector",
     "EPS_NONZERO", "run_sweep", "find_threshold", "threshold_curve",
     "resolve_pairs",

@@ -37,12 +37,13 @@ G Hamiltonians on one layout are one batch: a (G,) column of coefficients
 per term, one eigh per total spin, and every array of the decomposition a
 leading axis of G whose rows hold, bit for bit, what lone ones hold.
 
-The D x D eigenvector matrix (`SpectralDecomposition.eigenvectors`, built on
-demand), the dense Gibbs matrix (`ThermalState`, `thermal_state`) and
+The dense Gibbs matrix (`ThermalState`, `thermal_state`) and
 `internal_energy` run in no sweep, threshold or `verify` check. They stay
 because `perfbench/oracles.py` recomputes sampled benchmark rows through
 that independent D x D route, and the tests use it as the oracle of the
-weights route; a windowed decomposition refuses it.
+weights route. `thermal_state` writes the matrix one total-Sz block at a
+time from the sectors, so no D x D eigenvector matrix is formed; a
+windowed decomposition refuses it.
 """
 
 from __future__ import annotations
@@ -98,20 +99,6 @@ class SpectralDecomposition:
     @property
     def dimension(self) -> int:
         return self.eigenvalues.shape[-1]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """One decomposition's orthonormal eigenvectors as D x D columns, on every access.
-
-        Raises ValueError on a decomposition diagonalized for a window of
-        points, which holds only the window's eigenvectors.
-        """
-        if sum(sector.columns.shape[-1] for sector in self.sectors) != self.dimension:
-            raise ValueError("a windowed decomposition holds only its window's eigenvectors")
-        vectors = np.zeros((self.dimension, self.dimension))
-        for rows, sector in zip(product_basis(self.layout).rows, self.sectors):
-            vectors[np.ix_(rows, sector.columns)] = sector.vectors
-        return vectors
 
     def energies(self, field_b: float | np.ndarray) -> np.ndarray:
         """Eigenvalues once field_b * Sz is added: same eigenvectors, not sorted.
@@ -413,7 +400,8 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
     those points, and any at their fields and a lower temperature, as the
     full one would. Raises ValueError for an empty batch or one that mixes
     layouts, a term that fails `_project`'s check, a sum or a field b*M that
-    overflows, and LinAlgError if LAPACK fails to converge.
+    overflows, a point whose field b overflows |b| S or whose temperature is
+    NaN or negative, and LinAlgError if LAPACK fails to converge.
     """
     hs = [h] if isinstance(h, Hamiltonian) else list(h)
     if not hs or any(one.layout != hs[0].layout for one in hs):
@@ -443,6 +431,11 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
                                      axis=-1) + field_b[..., None] * ring.sector_m
     if not np.isfinite(eigenvalues).all():      # a field whose b*M overflows
         raise ValueError("Hamiltonian contains non-finite entries")
+    if points is not None:
+        with np.errstate(over="ignore"):
+            reach = np.abs(field_b + np.asarray(points[0], dtype=float)) * spins.max()
+        if not (np.isfinite(reach).all() and (np.asarray(points[1], dtype=float) >= 0.0).all()):
+            raise ValueError("a point needs a field b with |b| S finite and a temperature T >= 0")
     window = np.arange(len(spins)) if points is None else _window(values, spins, field_b, *points)
     vectors = [np.concatenate(vectors, axis=-1)[..., window]]
     for k, (source, coef) in enumerate(raises, low + 1):
@@ -464,22 +457,6 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
                                  layout=layout)
 
 
-def boltzmann_weights(eigenvalues: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
-    """Normalized weights exp(-beta(E - E_min)) / sum, safe for large beta.
-
-    For a (k, D) stack each row is shifted and normalized on its own; beta is
-    a number or a (k, 1) column. Every eigenvalue of the ground level
-    (GROUND_DEGENERACY_RTOL) counts as E_min, so eigensolver noise never
-    splits that level, and as beta grows the weights tend to the T = 0 ones.
-    """
-    shifted = eigenvalues - eigenvalues.min(axis=-1, keepdims=True)
-    shifted[_ground_mask(eigenvalues)] = 0.0
-    weights = -beta * shifted
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
-
-
 def _ground_mask(eigenvalues: np.ndarray) -> np.ndarray:
     """Which eigenvalues, in any order, lie within GROUND_DEGENERACY_RTOL of their row's lowest."""
     e_min = eigenvalues.min(axis=-1, keepdims=True)
@@ -496,13 +473,18 @@ def state_weights(eigenvalues: np.ndarray, temperature: float | np.ndarray) -> n
     """Eigenvector weights of the Gibbs state, or of the ground-manifold mixture at T = 0.
 
     Takes one spectrum and a temperature, or a (k, D) stack of spectra and
-    one temperature per row; rows at T = 0 and T > 0 may share a stack.
+    one temperature per row; rows at T = 0 and T > 0 may share a stack. The
+    whole ground level (GROUND_DEGENERACY_RTOL) counts as E_min, so eigensolver
+    noise never splits it and as T -> 0+ the weights tend to the T = 0 ones.
     """
     t = np.asarray(temperature, dtype=float)[..., None]
-    zero = t == 0.0
-    weights = boltzmann_weights(eigenvalues, 1.0 / np.where(zero, 1.0, t))
+    zero, ground = t == 0.0, _ground_mask(eigenvalues)
+    shifted = eigenvalues - eigenvalues.min(axis=-1, keepdims=True)
+    shifted[ground] = 0.0
+    weights = -(1.0 / np.where(zero, 1.0, t)) * shifted
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     if zero.any():
-        ground = _ground_mask(eigenvalues)
         weights = np.where(zero, ground / np.count_nonzero(ground, axis=-1, keepdims=True),
                            weights)
     return weights
@@ -522,25 +504,27 @@ def log_partition(eigenvalues: np.ndarray, beta: float | np.ndarray) -> float | 
 
 
 def thermal_state(spec: SpectralDecomposition, temperature: float) -> ThermalState:
-    """Gibbs state at temperature > 0 (k_B = 1).
+    """Gibbs state at temperature > 0 (k_B = 1), one total-Sz block at a time.
 
     Zero temperature is rejected; state_weights(E, 0.0) gives the T = 0
     ground-manifold mixture, so that degenerate level crossings stay well
-    defined.
+    defined. So is a windowed decomposition, which lacks the other eigenvectors.
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive; use state_weights for T = 0")
+    if sum(sector.columns.shape[-1] for sector in spec.sectors) != spec.dimension:
+        raise ValueError("a windowed decomposition holds only its window's eigenvectors")
+    w = state_weights(spec.eigenvalues, temperature)
+    rho = np.zeros((spec.dimension, spec.dimension))
+    for rows, sector in zip(product_basis(spec.layout).rows, spec.sectors):
+        rho[np.ix_(rows, rows)] = (sector.vectors * w[sector.columns]) @ sector.vectors.T
     beta = 1.0 / temperature
-    w = boltzmann_weights(spec.eigenvalues, beta)
-    rho = (spec.eigenvectors * w) @ spec.eigenvectors.T
-    rho = 0.5 * (rho + rho.T)
-    return ThermalState(matrix=rho, beta=beta,
-                        log_z=log_partition(spec.eigenvalues, beta),
-                        layout=spec.layout)
+    return ThermalState(matrix=0.5 * (rho + rho.T), beta=beta,
+                        log_z=log_partition(spec.eigenvalues, beta), layout=spec.layout)
 
 
 def internal_energy(spec: SpectralDecomposition, beta: float) -> float:
     """Thermal expectation of the Hamiltonian, sum_i E_i w_i."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    return float(np.dot(spec.eigenvalues, boltzmann_weights(spec.eigenvalues, beta)))
+    return float(np.dot(spec.eigenvalues, state_weights(spec.eigenvalues, 1.0 / beta)))

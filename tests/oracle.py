@@ -8,12 +8,14 @@ matrices instead, for the tests to compare against: any local operator
 embedded in the full space by a Kronecker product (`embed`), the
 Hamiltonian as a sum of such embedded bonds, the ground-manifold projector
 mixture, the negativity of a reduced dense state, and the eigenpair
-residuals of a decomposition. `term_matrix` assembles a term's hops as a
+residuals of a decomposition. `eigenvectors` assembles a decomposition's
+D x D eigenvector matrix from its sectors, `term_matrix` a term's hops as a
 D x D matrix, `dense_matrix` a package Hamiltonian's terms and field, and
 `sector_hamiltonian` turns any dense matrix into the package's
 Hamiltonian, as one term; every dense view of a term is built here.
-The dense Gibbs matrix (`thermal_state`) and `partial_trace` stay in the
-package, where the benchmark's own oracle uses them.
+The dense Gibbs matrix (`thermal_state`, built sector by sector) and
+`partial_trace` stay in the package, where the benchmark's own oracle uses
+them.
 """
 
 from __future__ import annotations
@@ -94,13 +96,27 @@ def total_spin_squared(layout: SiteLayout) -> np.ndarray:
     return s2
 
 
+def eigenvectors(spec: SpectralDecomposition) -> np.ndarray:
+    """A decomposition's orthonormal eigenvectors as D x D columns, from its sectors.
+
+    Raises ValueError on a decomposition diagonalized for a window of
+    points, which holds only the window's eigenvectors.
+    """
+    if sum(sector.columns.shape[-1] for sector in spec.sectors) != spec.dimension:
+        raise ValueError("a windowed decomposition holds only its window's eigenvectors")
+    vectors = np.zeros((spec.dimension, spec.dimension))
+    for rows, sector in zip(product_basis(spec.layout).rows, spec.sectors):
+        vectors[np.ix_(rows, sector.columns)] = sector.vectors
+    return vectors
+
+
 def total_spin_defect(spec: SpectralDecomposition) -> tuple[float, float]:
     """How far each eigenvector is from a total-spin eigenvector.
 
     Returns the largest distance of <v|S^2|v> from the nearest S(S+1), and
     the largest ||S^2 v - S(S+1) v|| for that S.
     """
-    vectors = spec.eigenvectors
+    vectors = eigenvectors(spec)
     s2v = total_spin_squared(spec.layout) @ vectors
     expectation = np.einsum("ij,ij->j", vectors, s2v)
     spin = 0.5 * np.rint(np.sqrt(4.0 * expectation + 1.0) - 1.0)
@@ -165,7 +181,7 @@ def ground_manifold(spec: SpectralDecomposition) -> GroundManifoldState:
     """Projector mixture over all eigenvectors within tolerance of E_min."""
     e_min = float(spec.eigenvalues.min())
     ground = spec.eigenvalues <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
-    v = spec.eigenvectors[:, ground]
+    v = eigenvectors(spec)[:, ground]
     degeneracy = v.shape[1]
     rho = (v @ v.T) / degeneracy
     rho = 0.5 * (rho + rho.T)
@@ -183,9 +199,9 @@ def spectral_residuals(h: Hamiltonian, spec: SpectralDecomposition) -> tuple[flo
 
     Returns (max_i ||H v_i - E_i v_i|| / (max(1,|E_i|) sqrt(D)), ||V^T V - I||_inf).
     """
-    hv = dense_matrix(h) @ spec.eigenvectors
-    resid = hv - spec.eigenvectors * spec.eigenvalues
+    vectors = eigenvectors(spec)
+    resid = dense_matrix(h) @ vectors - vectors * spec.eigenvalues
     norms = np.linalg.norm(resid, axis=0)
     scale = np.maximum(1.0, np.abs(spec.eigenvalues)) * math.sqrt(spec.dimension)
-    ortho = spec.eigenvectors.T @ spec.eigenvectors - np.eye(spec.dimension)
+    ortho = vectors.T @ vectors - np.eye(spec.dimension)
     return float((norms / scale).max()), float(np.abs(ortho).max())

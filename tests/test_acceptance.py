@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import timed
-from mixedspin import (EPS_NONZERO, ModelSpec, PairKind, build_model,
-                       correlator, diagonalize, find_threshold,
-                       internal_energy, log_partition, partial_trace,
-                       resolve_pairs, su2_signed, thermal_state, threshold_curve)
+from mixedspin import (EPS_NONZERO, ModelSpec, PairKind, build_model, diagonalize,
+                       find_threshold, internal_energy, log_partition, partial_trace,
+                       resolve_pairs, thermal_state, threshold_curve)
 from mixedspin import analytic, verify
+from mixedspin.negativity import correlator, su2_signed
 from oracle import ground_manifold, pair_negativity
 
 SQRT2_3 = math.sqrt(2.0) / 3.0

@@ -3,10 +3,10 @@ import math
 import numpy as np
 
 from conftest import reorder_to_blocks
-from mixedspin import (ModelSpec, build_model, correlator, diagonalize,
-                       internal_energy, log_partition, partial_trace,
-                       partial_transpose, thermal_state)
+from mixedspin import (ModelSpec, build_model, diagonalize, internal_energy, log_partition,
+                       partial_trace, thermal_state)
 from mixedspin import analytic
+from mixedspin.negativity import correlator, partial_transpose
 from oracle import pair_negativity
 
 SQRT2 = math.sqrt(2.0)
@@ -147,7 +147,8 @@ def test_three_spin_energy_relation_values():
 
 
 def test_three_spin_energy_relation_at_finite_temperature(decomp_nn):
-    from mixedspin import PairKind, su2_signed
+    from mixedspin import PairKind
+    from mixedspin.negativity import su2_signed
     for t in (0.2, 0.5, 1.0):
         state = thermal_state(decomp_nn[3], t)
         n12 = su2_signed(correlator(partial_trace(state, (0, 1))), PairKind.HALF_ONE)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mixedspin import HALF, ONE, SiteLayout, partial_transpose, spin_matrices
+from mixedspin import HALF, ONE, SiteLayout, spin_matrices
 from mixedspin.models import nn_bond_list, nnn_bond_list, ring_layout
-from mixedspin.negativity import PairReducedState
+from mixedspin.negativity import PairReducedState, partial_transpose
 from mixedspin.spin_ops import pair_basis, product_basis
 from oracle import embed, heisenberg_bond, total_sz
 

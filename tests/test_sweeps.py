@@ -372,22 +372,22 @@ def test_two_site_field_sweep_at_zero_temperature():
 
 
 def _forbid_dense(monkeypatch, message):
-    """Make thermal_state, partial_trace and the dense eigenvector matrix raise."""
+    """Make thermal_state and partial_trace raise; the package has no dense eigenvector matrix."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError(message)
 
     monkeypatch.setattr(thermal, "thermal_state", forbidden)
     monkeypatch.setattr(negmod, "partial_trace", forbidden)
-    monkeypatch.setattr(thermal.SpectralDecomposition, "eigenvectors", property(forbidden))
+    assert not hasattr(thermal.SpectralDecomposition, "eigenvectors")
 
 
 def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
     # thermal_state and partial_trace are the oracle only, and ground_manifold
     # and the dense Hamiltonian live in the tests: sweeps.py binds none of
-    # them, a Hamiltonian has no dense view, and every search and sweep of
-    # the three families finishes with both package functions and the D x D
-    # eigenvector assembly raising
+    # them, neither a Hamiltonian nor a decomposition has a dense view, and
+    # every search and sweep of the three families finishes with both
+    # package functions raising
     for name in ("thermal_state", "ground_manifold", "partial_trace"):
         assert not hasattr(sweeps, name)
     assert not hasattr(Hamiltonian, "matrix") and not hasattr(Hamiltonian, "blocks")
@@ -412,8 +412,7 @@ def test_sweeps_and_thresholds_never_form_a_dense_state(monkeypatch):
 def test_verify_never_forms_a_dense_state(monkeypatch):
     # the battery checks the pipeline the sweeps run: verify.py binds no dense
     # state or dense reduction, and every check runs, in the same order and
-    # without a failure, with thermal_state, partial_trace and the D x D
-    # eigenvector assembly raising
+    # without a failure, with thermal_state and partial_trace raising
     for name in ("thermal_state", "ground_manifold", "partial_trace", "pair_negativity"):
         assert not hasattr(verify, name)
     names = [r.name for r in verify.run_all(max_n=4)]

@@ -6,17 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixedspin import (Axis, ModelSpec, SweepRequest, ThermalState, build_model, correlator,
-                       diagonalize, internal_energy, log_partition, models, resolve_pairs,
-                       ring_layout, run_sweep, spin_matrices, thermal, thermal_state)
+from mixedspin import (Axis, ModelSpec, SweepRequest, ThermalState, build_model, diagonalize,
+                       internal_energy, log_partition, models, resolve_pairs, ring_layout,
+                       run_sweep, spin_matrices, thermal, thermal_state)
 from mixedspin.analytic import (four_spin_log_partition, two_spin_internal_energy)
 from mixedspin.models import nn_bond_list, nnn_bond_list
-from mixedspin.negativity import pair_entries, partial_trace, reduce_pair
+from mixedspin.negativity import correlator, pair_entries, partial_trace, reduce_pair
 from mixedspin.spin_ops import product_basis
 from mixedspin.sweeps import pair_negativities
 from mixedspin.thermal import (BOLTZMANN_WINDOW, GROUND_DEGENERACY_RTOL, SpectralDecomposition,
-                               _ground_mask, _su2_plan, boltzmann_weights, ground_degeneracy, state_weights)
-from oracle import (GroundManifoldState, dense_hamiltonian, dense_matrix, embed,
+                               _ground_mask, _su2_plan, ground_degeneracy, state_weights)
+from oracle import (GroundManifoldState, dense_hamiltonian, dense_matrix, eigenvectors, embed,
                     ground_manifold, sector_hamiltonian, spectral_residuals,
                     total_spin_defect, total_spin_squared, total_sz)
 
@@ -134,7 +134,7 @@ def test_energy_shift_invariance(decomp_nn):
 
 
 def test_boltzmann_weights_normalized():
-    w = boltzmann_weights(np.array([-2.0, -1.0, 0.0]), 3.0)
+    w = state_weights(np.array([-2.0, -1.0, 0.0]), 1.0 / 3.0)
     assert abs(w.sum() - 1.0) < 1e-14
     assert np.all(np.diff(w) < 0)
 
@@ -206,7 +206,7 @@ def test_ground_degeneracy_at_field_level_crossing():
     weights = state_weights(decomp.eigenvalues, 0.0)
     assert np.array_equal(weights, [0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
     sz = np.diag(total_sz(decomp.layout))
-    ground = decomp.eigenvectors[:, :2]
+    ground = eigenvectors(decomp)[:, :2]
     magnetizations = sorted(float(v @ (sz * v)) for v in ground.T)
     assert np.allclose(magnetizations, [-1.5, -0.5], atol=1e-12)
     dense = partial_trace(manifold, (0, 1)).matrix
@@ -241,7 +241,7 @@ def test_weights_and_ground_manifold_take_energies_in_any_order():
                                      sectors=tuple(s._replace(columns=place[s.columns])
                                                    for s in decomp.sectors),
                                      layout=decomp.layout)
-    assert np.array_equal(shuffled.eigenvectors, decomp.eigenvectors[:, perm])
+    assert np.array_equal(eigenvectors(shuffled), eigenvectors(decomp)[:, perm])
     assert shuffled.eigenvalues[0] > shuffled.eigenvalues.min()
     assert ground_degeneracy(shuffled.eigenvalues) == 3
     assert np.array_equal(state_weights(shuffled.eigenvalues, 0.0),
@@ -339,7 +339,8 @@ def test_sector_diagonalize_matches_dense_eigh(spec):
     assert resid <= 1e-12
     assert ortho <= 1e-12
     sz = np.diag(total_sz(h.layout))
-    expectation = np.einsum("ij,i,ij->j", decomp.eigenvectors, sz, decomp.eigenvectors)
+    vectors = eigenvectors(decomp)
+    expectation = np.einsum("ij,i,ij->j", vectors, sz, vectors)
     assert np.abs(decomp.magnetizations - expectation).max() <= 1e-12
     assert max(total_spin_defect(decomp)) <= 1e-10
     assert ground_degeneracy(decomp.eigenvalues) == ground_degeneracy(dense_values)
@@ -377,7 +378,7 @@ def test_mirror_sectors_share_spectra_and_flip_pair_blocks(spec):
     weights = np.zeros(decomp.dimension)
     weights[negative] = np.random.default_rng(spec.n_sites).random(negative.shape[0])
     weights /= weights.sum()
-    vectors = decomp.eigenvectors[:, negative]
+    vectors = eigenvectors(decomp)[:, negative]
     rho = (vectors * weights[negative]) @ vectors.T
     state = ThermalState(matrix=rho, beta=1.0, log_z=0.0, layout=h.layout)
     for pair in resolve_pairs(spec.n_sites):
@@ -609,15 +610,6 @@ def test_a_zero_temperature_window_holds_the_ground_level(spec):
     assert np.array_equal(rows, kept)
 
 
-def test_a_windowed_decomposition_has_no_dense_eigenvectors():
-    # its dropped eigenvectors are not zero columns: asking for them fails
-    decomp = diagonalize(build_model(ModelSpec(6)), (np.zeros(1), np.full(1, 0.02)))
-    assert np.count_nonzero(_kept(decomp)) < decomp.dimension
-    with pytest.raises(ValueError, match="window"):
-        decomp.eigenvectors
-    assert diagonalize(build_model(ModelSpec(6))).eigenvectors.shape == (216, 216)
-
-
 def _family_cases():
     # every ring from two sites: the plain ring at two couplings on odd rings;
     # on even ones the plain ring (j2 = 0), next-nearest coupling from four
@@ -658,6 +650,61 @@ def test_coupling_terms_match_the_dense_hamiltonian(specs):
                     weights = state_weights(decomp.eigenvalues, temperature)
                     fast = reduce_pair(decomp, weights, keep).matrix
                     assert np.abs(fast - oracle).max() <= 1e-12
+
+
+def test_thermal_state_refuses_a_windowed_decomposition():
+    # its dropped eigenvectors are not zero columns: a Gibbs matrix without
+    # them would miss their weight, so thermal_state refuses it, as the
+    # oracle's eigenvector assembly does, and as it refuses T <= 0
+    decomp = diagonalize(build_model(ModelSpec(6)), (np.zeros(1), np.full(1, 0.02)))
+    assert np.count_nonzero(_kept(decomp)) < decomp.dimension
+    for build in (functools.partial(thermal_state, decomp, 0.02),
+                  functools.partial(eigenvectors, decomp)):
+        with pytest.raises(ValueError, match="window"):
+            build()
+    full = diagonalize(build_model(ModelSpec(6)))
+    assert thermal_state(full, 0.02).matrix.shape == (216, 216)
+    for temperature in (0.0, -0.1):
+        with pytest.raises(ValueError, match="positive"):
+            thermal_state(full, temperature)
+
+
+def test_diagonalize_refuses_points_it_cannot_window():
+    # a NaN or negative temperature compares false against every gap and
+    # would keep no multiplet, and a field whose |b| S overflows would warn
+    # inside the window: each is one ValueError, before any numpy warning,
+    # for a lone Hamiltonian and for a batch's (k, G) points
+    h = build_model(ModelSpec(4))
+    bad = (([0.0], [np.nan]), ([0.0], [-0.1]), ([0.0, 0.0], [0.1, -1e-300]),
+           ([np.nan], [0.1]), ([np.inf], [0.1]), ([-np.inf], [0.0]), ([1e308], [0.1]),
+           ([0.0, -1e308], [0.1, 0.1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fields, temperatures in bad:
+            points = (np.array(fields), np.array(temperatures))
+            with pytest.raises(ValueError, match="a point needs"):
+                diagonalize(h, points)
+            with pytest.raises(ValueError, match="a point needs"):
+                diagonalize([h, h], tuple(np.repeat(x[:, None], 2, axis=1) for x in points))
+        # |b| S = 3e307 at four sites' largest S = 3 is finite, and T = 0 holds the ground level
+        decomp = diagonalize(h, (np.array([1e307, 0.0]), np.array([0.1, 0.0])))
+    assert np.array_equal(decomp.eigenvalues, diagonalize(h).eigenvalues)
+
+
+@pytest.mark.parametrize("specs", list(_family_cases()), ids=lambda specs: f"n{specs[0].n_sites}")
+def test_thermal_state_matches_the_dense_eigenvector_assembly(specs):
+    # the Gibbs matrix written one total-Sz block at a time against
+    # (V w) V^T over the oracle's D x D eigenvector matrix V, for every
+    # family with its j2 and field cases
+    for spec in specs:
+        decomp = diagonalize(build_model(spec))
+        vectors = eigenvectors(decomp)
+        for temperature in (0.02, 0.3, 2.0):
+            rho = (vectors * state_weights(decomp.eigenvalues, temperature)) @ vectors.T
+            state = thermal_state(decomp, temperature)
+            assert np.abs(state.matrix - 0.5 * (rho + rho.T)).max() <= 1e-15
+            assert state.beta == 1.0 / temperature
+            assert state.log_z == log_partition(decomp.eigenvalues, 1.0 / temperature)
 
 
 def test_each_term_is_checked_and_projected_once(monkeypatch):
