@@ -6,15 +6,15 @@ commutes with H; `SpectralDecomposition.energies` gives E + b*M), and a
 temperature only changes the weights. A group builds its coupling
 `ModelSpec` once, as coefficients of the ring's cached bond sums, and needs
 one eigensolve (`diagonalize`) plus the pair blocks of its decomposition.
-Groups go through in batches of G whose pair blocks and weights fit in
-about STACK_ENTRIES entries (7 groups of 80 temperatures at four sites, 1
-group from six sites on): one stacked eigensolve per total spin and one
-product per pair magnetization for all G, so small rings pay the call
+Groups go through in batches of G whose eigenvalues and pair blocks fit in
+about BATCH_ENTRIES entries, whatever their points (214 groups at four
+sites, 35 at six, 5 at eight): one stacked eigensolve per total spin and
+one product per pair magnetization for all G, so rings pay the call
 overhead once per batch. A batch is diagonalized for its points' fields
-and temperatures: only the multiplets they weigh (the Boltzmann window,
-a few dozen of the 1,296 eight-site states at T = 0.02) are laddered and
-paired, the rest weigh under e^-74 of the ground level. Its points go
-through in stacks of about
+and temperatures: only the multiplets some point weighs (the Boltzmann
+window, a few dozen of the 1,296 eight-site states at T = 0.02) are
+back-transformed, laddered and paired, the rest weigh under e^-74 of the
+ground level. Its points go through in stacks of about
 STACK_ENTRIES entries: their spectra form a (k, G, D) array,
 `state_weights` turns it into weights W (Boltzmann weights, or an equal
 mixture of the ground manifold at T = 0), U and log Z follow in array
@@ -66,10 +66,15 @@ THRESHOLD_RTOL = 1e-6
 # Entries per stack: a sweep evaluates max(1, STACK_ENTRIES // (D + P)) points
 # at once, P being the block entries of a point's pair states with their zero
 # columns (9 + 6 + 15 = 30 for the three pair kinds), so each temporary stays
-# near 256 kB however long its axes are: about 70 temperatures of a batch of 7
-# four-site couplings (D = 36). Larger stacks of 8-site spectra measurably
-# raise peak RSS. The budget also sizes a batch of coupling groups.
+# near 256 kB however long its axes are: about 70 temperatures of 7, or 6 of
+# 80, four-site couplings (D = 36). Larger stacks of 8-site spectra
+# measurably raise peak RSS.
 STACK_ENTRIES = 1 << 15
+
+# Entries per batch: a coupling group holds D eigenvalues and D pair-block
+# rows of 10 + 7 + 16 entries for the three pair kinds, 34 D in all, so a
+# batch of about 2 MB takes 214 groups at four sites, 35 at six, 5 at eight.
+BATCH_ENTRIES = 1 << 18
 
 # Points per sweep or search grid. Each point keeps its row of the output
 # arrays and its CSV text, 122 bytes at two sites and 190 on a 4000 x 50
@@ -284,16 +289,16 @@ def _grid(base: ModelSpec, axes: Sequence[tuple[str, np.ndarray]], temperature: 
 def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = True):
     """Yield each batch's point indices, (points, G), and its zero-field decomposition.
 
-    A batch holds G = max(1, STACK_ENTRIES // (D * (points per group + D)))
-    coupling groups, built without the field, which shares the eigenvectors;
-    a batch of one also carries the leading axis of G.
+    A batch holds G = max(1, BATCH_ENTRIES // (34 D)) coupling groups, built
+    without the field, which shares the eigenvectors; a batch of one also
+    carries the leading axis of G.
     A windowed decomposition holds only the multiplets that its points'
     fields and temperatures weigh (`diagonalize`), so it serves those points
     and any at their fields and a lower temperature.
     Callers drop each decomposition before the next, so one batch is alive.
     """
     dim = ring_layout(base.n_sites).total_dimension
-    batch = min(len(groups), max(1, STACK_ENTRIES // (dim * (groups.shape[1] + dim))))
+    batch = min(len(groups), max(1, BATCH_ENTRIES // (34 * dim)))
     for first in range(0, len(groups), batch):
         points = groups[first:first + batch].T          # (points, G)
         hs = [build_model(replace(base, j2=j2, field_b=0.0))

@@ -18,10 +18,11 @@ exchange couplings; `diagonalize` puts the spec's b*M on the energies.
 Given the (field, temperature) points it will serve, `diagonalize` keeps a
 Boltzmann window: the multiplets whose lowest member lies within
 BOLTZMANN_WINDOW * T of some point's lowest energy (at T = 0, the ground
-level). Only those are laddered and only their rows of the pair blocks are
-filled; the rest stay zero, where the points' weights are below e^-74 of the
-ground level's. Energies, magnetizations and weights still cover all D
-states. Without points the window holds every multiplet, on the same route.
+level), found from the S-block eigenvalues. Only those are back-transformed
+and laddered and only their rows of the pair blocks are filled; the rest
+stay zero, where the points' weights are below e^-74 of the ground level's.
+Energies, magnetizations and weights still cover all D states. Without
+points the window holds every multiplet, on the same route.
 
 Boltzmann weights are computed relative to the lowest energy so that
 inverse temperatures up to ~1e3 never overflow, and nothing assumes the
@@ -35,7 +36,9 @@ give each row what a single spectrum would get, bit for bit.
 
 G Hamiltonians on one layout are one batch: a (G,) column of coefficients
 per term, one eigh per total spin, and every array of the decomposition a
-leading axis of G whose rows hold, bit for bit, what lone ones hold.
+leading axis of G whose rows hold, bit for bit, what lone ones hold under
+the same window (no points, or a batch of one). A batch's union window
+fills rows weighted below e^-74, moving pair negativities by ~1e-16.
 
 The dense Gibbs matrix (`ThermalState`, `thermal_state`) and
 `internal_energy` run in no sweep, threshold or `verify` check. They stay
@@ -390,12 +393,12 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
     puts the tails end to end and adds the spec's b*M. The terms hold no
     field, so -M mirrors M at every field. G Hamiltonians on one layout are
     one batch, a (G,) coefficient column per term, whose rows hold, bit for
-    bit, what lone decompositions hold.
+    bit, what lone decompositions under the same window hold.
 
     points, if given, are the (fields, temperatures) of every point the
     decomposition will serve, (k,) arrays, or (k, G) for a batch, the fields
-    on top of each spec's. The ladder raises only the window's multiplets
-    (`_window`; for a batch, those of any row), every one without points,
+    on top of each spec's. Only the window's multiplets (`_window`; for a
+    batch, any row's; all without points) are back-transformed and laddered,
     and the sectors hold only their members, so the decomposition serves
     those points, and any at their fields and a lower temperature, as the
     full one would. Raises ValueError for an empty batch or one that mixes
@@ -424,7 +427,7 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
             raise ValueError("Hamiltonian contains non-finite entries")
         values_s, vectors_s = np.linalg.eigh(block)
         values.append(values_s)
-        vectors.append(basis[group].T @ vectors_s)
+        vectors.append(vectors_s)
     values = np.concatenate(values, axis=-1)
     with np.errstate(over="ignore"):
         eigenvalues = np.concatenate([values[..., -rows.shape[0]:] for rows in ring.rows],
@@ -437,7 +440,9 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
         if not (np.isfinite(reach).all() and (np.asarray(points[1], dtype=float) >= 0.0).all()):
             raise ValueError("a point needs a field b with |b| S finite and a temperature T >= 0")
     window = np.arange(len(spins)) if points is None else _window(values, spins, field_b, *points)
-    vectors = [np.concatenate(vectors, axis=-1)[..., window]]
+    kept = np.split(window, np.searchsorted(window, [group.start for group in groups[1:]]))
+    vectors = [np.concatenate([basis[group].T @ v[..., j - group.start]
+                               for group, v, j in zip(groups, vectors, kept) if j.size], axis=-1)]
     for k, (source, coef) in enumerate(raises, low + 1):
         take = np.count_nonzero(window >= len(spins) - len(ring.rows[k]))
         s, below = spins[window[len(window) - take:]], vectors[-1]

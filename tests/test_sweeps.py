@@ -165,7 +165,7 @@ def test_sweep_lets_each_decomposition_go(monkeypatch):
     # a sweep holds one batch of decompositions at a time: when the next
     # batch's eigensolve starts, no earlier batch is still alive; the budget
     # makes batches of two groups of one point each (D = 36)
-    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 2 * 36 * (1 + 36))
+    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 2 * 34 * 36)
     alive = []
     real = sweeps.diagonalize
 
@@ -204,9 +204,10 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
     # batches of two coupling groups of three points, or one of eight (D = 36):
     # a J2_th(T) curve runs four scan batches and two per bisection round, a
     # T_th(J2) curve three batches
-    monkeypatch.setattr(sweeps, "STACK_ENTRIES", 2 * 36 * (3 + 36))
-    for curve, batches in ((("temperature", [0.05, 0.15, 0.3], "j2", (0.0, 1.0)), 40),
-                           (("j2", [0.0, 0.1, 0.2], "temperature", (0.05, 1.5)), 3)):
+    for curve, groups, batches in (
+            (("temperature", [0.05, 0.15, 0.3], "j2", (0.0, 1.0)), 2, 40),
+            (("j2", [0.0, 0.1, 0.2], "temperature", (0.05, 1.5)), 1, 3)):
+        monkeypatch.setattr(sweeps, "BATCH_ENTRIES", groups * 34 * 36)
         alive.clear()
         found = threshold_curve(ModelSpec(4), pair, *curve, scan_points=8)
         assert all(value is not None for _, value in found)
@@ -614,7 +615,7 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     # a field x temperature grid is one group of 115 points, a j2 x temperature
     # grid five groups of 23: at four sites (D = 36, and 9 + 6 + 15 = 30
     # block entries per point for the three pairs) both span several stacks
-    # of 7 points
+    # of 7 points, the second one group per batch
     requests = [
         SweepRequest(base=ModelSpec(4), axis1=Axis("field_b", 0.0, 2.0, 5),
                      axis2=Axis("temperature", 0.02, 1.0, 23), pairs=resolve_pairs(4)),
@@ -628,6 +629,7 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     monkeypatch.setattr(sweeps, "log_partition",
                         lambda e, beta: stacks.append(e.shape[0]) or real(e, beta))
     monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * (36 + 30))
+    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 34 * 36)
     chunked = [run_sweep(req) for req in requests]
     assert stacks == [7] * 16 + [3] + ([7, 7, 7, 2] * 5)
     for a, b in zip(whole, chunked):
@@ -652,9 +654,9 @@ def test_sweep_batches_give_the_per_group_result(monkeypatch):
     monkeypatch.setattr(sweeps, "diagonalize",
                         lambda h, points=None: batches.append(len(_models(h))) or real(h, points))
     results = []
-    for budget, sizes in ((36 * (5 + 36), [1] * 7), (3 * 36 * (5 + 36), [3, 3, 1]),
-                          (sweeps.STACK_ENTRIES, [7])):
-        monkeypatch.setattr(sweeps, "STACK_ENTRIES", budget)
+    for budget, sizes in ((34 * 36, [1] * 7), (3 * 34 * 36, [3, 3, 1]),
+                          (sweeps.BATCH_ENTRIES, [7])):
+        monkeypatch.setattr(sweeps, "BATCH_ENTRIES", budget)
         batches.clear()
         results.append([run_sweep(req) for req in requests])
         assert batches == sizes * len(requests)
@@ -707,32 +709,75 @@ def _int64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("n", [6, 8])
-@pytest.mark.parametrize("temperature", [0.02, 0.0])
-def test_batches_of_one_group_are_the_lone_route(monkeypatch, n, temperature):
-    # from six sites on a batch holds one coupling group, handed to
-    # diagonalize as a list of one; each of its rows is, bit for bit, the
-    # lone Hamiltonian's decomposition under the same window, its weights,
-    # pair negativities, U and log Z (or the ground degeneracy at T = 0)
+def _lone_route(n, temperature, monkeypatch, budget=None):
+    """A six-point j2 sweep at a fixed temperature, its batch sizes, and each
+    row's lone decomposition under that row's own window: its pair
+    negativities, U and log Z (or the ground degeneracy at T = 0)."""
     batches = []
     real = sweeps.diagonalize
     monkeypatch.setattr(sweeps, "diagonalize",
                         lambda h, points=None: batches.append(len(_models(h))) or real(h, points))
+    if budget is not None:
+        monkeypatch.setattr(sweeps, "BATCH_ENTRIES", budget)
     axis, pairs = Axis("j2", 0.0, 1.0, 6), resolve_pairs(n)
     res = run_sweep(SweepRequest(base=ModelSpec(n), axis1=axis, pairs=pairs,
                                  temperature=temperature))
-    assert batches == [1] * axis.steps
-    for row, j2 in enumerate(axis.values.tolist()):
+    lone = []
+    for j2 in axis.values.tolist():
         decomp = diagonalize(build_model(ModelSpec(n, j2=j2)),
                              (np.zeros(1), np.full(1, temperature)))
         spectrum = decomp.energies(0.0)
         weights = state_weights(spectrum, temperature)
         last = (ground_degeneracy(spectrum) if temperature == 0.0
                 else log_partition(spectrum, 1.0 / temperature))
-        assert np.array_equal(_int64(res.negativities[row]),
-                              _int64(pair_negativities(decomp, weights, pairs)))
-        assert np.array_equal(_int64(res.internal_energy[row]), _int64(np.dot(spectrum, weights)))
+        lone.append((pair_negativities(decomp, weights, pairs), np.dot(spectrum, weights), last))
+    return res, batches, lone
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("temperature", [0.02, 0.0])
+def test_batches_of_one_group_are_the_lone_route(monkeypatch, n, temperature):
+    # a budget of one coupling group per batch hands diagonalize a list of
+    # one; each of its rows is, bit for bit, the lone Hamiltonian's
+    # decomposition under the same window
+    res, batches, lone = _lone_route(n, temperature, monkeypatch, budget=1)
+    assert batches == [1] * 6
+    for row, (negativities, u, last) in enumerate(lone):
+        assert np.array_equal(_int64(res.negativities[row]), _int64(negativities))
+        assert np.array_equal(_int64(res.internal_energy[row]), _int64(u))
         assert np.array_equal(_int64(res.log_z[row]), _int64(last))
+
+
+@pytest.mark.parametrize("n, sizes", [(6, [6]), (8, [5, 1])])
+@pytest.mark.parametrize("temperature", [0.02, 0.0])
+def test_default_batches_are_the_lone_route_under_a_union_window(monkeypatch, n, sizes,
+                                                                  temperature):
+    # the default budget solves six coupling groups in one batch at six sites
+    # and two at eight; a batch's window is the union of its rows', which
+    # fills rows weighted below e^-74: U and log Z keep the lone route's
+    # bits, and the negativities lie within 1e-15 of it
+    res, batches, lone = _lone_route(n, temperature, monkeypatch)
+    assert batches == sizes
+    for row, (negativities, u, last) in enumerate(lone):
+        assert np.abs(res.negativities[row] - negativities).max() <= 1e-15
+        assert np.array_equal(_int64(res.internal_energy[row]), _int64(u))
+        assert np.array_equal(_int64(res.log_z[row]), _int64(last))
+
+
+def test_a_union_window_moves_negativities_by_at_most_1e15(monkeypatch):
+    # a batch row holds the lone decomposition's bits under the same window:
+    # without points (test_thermal's batch test) or in a batch of one (above).
+    # A sweep's batch keeps the union of its rows' windows, which fills rows
+    # weighted below e^-74: against one group per batch, a batch of 80
+    # four-site couplings at T = 0.01 may move a negativity (near j2 = 0.56,
+    # by about 1e-16) but by no more than 1e-15, and U and log Z keep their bits
+    req = SweepRequest(base=ModelSpec(4), axis1=Axis("j2", 0.0, 1.0, 80), temperature=0.01)
+    union = run_sweep(req)
+    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 1)
+    own = run_sweep(req)
+    assert np.abs(union.negativities - own.negativities).max() <= 1e-15
+    assert np.array_equal(_int64(union.internal_energy), _int64(own.internal_energy))
+    assert np.array_equal(_int64(union.log_z), _int64(own.log_z))
 
 
 def test_temperature_and_field_searches_scan_as_one_stack(monkeypatch):

@@ -521,10 +521,11 @@ def test_raise_index_arrays_match_a_site_by_site_build(n):
 
 
 def _kept(decomp: SpectralDecomposition) -> np.ndarray:
-    """Which places of one decomposition's spectrum its sectors hold eigenvectors for."""
-    kept = np.zeros(decomp.dimension, dtype=bool)
+    """Which places of a decomposition's spectrum, per row of a batch, its sectors hold
+    eigenvectors for."""
+    kept = np.zeros(decomp.eigenvalues.shape, dtype=bool)
     for sector in decomp.sectors:
-        kept[sector.columns] = True
+        np.put_along_axis(kept, sector.columns, True, axis=-1)
     return kept
 
 
@@ -544,25 +545,47 @@ def _window_cases():
                          ids=lambda specs: f"n{specs[0].n_sites}")
 def test_windowed_pair_entries_match_the_full_route(specs):
     # a decomposition diagonalized for some points holds only the multiplets
-    # those points weigh: its pair entries at the points are the full route's,
-    # for each Hamiltonian alone and for all of them as one batch, at fields
-    # that add to the model's own
+    # those points weigh, back-transformed alone: its pair-block rows of the
+    # window, its pair entries and its pair negativities at the points are the
+    # full route's, for each Hamiltonian alone and for all of them as one
+    # batch, at fields that add to the model's own
     hs = [build_model(spec) for spec in specs]
     fields = np.array([0.0, 0.35, -1.2])
-    pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
+    selectors = resolve_pairs(specs[0].n_sites)
+    pairs = [(p.site_a, p.site_b) for p in selectors]
+    low = _su2_plan(hs[0].layout)[0]
     for h in (*hs, hs):
         full = diagonalize(h)
         b = fields if full.eigenvalues.ndim == 1 else np.repeat(fields[:, None], len(hs), axis=1)
         for temperature in (0.0, 0.02, 0.1):
             t = np.full(b.shape, temperature)
             windowed = diagonalize(h, (b, t))
+            kept = _kept(windowed)
             weights = state_weights(full.energies(b[..., None]), t)
             for keep in pairs:
+                blocks = windowed.pair_blocks(keep)
+                assert np.abs(blocks[kept] - full.pair_blocks(keep)[kept]).max() <= 1e-12
+                assert not blocks[~kept].any()
                 fast, oracle = pair_entries(windowed, weights, keep), pair_entries(full, weights, keep)
                 assert np.abs(fast - oracle).max() <= 1e-12
+            assert np.abs(pair_negativities(windowed, weights, selectors)
+                          - pair_negativities(full, weights, selectors)).max() <= 1e-12
             if specs[0].n_sites == 8 and temperature == 0.02:
-                # the window is the point: 1,296 states, a few dozen weighed
-                assert np.count_nonzero(_kept(windowed)) < full.dimension // 4
+                # the window is the point: 1,296 states, a few dozen weighed,
+                # and the lowest sector holds the window's 262 multiplets'
+                # vectors only, each the full route's to 1e-12
+                assert kept.sum(axis=-1).max() < full.dimension // 4
+                sector, whole = windowed.sectors[low], full.sectors[low]
+                window = np.count_nonzero(np.take_along_axis(kept, whole.columns, axis=-1),
+                                          axis=-1)
+                assert sector.vectors.shape[-1] == sector.columns.shape[-1] < 262
+                assert np.all(window == sector.columns.shape[-1])
+                place = np.zeros(kept.shape, dtype=np.intp)     # a state's column in whole
+                np.put_along_axis(place, whole.columns,
+                                  np.broadcast_to(np.arange(262), whole.columns.shape), axis=-1)
+                at = np.take_along_axis(place, sector.columns, axis=-1)
+                assert np.abs(sector.vectors - np.take_along_axis(
+                    whole.vectors, at[..., None, :], axis=-1)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8])
