@@ -56,10 +56,6 @@ class TwoSpinElements:
     b2: float
     log_z: float
 
-    @property
-    def diagonal_sum(self) -> float:
-        return self.a1 + self.a2 + self.a3 + self.a4 + self.a5 + self.a6
-
 
 def two_spin_elements(beta: float) -> TwoSpinElements:
     """Field-free elements: a1=a6, a2=a5=1/6, a3=a4, b1=b2=sqrt(2)(a1-a2)."""
@@ -217,10 +213,6 @@ class FourSpinSpectrum:
         values = np.concatenate([[e] * m for e, m in self.levels])
         return np.sort(values)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.levels)
-
 
 def four_spin_levels(j1: float, j2: float) -> FourSpinSpectrum:
     """All 10 levels of the four-site ring; multiplicities are 2S+1 per level.
@@ -264,10 +256,6 @@ def four_spin_log_partition(beta: float, j1: float, j2: float) -> float:
     coeffs = np.array([m for m, _, _ in _FOUR_TERMS])
     shift = exps.max()
     return float(shift + math.log(np.dot(coeffs, np.exp(exps - shift))))
-
-
-def four_spin_partition(beta: float, j1: float, j2: float) -> float:
-    return math.exp(four_spin_log_partition(beta, j1, j2))
 
 
 def four_spin_correlator(beta: float, j1: float, j2: float) -> float:

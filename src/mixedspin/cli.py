@@ -23,9 +23,9 @@ from typing import Optional, Sequence, get_args
 import numpy as np
 
 from . import __version__
-from .models import ModelSpec
-from .sweeps import (SWEEPABLE, Axis, SweepRequest, ThresholdResult, check_threshold,
-                     find_threshold, resolve_pairs, run_sweep)
+from .models import MAX_SITES, ModelSpec
+from .sweeps import (PAIR_SITES, SWEEPABLE, Axis, SweepRequest, ThresholdResult,
+                     check_threshold, find_threshold, resolve_pairs, run_sweep)
 
 COMMANDS = ("sweep-temp", "sweep-field", "sweep-j2", "grid", "threshold", "verify")
 
@@ -58,7 +58,7 @@ class RunConfig:
 
     command: str = _option(MISSING, "action; may also come from the config file",
                            choices=COMMANDS)
-    n: int = _option(2, "number of sites (2..8)")
+    n: int = _option(2, f"number of sites (2..{MAX_SITES})")
     j1: float = _option(1.0, "nearest-neighbor coupling (default 1)")
     j2: float = _option(0.0, "next-nearest coupling (even n >= 4 only)")
     b: float = _option(0.0, "z magnetic field (even n only)")
@@ -72,10 +72,11 @@ class RunConfig:
     j2min: Optional[float] = _option(None, "j2 axis start")
     j2max: Optional[float] = _option(None, "j2 axis end")
     steps: str = _option("100", "axis steps: N, or AxB for grid")
-    pairs: Optional[str] = _option(None, "comma list from half_one,half_half,one_one")
+    pairs: Optional[str] = _option(None, "comma list from " + ",".join(PAIR_SITES))
     param: Optional[str] = _option(None, "threshold search parameter", choices=SWEEPABLE)
     out: Optional[str] = _option(None, "output CSV path")
-    max_n: int = _option(8, "largest ring size the verify battery runs (default 8)")
+    max_n: int = _option(MAX_SITES, f"largest ring size the verify battery runs "
+                                     f"(default {MAX_SITES})")
 
     def echo_items(self) -> list[tuple[str, str]]:
         """Config lines written into CSV comments; out is omitted so

@@ -29,6 +29,10 @@ import numpy as np
 
 from .spin_ops import HALF, ONE, SiteLayout, is_count, product_basis, spin_matrices
 
+# The largest ring a ModelSpec accepts: 8 sites is 1296 states, the largest the
+# tests can check against the full Kronecker-built matrix; each cell more is 6x.
+MAX_SITES = 8
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -44,10 +48,8 @@ class ModelSpec:
     field_b: float = 0.0
 
     def __post_init__(self):
-        # 8 sites is 1296 states, the largest ring the tests can check
-        # against the full Kronecker-built matrix; each cell more is 6x.
-        if not is_count(self.n_sites, 2, 8):
-            raise ValueError("n_sites must be an integer between 2 and 8")
+        if not is_count(self.n_sites, 2, MAX_SITES):
+            raise ValueError(f"n_sites must be an integer between 2 and {MAX_SITES}")
         if not all(isinstance(x, numbers.Real) and math.isfinite(x)
                    for x in (self.j1, self.j2, self.field_b)):
             raise ValueError("couplings and field must be finite real numbers")

@@ -63,17 +63,18 @@ EPS_NONZERO = 1e-9
 # Bisection stops at a bracket this narrow, relative to max(1, threshold).
 THRESHOLD_RTOL = 1e-6
 
-# Entries per stack: a sweep evaluates max(1, STACK_ENTRIES // (D + P)) points
-# at once, P being the block entries of a point's pair states with their zero
-# columns (9 + 6 + 15 = 30 for the three pair kinds), so each temporary stays
-# near 256 kB however long its axes are: about 70 temperatures of 7, or 6 of
-# 80, four-site couplings (D = 36). Larger stacks of 8-site spectra
-# measurably raise peak RSS.
+# Entries per stack: a batch of G coupling groups evaluates
+# max(1, STACK_ENTRIES // ((D + P) G)) points at once, P being the block
+# entries of a point's pair states with their zero columns (9 + 6 + 15 = 30
+# for the three pair kinds), so each temporary stays near 256 kB however long
+# its axes are: about 70 temperatures of 7, or 6 of 80, four-site couplings
+# (D = 36). Larger stacks of 8-site spectra measurably raise peak RSS.
 STACK_ENTRIES = 1 << 15
 
 # Entries per batch: a coupling group holds D eigenvalues and D pair-block
-# rows of 10 + 7 + 16 entries for the three pair kinds, 34 D in all, so a
-# batch of about 2 MB takes 214 groups at four sites, 35 at six, 5 at eight.
+# rows of 9 + 6 + 15 entries for the three pair kinds, 31 D in all. A batch
+# takes BATCH_ENTRIES // (34 D) groups, about 2 MB: 214 at four sites, 35 at
+# six, 5 at eight.
 BATCH_ENTRIES = 1 << 18
 
 # Points per sweep or search grid. Each point keeps its row of the output
@@ -289,9 +290,9 @@ def _grid(base: ModelSpec, axes: Sequence[tuple[str, np.ndarray]], temperature: 
 def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = True):
     """Yield each batch's point indices, (points, G), and its zero-field decomposition.
 
-    A batch holds G = max(1, BATCH_ENTRIES // (34 D)) coupling groups, built
-    without the field, which shares the eigenvectors; a batch of one also
-    carries the leading axis of G.
+    A batch holds G = max(1, BATCH_ENTRIES // (34 D)) coupling groups of 31 D
+    entries each, built without the field, which shares the eigenvectors; a
+    batch of one also carries the leading axis of G.
     A windowed decomposition holds only the multiplets that its points'
     fields and temperatures weigh (`diagonalize`), so it serves those points
     and any at their fields and a lower temperature.

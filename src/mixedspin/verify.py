@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic
-from .models import ModelSpec, build_model
+from .models import MAX_SITES, ModelSpec, build_model
 from .negativity import (PairKind, PairReducedState, correlator, negativities,
                          negativity, partial_transpose, reduce_pair, su2_signed)
 from .sweeps import (EPS_NONZERO, Axis, SweepRequest, find_threshold,
@@ -232,12 +232,11 @@ def check_three_site() -> list[CheckResult]:
 # Even rings, nearest-neighbor only
 # ---------------------------------------------------------------------------
 
-def check_even_rings(max_n: int = 8) -> list[CheckResult]:
+def check_even_rings(max_n: int = MAX_SITES) -> list[CheckResult]:
     out = []
-    for n in (4, 6, 8):
-        if n > max_n:
-            continue
-        decomp = diagonalize(build_model(ModelSpec(n)))
+    decomp4 = diagonalize(build_model(ModelSpec(4)))
+    for n in range(4, max_n + 1, 2):
+        decomp = decomp4 if n == 4 else diagonalize(build_model(ModelSpec(n)))
         temps = np.linspace(0.1, 2.0, 20)
         numeric = negativities(_pair(decomp, temps, (0, 1)))
         relation = analytic.even_ring_negativity_from_energy
@@ -250,7 +249,6 @@ def check_even_rings(max_n: int = 8) -> list[CheckResult]:
                     for i in range(n))
         out.append(_check(f"even_ring.uniform_bond_correlator_n{n}", worst, 1e-10))
 
-    decomp4 = diagonalize(build_model(ModelSpec(4)))
     out.append(_check("even_ring.n4_ground_energy_per_site",
                       abs(decomp4.eigenvalues[0] / 4.0 + 0.75), 1e-10))
     out.append(_check("even_ring.n4_ground_negativity",
@@ -264,17 +262,18 @@ def check_even_rings(max_n: int = 8) -> list[CheckResult]:
 
 def check_four_site_nnn() -> list[CheckResult]:
     out = []
+    decomps = {j2: diagonalize(build_model(ModelSpec(4, 1.0, j2)))
+               for j2 in (0.0, 0.1, 0.24, 0.3, 0.45, 0.7, 1.0)}
     worst_spec = 0.0
     for j2 in (0.1, 0.3, 0.7):
-        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         ladder = analytic.four_spin_levels(1.0, j2).eigenvalue_multiset()
-        worst_spec = max(worst_spec, float(np.abs(decomp.eigenvalues - ladder).max()))
+        worst_spec = max(worst_spec, float(np.abs(decomps[j2].eigenvalues - ladder).max()))
     out.append(_check("four_site.level_ladder", worst_spec, 1e-10))
 
     worst_z = worst_c = 0.0
     for beta in (0.5, 2.0, 10.0):
         for j2 in (0.1, 0.3, 0.7):
-            decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
+            decomp = decomps[j2]
             worst_z = max(worst_z, abs(log_partition(decomp.eigenvalues, beta)
                                        - analytic.four_spin_log_partition(beta, 1.0, j2)))
             worst_c = max(worst_c, abs(correlator(_pair(decomp, 1.0 / beta, (0, 1)))
@@ -282,15 +281,13 @@ def check_four_site_nnn() -> list[CheckResult]:
     out.append(_check("four_site.log_partition", worst_z, 1e-10))
     out.append(_check("four_site.nearest_correlator", worst_c, 1e-10))
 
-    worst = max(abs(diagonalize(build_model(ModelSpec(4, 1.0, j2))).eigenvalues[0]
-                    - analytic.four_spin_ground_energy(1.0, j2))
-                for j2 in (0.0, 0.1, 0.24, 0.3, 0.45, 0.7, 1.0))
+    worst = max(abs(decomp.eigenvalues[0] - analytic.four_spin_ground_energy(1.0, j2))
+                for j2, decomp in decomps.items())
     out.append(_check("four_site.piecewise_ground_energy", worst, 1e-10))
 
     for j2, expected in ((0.1, 3), (0.3, 1), (0.7, 1)):
-        decomp = diagonalize(build_model(ModelSpec(4, 1.0, j2)))
         out.append(_check(f"four_site.ground_degeneracy_j2_{j2}",
-                          abs(ground_degeneracy(decomp.eigenvalues) - expected), 0))
+                          abs(ground_degeneracy(decomps[j2].eigenvalues) - expected), 0))
     return out
 
 
@@ -347,7 +344,7 @@ def check_field_model() -> list[CheckResult]:
 # Figure features for six and eight sites
 # ---------------------------------------------------------------------------
 
-def check_large_rings(max_n: int = 8) -> list[CheckResult]:
+def check_large_rings(max_n: int = MAX_SITES) -> list[CheckResult]:
     out = []
     if max_n >= 6:
         pairs = resolve_pairs(6)
@@ -387,15 +384,13 @@ def check_large_rings(max_n: int = 8) -> list[CheckResult]:
     return out
 
 
-def check_threshold_trends(max_n: int = 8) -> list[CheckResult]:
+def check_threshold_trends(max_n: int = MAX_SITES) -> list[CheckResult]:
     out = []
-    found = {}
-    for n in range(2, max_n + 1):
-        res = find_threshold(ModelSpec(n), "temperature", resolve_pairs(n)[0],
-                             (0.05, 2.5), scan_points=48)
-        found[n] = res.value
-    even = [found[n] for n in (4, 6, 8) if n in found]
-    odd = [found[n] for n in (3, 5, 7) if n in found]
+    found = {n: find_threshold(ModelSpec(n), "temperature", resolve_pairs(n)[0],
+                               (0.05, 2.5), scan_points=48).value
+             for n in range(3, max_n + 1)}
+    even = [found[n] for n in range(4, max_n + 1, 2)]
+    odd = [found[n] for n in range(3, max_n + 1, 2)]
     out.append(_check("trends.even_thresholds_decreasing",
                       0.0 if all(a > b for a, b in zip(even, even[1:])) else 1.0, 0.0,
                       detail=" > ".join(f"{v:.4f}" for v in even)))
@@ -414,7 +409,7 @@ def check_threshold_trends(max_n: int = 8) -> list[CheckResult]:
 # Recomputed figure constants (informational)
 # ---------------------------------------------------------------------------
 
-def recomputed_constants(max_n: int = 8) -> list[CheckResult]:
+def recomputed_constants(max_n: int = MAX_SITES) -> list[CheckResult]:
     """Figure-prose constants recomputed from the model's own closed forms.
 
     The quoted values cannot all be reproduced: thermal tails past level
@@ -505,15 +500,14 @@ def check_property_suite() -> list[CheckResult]:
     for _ in range(20):
         u = np.kron(_random_orthogonal(rng, reduced.dim_a),
                     _random_orthogonal(rng, reduced.dim_b))
-        rotated = u @ reduced.matrix @ u.T
-        eigs = np.linalg.eigvalsh(
-            rotated.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6))
+        rotated = replace(reduced, matrix=u @ reduced.matrix @ u.T)
+        eigs = np.linalg.eigvalsh(partial_transpose(rotated))
         worst = max(worst, abs(float(-eigs[eigs < 0].sum()) - base_value))
     out.append(_check("properties.local_rotation_invariance", worst, 1e-9))
     return out
 
 
-def run_all(max_n: int = 8) -> list[CheckResult]:
+def run_all(max_n: int = MAX_SITES) -> list[CheckResult]:
     """Full battery; max_n trims the most expensive ring sizes."""
     results = []
     results += check_two_site()

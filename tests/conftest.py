@@ -5,15 +5,11 @@ import pytest
 
 from mixedspin import (Axis, ModelSpec, SweepRequest, build_model, diagonalize,
                        resolve_pairs, run_sweep)
-
-# Kronecker-order rows of the block-sorted two-site basis used by the closed
-# forms (positions a1..a6); the product basis is ordered by descending m on
-# each site, site 0 major.
-BLOCK_ORDER = (5, 1, 3, 2, 4, 0)
+from mixedspin.verify import TWO_SITE_BLOCK_ORDER
 
 
 def reorder_to_blocks(matrix):
-    return matrix[np.ix_(BLOCK_ORDER, BLOCK_ORDER)]
+    return matrix[np.ix_(TWO_SITE_BLOCK_ORDER, TWO_SITE_BLOCK_ORDER)]
 
 
 def timed(fn, *args, **kwargs):

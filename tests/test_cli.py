@@ -10,6 +10,7 @@ import mixedspin
 from mixedspin import verify
 from mixedspin.cli import (ConfigError, NumericalCheckError, RunConfig, emit_csv,
                            main, parse_config, read_config_file)
+from mixedspin.models import MAX_SITES
 
 
 def test_parse_sweep_temp_flags():
@@ -309,7 +310,7 @@ def _no_eigensolve(*args, **kwargs):
      "--temperature", "nan"],
     ["sweep-temp", "--n", "4", "--tmin", "0.1", "--tmax", "1", "--steps", "3",
      "--pairs", "half_one,half_one"],
-    ["verify", "--max-n", "9"],
+    ["verify", "--max-n", str(MAX_SITES + 1)],
     ["verify", "--max-n", "1"],
     ["sweep-temp", "--n", "2", "--tmin", "1e-320", "--tmax", "1", "--steps", "2"],
     ["grid", "--n", "4", "--j2min", "0", "--j2max", "1", "--tmin", "1e-320", "--tmax", "1",

@@ -36,7 +36,7 @@ def test_bond_lists():
     dict(n_sites=4, j2=0.5, field_b=1.0),
     dict(n_sites=5, field_b=1.0),
     dict(n_sites=4, j2=-0.1),
-    dict(n_sites=9),
+    dict(n_sites=models.MAX_SITES + 1),
     dict(n_sites=4, j1=-1.0, j2=0.3),
     dict(n_sites=4, j2=float("nan")),
     dict(n_sites=4, j2=float("inf")),

@@ -24,6 +24,37 @@ def test_check_results_have_details_where_quoted():
     assert any("quoted" in r.detail for r in results)
 
 
+def _record(monkeypatch, name, label):
+    """Patch verify.<name> to note label(first argument) of each call; return the notes."""
+    calls, original = [], getattr(verify, name)
+
+    def recording(first, *args, **kwargs):
+        calls.append(label(first))
+        return original(first, *args, **kwargs)
+    monkeypatch.setattr(verify, name, recording)
+    return calls
+
+
+def test_threshold_trends_search_only_the_rings_they_compare(monkeypatch):
+    searched = _record(monkeypatch, "find_threshold", lambda spec: spec.n_sites)
+    results = verify.check_threshold_trends(6)
+    assert searched == [3, 4, 5, 6]
+    assert [r.status for r in results] == ["pass"] * 3
+
+
+def test_four_site_checks_solve_each_coupling_once(monkeypatch):
+    solved = _record(monkeypatch, "diagonalize", lambda h: h.spec)
+    results = verify.check_four_site_nnn()
+    assert len(solved) == 7 and len(set(solved)) == 7
+    assert all(r.status == "pass" for r in results)
+
+
+def test_even_ring_checks_solve_each_ring_once(monkeypatch):
+    solved = _record(monkeypatch, "diagonalize", lambda h: h.spec.n_sites)
+    verify.check_even_rings(6)
+    assert solved == [4, 6]
+
+
 def test_property_suite_is_deterministic():
     a = verify.check_property_suite()
     b = verify.check_property_suite()
