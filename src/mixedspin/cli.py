@@ -15,6 +15,7 @@ non-finite output, 3 I/O error.
 import argparse
 import contextlib
 import os
+import re
 import sys
 import tempfile
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -39,6 +40,11 @@ class NumericalCheckError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a value such as -5e-1 too, which the pattern of Python 3.10-3.12 takes for a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):
         """An argparse failure (unknown flag, missing value) as one ConfigError."""
         raise ConfigError(message)
@@ -107,7 +113,7 @@ def _coerce(option: Field, raw: str):
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value text; blank lines and '#' comments are ignored."""
+    """Flat key=value text; blank lines and '#' lines that name no option are skipped."""
     options = {f.name: f for f in fields(RunConfig)}
     values = {}
     try:
@@ -115,18 +121,16 @@ def read_config_file(path: str) -> dict:
             for line_no, line in enumerate(handle, 1):
                 text = line.strip()
                 is_comment = text.startswith("#")
-                if is_comment:
-                    text = text[1:].strip()
+                text = text.removeprefix("#").strip()
                 if not text:
                     continue
-                if "=" not in text:
-                    if is_comment:      # echoed CSVs carry key=value comments; prose is skipped
-                        continue
-                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
-                key, _, raw = text.partition("=")
+                key, sep, raw = text.partition("=")
                 key = key.strip().replace("-", "_")
-                if key in ("version", "check_names"):   # informational echo lines
+                # a comment naming an option sets it, as an echoed CSV's do; others are skipped
+                if is_comment and not (sep and key in options):
                     continue
+                if not sep:
+                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
                 if key not in options:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 values[key] = _coerce(options[key], raw.strip())

@@ -7,8 +7,8 @@ temperature only changes the weights. A group builds its coupling
 `ModelSpec` once, as coefficients of the ring's cached bond sums, and needs
 one eigensolve (`diagonalize`) plus the pair blocks of its decomposition.
 Groups go through in batches of G whose eigenvalues and pair blocks fit in
-about BATCH_ENTRIES entries, whatever their points (214 groups at four
-sites, 35 at six, 5 at eight): one stacked eigensolve per total spin and
+about BATCH_ENTRIES entries, whatever their points (234 groups at four
+sites, 39 at six, 6 at eight): one stacked eigensolve per total spin and
 one product per pair magnetization for all G, so rings pay the call
 overhead once per batch. A batch is diagonalized for its points' fields
 and temperatures: only the multiplets some point weighs (the Boltzmann
@@ -52,7 +52,7 @@ import numpy as np
 
 from .models import ModelSpec, build_model, nn_bond_list, nnn_bond_list, ring_layout
 from .negativity import entry_negativities, pair_entries
-from .spin_ops import is_count
+from .spin_ops import is_count, pair_basis
 from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy, log_partition,
                       state_weights)
 
@@ -63,18 +63,17 @@ EPS_NONZERO = 1e-9
 # Bisection stops at a bracket this narrow, relative to max(1, threshold).
 THRESHOLD_RTOL = 1e-6
 
-# Entries per stack: a batch of G coupling groups evaluates
-# max(1, STACK_ENTRIES // ((D + P) G)) points at once, P being the block
-# entries of a point's pair states with their zero columns (9 + 6 + 15 = 30
-# for the three pair kinds), so each temporary stays near 256 kB however long
-# its axes are: about 70 temperatures of 7, or 6 of 80, four-site couplings
-# (D = 36). Larger stacks of 8-site spectra measurably raise peak RSS.
+# Entries per stack of points: a batch of G coupling groups evaluates
+# max(1, STACK_ENTRIES // ((D + P) G)) points at once (`_batches`), so each
+# temporary stays near 256 kB however long its axes are: about 70
+# temperatures of 7, or 6 of 80, four-site couplings (D = 36, P = 30).
+# Larger stacks of 8-site spectra measurably raise peak RSS.
 STACK_ENTRIES = 1 << 15
 
 # Entries per batch: a coupling group holds D eigenvalues and D pair-block
-# rows of 9 + 6 + 15 entries for the three pair kinds, 31 D in all. A batch
-# takes BATCH_ENTRIES // (34 D) groups, about 2 MB: 214 at four sites, 35 at
-# six, 5 at eight.
+# rows of P entries (`_batches`), so a batch of
+# max(1, BATCH_ENTRIES // ((1 + P) D)) groups takes about 2 MB: 234 at four
+# sites, 39 at six, 6 at eight.
 BATCH_ENTRIES = 1 << 18
 
 # Points per sweep or search grid. Each point keeps its row of the output
@@ -288,18 +287,24 @@ def _grid(base: ModelSpec, axes: Sequence[tuple[str, np.ndarray]], temperature: 
 
 
 def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = True):
-    """Yield each batch's point indices, (points, G), and its zero-field decomposition.
+    """Yield each batch's point indices, (points, G), zero-field decomposition and stacks.
 
-    A batch holds G = max(1, BATCH_ENTRIES // (34 D)) coupling groups of 31 D
-    entries each, built without the field, which shares the eigenvectors; a
-    batch of one also carries the leading axis of G.
+    P counts the block entries and zero column of each pair kind the ring
+    has (`pair_basis`: 9 at two sites, 15 at three, 30 from four up),
+    whatever pairs a run takes. A batch holds
+    G = max(1, BATCH_ENTRIES // ((1 + P) D)) coupling groups, built without
+    the field, which shares the eigenvectors, and its stacks of
+    max(1, STACK_ENTRIES // ((D + P) G)) points split its (points, G) rows.
     A windowed decomposition holds only the multiplets that its points'
     fields and temperatures weigh (`diagonalize`), so it serves those points
     and any at their fields and a lower temperature.
     Callers drop each decomposition before the next, so one batch is alive.
     """
-    dim = ring_layout(base.n_sites).total_dimension
-    batch = min(len(groups), max(1, BATCH_ENTRIES // (34 * dim)))
+    layout = ring_layout(base.n_sites)
+    dim, dims = layout.total_dimension, layout.dims
+    width = sum(pair_basis(dims[p.site_a], dims[p.site_b]).flip.shape[0]
+                for p in resolve_pairs(base.n_sites))
+    batch = min(len(groups), max(1, BATCH_ENTRIES // ((1 + width) * dim)))
     for first in range(0, len(groups), batch):
         points = groups[first:first + batch].T          # (points, G)
         hs = [build_model(replace(base, j2=j2, field_b=0.0))
@@ -307,18 +312,10 @@ def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = 
         window = (point["field_b"][points], point["temperature"][points]) if windowed else None
         decomp = diagonalize(hs, window)
         del hs
-        yield points, decomp
+        chunk = max(1, STACK_ENTRIES // ((dim + width) * points.shape[1]))
+        yield points, decomp, [points[start:start + chunk]
+                               for start in range(0, len(points), chunk)]
         del decomp
-
-
-def _stacks(decomp: SpectralDecomposition, points: np.ndarray,
-            pairs: Sequence[PairSelector]) -> list[np.ndarray]:
-    """A batch's (points, G) indices in stacks of about STACK_ENTRIES entries."""
-    # a stack's entries per point: its weights and its pair states' block entries
-    width = decomp.dimension + sum(decomp.pair_blocks((p.site_a, p.site_b)).shape[-1]
-                                   for p in pairs)
-    chunk = max(1, STACK_ENTRIES // (width * points.shape[1]))
-    return [points[start:start + chunk] for start in range(0, len(points), chunk)]
 
 
 def run_sweep(req: SweepRequest) -> SweepResult:
@@ -326,7 +323,7 @@ def run_sweep(req: SweepRequest) -> SweepResult:
 
     Points are grouped by couplings so each group diagonalizes once, whatever
     its fields and temperatures; groups run in `_batches`, one at a time, and
-    their points in `_stacks`. Output rows are axis1-major. At a fixed
+    their points in its stacks. Output rows are axis1-major. At a fixed
     T = 0, U is the ground energy and the last column, "ground_degeneracy"
     in place of "logZ", counts the ground level.
     """
@@ -335,8 +332,8 @@ def run_sweep(req: SweepRequest) -> SweepResult:
                                   req.temperature)
     negativities = np.zeros((len(params), len(req.pairs)))
     energies, log_zs = np.zeros((2, len(params)))
-    for points, decomp in _batches(req.base, point, groups):
-        for rows in _stacks(decomp, points, req.pairs):
+    for _, decomp, stacks in _batches(req.base, point, groups):
+        for rows in stacks:
             spectra = decomp.energies(point["field_b"][rows, None])
             weights = state_weights(spectra, point["temperature"][rows])
             negativities[rows] = pair_negativities(decomp, weights, req.pairs)
@@ -429,16 +426,17 @@ def _search(base: ModelSpec, pair: PairSelector, scan: Axis, temperature: Option
 
     # a field search bisects on the held decomposition at fields between its
     # scan points, where a multiplet that no scan point weighs can be ground
-    for points, decomp in _batches(base, point, groups, scan.parameter != "field_b"):
-        for rows in _stacks(decomp, points, [pair]):
+    for points, decomp, stacks in _batches(base, point, groups, scan.parameter != "field_b"):
+        for rows in stacks:
             evaluate(decomp, rows)
         if scan.parameter != "j2":
             bisect(points[::k] // k, lambda wide: evaluate(decomp, points[::k]))
         del decomp
 
     def solve(wide):
-        for points, decomp in _batches(base, point, np.flatnonzero(wide)[:, None] * k):
-            evaluate(decomp, points)
+        for _, decomp, stacks in _batches(base, point, np.flatnonzero(wide)[:, None] * k):
+            for rows in stacks:
+                evaluate(decomp, rows)
             del decomp
 
     if scan.parameter == "j2":

@@ -24,6 +24,17 @@ def test_parse_sweep_temp_flags():
     assert config.j1 == 1.0 and config.j2 == 0.0 and config.b == 0.0
 
 
+@pytest.mark.parametrize("flag, text, value", [
+    ("--bmin", "-5e-1", -0.5), ("--bmin", "-.5E+0", -0.5), ("--j1", "-1e0", -1.0)])
+def test_negative_values_in_exponent_notation_are_values(flag, text, value):
+    # argparse's negative-number pattern of Python 3.10-3.12 has no exponent
+    # and took these for flags ("expected one argument")
+    config = parse_config(["sweep-field", "--n", "4", "--bmin", "-0.5", "--bmax", "1",
+                           "--temperature", "0.5", "--steps", "3", "--out", "f.csv",
+                           flag, text])
+    assert getattr(config, flag[2:]) == value
+
+
 def test_parse_rejects_odd_ring_nnn_sweep():
     with pytest.raises(ConfigError, match="even"):
         parse_config(["sweep-j2", "--n", "5", "--j2min", "0", "--j2max", "1",
@@ -450,6 +461,16 @@ def test_run_config_echo_omits_execution_details():
     keys = [k for k, _ in config.echo_items()]
     assert "out" not in keys
     assert "command" in keys
+
+
+def test_config_comments_name_an_option_or_are_skipped(tmp_path):
+    # prose that holds an "=" is skipped as a comment, and so is an echo no
+    # option reads; a comment that names an option sets it, as the comment
+    # block of an emitted CSV does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# sweep at T=0.5\n# version=0.0\ncommand=verify\n# max_n=3\n",
+                   encoding="utf-8")
+    assert read_config_file(str(cfg)) == {"command": "verify", "max_n": 3}
 
 
 def test_read_config_skips_prose_comments(tmp_path):

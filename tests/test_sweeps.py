@@ -165,7 +165,7 @@ def test_sweep_lets_each_decomposition_go(monkeypatch):
     # a sweep holds one batch of decompositions at a time: when the next
     # batch's eigensolve starts, no earlier batch is still alive; the budget
     # makes batches of two groups of one point each (D = 36)
-    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 2 * 34 * 36)
+    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 2 * 31 * 36)
     alive = []
     real = sweeps.diagonalize
 
@@ -207,7 +207,7 @@ def test_coupling_threshold_lets_each_decomposition_go(monkeypatch):
     for curve, groups, batches in (
             (("temperature", [0.05, 0.15, 0.3], "j2", (0.0, 1.0)), 2, 40),
             (("j2", [0.0, 0.1, 0.2], "temperature", (0.05, 1.5)), 1, 3)):
-        monkeypatch.setattr(sweeps, "BATCH_ENTRIES", groups * 34 * 36)
+        monkeypatch.setattr(sweeps, "BATCH_ENTRIES", groups * 31 * 36)
         alive.clear()
         found = threshold_curve(ModelSpec(4), pair, *curve, scan_points=8)
         assert all(value is not None for _, value in found)
@@ -629,7 +629,7 @@ def test_sweep_chunks_give_the_one_stack_result(monkeypatch):
     monkeypatch.setattr(sweeps, "log_partition",
                         lambda e, beta: stacks.append(e.shape[0]) or real(e, beta))
     monkeypatch.setattr(sweeps, "STACK_ENTRIES", 7 * (36 + 30))
-    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 34 * 36)
+    monkeypatch.setattr(sweeps, "BATCH_ENTRIES", 31 * 36)
     chunked = [run_sweep(req) for req in requests]
     assert stacks == [7] * 16 + [3] + ([7, 7, 7, 2] * 5)
     for a, b in zip(whole, chunked):
@@ -654,7 +654,7 @@ def test_sweep_batches_give_the_per_group_result(monkeypatch):
     monkeypatch.setattr(sweeps, "diagonalize",
                         lambda h, points=None: batches.append(len(_models(h))) or real(h, points))
     results = []
-    for budget, sizes in ((34 * 36, [1] * 7), (3 * 34 * 36, [3, 3, 1]),
+    for budget, sizes in ((31 * 36, [1] * 7), (3 * 31 * 36, [3, 3, 1]),
                           (sweeps.BATCH_ENTRIES, [7])):
         monkeypatch.setattr(sweeps, "BATCH_ENTRIES", budget)
         batches.clear()
@@ -748,12 +748,12 @@ def test_batches_of_one_group_are_the_lone_route(monkeypatch, n, temperature):
         assert np.array_equal(_int64(res.log_z[row]), _int64(last))
 
 
-@pytest.mark.parametrize("n, sizes", [(6, [6]), (8, [5, 1])])
+@pytest.mark.parametrize("n, sizes", [(6, [6]), (8, [6])])
 @pytest.mark.parametrize("temperature", [0.02, 0.0])
 def test_default_batches_are_the_lone_route_under_a_union_window(monkeypatch, n, sizes,
                                                                   temperature):
-    # the default budget solves six coupling groups in one batch at six sites
-    # and two at eight; a batch's window is the union of its rows', which
+    # the default budget solves six coupling groups in one batch at six and
+    # at eight sites; a batch's window is the union of its rows', which
     # fills rows weighted below e^-74: U and log Z keep the lone route's
     # bits, and the negativities lie within 1e-15 of it
     res, batches, lone = _lone_route(n, temperature, monkeypatch)
@@ -762,6 +762,29 @@ def test_default_batches_are_the_lone_route_under_a_union_window(monkeypatch, n,
         assert np.abs(res.negativities[row] - negativities).max() <= 1e-15
         assert np.array_equal(_int64(res.internal_energy[row]), _int64(u))
         assert np.array_equal(_int64(res.log_z[row]), _int64(last))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_batches_hold_the_groups_their_pair_blocks_fit(monkeypatch, n):
+    # a batch holds BATCH_ENTRIES // ((1 + P) D) coupling groups, P being the
+    # widths of a real decomposition's pair blocks over the ring's pair kinds
+    # (234, 39 and 6 groups): a j2 sweep of one group more runs two batches,
+    # and so does a j2 search's scan of one point more
+    decomp = diagonalize(build_model(ModelSpec(n)))
+    width = sum(decomp.pair_blocks((p.site_a, p.site_b)).shape[-1] for p in resolve_pairs(n))
+    groups = sweeps.BATCH_ENTRIES // ((1 + width) * decomp.dimension)
+    batches = []
+    real = sweeps.diagonalize
+    monkeypatch.setattr(sweeps, "diagonalize",
+                        lambda h, points=None: batches.append(len(_models(h))) or real(h, points))
+    run_sweep(SweepRequest(base=ModelSpec(n), axis1=Axis("j2", 0.0, 1.0, groups + 1),
+                           temperature=0.02))
+    assert batches == [groups, 1]
+    batches.clear()
+    # a search range with no flip: the scan alone, no bisection rounds
+    find_threshold(ModelSpec(n), "j2", resolve_pairs(n)[0], (0.0, 0.01), 0.02,
+                   scan_points=groups + 1)
+    assert batches == [groups, 1]
 
 
 def test_a_union_window_moves_negativities_by_at_most_1e15(monkeypatch):
