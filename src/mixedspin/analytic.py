@@ -56,6 +56,13 @@ class TwoSpinElements:
     b2: float
     log_z: float
 
+    def matrix(self) -> np.ndarray:
+        """The state in the package's Kronecker basis |+1/2,+1>, |+1/2,0>, ..., |-1/2,-1>."""
+        m = np.diag([self.a6, self.a2, self.a4, self.a3, self.a5, self.a1])
+        m[1, 3] = m[3, 1] = self.b1
+        m[2, 4] = m[4, 2] = self.b2
+        return m
+
 
 def two_spin_elements(beta: float) -> TwoSpinElements:
     """Field-free elements: a1=a6, a2=a5=1/6, a3=a4, b1=b2=sqrt(2)(a1-a2)."""
@@ -127,6 +134,14 @@ class ThreeSpinElements:
     aa2: float
     bb: float
     log_z: float
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mixed and the half-half pair states, each in its Kronecker basis."""
+        mixed = TwoSpinElements(a1=self.a1, a2=self.a2, a3=self.a3, a4=self.a3, a5=self.a2,
+                                a6=self.a1, b1=self.b1, b2=self.b1, log_z=self.log_z)
+        half = np.diag([self.aa1, self.aa2, self.aa2, self.aa1])
+        half[1, 2] = half[2, 1] = self.bb
+        return mixed.matrix(), half
 
 
 def _three_ratio(coeffs, beta: float) -> float:

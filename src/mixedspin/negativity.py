@@ -64,7 +64,8 @@ class PairKind(Enum):
 class PairReducedState:
     """Reduced state of two retained sites; basis is a-index major.
 
-    matrix is one d x d state or a stack of them along leading axes.
+    matrix is one d x d state or a stack of them along leading axes, with
+    d = dim_a * dim_b (ValueError otherwise).
     """
 
     matrix: np.ndarray
@@ -72,6 +73,12 @@ class PairReducedState:
     dim_b: int
     site_a: int
     site_b: int
+
+    def __post_init__(self):
+        d = self.dim_a * self.dim_b
+        if np.shape(self.matrix)[-2:] != (d, d):
+            raise ValueError(f"a ({self.dim_a}, {self.dim_b}) pair state is {d} x {d}, "
+                             f"got shape {np.shape(self.matrix)}")
 
     @property
     def kind(self) -> PairKind:

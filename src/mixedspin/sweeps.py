@@ -73,7 +73,9 @@ STACK_ENTRIES = 1 << 15
 # Entries per batch: a coupling group holds D eigenvalues and D pair-block
 # rows of P entries (`_batches`), so a batch of
 # max(1, BATCH_ENTRIES // ((1 + P) D)) groups takes about 2 MB: 234 at four
-# sites, 39 at six, 6 at eight.
+# sites, 39 at six, 6 at eight. It counts no sector vectors, so a batch whose
+# window keeps every multiplet (T of order 1) also holds G full sets of them:
+# a 200-point eight-site sweep at T = 1 peaks near 47 MB.
 BATCH_ENTRIES = 1 << 18
 
 # Points per sweep or search grid. Each point keeps its row of the output
@@ -106,6 +108,8 @@ def available_pair_kinds(n: int) -> tuple[str, ...]:
 
 def resolve_pairs(n: int, kinds: Optional[Sequence[str]] = None) -> tuple[PairSelector, ...]:
     """Map symbolic pair kinds to canonical site pairs for an n-site ring."""
+    if isinstance(kinds, str):
+        raise ValueError(f"pair kinds must be a sequence of kind names, such as [{kinds!r}]")
     if kinds is None:
         kinds = available_pair_kinds(n)
     selectors = []
@@ -295,6 +299,8 @@ def _batches(base: ModelSpec, point: dict, groups: np.ndarray, windowed: bool = 
     G = max(1, BATCH_ENTRIES // ((1 + P) D)) coupling groups, built without
     the field, which shares the eigenvectors, and its stacks of
     max(1, STACK_ENTRIES // ((D + P) G)) points split its (points, G) rows.
+    G counts eigenvalues and pair blocks, not sector vectors, so a batch
+    whose window keeps every multiplet holds G full sets of them.
     A windowed decomposition holds only the multiplets that its points'
     fields and temperatures weigh (`diagonalize`), so it serves those points
     and any at their fields and a lower temperature.

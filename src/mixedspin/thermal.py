@@ -77,16 +77,15 @@ BOLTZMANN_WINDOW = 74.0
 class Sector(NamedTuple):
     """A total-Sz sector's eigenvectors (columns over its `product_basis` rows) and their places.
 
-    `columns` places them in the ascending spectrum. Every sector M < 0 has
-    `mirror_of` set, at every field: its vectors are sector -M's with the
-    rows reversed (spin inversion). In a batch, `vectors` and `columns`
-    carry the batch's leading axis. A windowed decomposition's sectors hold
-    only the members of the window's multiplets.
+    `columns` places them in the ascending spectrum. Of K sectors, sector
+    k < K - 1 - k (M < 0) holds sector K - 1 - k's vectors with the rows
+    reversed (spin inversion), at every field. In a batch, `vectors` and
+    `columns` carry the batch's leading axis. A windowed decomposition's
+    sectors hold only the members of the window's multiplets.
     """
 
     vectors: np.ndarray
     columns: np.ndarray
-    mirror_of: int | None = None
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ class SpectralDecomposition:
         m_a + m_b (`pair_basis`); a row holds them and one zero column.
         Per sector and a + b, g holds the amplitudes on a P x R grid of pair
         by rest states (`_pair_plan`), and the lower triangle of g @ g.T is
-        that a + b's entries, for every decomposition of a batch at once; a
-        mirrored sector's entries are its source's, spin-flipped.
+        that a + b's entries, for every decomposition of a batch at once;
+        sector k < K - 1 - k's entries are sector K - 1 - k's, spin-flipped.
         A batch of G gives (G, D, E + 1). On a windowed decomposition only
         the window's rows are filled and the others are zero. Built once per
         pair and kept on this decomposition, so the blocks live exactly as
@@ -137,12 +136,12 @@ class SpectralDecomposition:
             # over D contiguous numbers; a row-major copy makes BLAS sum in
             # another order and moves CSV cells in their last digits
             blocks = np.zeros((flip.shape[0], start.size * dim)).T
-            for sector, grids in reversed(tuple(zip(self.sectors, plans))):
+            for k, (sector, grids) in reversed(tuple(enumerate(zip(self.sectors, plans)))):
                 if not sector.columns.shape[-1]:        # outside a window
                     continue
                 places = start + sector.columns
-                if sector.mirror_of is not None:      # its source, M > 0, came first
-                    source = start + self.sectors[sector.mirror_of].columns
+                if 2 * k < len(self.sectors) - 1:   # sector K - 1 - k's flip, done first
+                    source = start + self.sectors[-1 - k].columns
                     blocks[places] = blocks[source[..., None], flip]
                     continue
                 vectors = sector.vectors.swapaxes(-1, -2)
@@ -448,14 +447,13 @@ def diagonalize(h: Hamiltonian | Sequence[Hamiltonian],
         s, below = spins[window[len(window) - take:]], vectors[-1]
         vectors.append(_raise(below[..., below.shape[-1] - take:], source, coef)
                        / np.sqrt(s * (s + 1.0) - m[k - 1] * m[k]))
-    last = len(ring.rows) - 1
     order = np.argsort(eigenvalues, axis=-1, kind="stable")
     columns = np.split(np.argsort(order, axis=-1),
                        np.cumsum([len(rows) for rows in ring.rows[:-1]]), axis=-1)
     columns = [c[..., window[window >= first] - first]     # a sector's are those S >= |M|
                for c, first in zip(columns, [len(spins) - len(rows) for rows in ring.rows])]
-    sectors = tuple(Sector(vectors[k - low], place) if k >= low
-                    else Sector(vectors[last - k - low][..., ::-1, :], place, last - k)
+    # vectors runs from sector low up, so sector K - 1 - k's are vectors[-1 - k]
+    sectors = tuple(Sector(vectors[k - low] if k >= low else vectors[-1 - k][..., ::-1, :], place)
                     for k, place in enumerate(columns))
     return SpectralDecomposition(eigenvalues=np.take_along_axis(eigenvalues, order, axis=-1),
                                  magnetizations=ring.sector_m[order], sectors=sectors,

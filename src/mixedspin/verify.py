@@ -11,7 +11,8 @@ The numeric side is the pipeline the sweeps run: a decomposition taken at
 zero field, eigenvector weights from `state_weights` (the ground-manifold
 mixture at T = 0), pair states from `reduce_pair`, log Z from
 `log_partition` and U as the weighted sum of the energies. No check forms a
-D x D state.
+D x D state. The closed-form pair states come from `analytic` in the
+package's Kronecker basis, the one `reduce_pair` gives.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ from .sweeps import (EPS_NONZERO, Axis, SweepRequest, find_threshold,
                      pair_negativities, resolve_pairs, run_sweep, threshold_curve)
 from .thermal import (SpectralDecomposition, diagonalize, ground_degeneracy,
                       log_partition, state_weights)
-
-# Kronecker-order indices of the block-sorted two-site basis used by the
-# closed forms: positions (a1..a6) map to these rows of the (1/2,1) product
-# basis ordered |+1/2,+1>, |+1/2,0>, |+1/2,-1>, |-1/2,+1>, |-1/2,0>, |-1/2,-1>.
-TWO_SITE_BLOCK_ORDER = (5, 1, 3, 2, 4, 0)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -59,18 +54,6 @@ def _check(name: str, deviation: float, tol: float, detail: str = "") -> CheckRe
 def _info(name: str, measured: float, reference: float, detail: str = "") -> CheckResult:
     return CheckResult(name=name, status="info", measured=float(measured),
                        budget=reference, detail=detail)
-
-
-def _pair_matrix_from_elements(el: analytic.TwoSpinElements) -> np.ndarray:
-    m = np.diag([el.a1, el.a2, el.a3, el.a4, el.a5, el.a6]).astype(float)
-    m[1, 2] = m[2, 1] = el.b1
-    m[3, 4] = m[4, 3] = el.b2
-    return m
-
-
-def _reorder_to_blocks(matrix: np.ndarray) -> np.ndarray:
-    idx = np.ix_(TWO_SITE_BLOCK_ORDER, TWO_SITE_BLOCK_ORDER)
-    return matrix[idx]
 
 
 def _pair(decomp: SpectralDecomposition, temperature: float | np.ndarray,
@@ -134,10 +117,8 @@ def check_two_site() -> list[CheckResult]:
 
     worst = 0.0
     for t in (0.2, 0.7, 1.5):
-        el = analytic.two_spin_elements(1.0 / t)
-        reference = _pair_matrix_from_elements(el)
-        numeric = _reorder_to_blocks(_pair(decomp, t, (0, 1)).matrix)
-        worst = max(worst, float(np.abs(numeric - reference).max()))
+        reference = analytic.two_spin_elements(1.0 / t).matrix()
+        worst = max(worst, float(np.abs(_pair(decomp, t, (0, 1)).matrix - reference).max()))
     out.append(_check("two_site.thermal_elements", worst, 1e-10))
 
     # spectrum of the partially transposed state against the block eigenvalues
@@ -176,18 +157,10 @@ def check_three_site() -> list[CheckResult]:
     worst12 = worst13 = worstneg = 0.0
     for t in (0.2, 0.5, 1.0, 3.0):
         beta = 1.0 / t
-        el = analytic.three_spin_elements(beta)
+        ref12, ref13 = analytic.three_spin_elements(beta).matrices()
         pair12 = _pair(decomp, t, (0, 1))
-        reference = _pair_matrix_from_elements(analytic.TwoSpinElements(
-            a1=el.a1, a2=el.a2, a3=el.a3, a4=el.a3, a5=el.a2, a6=el.a1,
-            b1=el.b1, b2=el.b1, log_z=el.log_z))
-        worst12 = max(worst12, float(np.abs(
-            _reorder_to_blocks(pair12.matrix) - reference).max()))
-
-        pair13 = _pair(decomp, t, (0, 2))
-        ref13 = np.diag([el.aa1, el.aa2, el.aa2, el.aa1]).astype(float)
-        ref13[1, 2] = ref13[2, 1] = el.bb
-        worst13 = max(worst13, float(np.abs(pair13.matrix - ref13).max()))
+        worst12 = max(worst12, float(np.abs(pair12.matrix - ref12).max()))
+        worst13 = max(worst13, float(np.abs(_pair(decomp, t, (0, 2)).matrix - ref13).max()))
 
         worstneg = max(worstneg, abs(negativity(pair12).value
                                      - analytic.three_spin_negativity_12(beta)))
@@ -303,8 +276,7 @@ def check_field_model() -> list[CheckResult]:
     for t, b in ((0.5, 0.8), (0.05, 1.0), (0.05, 2.0), (1.0, 0.3)):
         el = analytic.field_elements(1.0 / t, b)
         pair = _pair(decomp, t, (0, 1), field_b=b)
-        numeric = _reorder_to_blocks(pair.matrix)
-        worst = max(worst, float(np.abs(numeric - _pair_matrix_from_elements(el)).max()))
+        worst = max(worst, float(np.abs(pair.matrix - el.matrix()).max()))
         worst = max(worst, abs(negativity(pair).value - analytic.field_negativity(1.0 / t, b)))
     out.append(_check("field.thermal_elements_and_negativity", worst, 1e-10))
 

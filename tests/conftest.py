@@ -1,15 +1,9 @@
 import time
 
-import numpy as np
 import pytest
 
 from mixedspin import (Axis, ModelSpec, SweepRequest, build_model, diagonalize,
                        resolve_pairs, run_sweep)
-from mixedspin.verify import TWO_SITE_BLOCK_ORDER
-
-
-def reorder_to_blocks(matrix):
-    return matrix[np.ix_(TWO_SITE_BLOCK_ORDER, TWO_SITE_BLOCK_ORDER)]
 
 
 def timed(fn, *args, **kwargs):

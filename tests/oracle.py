@@ -8,7 +8,8 @@ matrices instead, for the tests to compare against: any local operator
 embedded in the full space by a Kronecker product (`embed`), the
 Hamiltonian as a sum of such embedded bonds, the ground-manifold projector
 mixture, the negativity of a reduced dense state, and the eigenpair
-residuals of a decomposition. `eigenvectors` assembles a decomposition's
+residuals of a decomposition, and the Gibbs state or ground mixture of
+dense eigenpairs (`dense_state`). `eigenvectors` assembles a decomposition's
 D x D eigenvector matrix from its sectors, `term_matrix` a term's hops as a
 D x D matrix, `dense_matrix` a package Hamiltonian's terms and field, and
 `sector_hamiltonian` turns any dense matrix into the package's
@@ -26,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, Term, partial_trace, ring_layout,
-                       spin_matrices)
+from mixedspin import (Hamiltonian, ModelSpec, SiteLayout, Term, ThermalState, partial_trace,
+                       ring_layout, spin_matrices)
 from mixedspin.models import nn_bond_list, nnn_bond_list
 from mixedspin.negativity import negativity
 from mixedspin.spin_ops import product_basis
@@ -179,14 +180,21 @@ class GroundManifoldState:
 
 def ground_manifold(spec: SpectralDecomposition) -> GroundManifoldState:
     """Projector mixture over all eigenvectors within tolerance of E_min."""
-    e_min = float(spec.eigenvalues.min())
-    ground = spec.eigenvalues <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))
-    v = eigenvectors(spec)[:, ground]
-    degeneracy = v.shape[1]
-    rho = (v @ v.T) / degeneracy
-    rho = 0.5 * (rho + rho.T)
-    return GroundManifoldState(matrix=rho, degeneracy=degeneracy, energy=e_min,
-                               layout=spec.layout)
+    return dense_state(spec.eigenvalues, eigenvectors(spec), spec.layout, 0.0)
+
+
+def dense_state(values: np.ndarray, vectors: np.ndarray, layout: SiteLayout,
+                temperature: float) -> ThermalState | GroundManifoldState:
+    """The Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs (numpy's eigh)."""
+    e_min = values.min()
+    if temperature == 0.0:
+        ground = vectors[:, values <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))]
+        rho = ground @ ground.T / ground.shape[1]
+        return GroundManifoldState(matrix=rho, degeneracy=ground.shape[1],
+                                   energy=float(e_min), layout=layout)
+    w = np.exp(-(values - e_min) / temperature)
+    rho = (vectors * (w / w.sum())) @ vectors.T
+    return ThermalState(matrix=rho, beta=1.0 / temperature, log_z=0.0, layout=layout)
 
 
 def pair_negativity(state, keep: tuple[int, int]) -> float:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 
-from conftest import reorder_to_blocks
 from mixedspin import (ModelSpec, build_model, diagonalize, internal_energy, log_partition,
                        partial_trace, thermal_state)
 from mixedspin import analytic
@@ -10,13 +9,6 @@ from mixedspin.negativity import correlator, partial_transpose
 from oracle import pair_negativity
 
 SQRT2 = math.sqrt(2.0)
-
-
-def _elements_matrix(el):
-    m = np.diag([el.a1, el.a2, el.a3, el.a4, el.a5, el.a6]).astype(float)
-    m[1, 2] = m[2, 1] = el.b1
-    m[3, 4] = m[4, 3] = el.b2
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +27,7 @@ def test_two_spin_elements_are_normalized_and_consistent():
 def test_two_spin_elements_match_thermal_state(decomp_nn):
     for t in (0.1, 0.7, 3.0):
         el = analytic.two_spin_elements(1.0 / t)
-        numeric = reorder_to_blocks(thermal_state(decomp_nn[2], t).matrix)
-        assert np.abs(numeric - _elements_matrix(el)).max() <= 1e-12
+        assert np.abs(thermal_state(decomp_nn[2], t).matrix - el.matrix()).max() <= 1e-12
 
 
 def test_two_spin_negativity_limits_and_threshold():
@@ -103,17 +94,10 @@ def test_three_spin_elements_trace_consistency():
 
 def test_three_spin_elements_match_pipeline(decomp_nn):
     for t in (0.25, 0.8, 2.0):
-        el = analytic.three_spin_elements(1.0 / t)
+        mixed, halves = analytic.three_spin_elements(1.0 / t).matrices()
         state = thermal_state(decomp_nn[3], t)
-        mixed = reorder_to_blocks(partial_trace(state, (0, 1)).matrix)
-        ref = np.diag([el.a1, el.a2, el.a3, el.a3, el.a2, el.a1]).astype(float)
-        ref[1, 2] = ref[2, 1] = el.b1
-        ref[3, 4] = ref[4, 3] = el.b1
-        assert np.abs(mixed - ref).max() <= 1e-10
-        halves = partial_trace(state, (0, 2)).matrix
-        ref13 = np.diag([el.aa1, el.aa2, el.aa2, el.aa1]).astype(float)
-        ref13[1, 2] = ref13[2, 1] = el.bb
-        assert np.abs(halves - ref13).max() <= 1e-10
+        assert np.abs(partial_trace(state, (0, 1)).matrix - mixed).max() <= 1e-10
+        assert np.abs(partial_trace(state, (0, 2)).matrix - halves).max() <= 1e-10
 
 
 def test_three_spin_negativity_closed_form(decomp_nn):
@@ -260,8 +244,7 @@ def test_field_elements_match_pipeline():
         decomp = diagonalize(build_model(ModelSpec(2, 1.0, field_b=b)))
         el = analytic.field_elements(1.0 / t, b)
         assert abs(el.a1 + el.a2 + el.a3 + el.a4 + el.a5 + el.a6 - 1.0) <= 1e-12
-        numeric = reorder_to_blocks(thermal_state(decomp, t).matrix)
-        assert np.abs(numeric - _elements_matrix(el)).max() <= 1e-12
+        assert np.abs(thermal_state(decomp, t).matrix - el.matrix()).max() <= 1e-12
         assert abs(el.log_z - thermal_state(decomp, t).log_z) <= 1e-10
 
 

@@ -154,6 +154,14 @@ def test_negativity_zero_for_separable_mixture():
     assert res.value == 0.0
 
 
+def test_pair_state_refuses_a_matrix_of_another_size():
+    # a (1/2,1/2) pair is 4 x 4: a 6 x 6 matrix would fail later inside a
+    # reshape of negativity or partial_transpose, so the state refuses it
+    for shape in ((6, 6), (3, 6, 6), (4, 6), (16,), ()):
+        with pytest.raises(ValueError, match=r"\(2, 2\) pair state is 4 x 4"):
+            PairReducedState(np.zeros(shape), 2, 2, 0, 1)
+
+
 def test_negativity_rejects_broken_states():
     pair = PairReducedState(matrix=np.eye(6) / 3.0, dim_a=2, dim_b=3,
                             site_a=0, site_b=1)

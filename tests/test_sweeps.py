@@ -39,6 +39,14 @@ def test_resolve_pairs_rejects_a_repeated_kind():
         resolve_pairs(4, ["one_one", "half_one", "one_one"])
 
 
+def test_resolve_pairs_refuses_a_bare_string():
+    # a string is a sequence of its characters, which would be read as the
+    # kinds 'h', 'a', ...: it is one error that asks for a sequence of names
+    with pytest.raises(ValueError, match="sequence of kind names, such as \\['half_one'\\]"):
+        resolve_pairs(4, "half_one")
+    assert resolve_pairs(4, ["half_one"]) == resolve_pairs(4)[:1]
+
+
 def test_axis_validation():
     with pytest.raises(ValueError, match="steps"):
         Axis("temperature", 0.1, 1.0, 1)

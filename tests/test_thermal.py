@@ -14,9 +14,9 @@ from mixedspin.models import nn_bond_list, nnn_bond_list
 from mixedspin.negativity import correlator, pair_entries, partial_trace, reduce_pair
 from mixedspin.spin_ops import product_basis
 from mixedspin.sweeps import pair_negativities
-from mixedspin.thermal import (BOLTZMANN_WINDOW, GROUND_DEGENERACY_RTOL, SpectralDecomposition,
-                               _ground_mask, _su2_plan, ground_degeneracy, state_weights)
-from oracle import (GroundManifoldState, dense_hamiltonian, dense_matrix, eigenvectors, embed,
+from mixedspin.thermal import (BOLTZMANN_WINDOW, SpectralDecomposition, _ground_mask, _su2_plan,
+                               ground_degeneracy, state_weights)
+from oracle import (dense_hamiltonian, dense_matrix, dense_state, eigenvectors, embed,
                     ground_manifold, sector_hamiltonian, spectral_residuals,
                     total_spin_defect, total_spin_squared, total_sz)
 
@@ -292,6 +292,18 @@ def test_sector_blocks_are_slices_of_the_dense_hamiltonian(spec):
     assert dense_matrix(h).tobytes() == dense.tobytes()
 
 
+def _assert_flipped_sectors(decomp: SpectralDecomposition) -> None:
+    """Of K sectors, k < K - 1 - k holds only M < 0 columns and sector K - 1 - k's
+    vectors with the rows reversed, bit for bit; every other sector, only M >= 0."""
+    last = len(decomp.sectors) - 1
+    for k, sector in enumerate(decomp.sectors):
+        m = np.take_along_axis(decomp.magnetizations, sector.columns, axis=-1)
+        assert np.all((m < 0) == (k < last - k))
+        if k < last - k:
+            flipped = decomp.sectors[last - k].vectors[..., ::-1, :]
+            assert sector.vectors.tobytes() == flipped.tobytes()
+
+
 @pytest.mark.parametrize("n, b", [(2, 1.5), (4, 0.7), (6, 0.3), (8, 2.9)])
 def test_field_hamiltonian_solves_as_the_zero_field_one(n, b):
     # the field is b*M on sector M and never enters the blocks, so a field
@@ -305,25 +317,12 @@ def test_field_hamiltonian_solves_as_the_zero_field_one(n, b):
     for rows, ours, theirs in zip(rows_by_sector, field.sectors, zero.sectors):
         assert ours.vectors.shape == theirs.vectors.shape == (len(rows), ours.columns.size)
         assert ours.vectors.tobytes() == theirs.vectors.tobytes()
-        assert ours.mirror_of == theirs.mirror_of
-
-
-def _dense_state(values, vectors, layout, temperature):
-    """The Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs."""
-    e_min = values.min()
-    if temperature == 0.0:
-        ground = vectors[:, values <= e_min + GROUND_DEGENERACY_RTOL * max(1.0, abs(e_min))]
-        rho = ground @ ground.T / ground.shape[1]
-        return GroundManifoldState(matrix=rho, degeneracy=ground.shape[1],
-                                   energy=float(e_min), layout=layout)
-    w = np.exp(-(values - e_min) / temperature)
-    rho = (vectors * (w / w.sum())) @ vectors.T
-    return ThermalState(matrix=rho, beta=1.0 / temperature, log_z=0.0, layout=layout)
+    _assert_flipped_sectors(field)
 
 
 def _dense_pair_oracle(values, vectors, layout, temperature, keep):
     """partial_trace of the Gibbs state (T > 0) or ground mixture (T = 0) of dense eigenpairs."""
-    return partial_trace(_dense_state(values, vectors, layout, temperature), keep).matrix
+    return partial_trace(dense_state(values, vectors, layout, temperature), keep).matrix
 
 
 @pytest.mark.parametrize("spec", list(_sector_cases()),
@@ -364,8 +363,7 @@ def test_mirror_sectors_share_spectra_and_flip_pair_blocks(spec):
     h = build_model(spec)
     decomp = diagonalize(h)
     b, m, energies = spec.field_b, decomp.magnetizations, decomp.eigenvalues
-    for sector in decomp.sectors:
-        assert (sector.mirror_of is not None) == (m[sector.columns[0]] < 0)
+    _assert_flipped_sectors(decomp)
     for value in set(m[m > 0].tolist()):
         if b == 0.0:
             assert np.array_equal(energies[m == -value], energies[m == value])
@@ -422,11 +420,11 @@ def test_batch_diagonalize_matches_single_decompositions(specs):
     assert batch.eigenvalues.shape == (len(specs), hs[0].layout.total_dimension)
     pairs = [(p.site_a, p.site_b) for p in resolve_pairs(specs[0].n_sites)]
     rows_by_sector = product_basis(batch.layout).rows
+    _assert_flipped_sectors(batch)
     for row, (spec, single) in enumerate(zip(specs, singles)):
         assert len(batch.sectors) == len(single.sectors) == len(rows_by_sector)
         for rows, sector, alone in zip(rows_by_sector, batch.sectors, single.sectors):
             assert sector.vectors.shape[-2] == alone.vectors.shape[-2] == len(rows)
-            assert sector.mirror_of == alone.mirror_of
             assert np.array_equal(_bits(sector.vectors[row]), _bits(alone.vectors))
             assert np.array_equal(sector.columns[row], alone.columns)
         assert np.array_equal(_bits(batch.eigenvalues[row]), _bits(single.eigenvalues))
@@ -606,9 +604,9 @@ def test_a_window_of_every_multiplet_is_the_full_route(n):
         assert len(windowed.sectors) == len(full.sectors) == len(rows_by_sector)
         for rows, sector, whole in zip(rows_by_sector, windowed.sectors, full.sectors):
             assert sector.vectors.shape[-2] == len(rows)
-            assert sector.mirror_of == whole.mirror_of
             assert np.array_equal(sector.vectors, whole.vectors)
             assert np.array_equal(sector.columns, whole.columns)
+        _assert_flipped_sectors(windowed)
         for keep in pairs:
             assert np.array_equal(windowed.pair_blocks(keep), full.pair_blocks(keep))
 
@@ -666,7 +664,7 @@ def test_coupling_terms_match_the_dense_hamiltonian(specs):
             assert resid <= 1e-12 and ortho <= 1e-12
             assert max(total_spin_defect(decomp)) <= 1e-10
         for temperature in (0.0, 0.02, 0.5):
-            state = _dense_state(values, vectors, layout, temperature)
+            state = dense_state(values, vectors, layout, temperature)
             for keep in pairs:
                 oracle = partial_trace(state, keep).matrix
                 for decomp in decomps:
